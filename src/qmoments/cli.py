@@ -13,6 +13,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import ModeError, ParseError, ResourceBoundError
 from .groups import (
+    DEFAULT_ORDER_LIMIT,
     PGroup,
     aut_order,
     count_injective_homs,
@@ -332,6 +333,8 @@ def _cmd_verify(args, meta, out):
                     "unknown identity id %r (known: %s)" % (args.id, ", ".join(IDENTITY_IDS))
                 )
             params = _verify_params(args)
+            if cid == "GENFUN" and "p" in params and not _is_prime(params["p"]):
+                raise UsageError("p must be prime, got %d" % params["p"])
             if params:
                 if "samples" in params:
                     strategy = "random-point"
@@ -445,7 +448,7 @@ def build_parser():
         "3 resource bound exceeded. Default resource bounds: group order "
         "<= %d (override with QMOMENTS_MAX_GROUP_ORDER), truncation <= %d, "
         "alphabets <= %d. Default seed: taken from the case manifest."
-        % (order_limit(), MAX_ZTRUNC, MAX_ALPHABET),
+        % (DEFAULT_ORDER_LIMIT, MAX_ZTRUNC, MAX_ALPHABET),
     )
     parser.add_argument(
         "--format",
@@ -538,9 +541,8 @@ def main(argv=None, out=None):
             _, seed, _ = load_manifest()
         except OSError:
             seed = 0
-    meta = _metadata(argv, seed)
     try:
-        return args.func(args, meta, out)
+        return args.func(args, _metadata(argv, seed), out)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -8,15 +8,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
 
-from .errors import ModeError, ResourceBoundError
+from .errors import ModeError, ParseError, ResourceBoundError
 from .partitions import Partition
 
 DEFAULT_ORDER_LIMIT = 4096
 
 
 def order_limit():
-    """Largest group order the brute-force oracles touch (env-overridable)."""
-    return int(os.environ.get("QMOMENTS_MAX_GROUP_ORDER", DEFAULT_ORDER_LIMIT))
+    """Largest group order the brute-force oracles touch (env-overridable).
+
+    A QMOMENTS_MAX_GROUP_ORDER that is not a positive integer raises
+    ParseError.
+    """
+    raw = os.environ.get("QMOMENTS_MAX_GROUP_ORDER")
+    if raw is None:
+        return DEFAULT_ORDER_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ParseError(
+            "QMOMENTS_MAX_GROUP_ORDER must be a positive integer, got %r" % (raw,)
+        )
+    return limit
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,8 @@ def _box_partitions(n, k):
 
 def _run_qbin(params, rng):
     n = int(params["n"])
+    if n < 0:
+        raise ValueError("QBIN needs n >= 0, got %d" % n)
     lhs = {}
     for k in range(n + 1):
         lhs[k] = qbinomial(n, k) * UniRat.mono("q", math.comb(k, 2), (-1) ** k)

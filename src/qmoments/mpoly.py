@@ -3,27 +3,175 @@
 An MPoly maps exponent tuples (one slot per variable) to nonzero UniRat
 coefficients.  Variables never appear in denominators; exact division is
 provided for quotients known to be polynomial (Vandermonde-type factors).
+
+Packed Laurent form.  When every coefficient's denominator is a monomial
+c*q^v, `mul` and `+` run on a second, internal form (`_Laurent`): all
+coefficients over one common denominator L*q^V, each numerator one Python
+int holding its q-coefficients in signed slots of s bits (Kronecker
+substitution q -> 2^s).  The form keeps a bound `mag` on every |slot| and a
+bound `span` on the slot count.  A product's bound is
+min(#terms_A, #terms_B) * min(span_A, span_B) * mag_A * mag_B, a sum's is
+the sum of both bounds at the common L, and s always satisfies
+2^(s-1) > mag, so no slot can carry into its neighbour.  `terms` decodes
+to canonical UniRats lazily, once, and then drops the packed form (it is
+rebuilt if the poly enters another product or sum), so a large result is
+not held twice.  Every other method, and any operand with a non-monomial
+denominator, works on the UniRat coefficients.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
-from .qrat import UniRat, ZERO
+from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
 
 
-def _unify(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None or p1 == p2:
-        return p1
-    from .errors import ParamMismatch
+def _slot_width(mag, w=8):
+    """Smallest of w, 2w, 4w, ... bytes whose signed slots hold |x| <= mag.
 
-    raise ParamMismatch("cannot combine parameters %r and %r" % (p1, p2))
+    Slots start at 8 bytes and double: a wider slot costs little in int
+    arithmetic, while every change of width re-encodes all coefficients.
+    """
+    while mag >> (8 * w - 1):
+        w *= 2
+    return w
+
+
+def _mul_bound(a, b):
+    # a product slot sums at most min(#terms) * min(span) slot products
+    return min(len(a.coeffs), len(b.coeffs)) * min(a.span, b.span) * a.mag * b.mag
+
+
+def _add_bound(a, b):
+    L = lcm(a.L, b.L)
+    return a.mag * (L // a.L) + b.mag * (L // b.L)
+
+
+class _Laurent:
+    """Coefficients n_e(q) * q^-V / L, with n_e packed in w-byte slots.
+
+    Slot i of coeffs[e] is L times the coefficient of q^(i-V) in the value
+    at x^e.  Every slot lies in [-mag, mag], 2^(8w-1) > mag, and slots at
+    index >= span are zero.  No coefficient is zero.
+    """
+
+    __slots__ = ("coeffs", "w", "L", "V", "mag", "span")
+
+    def __init__(self, coeffs, w, L, V, mag, span):
+        self.coeffs = coeffs
+        self.w = w
+        self.L = L
+        self.V = V
+        self.mag = mag
+        self.span = span
+
+    @staticmethod
+    def pack(terms):
+        """The packed form of a UniRat term map, or None when some coefficient
+        has a non-monomial denominator or is non-constant without a parameter
+        name (decoding gives every non-constant coefficient the poly's name)."""
+        if not terms:
+            return _Laurent({}, 8, 1, 0, 0, 1)
+        L, lo, hi = 1, None, None
+        for c in terms.values():
+            num, den = c.num, c.den
+            if any(den[:-1]) or (c.param is None and (len(num) > 1 or len(den) > 1)):
+                return None
+            v = len(den) - 1
+            L = lcm(L, den[-1])
+            low, high = _pval(num) - v, len(num) - 1 - v
+            if lo is None or low < lo:
+                lo = low
+            if hi is None or high > hi:
+                hi = high
+        V = -lo
+        mag = max(max(map(abs, c.num)) * (L // c.den[-1]) for c in terms.values())
+        w = _slot_width(mag)
+        coeffs = {}
+        for e, c in terms.items():
+            num, den = c.num, c.den
+            k = L // den[-1]
+            sh = V - len(den) + 1
+            packed = _pack_signed([x * k for x in num[max(0, -sh):]], w)
+            coeffs[e] = packed << (8 * w * sh) if sh > 0 else packed
+        return _Laurent(coeffs, w, L, V, mag, hi - lo + 1)
+
+    def measure(self):
+        """Replace the bound `mag` by the exact largest |slot|."""
+        w, n = self.w, self.span
+        mag = 0
+        for c in self.coeffs.values():
+            d = _unpack_signed(c, w, n)
+            mag = max(mag, max(d), -min(d))
+        self.mag = mag
+
+    def widen(self, w):
+        """The same values in w-byte slots (w >= self.w)."""
+        if w == self.w:
+            return self
+        n = self.span
+        coeffs = {
+            e: _pack_signed(_unpack_signed(c, self.w, n), w) for e, c in self.coeffs.items()
+        }
+        return _Laurent(coeffs, w, self.L, self.V, self.mag, n)
+
+    def _common(self, other, bound):
+        """Both operands at one width whose slots hold bound(self, other).
+
+        When the certified bound outgrows the current width, both operands'
+        bounds are first re-measured exactly; only if that is not enough do
+        the slots widen.  Returns (a, b, w, bound).
+        """
+        w = max(self.w, other.w)
+        mag = bound(self, other)
+        if mag >> (8 * w - 1):
+            self.measure()
+            other.measure()
+            mag = bound(self, other)
+            w = _slot_width(mag, w)
+        return self.widen(w), other.widen(w), w, mag
+
+    def mul(self, other, keep):
+        a, b, w, mag = self._common(other, _mul_bound)
+        out = {}
+        get = out.get
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in b.coeffs.items():
+                e = tuple(map(add, e1, e2))
+                if keep is not None and e not in out and not keep(e):
+                    continue
+                out[e] = get(e, 0) + c1 * c2
+        out = {e: c for e, c in out.items() if c}
+        return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1)
+
+    def add(self, other):
+        a, b, w, mag = self._common(other, _add_bound)
+        L, V = lcm(a.L, b.L), max(a.V, b.V)
+        ka, kb = L // a.L, L // b.L
+        sa, sb = 8 * w * (V - a.V), 8 * w * (V - b.V)
+        out = {e: (c * ka) << sa for e, c in a.coeffs.items()}
+        get = out.get
+        for e, c in b.coeffs.items():
+            out[e] = get(e, 0) + ((c * kb) << sb)
+        span = max(a.span + V - a.V, b.span + V - b.V)
+        out = {e: c for e, c in out.items() if c}
+        return _Laurent(out, w, L, V, mag, span)
+
+    def decode(self, param):
+        """Canonical UniRat coefficients, as the UniRat arithmetic gives them."""
+        w, n, V = self.w, self.span, self.V
+        lead = (0,) * -V if V < 0 else ()
+        den = (0,) * V + (self.L,) if V > 0 else (self.L,)
+        return {
+            e: UniRat(lead + tuple(_unpack_signed(c, w, n)), den, param)
+            for e, c in self.coeffs.items()
+        }
 
 
 class MPoly:
     """Polynomial in x_1..x_nvars with UniRat coefficients."""
 
-    __slots__ = ("nvars", "terms", "param")
+    __slots__ = ("nvars", "param", "_terms", "_packed")
 
     def __init__(self, terms, nvars, param=None):
         clean = {}
@@ -37,12 +185,40 @@ class MPoly:
                 raise ValueError("exponent %r has wrong arity" % (e,))
             param = _unify(param, c.param)
             clean[e] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_packed", None)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "param", param)
 
+    @staticmethod
+    def _from_packed(packed, nvars, param):
+        out = MPoly.__new__(MPoly)
+        object.__setattr__(out, "_terms", None)
+        object.__setattr__(out, "_packed", packed)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "param", param)
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def terms(self):
+        """Exponent tuple -> nonzero UniRat coefficient (decoded on first use)."""
+        terms = self._terms
+        if terms is None:
+            terms = self._packed.decode(self.param)
+            object.__setattr__(self, "_terms", terms)
+            object.__setattr__(self, "_packed", None)
+        return terms
+
+    def _laurent(self):
+        """The packed Laurent form (built on first use), or None."""
+        packed = self._packed
+        if packed is None:
+            packed = _Laurent.pack(self._terms) or False
+            object.__setattr__(self, "_packed", packed)
+        return packed or None
 
     # -- constructors --------------------------------------------------------
 
@@ -103,11 +279,16 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
+        param = _unify(self.param, other.param)
+        a = self._laurent()
+        b = a and other._laurent()
+        if b:
+            return MPoly._from_packed(a.add(b), self.nvars, param)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return MPoly(out, self.nvars, _unify(self.param, other.param))
+        return MPoly(out, self.nvars, param)
 
     __radd__ = __add__
 
@@ -129,6 +310,11 @@ class MPoly:
         if isinstance(other, (int, Fraction, UniRat)):
             other = MPoly.const(other, self.nvars)
         self._check(other)
+        param = _unify(self.param, other.param)
+        a = self._laurent()
+        b = a and other._laurent()
+        if b:
+            return MPoly._from_packed(a.mul(b, keep), self.nvars, param)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -138,7 +324,7 @@ class MPoly:
                 c = c1 * c2
                 s = out.get(e)
                 out[e] = c if s is None else s + c
-        return MPoly(out, self.nvars, _unify(self.param, other.param))
+        return MPoly(out, self.nvars, param)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, UniRat, MPoly)):

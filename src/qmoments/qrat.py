@@ -6,6 +6,7 @@ with different names raises, and conversions (renaming, q -> 1/q, q -> q^k)
 are explicit.  Constants carry no parameter name at all.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -49,36 +50,52 @@ def _pmul_school(a, b):
 
 
 def _pack_signed(c, w):
-    pos = bytearray(w * len(c))
-    neg = bytearray(w * len(c))
-    for i, x in enumerate(c):
-        if x > 0:
-            pos[i * w : i * w + (x.bit_length() + 7) // 8] = x.to_bytes(
-                (x.bit_length() + 7) // 8, "little"
-            )
-        elif x < 0:
-            y = -x
-            neg[i * w : i * w + (y.bit_length() + 7) // 8] = y.to_bytes(
-                (y.bit_length() + 7) // 8, "little"
-            )
-    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+    """Evaluate the integer sequence c at 2^(8w): one w-byte slot per entry.
+
+    Entries may be negative; _unpack_signed recovers them as long as every
+    |entry| stays below 2^(8w-1).
+    """
+    n = len(c)
+    if n > 32:
+        # split so that the shifts below stay on short ints
+        h = n // 2
+        return _pack_signed(c[:h], w) + (_pack_signed(c[h:], w) << (8 * w * h))
+    s = 8 * w
+    p = 0
+    for x in reversed(c):
+        p = (p << s) + x
+    return p
+
+
+# memoryview formats that read one unsigned w-byte slot (little-endian hosts only)
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def _unpack_signed(p, w, n):
+    """The n signed w-byte slots of p, inverse of _pack_signed.
+
+    Every slot must lie in [-2^(8w-1), 2^(8w-1)) and slots >= n must be zero;
+    a value too large for n slots raises OverflowError.
+    """
+    half = 1 << (8 * w - 1)
+    # add `half` to every slot so all slots are nonnegative: no borrows
+    raw = (p + int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")).to_bytes(
+        w * n, "little"
+    )
+    fmt = _SLOT_FORMATS.get(w)
+    if fmt:
+        return [x - half for x in memoryview(raw).cast(fmt).tolist()]
+    return [int.from_bytes(raw[i * w : (i + 1) * w], "little") - half for i in range(n)]
 
 
 def _pmul_kron(a, b):
-    # Kronecker substitution: evaluate at 2^s, one big multiply, unpack.
-    nt = len(a) + len(b) - 1
+    # Kronecker substitution: evaluate at 2^(8w), one big multiply, unpack.
     ma = max(abs(x) for x in a)
     mb = max(abs(x) for x in b)
-    bound = ma * mb * min(len(a), len(b))
-    s = ((bound.bit_length() + 2 + 7) // 8) * 8
-    w = s // 8
+    # smallest slot width w (bytes) with 2^(8w-1) > every product digit
+    w = (ma * mb * min(len(a), len(b))).bit_length() // 8 + 1
     p = _pack_signed(a, w) * _pack_signed(b, w)
-    half = 1 << (s - 1)
-    # add `half` to every digit so all digits are nonnegative: no carries
-    p += half * (((1 << (s * nt)) - 1) // ((1 << s) - 1))
-    raw = p.to_bytes(w * nt + 8, "little")
-    out = [int.from_bytes(raw[i * w : (i + 1) * w], "little") - half for i in range(nt)]
-    return _trim(out)
+    return _trim(_unpack_signed(p, w, len(a) + len(b) - 1))
 
 
 def _pmul(a, b):

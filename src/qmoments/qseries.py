@@ -9,16 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf
 
-from .errors import ParamMismatch, SingularityError
-from .qrat import ONE, UniRat, ZERO, _padd, _pmul, _pshift
-
-
-def _unify(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None or p1 == p2:
-        return p1
-    raise ParamMismatch("cannot combine parameters %r and %r" % (p1, p2))
+from .errors import SingularityError
+from .qrat import ONE, UniRat, ZERO, _padd, _pmul, _pshift, _unify
 
 
 # ---------------------------------------------------------------------------

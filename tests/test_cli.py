@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from qmoments.cli import main
 
 
@@ -144,6 +146,40 @@ def test_verify_exit_codes():
     assert code == 2
     code, _ = run(["verify", "--id", "QBINHL", "--nx", "5", "--d", "3"])
     assert code == 3
+
+
+def test_verify_rejects_negative_qbin_size():
+    code, out = run(["verify", "--id", "QBIN", "--n", "-1"])
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_genfun_rejects_composite_p():
+    argv = ["verify", "--id", "GENFUN", "--lambda", "1", "--zmax", "4", "--p"]
+    code, out = run(argv + ["4"])
+    assert code == 2
+    assert out == ""
+    code, data = run_json(argv + ["3"])
+    assert code == 0
+    assert data["rows"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "--lambda", "1,1", "--mu", "1"],
+        ["oracle", "--check", "aut", "--lambda", "1", "--p", "2"],
+    ],
+)
+def test_malformed_order_limit_is_usage_error(monkeypatch, capsys, value, argv):
+    monkeypatch.setenv("QMOMENTS_MAX_GROUP_ORDER", value)
+    code, out = run(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: QMOMENTS_MAX_GROUP_ORDER")
 
 
 def test_verify_mutation_fails_with_localized_mismatch():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmoments import ParamMismatch, UniRat
 from qmoments.mpoly import MPoly
@@ -136,3 +138,159 @@ def test_as_json():
         {"exps": [2, 0], "coeff": {"num": [1], "den": [1], "param": None}},
         {"exps": [0, 0], "coeff": {"num": [-1], "den": [1], "param": None}},
     ]
+
+
+# -- packed Laurent kernel against the UniRat arithmetic -------------------------
+
+SLOT = 1 << 63  # signed 8-byte slots, the kernel's narrowest width, hold |x| < SLOT
+ROOT = 3037000499  # largest d with d * d < SLOT
+NEAR_SLOT = [SLOT - 1, SLOT, SLOT + 1, SLOT // 2, (SLOT - 1) // 7, ROOT, ROOT + 1, 1 << 31]
+
+
+def laurent_coeff(digit):
+    """A Laurent polynomial in q, possibly with negative exponents and a
+    constant denominator (so L > 1)."""
+    return st.builds(
+        lambda lo, ds, den: sum(
+            (UniRat.mono("q", lo + i, Fraction(d, den)) for i, d in enumerate(ds)),
+            UniRat.zero(),
+        ),
+        st.integers(-3, 3),
+        st.lists(digit, min_size=1, max_size=4),
+        st.sampled_from([1, 1, 1, 2, 3, 6]),
+    )
+
+
+SMALL = st.integers(-4, 4)
+BOUNDARY = st.one_of(SMALL, st.sampled_from(NEAR_SLOT), st.sampled_from(NEAR_SLOT).map(lambda x: -x))
+
+
+def laurent_poly(digit=BOUNDARY, nvars=2, max_terms=4, max_exp=2):
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return st.dictionaries(exps, laurent_coeff(digit), max_size=max_terms).map(
+        lambda t: MPoly(t, nvars, "q")
+    )
+
+
+def with_rational_coeff(poly):
+    """The same poly plus 1/(1 - q) on one coefficient: a non-monomial
+    denominator that never cancels, since the rest has no pole at q = 1."""
+    terms = dict(poly.terms)
+    e = next(iter(terms), (0,) * poly.nvars)
+    terms[e] = terms.get(e, UniRat.zero()) + 1 / (1 - UniRat.var("q"))
+    return MPoly(terms, poly.nvars, "q")
+
+
+def ref_mul(a, b, keep=None):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if keep is None or keep(e):
+                out[e] = out.get(e, UniRat.zero()) + c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, UniRat.zero()) + c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def canon(terms):
+    return {e: (c.num, c.den, c.param) for e, c in terms.items()}
+
+
+def low_degree(e):
+    return sum(e) <= 3
+
+
+PROPS = settings(max_examples=150, deadline=None)
+
+
+@PROPS
+@given(laurent_poly(), laurent_poly())
+def test_packed_mul_matches_unirat(a, b):
+    prod = a.mul(b)
+    assert prod._terms is None  # the packed kernel ran
+    assert canon(prod.terms) == canon(ref_mul(a.terms, b.terms))
+
+
+@PROPS
+@given(laurent_poly(), laurent_poly())
+def test_packed_mul_keep_matches_unirat(a, b):
+    assert canon(a.mul(b, keep=low_degree).terms) == canon(
+        ref_mul(a.terms, b.terms, low_degree)
+    )
+
+
+@PROPS
+@given(laurent_poly(), laurent_poly(), laurent_poly())
+def test_packed_add_matches_unirat(a, b, c):
+    total = a + b
+    assert total._terms is None
+    assert canon(total.terms) == canon(ref_add(a.terms, b.terms))
+    # a sum of products mixes slot widths, offsets and denominators
+    mixed = a * b + c
+    assert canon(mixed.terms) == canon(ref_add(ref_mul(a.terms, b.terms), c.terms))
+
+
+@PROPS
+@given(laurent_poly(), laurent_poly(), st.booleans())
+def test_non_laurent_operand_falls_back(a, b, left):
+    r = with_rational_coeff(b)
+    x, y = (r, a) if left else (a, r)
+    assert r._laurent() is None
+    assert canon(x.mul(y).terms) == canon(ref_mul(x.terms, y.terms))
+    assert canon(x.mul(y, keep=low_degree).terms) == canon(
+        ref_mul(x.terms, y.terms, low_degree)
+    )
+    assert canon((x + y).terms) == canon(ref_add(x.terms, y.terms))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        laurent_poly(st.integers(-(1 << 20), 1 << 20), nvars=1, max_terms=2, max_exp=1),
+        min_size=18,
+        max_size=22,
+    )
+)
+def test_product_chain_widens_slots(factors):
+    packed = MPoly.one(1, "q")
+    ref = {(0,): UniRat.one()}
+    for f in factors:
+        packed = packed.mul(f)
+        ref = ref_mul(ref, f.terms)
+    assert canon(packed.terms) == canon(ref)
+
+
+def test_product_digit_at_slot_boundary():
+    # (2^63 - 1) / 7 * 7 = 2^63 - 1, the largest digit a signed 8-byte slot
+    # holds; the certified bound reaches it exactly, so the 8-byte width
+    # chosen before the product is kept
+    for sign in (1, -1):
+        a = MPoly({(1, 0): UniRat.mono("q", -1, sign * ((SLOT - 1) // 7))}, 2, "q")
+        b = MPoly({(0, 1): UniRat.mono("q", 2, 7)}, 2, "q")
+        assert a._laurent().w == b._laurent().w == 8
+        prod = a * b
+        assert (prod._packed.w, prod._packed.mag) == (8, SLOT - 1)
+        assert prod.terms == {(1, 1): UniRat.mono("q", 1, sign * (SLOT - 1))}
+        # one unit more does not fit: the slots widen
+        bigger = prod + MPoly({(1, 1): UniRat.mono("q", 1, sign)}, 2, "q")
+        assert bigger._packed.w == 16
+        assert bigger.terms == {(1, 1): UniRat.mono("q", 1, sign * SLOT)}
+
+
+def test_bound_counts_digit_and_term_sums():
+    # every single digit product ROOT^2 fits in 8 bytes, but sums of two do not
+    q = UniRat.var("q")
+    x = MPoly.var(0, 1, "q")
+    one = MPoly.one(1, "q")
+    by_digits = one.scale(ROOT * (1 + q))  # middle digit of the square: 2 ROOT^2
+    by_terms = (one + x).scale(ROOT)  # x coefficient of the square: 2 ROOT^2
+    for p in (by_digits, by_terms):
+        sq = p * p
+        assert sq._packed.w == 16
+        assert canon(sq.terms) == canon(ref_mul(p.terms, p.terms))
