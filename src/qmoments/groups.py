@@ -1,15 +1,21 @@
 """Finite abelian p-groups: torsion counts, automorphism orders, and
 brute-force subgroup/injection oracles that are independent of the
-polynomial formulas they are used to validate."""
+polynomial formulas they are used to validate.
+
+Both oracles go through one search, `_spans`: it grows the subgroups of
+one asked type level by level from generator tuples of explicit elements,
+so a count touches only the spans of that type's prefixes, never the
+whole subgroup lattice."""
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as cartesian
 
 from .errors import ModeError, ParseError, ResourceBoundError
-from .partitions import Partition
+from .partitions import Partition, subpartitions
 
 DEFAULT_ORDER_LIMIT = 4096
 
@@ -46,7 +52,7 @@ class PGroup:
         if self.p < 2:
             raise ValueError("p must be at least 2")
 
-    @property
+    @cached_property
     def moduli(self):
         return tuple(self.p**a for a in self.lam)
 
@@ -90,108 +96,85 @@ def torsion_order(H, k):
     return H.p ** sum(H.lam.conj(j) for j in range(1, k + 1))
 
 
+def _unit_factors(lam, p, step):
+    """(e, u) with prod_v prod_{i=1}^{m_v} (1 - p^{-step*i}) = u / p^e, in integers."""
+    power, prod = 0, 1
+    for v in set(lam):
+        for i in range(1, lam.mult(v) + 1):
+            power += step * i
+            prod *= p ** (step * i) - 1
+    return power, prod
+
+
 def aut_order(lam, p):
     """|Aut(H_lam)| = p^{sum lam'_i^2} * prod_v prod_{i=1}^{m_v} (1 - p^-i)."""
     lam = Partition(lam)
-    val = Fraction(p) ** sum(c * c for c in lam.conjugate())
-    for v in set(lam):
-        for i in range(1, lam.mult(v) + 1):
-            val *= 1 - Fraction(1, p**i)
-    assert val.denominator == 1 and val > 0
-    return int(val)
+    power, prod = _unit_factors(lam, p, 1)
+    return p ** (sum(c * c for c in lam.conjugate()) - power) * prod
 
 
 def auts_order(lam, p):
     """Order of the symplectic-type automorphism group of H_lam x H_lam:
     p^{2*sum lam'_i^2 + |lam|} * prod_v prod_{i=1}^{m_v} (1 - p^-2i)."""
     lam = Partition(lam)
-    val = Fraction(p) ** (2 * sum(c * c for c in lam.conjugate()) + lam.size)
-    for v in set(lam):
-        for i in range(1, lam.mult(v) + 1):
-            val *= 1 - Fraction(1, p ** (2 * i))
-    assert val.denominator == 1 and val > 0
-    return int(val)
+    power, prod = _unit_factors(lam, p, 2)
+    return p ** (2 * sum(c * c for c in lam.conjugate()) + lam.size - power) * prod
 
 
-def _cyclic_subgroup(H, g):
-    """The subgroup generated by one element, as a frozenset."""
-    out = [H.zero()]
-    x = g
-    while x != out[0]:
-        out.append(x)
-        x = H.add(x, g)
-    return frozenset(out)
+def _spans(mu, H):
+    """{subgroup: number of generator tuples spanning it} over the subgroups
+    of H of type mu, found by search on explicit elements.
 
-
-def _join(H, sub, other):
-    """Setwise sum of two subgroups (their join in the subgroup lattice)."""
-    return frozenset(H.add(a, b) for a in sub for b in other)
-
-
-def _subgroup_type(H, sub):
-    """Type of a subgroup, classified by its p^k-torsion orders."""
-    p = H.p
-    conj = []
-    prev_log = 0
-    while p**prev_log < len(sub):
-        k = len(conj) + 1
-        t = sum(1 for g in sub if all(v * p**k % m == 0 for v, m in zip(g, H.moduli)))
-        log = 0
-        while p**log < t:
-            log += 1
-        assert p**log == t, "torsion subgroup size is not a p-power"
-        conj.append(log - prev_log)
-        prev_log = log
-    return Partition(conj).conjugate()
-
-
-def enumerate_subgroups(H):
-    """Count the subgroups of H of each type.
-
-    Breadth-first closure over the join lattice seeded by all cyclic
-    subgroups; every subgroup is a join of cyclic ones, so the closure is
-    exhaustive.  Types are read off from torsion orders.
+    Level i holds the spans of the tuples (g_1,...,g_i) in which g_j has
+    order p^{mu_j} and p^{mu_j - 1} g_j is not in span(g_1,...,g_{j-1}); for
+    a cyclic p-group that is the test that <g_j> meets the earlier span
+    trivially, so these tuples are the images of the canonical generators
+    under the injections H_mu -> H.  From a span S one candidate g builds
+    T = S + <g>; every h in T of the same order with p^{mu_i - 1} h not in S
+    gives S + <h> = T (both have |S| p^{mu_i} elements), so T is credited
+    with all of them at once and they are skipped for S.
     """
     lim = order_limit()
     if H.order > lim:
         raise ResourceBoundError("group order", lim, H.order)
-    cyclics = {_cyclic_subgroup(H, g) for g in H.elements()}
-    seen = set(cyclics)
-    frontier = list(cyclics)
-    while frontier:
-        fresh = []
-        for sub in frontier:
-            for cyc in cyclics:
-                if cyc <= sub:
+    p = H.p
+    order_log = {g: H.order_log(g) for g in H.elements()}
+    level = {frozenset((H.zero(),)): 1}
+    for need in Partition(mu):
+        socle = {
+            g: H.smul(p ** (need - 1), g) for g, k in order_log.items() if k == need
+        }
+        grown = {}
+        for span, mult in level.items():
+            covered = set()
+            for g, low in socle.items():
+                if g in covered or low in span:
                     continue
-                join = _join(H, sub, cyc)
-                if join not in seen:
-                    seen.add(join)
-                    fresh.append(join)
-        frontier = fresh
-    counts = {}
-    for sub in seen:
-        mu = _subgroup_type(H, sub)
-        counts[mu] = counts.get(mu, 0) + 1
-    return counts
+                multiples = [g]
+                for _ in range(p**need - 2):
+                    multiples.append(H.add(multiples[-1], g))
+                new = [H.add(s, m) for m in multiples for s in span]
+                bigger = span.union(new)
+                fresh = [h for h in new if order_log[h] == need and socle[h] not in span]
+                covered.update(fresh)
+                grown[bigger] = grown.get(bigger, 0) + mult * len(fresh)
+        level = grown
+    return level
+
+
+def enumerate_subgroups(H):
+    """Count the subgroups of H of each type mu inside H.lam."""
+    return {mu: len(_spans(mu, H)) for mu in subpartitions(H.lam)}
 
 
 def count_subgroups_of_type(H, mu):
     """Number of subgroups of H isomorphic to H_mu."""
-    return enumerate_subgroups(H).get(Partition(mu), 0)
+    return len(_spans(mu, H))
 
 
 def count_injective_homs(lam, H):
-    """Number of injective homomorphisms H_lam -> H, by generator-image search.
-
-    Images g_1,...,g_r of the canonical generators are chosen level by
-    level.  A partial choice extends to an injection exactly when g_i has
-    order p^{lam_i} and the cyclic group it generates meets the span of the
-    earlier images trivially; for a cyclic p-group the intersection test
-    reduces to whether p^{lam_i - 1} g_i lies in the span.  Spans are built
-    explicitly and counts cached per (span, level), which only shares work
-    between prefixes generating the same subgroup.
-    """
+    """Number of injective homomorphisms H_lam -> H: the generator tuples
+    of every subgroup of type lam, summed."""
     lam = Partition(lam)
     lim = order_limit()
     for order in (H.order, H.p**lam.size):
@@ -199,32 +182,7 @@ def count_injective_homs(lam, H):
             raise ResourceBoundError("group order", lim, order)
     if lam.size == 0:
         return 1
-    p = H.p
-    by_order = {}
-    for g in H.elements():
-        by_order.setdefault(H.order_log(g), []).append(g)
-    last = lam.length - 1
-    memo = {}
-
-    def extensions(span, level):
-        need = lam.part(level + 1)
-        cands = by_order.get(need, ())
-        if level == last:
-            return sum(1 for g in cands if H.smul(p ** (need - 1), g) not in span)
-        got = memo.get((span, level))
-        if got is None:
-            got = 0
-            for g in cands:
-                if H.smul(p ** (need - 1), g) in span:
-                    continue
-                bigger = frozenset(
-                    H.add(s, H.smul(k, g)) for s in span for k in range(p**need)
-                )
-                got += extensions(bigger, level + 1)
-            memo[(span, level)] = got
-        return got
-
-    return extensions(frozenset((H.zero(),)), 0)
+    return sum(_spans(lam, H).values())
 
 
 def eval_on_group(T, H):

@@ -2,9 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qmoments
+from qmoments import cli
 from qmoments.cli import main
 
 
@@ -121,6 +129,31 @@ def test_oracle_checks_pass():
         assert row["status"] == "PASS"
 
 
+def test_oracle_rows_unchanged_under_optimize():
+    argv = ["oracle", "--check", "aut", "--lambda", "2,1", "--p", "3"]
+    env = dict(os.environ, PYTHONPATH=str(Path(qmoments.__file__).parents[1]))
+    rows = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "qmoments.cli", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        rows.append(json.loads(done.stdout)["rows"])
+    assert rows[0] == rows[1] == run_json(argv)[1]["rows"]
+    assert rows[0][0]["formula"] == 108
+
+
+def test_oracle_non_integral_formula_fails(monkeypatch):
+    monkeypatch.setattr(cli, "aut_order", lambda lam, p: Fraction(13, 2))
+    code, data = run_json(["oracle", "--check", "aut", "--lambda", "1,1", "--p", "2"])
+    assert code == 1
+    assert data["rows"][0]["formula"] == "13/2"
+    assert data["rows"][0]["status"] == "FAIL"
+    code, text = run(["--format", "text", "oracle", "--check", "aut", "--lambda", "1,1", "--p", "2"])
+    assert code == 1
+    assert text.strip() == "aut lambda=1,1 mu=- p=2: oracle 6 vs formula 13/2 FAIL"
+
+
 def test_oracle_usage_and_bounds():
     code, _ = run(["oracle", "--check", "subgroups", "--lambda", "1,1", "--p", "2"])
     assert code == 2
@@ -152,6 +185,16 @@ def test_verify_rejects_negative_qbin_size():
     code, out = run(["verify", "--id", "QBIN", "--n", "-1"])
     assert code == 2
     assert out == ""
+
+
+def test_verify_qbin_size_is_bounded():
+    start = time.perf_counter()
+    code, out = run(["verify", "--id", "QBIN", "--n", "1000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    code, data = run_json(["verify", "--id", "QBIN", "--n", "2"])
+    assert data["meta"]["bounds"]["max_qbin_n"] == cli.MAX_QBIN_N
 
 
 def test_verify_genfun_rejects_composite_p():

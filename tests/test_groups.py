@@ -37,6 +37,23 @@ def _span(H, gens):
     return frozenset(sub)
 
 
+def _torsion_type(H, sub):
+    """Type of a subgroup, read off from its p^k-torsion orders."""
+    p = H.p
+    conj = []
+    prev_log = 0
+    while p**prev_log < len(sub):
+        k = len(conj) + 1
+        t = sum(1 for g in sub if all(v * p**k % m == 0 for v, m in zip(g, H.moduli)))
+        log = 0
+        while p**log < t:
+            log += 1
+        assert p**log == t, "torsion subgroup size is not a p-power"
+        conj.append(log - prev_log)
+        prev_log = log
+    return Partition(conj).conjugate()
+
+
 def test_pgroup_arithmetic():
     H = PGroup(2, Partition((2, 1)))
     assert H.moduli == (4, 2)
@@ -130,6 +147,22 @@ def test_enumerate_subgroups_tuple_span_recount():
         spans = {_span(H, gens) for gens in cartesian(elems, repeat=rank)}
         counts = enumerate_subgroups(H)
         assert sum(counts.values()) == len(spans)
+        by_type = {}
+        for sub in spans:
+            mu = _torsion_type(H, sub)
+            by_type[mu] = by_type.get(mu, 0) + 1
+        assert counts == by_type
+        for mu, cnt in by_type.items():
+            assert count_subgroups_of_type(H, mu) == cnt
+
+
+def test_subgroup_counts_outside_containment_and_elementary_64():
+    H = PGroup(2, Partition((2, 1)))
+    for mu in ((3,), (1, 1, 1), (2, 2), (3, 1, 1)):
+        assert count_subgroups_of_type(H, mu) == 0
+    counts = enumerate_subgroups(PGroup(2, Partition((1,) * 6)))
+    assert counts[Partition((1, 1, 1))] == 1395
+    assert sum(counts.values()) == 2825
 
 
 def test_count_subgroups_matches_inversion_coefficients():

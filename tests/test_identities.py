@@ -180,10 +180,3 @@ def test_run_suite_filtered_is_sorted_and_passes():
     assert [(r.case_id, r.params) for r in again] == [
         (r.case_id, r.params) for r in reports
     ]
-
-
-def test_run_suite_budget_stops_scheduling():
-    reports = run_suite(ids=["QBIN"], budget=0.0)
-    assert len(reports) >= 1
-    full = run_suite(ids=["QBIN"])
-    assert len(full) == 3
