@@ -161,24 +161,12 @@ def _pair_geom(si, sj, nvars, cap, qpow=0):
     return MPoly(terms, nvars, "q")
 
 
-def _afac_scalar(r, a):
-    """(a; 1/q)_r = prod_{t<r} (1 - a*q^{-t}) for a scalar value a."""
-    out = ONE
-    for t in range(r):
-        out = out * (ONE - UniRat.mono("q", -t, a))
-    return out
-
-
-def _afac_poly(r, a_slot, nvars):
-    """(a; 1/q)_r = prod_{t<r} (1 - a*q^{-t}) with a as a polynomial variable."""
-    out = MPoly.one(nvars, "q")
-    ea = [0] * nvars
-    ea[a_slot] = 1
-    ea = tuple(ea)
-    zero = tuple([0] * nvars)
-    for t in range(r):
-        fac = MPoly({zero: ONE, ea: UniRat.mono("q", -t, -1)}, nvars, "q")
-        out = out * fac
+def _afacs(n, a):
+    """[(a; 1/q)_r for r = 0..n], (a; 1/q)_r = prod_{t<r} (1 - a*q^{-t}),
+    for an MPoly a."""
+    out = [MPoly.one(a.nvars, "q")]
+    for t in range(n):
+        out.append(out[-1] * (1 - a.scale(UniRat.mono("q", -t))))
     return out
 
 
@@ -399,6 +387,7 @@ def _run_qbinhl(params, rng):
     nv = nx + 1
     a_slot = nx
     keep = lambda e: sum(e[:nx]) <= d
+    afac = _afacs(nx, MPoly.var(a_slot, nv, "q"))
     lhs = MPoly.zero(nv, "q")
     for m in range(d + 1):
         for lam in partitions_of(m, max_length=nx):
@@ -406,7 +395,7 @@ def _run_qbinhl(params, rng):
             if plam.is_zero():
                 continue
             term = plam.poly.embed(nv, list(range(nx)))
-            term = term.mul(_afac_poly(len(lam), a_slot, nv))
+            term = term.mul(afac[len(lam)])
             lhs = lhs + term.scale(UniRat.mono("q", lam.nstat()))
     rhs = MPoly.one(nv, "q")
     for i in range(nx):
@@ -547,21 +536,9 @@ def _run_lascoux(params, rng):
     return pairs
 
 
-def _finite_lhs_terms(n, k, nv, a_slot):
-    out = []
-    for lam in _box_partitions(n, k):
-        plam = hl_p(lam, n)
-        if plam.is_zero():
-            continue
-        out.append(
-            (
-                lam,
-                plam.poly.embed(nv, list(range(n))),
-                len(lam),
-                n - lam.mult(k),
-            )
-        )
-    return out
+def _finite_lhs_terms(n, k):
+    """(lam, P_lam(x_1..x_n)) for every lam in the n x k box."""
+    return [(lam, hl_p(lam, n).poly) for lam in _box_partitions(n, k)]
 
 
 def _run_finite_qbinhl(params, rng):
@@ -575,91 +552,83 @@ def _run_finite_qbinhl(params, rng):
     return _finite_qbinhl_symbolic(n, k)
 
 
-def _finite_qbinhl_symbolic(n, k):
-    nv = n + 1
-    a_slot = n
-    zero = tuple([0] * nv)
+def _finite_qbinhl_cleared(n, k, x, a, p_lams):
+    """Both sides of FINITE_QBINHL times the denominator D of its rhs.
+
+    x (n MPolys) and a stand for x_1..x_n and a: MPoly variables for the
+    symbolic check, constants in 0 variables at a sample point.  p_lams
+    pairs each lam of the n x k box with P_lam at x.  D is the product of
+    the factors in `dfac`: x_i - q^{1-s}, 1 - x_j q^s and x_i - x_j.  The
+    rhs term of a subset S of the alphabet is N_S over the factors of D
+    that S uses, so it enters as N_S times the factors S does not use, and
+    both sides are polynomials in x and a.  Returns (lhs * D, rhs * D).
+    """
+    nv = a.nvars
+    q = lambda e: UniRat.mono("q", e)
+    afac = _afacs(n, a)
     lhs = MPoly.zero(nv, "q")
-    for lam, pl, ell, comp in _finite_lhs_terms(n, k, nv, a_slot):
-        term = pl.mul(_afac_poly(ell, a_slot, nv)).mul(
-            _afac_poly(comp, a_slot, nv)
-        )
-        lhs = lhs + term.scale(UniRat.mono("q", lam.nstat()))
+    for lam, pl in p_lams:
+        term = pl.mul(afac[len(lam)]).mul(afac[n - lam.mult(k)])
+        lhs = lhs + term.scale(q(lam.nstat()))
 
     dfac = {}
     for i in range(n):
         for s in range(1, n + 1):
-            dfac[("pole-x", i, s)] = MPoly(
-                {_unit(nv, i): ONE, zero: UniRat.mono("q", 1 - s, -1)}, nv, "q"
-            )
+            dfac[("pole-x", i, s)] = x[i] - q(1 - s)
     for j in range(n):
         for s in range(n):
-            dfac[("pole-one", j, s)] = MPoly(
-                {zero: ONE, _unit(nv, j): UniRat.mono("q", s, -1)}, nv, "q"
-            )
+            dfac[("pole-one", j, s)] = 1 - x[j].scale(q(s))
     for i in range(n):
         for j in range(n):
             if i != j:
-                dfac[("vand", i, j)] = MPoly(
-                    {_unit(nv, i): ONE, _unit(nv, j): UniRat.mono("q", 0, -1)}, nv, "q"
-                )
-
-    lhs_cleared = lhs
+                dfac[("vand", i, j)] = x[i] - x[j]
     for fac in dfac.values():
-        lhs_cleared = lhs_cleared.mul(fac)
+        lhs = lhs.mul(fac)
 
-    rhs_cleared = MPoly.zero(nv, "q")
+    rhs = MPoly.zero(nv, "q")
     for bits in itertools.product((0, 1), repeat=n):
         inset = [i for i in range(n) if bits[i]]
         outset = [j for j in range(n) if not bits[j]]
         s0 = len(inset)
         used = set()
-        num = MPoly(
-            {zero: UniRat.mono("q", k * math.comb(s0, 2))}, nv, "q"
-        )
-        num = num.mul(_afac_poly(s0, a_slot, nv)).mul(
-            _afac_poly(n - s0, a_slot, nv)
-        )
+        num = MPoly.const(q(k * math.comb(s0, 2)), nv, "q")
+        num = num.mul(afac[s0]).mul(afac[n - s0])
         for i in inset:
             # x_i^k * (x_i - a*q^{1-n}) over the pole (x_i - q^{1-s0})
-            fac = MPoly(
-                {
-                    _unit(nv, i): ONE,
-                    _unit(nv, a_slot): UniRat.mono("q", 1 - n, -1),
-                },
-                nv,
-                "q",
-            )
-            num = num.mul(fac).mul(MPoly({_unit(nv, i, k): ONE}, nv, "q"))
+            num = num.mul(x[i] - a.scale(q(1 - n))).mul(x[i] ** k)
             used.add(("pole-x", i, s0))
         for j in outset:
-            ea = [0] * nv
-            ea[j] = 1
-            ea[a_slot] = 1
-            fac = MPoly({zero: ONE, tuple(ea): UniRat.mono("q", 0, -1)}, nv, "q")
-            num = num.mul(fac)
+            # (1 - a*x_j) over the pole (1 - x_j*q^{s0})
+            num = num.mul(1 - a * x[j])
             used.add(("pole-one", j, s0))
         for i in inset:
             for j in outset:
-                fac = MPoly(
-                    {_unit(nv, i): ONE, _unit(nv, j): UniRat.mono("q", 1, -1)},
-                    nv,
-                    "q",
-                )
-                num = num.mul(fac)
+                # (x_i - q*x_j) over (x_i - x_j)
+                num = num.mul(x[i] - x[j].scale(q(1)))
                 used.add(("vand", i, j))
         for key, fac in dfac.items():
             if key not in used:
                 num = num.mul(fac)
-        rhs_cleared = rhs_cleared + num
-    return [("cleared-coefficients", lhs_cleared.terms, rhs_cleared.terms)]
+        rhs = rhs + num
+    return lhs, rhs
+
+
+def _finite_qbinhl_symbolic(n, k):
+    nv = n + 1
+    x = [MPoly.var(i, nv, "q") for i in range(n)]
+    p_lams = [(lam, pl.embed(nv, list(range(n)))) for lam, pl in _finite_lhs_terms(n, k)]
+    lhs, rhs = _finite_qbinhl_cleared(n, k, x, MPoly.var(n, nv, "q"), p_lams)
+    return [("cleared-coefficients", lhs.terms, rhs.terms)]
 
 
 def _finite_qbinhl_random(n, k, samples, rng):
+    """Both cleared sides at `samples` random points (x_1..x_n, a): distinct
+    x_i outside {0, 1, -1}, so no factor of the cleared denominator is 0."""
     if samples < MIN_SAMPLES:
         raise ValueError("need at least %d random sample points" % MIN_SAMPLES)
+    const = lambda v: MPoly.const(v, 0, "q")
+    p_lams = _finite_lhs_terms(n, k)
     lhs_map, rhs_map = {}, {}
-    terms = _finite_lhs_terms(n, k, n, None)
     for idx in range(samples):
         xs = []
         while len(xs) < n:
@@ -668,41 +637,13 @@ def _finite_qbinhl_random(n, k, samples, rng):
                 continue
             xs.append(v)
         a = Fraction(rng.randint(2, 40), rng.randint(1, 17))
-        lhs = ZERO
-        for lam, pl, ell, comp in terms:
-            val = pl.eval_scalars(xs)
-            lhs = lhs + (
-                UniRat.mono("q", lam.nstat())
-                * _afac_scalar(ell, a)
-                * _afac_scalar(comp, a)
-                * val
-            )
-        rhs = ZERO
-        for bits in itertools.product((0, 1), repeat=n):
-            inset = [i for i in range(n) if bits[i]]
-            outset = [j for j in range(n) if not bits[j]]
-            s0 = len(inset)
-            term = (
-                UniRat.mono("q", k * math.comb(s0, 2))
-                * _afac_scalar(s0, a)
-                * _afac_scalar(n - s0, a)
-            )
-            for i in inset:
-                numer = UniRat.const(xs[i]) - UniRat.mono("q", 1 - n, a)
-                denom = UniRat.const(xs[i]) - UniRat.mono("q", 1 - s0)
-                term = term * UniRat.const(xs[i] ** k) * numer / denom
-            for j in outset:
-                numer = ONE - UniRat.mono("q", 0, a * xs[j])
-                denom = ONE - UniRat.mono("q", s0, xs[j])
-                term = term * numer / denom
-            for i in inset:
-                for j in outset:
-                    numer = UniRat.const(xs[i]) - UniRat.mono("q", 1, xs[j])
-                    term = term * numer / UniRat.const(xs[i] - xs[j])
-            rhs = rhs + term
-        lhs_map[idx] = lhs
-        rhs_map[idx] = rhs
-    return [("sample-points", lhs_map, rhs_map)]
+        at_point = [(lam, const(pl.eval_scalars(xs))) for lam, pl in p_lams]
+        lhs, rhs = _finite_qbinhl_cleared(
+            n, k, [const(v) for v in xs], const(a), at_point
+        )
+        lhs_map[idx] = lhs.coeff_of(())
+        rhs_map[idx] = rhs.coeff_of(())
+    return [("sample-points (cleared)", lhs_map, rhs_map)]
 
 
 def _run_csq(params, rng):
@@ -712,7 +653,7 @@ def _run_csq(params, rng):
     if k > MAX_FINITE_K:
         raise ResourceBoundError("column bound", MAX_FINITE_K, k)
     nv = 2  # variables: z, a
-    z_slot, a_slot = 0, 1
+    afac = _afacs(n, MPoly.var(1, nv, "q"))
     zero = (0, 0)
     qn = qq(n)
 
@@ -725,9 +666,7 @@ def _run_csq(params, rng):
             / (qq(n - ell) * b_lambda(lam))
         )
         term = MPoly({(lam.size, 0): scal}, nv, "q")
-        term = term.mul(_afac_poly(ell, a_slot, nv)).mul(
-            _afac_poly(n - lam.mult(k), a_slot, nv)
-        )
+        term = term.mul(afac[ell]).mul(afac[n - lam.mult(k)])
         lhs = lhs + term
 
     dz = {
@@ -754,7 +693,7 @@ def _run_csq(params, rng):
                     {zero: ONE, (1, 1): UniRat.mono("q", r + t, -1)}, nv, "q"
                 )
             )
-        term = term.mul(_afac_poly(r, a_slot, nv))
+        term = term.mul(afac[r])
         for t in range(r):
             term = term.mul(
                 MPoly(
@@ -763,7 +702,7 @@ def _run_csq(params, rng):
                     "q",
                 )
             )
-        term = term.mul(_afac_poly(n - r, a_slot, nv))
+        term = term.mul(afac[n - r])
         for j, fac in dz.items():
             if not (r - 1 <= j <= r + n - 1):
                 term = term.mul(fac)

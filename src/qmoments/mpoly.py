@@ -5,22 +5,24 @@ coefficients.  Variables never appear in denominators; exact division is
 provided for quotients known to be polynomial (Vandermonde-type factors).
 
 Packed Laurent form.  When every coefficient's denominator is a monomial
-c*q^v, `mul` and `+` run on a second, internal form (`_Laurent`): all
-coefficients over one common denominator L*q^V, each numerator one Python
-int holding its q-coefficients in signed slots of s bits (Kronecker
+c*q^v, `mul`, `+` and `scale` run on a second, internal form (`_Laurent`):
+all coefficients over one common denominator L*q^V, each numerator one
+Python int holding its q-coefficients in signed slots of s bits (Kronecker
 substitution q -> 2^s).  The form keeps a bound `mag` on every |slot| and a
 bound `span` on the slot count.  A product's bound is
 min(#terms_A, #terms_B) * min(span_A, span_B) * mag_A * mag_B, a sum's is
-the sum of both bounds at the common L, and s always satisfies
-2^(s-1) > mag, so no slot can carry into its neighbour.  `terms` decodes
-to canonical UniRats lazily, once, and then drops the packed form (it is
-rebuilt if the poly enters another product or sum), so a large result is
-not held twice.  Every other method, and any operand with a non-monomial
-denominator, works on the UniRat coefficients.
+the sum of both bounds at the common L (their maximum when no exponent is
+in both), and s always satisfies 2^(s-1) > mag, so no slot can carry into
+its neighbour.  `eval_scalars` at rational constants sums the packed ints
+times integer multipliers and decodes once.  `terms` decodes to canonical
+UniRats lazily, once, and then drops the packed form (it is rebuilt if the
+poly enters another product or sum), so a large result is not held twice.
+Every other method, and any operand with a non-monomial denominator, works
+on the UniRat coefficients.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 
 from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
@@ -153,9 +155,40 @@ class _Laurent:
         get = out.get
         for e, c in b.coeffs.items():
             out[e] = get(e, 0) + ((c * kb) << sb)
+        if len(out) == len(a.coeffs) + len(b.coeffs):
+            # no exponent is in both, so every slot comes from one operand
+            mag = max(a.mag * ka, b.mag * kb)
         span = max(a.span + V - a.V, b.span + V - b.V)
         out = {e: c for e, c in out.items() if c}
         return _Laurent(out, w, L, V, mag, span)
+
+    def scale(self, other):
+        """Every coefficient times the one coefficient of `other`."""
+        a, b, w, mag = self._common(other, _mul_bound)
+        (c,) = b.coeffs.values()
+        out = {e: v * c for e, v in a.coeffs.items()}
+        return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1)
+
+    def eval_scalars(self, xs, param):
+        """The value at x_i = xs[i] (Fractions) as a UniRat, in one pass.
+
+        With D the lcm of the denominators, x_i = n_i / D for integers n_i,
+        so the value is sum_e c_e * prod(n_i^e_i) * D^(top-|e|) / D^top with
+        top the largest total degree.  Every factor is an integer, so the sum
+        runs on the packed ints; a slot of it is at most
+        #terms * mag * max|multiplier|.
+        """
+        D = lcm(*(x.denominator for x in xs))
+        ns = [x.numerator * (D // x.denominator) for x in xs]
+        top = max(map(sum, self.coeffs), default=0)
+        mult = {e: prod(map(pow, ns, e)) * D ** (top - sum(e)) for e in self.coeffs}
+        mag = len(mult) * self.mag * max(map(abs, mult.values()), default=0)
+        a = self.widen(_slot_width(mag, self.w))
+        total = sum(c * mult[e] for e, c in a.coeffs.items())
+        if not total:
+            return ZERO
+        value = _Laurent({(): total}, a.w, self.L * D**top, self.V, mag, self.span)
+        return value.decode(param)[()]
 
     def decode(self, param):
         """Canonical UniRat coefficients, as the UniRat arithmetic gives them."""
@@ -338,11 +371,12 @@ class MPoly:
             c = UniRat.const(c)
         if c.is_zero():
             return MPoly.zero(self.nvars, self.param)
-        return MPoly(
-            {e: v * c for e, v in self.terms.items()},
-            self.nvars,
-            _unify(self.param, c.param),
-        )
+        param = _unify(self.param, c.param)
+        a = self._laurent()
+        b = a and _Laurent.pack({(): c})
+        if b:
+            return MPoly._from_packed(a.scale(b), self.nvars, param)
+        return MPoly({e: v * c for e, v in self.terms.items()}, self.nvars, param)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -427,10 +461,18 @@ class MPoly:
         return MPoly(out, self.nvars, _unify(self.param, value.param))
 
     def eval_scalars(self, values):
-        """Full substitution x_i -> values[i]; returns a UniRat."""
+        """Full substitution x_i -> values[i]; returns a UniRat.
+
+        When every value is a rational constant and the poly has the packed
+        Laurent form, the sum runs on the packed ints and decodes once.
+        """
         vals = [v if isinstance(v, UniRat) else UniRat.const(v) for v in values]
         if len(vals) != self.nvars:
             raise ValueError("need %d values" % self.nvars)
+        consts = [v.constant() for v in vals]
+        packed = None if None in consts else self._laurent()
+        if packed:
+            return packed.eval_scalars(consts, self.param)
         total = ZERO
         for e, c in self.terms.items():
             t = c

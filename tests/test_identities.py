@@ -1,5 +1,8 @@
 """Tests for the identity verification suite."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,8 @@ from qmoments.identities import (
     verify,
     _RUNNERS,
 )
-from qmoments.partitions import Partition, subpartitions
+from qmoments.hall_littlewood import hl_p
+from qmoments.partitions import Partition, partitions_of, subpartitions
 from qmoments.qrat import ONE, UniRat, ZERO
 from qmoments.rbasis import c_coeff
 
@@ -116,11 +120,130 @@ def test_random_point_case_needs_enough_samples():
         )
 
 
+def sampled_maps(params):
+    (label, lhs, rhs), = _RUNNERS["FINITE_QBINHL"](params, random.Random(params["seed"]))
+    return label, lhs, rhs
+
+
 def test_random_point_case_is_seed_deterministic():
     params = {"n": 4, "k": 2, "samples": 20, "seed": 777}
     case = IdentityCase("FINITE_QBINHL", params, "random-point")
-    assert verify(case).passed
-    assert verify(case).passed
+    reports = []
+    for _ in range(2):
+        rep = verify(case)
+        assert rep.passed and rep.compared == 20
+        data = rep.as_json()
+        del data["elapsed_seconds"]
+        reports.append(data)
+    assert reports[0] == reports[1]
+    assert reports[0]["seed"] == 777
+    first = sampled_maps(params)
+    assert sampled_maps(params) == first
+    # another seed draws other points, so every sampled value changes
+    other = sampled_maps(dict(params, seed=778))
+    assert all(other[1][i] != first[1][i] for i in range(20))
+
+
+# -- the uncleared random-point formula, as a reference for the cleared one ------
+
+def draw_points(seed, n, samples):
+    """The sample points (x_1..x_n, a) that a random-point case draws."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(samples):
+        xs = []
+        while len(xs) < n:
+            v = Fraction(rng.randint(2, 60), rng.randint(1, 17))
+            if v in (0, 1, -1) or v in xs:
+                continue
+            xs.append(v)
+        points.append((xs, Fraction(rng.randint(2, 40), rng.randint(1, 17))))
+    return points
+
+
+def qmono(k, c=1):
+    return UniRat.mono("q", k, c)
+
+
+def afac(r, a):
+    out = ONE
+    for t in range(r):
+        out = out * (1 - qmono(-t, a))
+    return out
+
+
+def uncleared_sides(n, k, xs, a):
+    """Both sides of FINITE_QBINHL at one point as rational functions in q,
+    dividing by every pole and Vandermonde factor."""
+    lhs = ZERO
+    for lam in box_partitions(n, k):
+        val = hl_p(lam, n).poly.eval_scalars(xs)
+        lhs = lhs + qmono(lam.nstat()) * afac(len(lam), a) * afac(n - lam.mult(k), a) * val
+    rhs = ZERO
+    for bits in itertools.product((0, 1), repeat=n):
+        inset = [i for i in range(n) if bits[i]]
+        outset = [j for j in range(n) if not bits[j]]
+        s0 = len(inset)
+        term = qmono(k * math.comb(s0, 2)) * afac(s0, a) * afac(n - s0, a)
+        for i in inset:
+            term = term * xs[i] ** k * (xs[i] - qmono(1 - n, a)) / (xs[i] - qmono(1 - s0))
+        for j in outset:
+            term = term * (1 - qmono(0, a * xs[j])) / (1 - qmono(s0, xs[j]))
+        for i in inset:
+            for j in outset:
+                term = term * (xs[i] - qmono(1, xs[j])) / (xs[i] - xs[j])
+        rhs = rhs + term
+    return lhs, rhs
+
+
+def cleared_denominator(n, xs):
+    d = ONE
+    for i in range(n):
+        for s in range(1, n + 1):
+            d = d * (xs[i] - qmono(1 - s))
+    for j in range(n):
+        for s in range(n):
+            d = d * (1 - qmono(s, xs[j]))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d = d * (xs[i] - xs[j])
+    return d
+
+
+def box_partitions(n, k):
+    return [lam for m in range(n * k + 1) for lam in partitions_of(m, max_part=k, max_length=n)]
+
+
+def test_cleared_random_point_check_matches_uncleared_formula():
+    _, _, cases = load_manifest()
+    case = next(c for c in cases if c.strategy == "random-point")
+    params = case.params
+    n, k = params["n"], params["k"]
+    points = draw_points(params["seed"], n, params["samples"])
+    assert points[0] == (
+        [Fraction(57, 16), Fraction(8, 5), Fraction(20), Fraction(49, 12)],
+        Fraction(27, 5),
+    )
+    label, lhs_map, rhs_map = sampled_maps(params)
+    assert label == "sample-points (cleared)"
+    assert sorted(lhs_map) == sorted(rhs_map) == list(range(20))
+    for idx, (xs, a) in enumerate(points):
+        d = cleared_denominator(n, xs)
+        assert not d.is_zero()
+        lhs, rhs = uncleared_sides(n, k, xs, a)
+        assert lhs_map[idx] == lhs * d
+        assert rhs_map[idx] == rhs * d
+        assert lhs == rhs
+
+
+def test_random_point_mutation_fails_at_first_sample():
+    params = {"n": 4, "k": 2, "samples": 20, "seed": 20260816}
+    rep = verify(IdentityCase("FINITE_QBINHL", params, "random-point"), mutate=True)
+    assert not rep.passed
+    assert rep.compared == 20
+    assert (rep.mismatch.label, rep.mismatch.key) == ("sample-points (cleared)", "0")
+    assert rep.mismatch.lhs != rep.mismatch.rhs
 
 
 def test_umoy_abelian_single_box_subpartition_sum():
@@ -144,8 +267,6 @@ def test_csq_small_case_passes():
 
 
 def test_labels_cover_the_documented_cross_checks():
-    import random
-
     rng = random.Random(0)
     labels = lambda cid, params: [
         t[0] for t in _RUNNERS[cid](params, rng)

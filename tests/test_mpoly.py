@@ -290,7 +290,140 @@ def test_bound_counts_digit_and_term_sums():
     one = MPoly.one(1, "q")
     by_digits = one.scale(ROOT * (1 + q))  # middle digit of the square: 2 ROOT^2
     by_terms = (one + x).scale(ROOT)  # x coefficient of the square: 2 ROOT^2
-    for p in (by_digits, by_terms):
+    by_sum = one.scale(ROOT) + one.scale(ROOT)  # one slot of 2 ROOT: square 4 ROOT^2
+    disjoint = one.scale(ROOT) + x.scale(ROOT)  # no shared exponent: bound ROOT
+    assert (by_sum._packed.mag, disjoint._packed.mag) == (2 * ROOT, ROOT)
+    for p in (by_digits, by_terms, by_sum, disjoint):
         sq = p * p
         assert sq._packed.w == 16
         assert canon(sq.terms) == canon(ref_mul(p.terms, p.terms))
+
+
+# -- packed scale and eval_scalars against the UniRat loops ------------------------
+
+
+def laurent_scalar(digit=BOUNDARY):
+    """A nonzero Laurent polynomial in q (possibly a bare constant)."""
+    return laurent_coeff(digit).filter(lambda c: not c.is_zero())
+
+
+def ref_eval(terms, values):
+    total = UniRat.zero()
+    for e, c in terms.items():
+        t = c
+        for a, v in zip(e, values):
+            if a:
+                t = t * UniRat.const(v) ** a
+        total = total + t
+    return total
+
+
+def canon1(c):
+    return (c.num, c.den, c.param)
+
+
+@PROPS
+@given(laurent_poly(), laurent_scalar())
+def test_packed_scale_matches_unirat(a, c):
+    scaled = a.scale(c)
+    assert scaled._terms is None  # the packed kernel ran
+    assert canon(scaled.terms) == canon({e: v * c for e, v in a.terms.items()})
+    # a packed product scaled and then added stays packed throughout
+    chain = a.mul(a).scale(c) + a
+    assert chain._terms is None
+    ref = ref_add({e: v * c for e, v in ref_mul(a.terms, a.terms).items()}, a.terms)
+    assert canon(chain.terms) == canon(ref)
+
+
+@PROPS
+@given(laurent_poly(), laurent_scalar(SMALL), st.booleans())
+def test_scale_by_non_laurent_scalar_falls_back(a, c, rational_poly):
+    # 1/(1 - q) has a non-monomial denominator; so does the poly's
+    # coefficient from with_rational_coeff
+    r = c / (1 - UniRat.var("q"))
+    p = with_rational_coeff(a) if rational_poly else a
+    for s in (r, c) if rational_poly else (r,):
+        assert canon(p.scale(s).terms) == canon({e: v * s for e, v in p.terms.items()})
+    assert a.scale(0).is_zero()
+
+
+def test_scale_by_lascoux_weights_is_packed():
+    from qmoments.hall_littlewood import b_lambda, hl_p
+    from qmoments.partitions import Partition, subpartitions
+    from qmoments.rbasis import qprime_skew
+
+    lam = Partition((3, 2, 1))
+    pl = hl_p(lam, 3).poly
+    for mu in subpartitions(lam):
+        c = b_lambda(mu) * qprime_skew(lam, mu)
+        scaled = pl.scale(c)
+        assert scaled._terms is None
+        assert scaled.terms == {e: v * c for e, v in pl.terms.items()}
+
+
+POINT = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=20),
+    st.sampled_from([SLOT - 1, -(SLOT + 1), ROOT]),
+)
+
+
+@PROPS
+@given(laurent_poly(max_terms=6, max_exp=3), st.lists(POINT, min_size=2, max_size=2))
+def test_packed_eval_matches_unirat(a, xs):
+    assert a._laurent() is not None
+    got = a.eval_scalars(xs)
+    assert canon1(got) == canon1(ref_eval(a.terms, xs))
+    # UniRat constants take the same path
+    assert canon1(a.eval_scalars([UniRat.const(x) for x in xs])) == canon1(got)
+
+
+@PROPS
+@given(laurent_poly(), st.lists(POINT, min_size=2, max_size=2))
+def test_eval_of_non_laurent_poly_falls_back(a, xs):
+    r = with_rational_coeff(a)
+    assert r._laurent() is None
+    assert canon1(r.eval_scalars(xs)) == canon1(ref_eval(r.terms, xs))
+
+
+@PROPS
+@given(laurent_poly(SMALL, max_exp=3), st.integers(-3, 3), st.integers(-3, 3))
+def test_eval_at_non_constant_values_uses_unirat_loop(a, i, j):
+    xs = [UniRat.mono("q", i, 2), 1 + UniRat.mono("q", j)]
+    assert canon1(a.eval_scalars(xs)) == canon1(ref_eval(a.terms, xs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+        max_size=6,
+    ),
+    st.lists(st.sampled_from([1, 2, 3, 4, 8, 9, 16, 27, 64, 125]), min_size=3, max_size=3),
+)
+def test_eval_at_integer_points_like_group_orders(coeffs, orders):
+    # eval_on_group passes the integer torsion orders |H[p^k]| as Fractions
+    # to a poly with constant coefficients and no parameter
+    p = MPoly(coeffs, 3)
+    xs = [Fraction(v) for v in orders]
+    got = p.eval_scalars(xs)
+    assert canon1(got) == canon1(ref_eval(p.terms, xs))
+    assert got.constant() is not None
+
+
+def test_eval_digit_at_slot_boundary():
+    # the sum's slot reaches 2^63 - 1 exactly; one unit more widens the slots
+    for total in (SLOT - 1, SLOT, -SLOT, -(SLOT + 1)):
+        p = MPoly({(1,): UniRat.mono("q", -1, total - 1), (0,): UniRat.mono("q", -1)}, 1, "q")
+        assert p.eval_scalars([1]) == UniRat.mono("q", -1, total)
+        assert p.eval_scalars([Fraction(1, 3)]) == ref_eval(p.terms, [Fraction(1, 3)])
+
+
+def test_eval_zero_and_empty_polys():
+    x, y = xvars(2)
+    assert (x - y).eval_scalars([3, 3]).is_zero()
+    assert MPoly.zero(2, "q").eval_scalars([1, 2]).is_zero()
+    assert MPoly.const(UniRat.mono("q", -2, 5), 0, "q").eval_scalars([]) == UniRat.mono("q", -2, 5)
+    with pytest.raises(ValueError):
+        x.eval_scalars([1])
