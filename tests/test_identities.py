@@ -146,6 +146,7 @@ def test_random_point_case_is_seed_deterministic():
 
 # -- the uncleared random-point formula, as a reference for the cleared one ------
 
+
 def draw_points(seed, n, samples):
     """The sample points (x_1..x_n, a) that a random-point case draws."""
     rng = random.Random(seed)
@@ -177,7 +178,8 @@ def uncleared_sides(n, k, xs, a):
     dividing by every pole and Vandermonde factor."""
     lhs = ZERO
     for lam in box_partitions(n, k):
-        val = hl_p(lam, n).poly.eval_scalars(xs)
+        terms = hl_p(lam, n).poly.terms.items()
+        val = sum((c * math.prod(map(pow, xs, e)) for e, c in terms), ZERO)
         lhs = lhs + qmono(lam.nstat()) * afac(len(lam), a) * afac(n - lam.mult(k), a) * val
     rhs = ZERO
     for bits in itertools.product((0, 1), repeat=n):
