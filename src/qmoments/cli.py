@@ -7,7 +7,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -37,6 +36,7 @@ from .moments import (
     ABELIAN,
     CLASS_GROUP_IMAGINARY,
     CLASS_GROUP_REAL,
+    MAX_MOMENT_BITS,
     SELMER,
     SHA,
     TYPE_S,
@@ -74,14 +74,34 @@ class UsageError(Exception):
     """Bad arguments beyond what argparse itself catches."""
 
 
+# Miller-Rabin with the first 13 prime bases is exact for every n below
+# MAX_PRIME (Sorenson and Webster, Math. Comp. 86 (2017)); a larger p is a
+# resource-bound exit.  The first 12 bases alone fail at 3.19e23.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961980
+
+
 def _is_prime(n):
+    if n > MAX_PRIME:
+        raise ResourceBoundError("prime p", MAX_PRIME, n)
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -125,6 +145,8 @@ def _metadata(argv, seed):
             "max_finite_alphabet": MAX_FINITE_N,
             "max_column_bound": MAX_FINITE_K,
             "max_qbin_n": MAX_QBIN_N,
+            "max_moment_bits": MAX_MOMENT_BITS,
+            "max_prime": MAX_PRIME,
         },
     }
 
@@ -450,8 +472,10 @@ def build_parser():
         epilog="Exit codes: 0 pass, 1 verification failure, 2 usage error, "
         "3 resource bound exceeded. Default resource bounds: group order "
         "<= %d (override with QMOMENTS_MAX_GROUP_ORDER), truncation <= %d, "
-        "alphabets <= %d, QBIN n <= %d. Default seed: taken from the case "
-        "manifest." % (DEFAULT_ORDER_LIMIT, MAX_ZTRUNC, MAX_ALPHABET, MAX_QBIN_N),
+        "alphabets <= %d, QBIN n <= %d, exact moments <= %d bits, "
+        "p <= %d. Default seed: taken from the case manifest."
+        % (DEFAULT_ORDER_LIMIT, MAX_ZTRUNC, MAX_ALPHABET, MAX_QBIN_N,
+           MAX_MOMENT_BITS, MAX_PRIME),
     )
     parser.add_argument(
         "--format",

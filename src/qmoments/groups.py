@@ -9,13 +9,14 @@ whole subgroup lattice."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product as cartesian
+from operator import add as _add, mod as _mod
 
 from .errors import ModeError, ParseError, ResourceBoundError
 from .partitions import Partition, subpartitions
+from .record import Record
 
 DEFAULT_ORDER_LIMIT = 4096
 
@@ -40,8 +41,7 @@ def order_limit():
     return limit
 
 
-@dataclass(frozen=True)
-class PGroup:
+class PGroup(Record):
     """The group ⊕_i Z/p^{lam_i}, with elements as residue tuples."""
 
     p: int
@@ -68,7 +68,9 @@ class PGroup:
         return cartesian(*(range(m) for m in self.moduli))
 
     def add(self, g, h):
-        return tuple((a + b) % m for a, b, m in zip(g, h, self.moduli))
+        # the inner step of the span search: map over operator functions
+        # takes about two thirds of the time of a generator expression
+        return tuple(map(_mod, map(_add, g, h), self.moduli))
 
     def neg(self, g):
         return tuple(-a % m for a, m in zip(g, self.moduli))

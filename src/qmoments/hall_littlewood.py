@@ -2,7 +2,6 @@
 normalization factor b_lambda(q), and the principal specialization
 x_i = z q^{i-1} in closed form."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import inf
@@ -12,12 +11,12 @@ from .mpoly import MPoly
 from .partitions import Partition
 from .qrat import UniRat, ZERO
 from .qseries import ZSeries, qq
+from .record import Record
 
 HL_MAX_ALPHABET = 5
 
 
-@dataclass(frozen=True)
-class HLValue:
+class HLValue(Record):
     """A Hall-Littlewood polynomial on a concrete alphabet x_1..x_n.
 
     On construction the polynomial is checked to be symmetric, homogeneous

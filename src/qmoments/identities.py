@@ -7,7 +7,6 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .partitions import Partition, partitions_of, subpartitions
 from .qrat import ONE, UniRat, ZERO
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
 from .rbasis import c_coeff, dot_product_conjugates, mirror_poly, qprime_skew
+from .record import Record
 
 SYMBOLIC_EXACT = "symbolic-exact"
 TRUNCATED_SERIES = "truncated-series"
@@ -34,8 +34,7 @@ MIN_SAMPLES = 20
 _MANIFEST_PATH = Path(__file__).parent / "data" / "manifest.json"
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(Record):
     """One verification case: an identity id plus its concrete parameters."""
 
     case_id: str
@@ -43,8 +42,7 @@ class IdentityCase:
     strategy: str
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
     """First failing coefficient: which series, which exponent, both values."""
 
     label: str
@@ -53,8 +51,7 @@ class Mismatch:
     rhs: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one case: pass/fail, localized mismatch, resource usage."""
 
     case_id: str

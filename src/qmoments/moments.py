@@ -1,18 +1,20 @@
 """Exact u-averaged moments over finite abelian p-groups and groups of
 type S, rank-distribution laws with certified residuals, and the
-conjectural prediction tables built from them."""
+conjectural prediction tables built from them.
+
+mpmath is imported inside the float entry points and `pj_rank_prob`, so
+an exact query never loads it."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
-from .errors import ModeError
+from .errors import ModeError, ResourceBoundError
 from .partitions import Partition, subpartitions
 from .qseries import qbinomial
 from .rbasis import c_coeff
+from .record import Record
 
 ABELIAN = "ABELIAN"
 TYPE_S = "TYPE_S"
@@ -21,6 +23,12 @@ CLASS_GROUP_IMAGINARY = "CLASS_GROUP_IMAGINARY"
 CLASS_GROUP_REAL = "CLASS_GROUP_REAL"
 SHA = "SHA"
 SELMER = "SELMER"
+
+# An exact moment has about |lam| * |e| * log2(p) bits, where p^-e is the
+# weight of one unit of |mu|.  Past this bound the Fraction powers take
+# seconds to minutes, and the answer outgrows the 4300-digit limit of
+# int-to-str conversion, so the query exits with a resource bound instead.
+MAX_MOMENT_BITS = 8192
 
 
 def _check_u(u):
@@ -34,8 +42,13 @@ def _check_u(u):
     return int(f)
 
 
-@dataclass(frozen=True)
-class MomentQuery:
+def _check_size(lam, p, e):
+    bits = lam.size * abs(e) * math.log2(p)
+    if bits > MAX_MOMENT_BITS:
+        raise ResourceBoundError("exact moment size (bits)", MAX_MOMENT_BITS, math.ceil(bits))
+
+
+class MomentQuery(Record):
     """One moment request: the exponent partition, the prime, u, flavor."""
 
     lam: Partition
@@ -65,6 +78,7 @@ def m_u(query):
     if query.flavor != ABELIAN:
         raise ValueError("m_u computes the plain abelian flavor")
     u = _check_u(query.u)
+    _check_size(query.lam, query.p, u)
     p = Fraction(query.p)
     return sum((c * p ** (-size * u) for size, c in _c_values(query.lam, query.p)),
                Fraction(0))
@@ -76,6 +90,7 @@ def m_u_s(query):
     if query.flavor != TYPE_S:
         raise ValueError("m_u_s computes the type-S flavor")
     u = _check_u(query.u)
+    _check_size(query.lam, query.p, 2 * u - 1)
     p = Fraction(query.p)
     val = sum(
         (c * p ** (-size * (2 * u - 1))
@@ -91,6 +106,8 @@ def m_u_s(query):
 
 def m_u_float(lam, p, u, dps=30):
     """Arbitrary-precision float m_u for real u >= 0 at dps decimal digits."""
+    import mpmath
+
     lam = Partition(lam)
     with mpmath.workdps(dps):
         uu = mpmath.mpf(str(u)) if isinstance(u, float) else mpmath.mpmathify(u)
@@ -102,6 +119,8 @@ def m_u_float(lam, p, u, dps=30):
 
 def m_u_s_float(lam, p, u, dps=30):
     """Arbitrary-precision float m_u_s for real u >= 0 at dps decimal digits."""
+    import mpmath
+
     lam = Partition(lam)
     with mpmath.workdps(dps):
         uu = mpmath.mpf(str(u)) if isinstance(u, float) else mpmath.mpmathify(u)
@@ -128,8 +147,7 @@ def coherence_check(lam, p):
     return lhs == base * scale, report
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(Record):
     """Prescribed p^j-ranks mu_1 >= ... >= mu_ell (trailing zeros included)."""
 
     mu: Partition
@@ -146,8 +164,7 @@ class RankProfile:
             raise ValueError("truncation order must be at least 1")
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(Record):
     """Truncated infinite product with a rigorous one-sided error bound.
 
     The true product lies in [value * (1 - error), value]."""
@@ -192,6 +209,8 @@ def pj_rank_prob(profile, flavor=ABELIAN):
         partial *= 1 - Fraction(1, p ** (estart + qstep * j))
     tail_top = estart + qstep * (lo + profile.trunc)
     tail = Fraction(1, p**tail_top) / (1 - Fraction(1, p**qstep))
+    import mpmath
+
     with mpmath.workdps(40):
         residual = Residual(
             value=mpmath.mpmathify(partial),

@@ -7,7 +7,6 @@ prod_i x_i^{m_i(mu)}, so the exponent of x_i is the number of parts of mu
 equal to i.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -15,13 +14,13 @@ from .mpoly import MPoly
 from .partitions import Partition, subpartitions
 from .qrat import UniRat, ZERO
 from .qseries import qbinomial
+from .record import Record
 
 R_TO_MONOMIAL = "R_TO_MONOMIAL"
 MONOMIAL_TO_R = "MONOMIAL_TO_R"
 
 
-@dataclass(frozen=True)
-class RExpansion:
+class RExpansion(Record):
     """Coefficient table keyed by subpartitions of lam.
 
     direction R_TO_MONOMIAL: R_lam = sum_mu coeff[mu] * x^mu.

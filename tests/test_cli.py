@@ -13,6 +13,7 @@ import pytest
 
 import qmoments
 from qmoments import cli
+from qmoments.errors import ResourceBoundError
 from qmoments.cli import main
 
 
@@ -205,6 +206,92 @@ def test_verify_genfun_rejects_composite_p():
     code, data = run_json(argv + ["3"])
     assert code == 0
     assert data["rows"][0]["passed"] is True
+
+
+_IMPORT_PATH_SCRIPT = """
+import io, json, sys
+import qmoments.cli
+loaded = [m for m in ("mpmath", "dataclasses", "inspect") if m in sys.modules]
+out = io.StringIO()
+code = qmoments.cli.main(
+    ["moments", "--lambda", "1", "--p", "3", "--u", "1/2", "--float"], out=out)
+from qmoments import RankProfile, pj_rank_prob
+factor, residual = pj_rank_prob(RankProfile((), 1, 2, 0))
+print(json.dumps({"loaded": loaded, "code": code,
+                  "float": json.loads(out.getvalue())["rows"][0]["float"],
+                  "factor": str(factor), "residual": str(residual.value),
+                  "mpmath_after": "mpmath" in sys.modules}))
+"""
+
+
+def test_cold_import_leaves_mpmath_and_dataclasses_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(qmoments.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    data = json.loads(done.stdout)
+    assert data["loaded"] == []
+    # the float paths load mpmath on demand and keep their pinned values
+    assert data["code"] == 0
+    assert data["float"] == 1.5773502691896257
+    assert data["factor"] == "1"
+    assert data["residual"] == "0.288788095086865"
+    assert data["mpmath_after"] is True
+
+
+def test_is_prime_is_exact_below_its_bound():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if cli._is_prime(n)] == [
+        n for n in range(-3, 5000) if trial(n)
+    ]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not cli._is_prime(n)
+    for n in (4999, 2**31 - 1, 2**61 - 1, 10**18 + 3):
+        assert cli._is_prime(n)
+    assert not cli._is_prime(cli.MAX_PRIME)  # even
+    with pytest.raises(ResourceBoundError):
+        cli._is_prime(cli.MAX_PRIME + 1)
+
+
+def test_huge_prime_p_answers_fast():
+    p = "1000000000000000003"
+    start = time.perf_counter()
+    code, data = run_json(["table", "--conjecture", "sha", "--lambda", "1", "--p", p, "--u", "1"])
+    assert code == 0
+    assert data["rows"][0]["value"] == "1000000000000000004/1000000000000000003"
+    code, data = run_json(["verify", "--id", "GENFUN", "--lambda", "1", "--p", p, "--zmax", "2"])
+    assert code == 0
+    assert data["rows"][0]["passed"] is True
+    code, out = run(["moments", "--lambda", "1", "--p", str(cli.MAX_PRIME + 2), "--u", "1"])
+    assert code == 3
+    assert out == ""
+    assert time.perf_counter() - start < 1.0
+    assert data["meta"]["bounds"]["max_prime"] == cli.MAX_PRIME
+
+
+def test_exact_moment_size_is_bounded():
+    start = time.perf_counter()
+    code, out = run(["moments", "--lambda", "1", "--p", "3", "--u", "100000000"])
+    assert code == 3
+    assert out == ""
+    code, out = run(["table", "--conjecture", "sha", "--lambda", "1", "--p", "3", "--u", "100000000"])
+    assert code == 3
+    assert out == ""
+    code, out = run(["moments", "--lambda", "1", "--p", "3", "--u", "100000000", "--type-s"])
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    # 5000 * log2(3) = 7925 bits is inside the bound, 5200 * log2(3) = 8242 is not
+    code, data = run_json(["moments", "--lambda", "1", "--p", "3", "--u", "5000"])
+    assert code == 0
+    assert data["rows"][0]["value"] == str(1 + Fraction(1, 3**5000))
+    assert data["meta"]["bounds"]["max_moment_bits"] == cli.MAX_MOMENT_BITS
+    code, _ = run(["moments", "--lambda", "1", "--p", "3", "--u", "5200"])
+    assert code == 3
+    assert "exact moments <= %d bits" % cli.MAX_MOMENT_BITS in cli.build_parser().epilog
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
