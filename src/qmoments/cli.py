@@ -123,6 +123,26 @@ def _fracstr(x):
     return str(Fraction(x))
 
 
+def _set_float(row, value):
+    """row["float"] = float(value); when the value is too large for a float
+    (an exact value raises, an mpmath one gives inf), None and
+    row["float_overflow"] = True instead."""
+    try:
+        f = float(value)
+    except OverflowError:
+        f = float("inf")
+    if abs(f) == float("inf"):
+        row["float"] = None
+        row["float_overflow"] = True
+    else:
+        row["float"] = f
+
+
+def _float_text(row):
+    """The text-format float suffix, empty when the value overflowed."""
+    return "" if row["float"] is None else " (%.12g)" % row["float"]
+
+
 def _json_safe(value):
     if isinstance(value, Fraction):
         return _fracstr(value)
@@ -224,25 +244,25 @@ def _cmd_moments(args, meta, out):
         query = MomentQuery(lam, args.p, int(u), flavor)
         exact = m_u_s(query) if args.type_s else m_u(query)
         row["value"] = exact
-        row["float"] = float(exact)
+        _set_float(row, exact)
     else:
         approx = (
             m_u_s_float(lam, args.p, u) if args.type_s else m_u_float(lam, args.p, u)
         )
         row["value"] = None
-        row["float"] = float(approx)
+        _set_float(row, approx)
     if args.conjecture:
         row["conjecture"] = args.conjecture
         row["label"] = _TABLE_LABELS[args.conjecture]
     lines = [
-        "M_%s(%s) at p=%d [%s]: %s (%.12g)"
+        "M_%s(%s) at p=%d [%s]: %s%s"
         % (
             _fracstr(u),
             str(lam) or "-",
             args.p,
             row["flavor"],
             _fracstr(row["value"]) if row["value"] is not None else "-",
-            row["float"],
+            _float_text(row),
         )
     ]
     _emit(
@@ -446,10 +466,10 @@ def _cmd_table(args, meta, out):
     except ModeError as exc:
         raise UsageError(str(exc)) from None
     row["value"] = value
-    row["float"] = float(value)
+    _set_float(row, value)
     if args.conjecture in ("class-imaginary", "class-real") and args.p == 2:
         row["warning"] = "out-of-stated-range: class-group heuristics assume odd p"
-    lines = ["%s p=%d: %s (%.12g)" % (args.conjecture, args.p, _fracstr(value), float(value))]
+    lines = ["%s p=%d: %s%s" % (args.conjecture, args.p, _fracstr(value), _float_text(row))]
     if "warning" in row:
         lines.append("warning: " + row["warning"])
     _emit(

@@ -21,6 +21,11 @@ class ModeError(QmomentsError, ValueError):
     """Exact mode was asked for something only the float mode supports."""
 
 
+class InvariantError(QmomentsError):
+    """A computed value broke an invariant it must satisfy (a defect, not
+    an input error); raised under `python -O` too."""
+
+
 class ResourceBoundError(QmomentsError, RuntimeError):
     """A brute-force operation exceeded its configured resource bound."""
 

@@ -6,7 +6,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import inf
 
-from .errors import ResourceBoundError
+from .errors import InvariantError, ResourceBoundError
 from .mpoly import MPoly
 from .partitions import Partition
 from .qrat import UniRat, ZERO
@@ -30,13 +30,19 @@ class HLValue(Record):
     def __post_init__(self):
         p = self.poly
         if p.is_zero():
-            assert self.lam.length > self.n
+            self._require(self.lam.length > self.n, "zero with at most n parts")
             return
-        assert p.homogeneous_degree() == self.lam.size
+        self._require(p.homogeneous_degree() == self.lam.size, "not homogeneous of degree |lam|")
         for i in range(self.n - 1):
-            assert p.swap_vars(i, i + 1) == p
+            self._require(p.swap_vars(i, i + 1) == p, "not symmetric")
         lead = tuple(self.lam.part(i) for i in range(1, self.n + 1))
-        assert p.coeff_of(lead) == UniRat.one()
+        self._require(p.coeff_of(lead) == UniRat.one(), "not monic in x^lam")
+
+    def _require(self, ok, what):
+        if not ok:
+            raise InvariantError(
+                "P_%s on %d letters: %s" % (tuple(self.lam), self.n, what)
+            )
 
     def is_zero(self):
         return self.poly.is_zero()

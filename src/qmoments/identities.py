@@ -15,7 +15,7 @@ from .groups import PGroup, aut_order, torsion_order
 from .hall_littlewood import b_lambda, hl_p, principal_spec
 from .mpoly import MPoly
 from .partitions import Partition, partitions_of, subpartitions
-from .qrat import ONE, UniRat, ZERO
+from .qrat import ONE, UniRat, ZERO, laurent_sum_of_products
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
 from .rbasis import c_coeff, dot_product_conjugates, mirror_poly, qprime_skew
 from .record import Record
@@ -549,97 +549,199 @@ def _run_finite_qbinhl(params, rng):
     return _finite_qbinhl_symbolic(n, k)
 
 
-def _finite_qbinhl_cleared(n, k, x, a, p_lams):
-    """Both sides of FINITE_QBINHL times the denominator D of its rhs.
+def _finite_qbinhl_cleared(n, k):
+    """Both sides of FINITE_QBINHL times the denominator D of its rhs, as
+    products of named factors.
 
-    x (n MPolys) and a stand for x_1..x_n and a: MPoly variables for the
-    symbolic check, constants in 0 variables at a sample point.  p_lams
-    pairs each lam of the n x k box with P_lam at x.  D is the product of
-    the factors in `dfac`: x_i - q^{1-s}, 1 - x_j q^s and x_i - x_j.  The
-    rhs term of a subset S of the alphabet is N_S over the factors of D
-    that S uses, so it enters as N_S times the factors S does not use, and
-    both sides are polynomials in x and a.  Returns (lhs * D, rhs * D).
+    Returns (lhs, dfac, rhs): lhs * D is the sum over the terms of `lhs`
+    times the product of `dfac`, and rhs * D is the sum over the terms of
+    `rhs`; a term is a list of factor names and stands for their product.
+    D is the product of `dfac`: x_i - q^{1-s} ("pole-x"), 1 - x_j q^s
+    ("pole-one") and x_i - x_j ("vand").  The rhs term of a subset S of the
+    alphabet is N_S over the factors of D that S uses, so it enters as N_S
+    times the factors S does not use, and both sides are polynomials in x
+    and a.  ("q", e) names q^e; `_mpoly_factors` and `_scalar_factors` give
+    the value of every other name.
     """
-    nv = a.nvars
-    q = lambda e: UniRat.mono("q", e)
-    afac = _afacs(n, a)
-    lhs = MPoly.zero(nv, "q")
-    for lam, pl in p_lams:
-        term = pl.mul(afac[len(lam)]).mul(afac[n - lam.mult(k)])
-        lhs = lhs + term.scale(q(lam.nstat()))
-
-    dfac = {}
-    for i in range(n):
-        for s in range(1, n + 1):
-            dfac[("pole-x", i, s)] = x[i] - q(1 - s)
-    for j in range(n):
-        for s in range(n):
-            dfac[("pole-one", j, s)] = 1 - x[j].scale(q(s))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                dfac[("vand", i, j)] = x[i] - x[j]
-    for fac in dfac.values():
-        lhs = lhs.mul(fac)
-
-    rhs = MPoly.zero(nv, "q")
+    lhs = [
+        [("P", lam), ("afac", len(lam)), ("afac", n - lam.mult(k)), ("q", lam.nstat())]
+        for lam in _box_partitions(n, k)
+    ]
+    dfac = [("pole-x", i, s) for i in range(n) for s in range(1, n + 1)]
+    dfac += [("pole-one", j, s) for j in range(n) for s in range(n)]
+    dfac += [("vand", i, j) for i in range(n) for j in range(n) if i != j]
+    rhs = []
     for bits in itertools.product((0, 1), repeat=n):
         inset = [i for i in range(n) if bits[i]]
         outset = [j for j in range(n) if not bits[j]]
         s0 = len(inset)
         used = set()
-        num = MPoly.const(q(k * math.comb(s0, 2)), nv, "q")
-        num = num.mul(afac[s0]).mul(afac[n - s0])
+        term = [("q", k * math.comb(s0, 2)), ("afac", s0), ("afac", n - s0)]
         for i in inset:
             # x_i^k * (x_i - a*q^{1-n}) over the pole (x_i - q^{1-s0})
-            num = num.mul(x[i] - a.scale(q(1 - n))).mul(x[i] ** k)
+            term += [("num-x", i), ("xpow", i)]
             used.add(("pole-x", i, s0))
         for j in outset:
             # (1 - a*x_j) over the pole (1 - x_j*q^{s0})
-            num = num.mul(1 - a * x[j])
+            term.append(("num-one", j))
             used.add(("pole-one", j, s0))
         for i in inset:
             for j in outset:
                 # (x_i - q*x_j) over (x_i - x_j)
-                num = num.mul(x[i] - x[j].scale(q(1)))
+                term.append(("num-vand", i, j))
                 used.add(("vand", i, j))
-        for key, fac in dfac.items():
-            if key not in used:
-                num = num.mul(fac)
-        rhs = rhs + num
+        rhs.append(term + [key for key in dfac if key not in used])
+    return lhs, dfac, rhs
+
+
+def _mpoly_factors(n, k, x, a, p_lams):
+    """Every factor name of `_finite_qbinhl_cleared` but ("q", e) as an MPoly
+    at x (n MPolys) and a; p_lams maps each lam of the box to P_lam at x."""
+    q = lambda e: UniRat.mono("q", e)
+    table = {("afac", r): f for r, f in enumerate(_afacs(n, a))}
+    table.update((("P", lam), pl) for lam, pl in p_lams.items())
+    for i in range(n):
+        table[("num-x", i)] = x[i] - a.scale(q(1 - n))
+        table[("xpow", i)] = x[i] ** k
+        table[("num-one", i)] = 1 - a * x[i]
+        for s in range(1, n + 1):
+            table[("pole-x", i, s)] = x[i] - q(1 - s)
+        for s in range(n):
+            table[("pole-one", i, s)] = 1 - x[i].scale(q(s))
+        for j in range(n):
+            if i != j:
+                table[("vand", i, j)] = x[i] - x[j]
+                table[("num-vand", i, j)] = x[i] - x[j].scale(q(1))
+    return table
+
+
+def _mpoly_sides(names, table):
+    """(lhs * D, rhs * D) as MPolys, for `names` from `_finite_qbinhl_cleared`:
+    each term multiplied left to right in the order of its names, q-powers
+    by `scale`."""
+    nv = table[("afac", 0)].nvars
+
+    def chain(term):
+        acc = None
+        for key in term:
+            if key[0] == "q":
+                c = UniRat.mono("q", key[1])
+                acc = MPoly.const(c, nv, "q") if acc is None else acc.scale(c)
+            else:
+                acc = table[key] if acc is None else acc.mul(table[key])
+        return acc
+
+    lhs_terms, dfac, rhs_terms = names
+    lhs = MPoly.zero(nv, "q")
+    for term in lhs_terms:
+        lhs = lhs + chain(term)
+    for key in dfac:
+        lhs = lhs.mul(table[key])
+    rhs = MPoly.zero(nv, "q")
+    for term in rhs_terms:
+        rhs = rhs + chain(term)
+    return lhs, rhs
+
+
+def _binom(c0, e0, c1, e1, d):
+    """(c0*q^e0 + c1*q^e1) / d as a Laurent factor (c, low, d)."""
+    if e0 > e1:
+        c0, e0, c1, e1 = c1, e1, c0, e0
+    if e0 == e1:
+        return ((c0 + c1,), e0, d)
+    return ((c0,) + (0,) * (e1 - e0 - 1) + (c1,), e0, d)
+
+
+def _laurent_factor(v):
+    """A UniRat with a monomial denominator c*q^e as the factor (num, -e, c)."""
+    return (v.num, 1 - len(v.den), v.den[-1])
+
+
+def _scalar_factors(n, k, xs, a, p_vals):
+    """Every factor name of `_finite_qbinhl_cleared` but ("q", e) at the
+    rational point (xs, a), as a list of Laurent factors (c, low, d) whose
+    product it is; p_vals maps each lam of the box to P_lam(xs) (a UniRat)."""
+    an, am = a.numerator, a.denominator
+    table = {}
+    afac = []
+    for t in range(n):
+        # 1 - a*q^{-t} = (am - an*q^{-t}) / am
+        afac.append(_binom(am, 0, -an, -t, am))
+        table[("afac", t + 1)] = list(afac)
+    table[("afac", 0)] = []
+    for lam, v in p_vals.items():
+        table[("P", lam)] = [_laurent_factor(v)]
+    for i, x in enumerate(xs):
+        n_i, m_i = x.numerator, x.denominator
+        table[("num-x", i)] = [_binom(n_i * am, 0, -an * m_i, 1 - n, m_i * am)]
+        table[("xpow", i)] = [((n_i**k,), 0, m_i**k)]
+        table[("num-one", i)] = [_binom(am * m_i, 0, -an * n_i, 0, am * m_i)]
+        for s in range(1, n + 1):
+            table[("pole-x", i, s)] = [_binom(n_i, 0, -m_i, 1 - s, m_i)]
+        for s in range(n):
+            table[("pole-one", i, s)] = [_binom(m_i, 0, -n_i, s, m_i)]
+        for j, y in enumerate(xs):
+            if i != j:
+                n_j, m_j = y.numerator, y.denominator
+                table[("vand", i, j)] = [_binom(n_i * m_j, 0, -n_j * m_i, 0, m_i * m_j)]
+                table[("num-vand", i, j)] = [_binom(n_i * m_j, 0, -n_j * m_i, 1, m_i * m_j)]
+    return table
+
+
+def _scalar_sides(names, table):
+    """(lhs * D, rhs * D) at one sample point as UniRats in q, for `names`
+    from `_finite_qbinhl_cleared`: each sum on one certified slot width
+    (`laurent_sum_of_products`)."""
+
+    def factors(term):
+        return [
+            f
+            for key in term
+            for f in ([((1,), key[1], 1)] if key[0] == "q" else table[key])
+        ]
+
+    lhs_terms, dfac, rhs_terms = names
+    inner = laurent_sum_of_products([factors(t) for t in lhs_terms], "q")
+    lhs = laurent_sum_of_products([[_laurent_factor(inner)] + factors(dfac)], "q")
+    rhs = laurent_sum_of_products([factors(t) for t in rhs_terms], "q")
     return lhs, rhs
 
 
 def _finite_qbinhl_symbolic(n, k):
     nv = n + 1
     x = [MPoly.var(i, nv, "q") for i in range(n)]
-    p_lams = [(lam, pl.embed(nv, list(range(n)))) for lam, pl in _finite_lhs_terms(n, k)]
-    lhs, rhs = _finite_qbinhl_cleared(n, k, x, MPoly.var(n, nv, "q"), p_lams)
+    p_lams = {lam: pl.embed(nv, list(range(n))) for lam, pl in _finite_lhs_terms(n, k)}
+    table = _mpoly_factors(n, k, x, MPoly.var(n, nv, "q"), p_lams)
+    lhs, rhs = _mpoly_sides(_finite_qbinhl_cleared(n, k), table)
     return [("cleared-coefficients", lhs.terms, rhs.terms)]
 
 
-def _finite_qbinhl_random(n, k, samples, rng):
-    """Both cleared sides at `samples` random points (x_1..x_n, a): distinct
-    x_i outside {0, 1, -1}, so no factor of the cleared denominator is 0."""
-    if samples < MIN_SAMPLES:
-        raise ValueError("need at least %d random sample points" % MIN_SAMPLES)
-    const = lambda v: MPoly.const(v, 0, "q")
-    p_lams = _finite_lhs_terms(n, k)
-    lhs_map, rhs_map = {}, {}
-    for idx in range(samples):
+def _sample_points(n, samples, rng):
+    """`samples` random points (x_1..x_n, a): distinct x_i outside
+    {0, 1, -1}, so no factor of the cleared denominator is 0."""
+    points = []
+    for _ in range(samples):
         xs = []
         while len(xs) < n:
             v = Fraction(rng.randint(2, 60), rng.randint(1, 17))
             if v in (0, 1, -1) or v in xs:
                 continue
             xs.append(v)
-        a = Fraction(rng.randint(2, 40), rng.randint(1, 17))
-        at_point = [(lam, const(pl.eval_scalars(xs))) for lam, pl in p_lams]
-        lhs, rhs = _finite_qbinhl_cleared(
-            n, k, [const(v) for v in xs], const(a), at_point
-        )
-        lhs_map[idx] = lhs.coeff_of(())
-        rhs_map[idx] = rhs.coeff_of(())
+        points.append((xs, Fraction(rng.randint(2, 40), rng.randint(1, 17))))
+    return points
+
+
+def _finite_qbinhl_random(n, k, samples, rng):
+    """Both cleared sides at `samples` random points (`_sample_points`)."""
+    if samples < MIN_SAMPLES:
+        raise ValueError("need at least %d random sample points" % MIN_SAMPLES)
+    p_lams = _finite_lhs_terms(n, k)
+    names = _finite_qbinhl_cleared(n, k)
+    lhs_map, rhs_map = {}, {}
+    for idx, (xs, a) in enumerate(_sample_points(n, samples, rng)):
+        p_vals = {lam: pl.eval_scalars(xs) for lam, pl in p_lams}
+        table = _scalar_factors(n, k, xs, a, p_vals)
+        lhs_map[idx], rhs_map[idx] = _scalar_sides(names, table)
     return [("sample-points (cleared)", lhs_map, rhs_map)]
 
 

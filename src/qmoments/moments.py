@@ -24,8 +24,10 @@ CLASS_GROUP_REAL = "CLASS_GROUP_REAL"
 SHA = "SHA"
 SELMER = "SELMER"
 
-# An exact moment has about |lam| * |e| * log2(p) bits, where p^-e is the
-# weight of one unit of |mu|.  Past this bound the Fraction powers take
+# An exact moment sum_mu C_{lam,mu}(b) p^(-|mu| e) has about
+# (|lam| * |e| + deg C) * log2(p) bits, where p^-e is the weight of one unit
+# of |mu|, b = p (or p^2 for type S) and deg C bounds the degree of
+# C_{lam,mu}(q).  Past this bound the Fraction powers and C_{lam,mu} take
 # seconds to minutes, and the answer outgrows the 4300-digit limit of
 # int-to-str conversion, so the query exits with a resource bound instead.
 MAX_MOMENT_BITS = 8192
@@ -42,8 +44,17 @@ def _check_u(u):
     return int(f)
 
 
-def _check_size(lam, p, e):
-    bits = lam.size * abs(e) * math.log2(p)
+def _c_degree(lam):
+    """A bound on the degree of every C_{lam,mu}(q): that degree is
+    sum_i mu'_i (lam'_i - mu'_i) <= sum_i lam'_i^2 / 4 (about |lam|^2 / 4
+    for lam = 1^n)."""
+    return sum(c * c for c in lam.conjugate()) // 4
+
+
+def _check_size(lam, p, e, cbase):
+    """Exit with a resource bound before computing a moment of
+    C_{lam,mu}(cbase) times powers of p^-e that is too large."""
+    bits = lam.size * abs(e) * math.log2(p) + _c_degree(lam) * math.log2(cbase)
     if bits > MAX_MOMENT_BITS:
         raise ResourceBoundError("exact moment size (bits)", MAX_MOMENT_BITS, math.ceil(bits))
 
@@ -78,7 +89,7 @@ def m_u(query):
     if query.flavor != ABELIAN:
         raise ValueError("m_u computes the plain abelian flavor")
     u = _check_u(query.u)
-    _check_size(query.lam, query.p, u)
+    _check_size(query.lam, query.p, u, query.p)
     p = Fraction(query.p)
     return sum((c * p ** (-size * u) for size, c in _c_values(query.lam, query.p)),
                Fraction(0))
@@ -90,7 +101,7 @@ def m_u_s(query):
     if query.flavor != TYPE_S:
         raise ValueError("m_u_s computes the type-S flavor")
     u = _check_u(query.u)
-    _check_size(query.lam, query.p, 2 * u - 1)
+    _check_size(query.lam, query.p, 2 * u - 1, query.p * query.p)
     p = Fraction(query.p)
     val = sum(
         (c * p ** (-size * (2 * u - 1))
@@ -184,30 +195,43 @@ def pj_rank_prob(profile, flavor=ABELIAN):
     p^j-rank mu_j for j = 1..ell.  TYPE_S: the u-probability that a group
     of type S has p^j-rank 2*mu_j.  The infinite product over
     j >= mu_ell + 1 is returned truncated, with a geometric tail bound.
+    A profile whose exact values would pass MAX_MOMENT_BITS raises
+    ResourceBoundError before any of them is built.
     """
     u = _check_u(profile.u)
-    p = profile.p
+    p, trunc = profile.p, profile.trunc
     parts = [profile.mu.part(j) for j in range(1, profile.ell + 1)] + [0]
     weight = sum(a * a for a in parts)
     size = sum(parts)
     if flavor == ABELIAN:
-        denom = Fraction(p) ** (weight + u * size)
-        qstep, estart = 1, u
+        expo, qstep, estart = weight + u * size, 1, u
     elif flavor == TYPE_S:
-        denom = Fraction(p) ** (2 * weight + (2 * u - 1) * size)
-        qstep, estart = 2, 2 * u - 1
+        expo, qstep, estart = 2 * weight + (2 * u - 1) * size, 2, 2 * u - 1
     else:
         raise ValueError("unknown flavor %r" % (flavor,))
-    for j in range(profile.ell):
-        for i in range(1, parts[j] - parts[j + 1] + 1):
+    lo = parts[profile.ell - 1] + 1 if profile.ell else 1
+    tail_top = estart + qstep * (lo + trunc)
+    # every value below is a ratio of products of powers of p; bound the sum
+    # of their exponents (each estart + qstep*j is positive) before any is built
+    diffs = [parts[j] - parts[j + 1] for j in range(profile.ell)]
+    total = (
+        abs(expo)
+        + sum(qstep * d * (d + 1) // 2 for d in diffs)
+        + trunc * estart + qstep * (trunc * lo + trunc * (trunc - 1) // 2)
+        + tail_top
+    )
+    bits = total * math.log2(p)
+    if bits > MAX_MOMENT_BITS:
+        raise ResourceBoundError("exact rank probability size (bits)", MAX_MOMENT_BITS, math.ceil(bits))
+    denom = Fraction(p) ** expo
+    for d in diffs:
+        for i in range(1, d + 1):
             denom *= 1 - Fraction(1, p ** (qstep * i))
     factor = 1 / denom
     # residual: prod_{j >= mu_ell + 1} (1 - p^{-(estart + qstep*j)})
-    lo = parts[profile.ell - 1] + 1 if profile.ell else 1
     partial = Fraction(1)
-    for j in range(lo, lo + profile.trunc):
+    for j in range(lo, lo + trunc):
         partial *= 1 - Fraction(1, p ** (estart + qstep * j))
-    tail_top = estart + qstep * (lo + profile.trunc)
     tail = Fraction(1, p**tail_top) / (1 - Fraction(1, p**qstep))
     import mpmath
 

@@ -17,13 +17,14 @@ its neighbour.  `eval_scalars` at rational constants sums the packed ints
 times integer multipliers and decodes once.  `terms` decodes to canonical
 UniRats lazily, once, and then drops the packed form (it is rebuilt if the
 poly enters another product or sum), so a large result is not held twice.
-Every other method, and any operand with a non-monomial denominator, works
-on the UniRat coefficients.
+`divexact` by x_i - x_j also runs on the packed ints, on slots widened to
+#terms * mag.  Every other method, and any operand with a non-monomial
+denominator, works on the UniRat coefficients.
 """
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import add
+from operator import add, sub
 
 from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
 
@@ -47,6 +48,21 @@ def _mul_bound(a, b):
 def _add_bound(a, b):
     L = lcm(a.L, b.L)
     return a.mag * (L // a.L) + b.mag * (L // b.L)
+
+
+def _difference(terms):
+    """(lead, rest, sign) when terms is sign * (x_i - x_j), lead > rest the
+    two exponents, else None."""
+    if len(terms) != 2:
+        return None
+    (e1, c1), (e2, c2) = sorted(terms.items(), reverse=True)
+    if not {*e1, *e2} <= {0, 1} or sum(e1) != 1 or sum(e2) != 1:
+        return None
+    if c1 == 1 and c2 == -1:
+        return e1, e2, 1
+    if c1 == -1 and c2 == 1:
+        return e1, e2, -1
+    return None
 
 
 class _Laurent:
@@ -168,6 +184,37 @@ class _Laurent:
         (c,) = b.coeffs.values()
         out = {e: v * c for e, v in a.coeffs.items()}
         return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1)
+
+    def divexact_difference(self, lead, rest, sign):
+        """The exact quotient by sign * (x^lead - x^rest), where lead > rest
+        are unit exponent vectors and sign is 1 or -1.
+
+        It is the UniRat division loop on the packed ints: the quotient at
+        m - lead is sign times the remainder at m, which is added to the
+        remainder at m - lead + rest.  Every quotient and remainder slot is
+        a signed sum of distinct dividend slots, so |slot| <= #terms * mag;
+        the slots widen to that bound first, which also makes each zero test
+        exact.  Raises ArithmeticError, as the UniRat loop does, when the
+        division is not exact.
+        """
+        mag = len(self.coeffs) * self.mag
+        a = self.widen(_slot_width(mag, self.w))
+        r = dict(a.coeffs)
+        out = {}
+        while r:
+            m = max(r)
+            qe = tuple(map(sub, m, lead))
+            if min(qe) < 0:
+                raise ArithmeticError("inexact polynomial division")
+            c = r.pop(m)
+            out[qe] = c if sign > 0 else -c
+            t = tuple(map(add, qe, rest))
+            c += r.get(t, 0)
+            if c:
+                r[t] = c
+            else:
+                r.pop(t, None)
+        return _Laurent(out, a.w, a.L, a.V, mag, a.span)
 
     def eval_scalars(self, xs, param):
         """The value at x_i = xs[i] (Fractions) as a UniRat, in one pass.
@@ -399,6 +446,11 @@ class MPoly:
         self._check(other)
         if not other.terms:
             raise ZeroDivisionError("division by zero polynomial")
+        diff = _difference(other.terms)
+        packed = diff and self._laurent()
+        if packed:
+            quot = packed.divexact_difference(*diff)
+            return MPoly._from_packed(quot, self.nvars, _unify(self.param, other.param))
         dlead = max(other.terms)
         dc = other.terms[dlead]
         rest = [(e, c) for e, c in other.terms.items() if e != dlead]

@@ -8,7 +8,7 @@ are explicit.  Constants carry no parameter name at all.
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import ParamMismatch
 
@@ -534,3 +534,50 @@ class UniRat:
 
 ZERO = UniRat.zero()
 ONE = UniRat.one()
+
+
+# ---------------------------------------------------------------------------
+# sums of products of Laurent factors on one certified slot width
+
+
+def laurent_sum_of_products(terms, param=None):
+    """sum over terms of the product of the term's factors, as a UniRat.
+
+    A factor is a triple (c, low, d): the Laurent polynomial
+    sum_i c[i] q^(low+i) / d, with integers c[i] and d > 0.  With d_t the
+    product of term t's denominators and L their lcm, the sum is
+    sum_t (L/d_t) * prod_f c_f(q) * q^(low_t) / L, and no coefficient of that
+    numerator exceeds B = sum_t (L/d_t) * prod_f ||c_f||_1 in absolute value.
+    Kronecker substitution q -> 2^(8w) is a ring map, so with one width w
+    chosen up front with 2^(8w-1) > B the whole sum runs on bare packed ints
+    (each distinct factor packed once), and only the final int is read back.
+    """
+    rows = []
+    L = 1
+    for t in terms:
+        cs, lows, dens = zip(*t) if t else ((), (), ())
+        d, low = prod(dens), sum(lows)
+        rows.append((cs, d, low, low + sum(map(len, cs)) - len(cs)))
+        L = lcm(L, d)
+    distinct = {id(c): c for r in rows for c in r[0]}
+    norm = {i: sum(map(abs, c)) for i, c in distinct.items()}.__getitem__
+    B = sum(L // d * prod(map(norm, map(id, cs))) for cs, d, _, _ in rows)
+    if not B:
+        return ZERO
+    w = B.bit_length() // 8 + 1
+    s = 8 * w
+    packed = {i: _pack_signed(c, w) for i, c in distinct.items()}.__getitem__
+    lo = min(r[2] for r in rows)
+    total = 0
+    for cs, d, low, _ in rows:
+        ints = [L // d << s * (low - lo)]
+        ints += map(packed, map(id, cs))
+        # a balanced product tree: small ints meet first, big ones last
+        while len(ints) > 1:
+            ints = [x * y for x, y in zip(ints[::2], ints[1::2])] + ints[len(ints) & ~1 :]
+        total += ints[0]
+    span = max(r[3] for r in rows) - lo + 1
+    slots = tuple(_unpack_signed(total, w, span))
+    if lo < 0:
+        return UniRat(slots, (0,) * -lo + (L,), param)
+    return UniRat((0,) * lo + slots, (L,), param)

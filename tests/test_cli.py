@@ -294,6 +294,42 @@ def test_exact_moment_size_is_bounded():
     assert "exact moments <= %d bits" % cli.MAX_MOMENT_BITS in cli.build_parser().epilog
 
 
+def test_moment_size_bound_counts_c_at_u_zero():
+    # u = 0 leaves only C_{1^300,1^k}(3), of degree up to 150^2 in p
+    start = time.perf_counter()
+    code, out = run(["table", "--conjecture", "class-imaginary", "--lambda", "1^300", "--p", "3"])
+    assert code == 3
+    assert out == ""
+    code, _ = run(["moments", "--lambda", "1^300", "--p", "3", "--u", "0", "--type-s"])
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_value_too_large_for_a_float_has_null_float():
+    for argv in (
+        ["moments", "--lambda", "1^100", "--p", "3", "--u", "0"],
+        ["table", "--conjecture", "class-real", "--lambda", "1^100", "--p", "3"],
+    ):
+        code, data = run_json(argv)
+        assert code == 0
+        row = data["rows"][0]
+        assert row["float"] is None and row["float_overflow"] is True
+        assert Fraction(row["value"]) > 2**1024
+        code, text = run(argv + ["--format", "text"])
+        assert code == 0
+        assert text.strip().endswith(str(Fraction(row["value"])))
+    # an mpmath value past the float range reads inf: the same null and flag
+    code, data = run_json(["moments", "--lambda", "1^60", "--p", "3", "--u", "1/2", "--float"])
+    assert code == 0
+    row = data["rows"][0]
+    assert row["value"] is None and row["float"] is None and row["float_overflow"] is True
+    # a value that fits keeps its float and has no flag
+    code, data = run_json(["moments", "--lambda", "1^20", "--p", "3", "--u", "0"])
+    assert code == 0
+    row = data["rows"][0]
+    assert row["float"] == float(Fraction(row["value"])) and "float_overflow" not in row
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 @pytest.mark.parametrize(
     "argv",

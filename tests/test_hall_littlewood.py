@@ -1,13 +1,19 @@
 """Hall-Littlewood polynomials against independent constructions: the
 branching rule, Schur polynomials at q=0, monomial symmetric at q=1."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import inf
+from pathlib import Path
 
 import pytest
 
+import qmoments
 from qmoments import Partition, ResourceBoundError, UniRat
+from qmoments.errors import InvariantError
 from qmoments.hall_littlewood import HLValue, b_lambda, hl_p, principal_spec
 from qmoments.mpoly import MPoly
 from qmoments.partitions import partitions_of
@@ -229,3 +235,49 @@ def test_hl_value_invariants_direct():
     # q-coefficients: P_(2,1) on 3 vars has known structure
     qv = UniRat.var("q")
     assert p.coeff_of((1, 1, 1)) == (1 - qv) * (2 + qv)
+
+
+# ---------------------------------------------------------------------------
+# HLValue invariants are checks, not asserts
+
+
+def test_hlvalue_rejects_a_broken_poly():
+    x0, x1 = (MPoly.var(i, 2, "q") for i in range(2))
+    lam = Partition((2, 1))
+    m21 = x0 ** 2 * x1 + x0 * x1 ** 2
+    for poly, what in (
+        (m21 + x0 ** 3, "not symmetric"),
+        (m21 + x0 + x1, "not homogeneous"),
+        (m21.scale(2), "not monic"),
+        (MPoly.zero(2, "q"), "zero with at most n parts"),
+    ):
+        with pytest.raises(InvariantError, match=what):
+            HLValue(lam, 2, poly)
+    assert HLValue(lam, 2, m21).poly == hl_p(lam, 2).poly
+
+
+_UNDER_O = """
+from qmoments.errors import InvariantError
+from qmoments.hall_littlewood import HLValue, hl_p
+from qmoments.identities import IdentityCase, verify
+from qmoments.mpoly import MPoly
+assert False  # stripped by -O
+v = hl_p((2, 1), 3)
+try:
+    HLValue(v.lam, 3, v.poly + MPoly.var(0, 3, "q") ** 3)
+    print("unchecked")
+except InvariantError:
+    print("checked")
+params = {"n": 4, "k": 2, "samples": 20, "seed": 20260816}
+rep = verify(IdentityCase("FINITE_QBINHL", params, "random-point"))
+print(len(v.poly.terms), rep.passed, rep.compared)
+"""
+
+
+def test_hl_checks_and_sample_points_run_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(qmoments.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, check=True
+    )
+    terms = len(hl_p((2, 1), 3).poly.terms)
+    assert done.stdout.splitlines() == ["checked", "%d True 20" % terms]

@@ -16,7 +16,12 @@ from qmoments.identities import (
     run_suite,
     verify,
     _RUNNERS,
+    _finite_lhs_terms,
+    _finite_qbinhl_cleared,
+    _mpoly_factors,
+    _mpoly_sides,
 )
+from qmoments.mpoly import MPoly
 from qmoments.hall_littlewood import hl_p
 from qmoments.partitions import Partition, partitions_of, subpartitions
 from qmoments.qrat import ONE, UniRat, ZERO
@@ -237,6 +242,32 @@ def test_cleared_random_point_check_matches_uncleared_formula():
         assert lhs_map[idx] == lhs * d
         assert rhs_map[idx] == rhs * d
         assert lhs == rhs
+
+
+def zero_variable_sides(n, k, xs, a):
+    """Both cleared sides at one point through the MPoly chain in 0 variables:
+    the sample-point evaluation before the Laurent kernel, kept as a reference."""
+    const = lambda v: MPoly.const(v, 0, "q")
+    p_lams = {lam: const(pl.eval_scalars(xs)) for lam, pl in _finite_lhs_terms(n, k)}
+    table = _mpoly_factors(n, k, [const(v) for v in xs], const(a), p_lams)
+    lhs, rhs = _mpoly_sides(_finite_qbinhl_cleared(n, k), table)
+    return lhs.coeff_of(()), rhs.coeff_of(())
+
+
+def test_laurent_kernel_sides_match_zero_variable_mpoly_chain():
+    _, _, cases = load_manifest()
+    sampled = [c for c in cases if c.strategy == "random-point"]
+    assert sorted(c.params["k"] for c in sampled) == [2, 3]
+    for case in sampled:
+        params = case.params
+        n, k = params["n"], params["k"]
+        _, lhs_map, rhs_map = sampled_maps(params)
+        points = draw_points(params["seed"], n, params["samples"])
+        assert len(points) == 20
+        for idx, (xs, a) in enumerate(points):
+            lhs, rhs = zero_variable_sides(n, k, xs, a)
+            for got, want in ((lhs_map[idx], lhs), (rhs_map[idx], rhs)):
+                assert (got.num, got.den, got.param) == (want.num, want.den, want.param)
 
 
 def test_random_point_mutation_fails_at_first_sample():

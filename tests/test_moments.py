@@ -1,10 +1,12 @@
 """Moment formulas: pinned values, coherence, rank laws, prediction tables."""
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from qmoments.errors import ModeError
+from qmoments import moments
+from qmoments.errors import ModeError, ResourceBoundError
 from qmoments.moments import (
     ABELIAN,
     CLASS_GROUP_IMAGINARY,
@@ -23,8 +25,9 @@ from qmoments.moments import (
     m_u_s_float,
     pj_rank_prob,
 )
-from qmoments.partitions import Partition, partitions_of
+from qmoments.partitions import Partition, partitions_of, subpartitions
 from qmoments.qseries import qbinomial
+from qmoments.rbasis import c_coeff
 
 
 def test_m_u_pinned_values():
@@ -180,3 +183,29 @@ def test_fouvry_klueners_numbers():
                 qbinomial(n, k).eval_at(p) * Fraction(p) ** k for k in range(n + 1)
             )
             assert fouvry_klueners_numbers(n, p, real=True) == mirrored / p**n
+
+
+def test_pj_rank_prob_size_is_bounded():
+    start = time.perf_counter()
+    for profile, flavor in (
+        (RankProfile((1,), 1, 3, 10**8), ABELIAN),
+        (RankProfile((1,), 1, 3, 10**8), TYPE_S),
+        (RankProfile((400,), 1, 2, 0), ABELIAN),
+        (RankProfile((1,), 1, 2, 0, trunc=10**6), ABELIAN),
+    ):
+        with pytest.raises(ResourceBoundError):
+            pj_rank_prob(profile, flavor)
+    assert time.perf_counter() - start < 1.0
+    # trunc = 120 at p = 2 is about 7,500 bits: inside the bound
+    factor, residual = pj_rank_prob(RankProfile((1,), 1, 2, 1, trunc=120))
+    assert factor == Fraction(1, 4) / (1 - Fraction(1, 2)) and residual.terms == 120
+
+
+def test_moment_size_bound_counts_c_degree():
+    # C_{1^n,1^k}(q) = [n choose k]_q reaches degree n^2/4
+    assert moments._c_degree(Partition([1] * 10)) == 25
+    assert max(
+        len(c_coeff(Partition([1] * 10), mu).num) - 1 for mu in subpartitions(Partition([1] * 10))
+    ) == 25
+    with pytest.raises(ResourceBoundError):
+        m_u(MomentQuery(Partition([1] * 300), 3, 0))

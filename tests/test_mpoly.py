@@ -427,3 +427,90 @@ def test_eval_zero_and_empty_polys():
     assert MPoly.const(UniRat.mono("q", -2, 5), 0, "q").eval_scalars([]) == UniRat.mono("q", -2, 5)
     with pytest.raises(ValueError):
         x.eval_scalars([1])
+
+
+# -- packed exact division by x_i - x_j against the UniRat loop -------------------
+
+
+def ref_divexact(terms, lead, rest, sign):
+    """The UniRat division loop for the divisor sign * (x^lead - x^rest)."""
+    r = dict(terms)
+    out = {}
+    while r:
+        m = max(r)
+        qe = tuple(a - b for a, b in zip(m, lead))
+        if min(qe) < 0:
+            raise ArithmeticError("inexact polynomial division")
+        qc = r.pop(m) * sign
+        out[qe] = qc
+        t = tuple(a + b for a, b in zip(qe, rest))
+        s = r.get(t, UniRat.zero()) + qc * sign
+        if s.is_zero():
+            r.pop(t, None)
+        else:
+            r[t] = s
+    return out
+
+
+def difference(i, j, nvars=3):
+    """x_i - x_j as an MPoly, with the lex-larger exponent and the sign."""
+    x = xvars(nvars)
+    unit = lambda k: tuple(int(v == k) for v in range(nvars))
+    lead, rest = sorted([unit(i), unit(j)], reverse=True)
+    return x[i] - x[j], lead, rest, 1 if i < j else -1
+
+
+PAIR = st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 1), (1, 2)])
+
+
+@PROPS
+@given(laurent_poly(nvars=3), PAIR, st.booleans())
+def test_packed_divexact_matches_unirat(g, pair, decoded):
+    d, lead, rest, sign = difference(*pair)
+    f = g * d
+    if decoded:
+        f = MPoly(f.terms, 3, "q")  # packed afresh: mag is the exact largest slot
+    assert f._laurent() is not None
+    quot = f.divexact(d)
+    assert quot._terms is None  # the packed path ran
+    assert canon(quot.terms) == canon(ref_divexact(f.terms, lead, rest, sign)) == canon(g.terms)
+
+
+@PROPS
+@given(laurent_poly(nvars=3), laurent_coeff(BOUNDARY), PAIR)
+def test_packed_divexact_inexact_raises(g, c, pair):
+    d, lead, rest, sign = difference(*pair)
+    # x_k^2 for k the variable of lead: one term the divisor leaves behind
+    extra = MPoly({tuple(2 * v for v in lead): c}, 3, "q")
+    f = g * d + extra
+    if c.is_zero():
+        assert f.divexact(d) == g
+        return
+    with pytest.raises(ArithmeticError):
+        ref_divexact(f.terms, lead, rest, sign)
+    with pytest.raises(ArithmeticError):
+        f.divexact(d)
+
+
+def test_packed_divexact_quotient_outgrows_dividend_slots():
+    # M (x - y)(x + y)^2 has slots +-M, but the quotient M (x + y)^2 has 2M,
+    # past the 8-byte slot the dividend fits in
+    m = SLOT // 2 + 5
+    x, y = xvars(2)
+    for s in (1, -1):
+        f = MPoly({(3, 0): s * m, (2, 1): s * m, (1, 2): -s * m, (0, 3): -s * m}, 2, "q")
+        assert f._laurent().w == 8
+        for d, sign in ((x - y, 1), (y - x, -1)):
+            got = f.divexact(d)
+            assert got.terms == {
+                (2, 0): UniRat.const(sign * s * m),
+                (1, 1): UniRat.const(2 * sign * s * m),
+                (0, 2): UniRat.const(sign * s * m),
+            }
+
+
+def test_divexact_by_other_divisors_keeps_unirat_loop():
+    x, y, z = xvars(3)
+    g = x * x + y.scale(UniRat.mono("q", -1, 3)) * z
+    for d in (x + y, 2 * x - 2 * y, x - y * y, x * y - z):
+        assert (g * d).divexact(d) == g

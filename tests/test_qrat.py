@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmoments import ParamMismatch, UniRat
-from qmoments.qrat import _pmul_kron, _pmul_school
+from qmoments.qrat import _pmul_kron, _pmul_school, laurent_sum_of_products
 
 
 def q():
@@ -175,3 +177,84 @@ def test_hash_consistency():
     a = (x ** 2 - 1) / (x - 1)
     b = x + 1
     assert a == b and hash(a) == hash(b)
+
+
+# -- sums of products of Laurent factors on one certified width ----------------
+
+SLOT = 1 << 63  # a signed 8-byte slot holds |x| < SLOT
+NEAR_SLOT = [SLOT - 1, SLOT, SLOT + 1, SLOT // 2, SLOT // 3, 3037000499, 1 << 31]
+
+
+def factor_value(f):
+    c, low, d = f
+    return sum((UniRat.mono("q", low + i, Fraction(x, d)) for i, x in enumerate(c)), UniRat.zero())
+
+
+def ref_sum_of_products(terms):
+    total = UniRat.zero()
+    for t in terms:
+        v = UniRat.one()
+        for f in t:
+            v = v * factor_value(f)
+        total = total + v
+    return total
+
+
+DIGIT = st.one_of(st.integers(-5, 5), st.sampled_from(NEAR_SLOT), st.sampled_from(NEAR_SLOT).map(lambda x: -x))
+FACTOR = st.tuples(
+    st.lists(DIGIT, min_size=0, max_size=4).map(tuple),
+    st.integers(-4, 3),
+    st.sampled_from([1, 1, 2, 3, 6, 35]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(FACTOR, max_size=4), max_size=4))
+def test_laurent_sum_of_products_matches_unirat(terms):
+    got = laurent_sum_of_products(terms, "q")
+    want = ref_sum_of_products(terms)
+    assert (got.num, got.den, got.param) == (want.num, want.den, want.param)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(FACTOR, min_size=1, max_size=3), min_size=1, max_size=3), st.data())
+def test_laurent_sum_shares_factor_objects(terms, data):
+    # the same factor object in several terms is packed once
+    shared = data.draw(FACTOR)
+    terms = [t + [shared] for t in terms]
+    got = laurent_sum_of_products(terms, "q")
+    assert got == ref_sum_of_products(terms)
+
+
+def test_laurent_sum_final_slot_at_width_boundary():
+    # B = |slot|: 2^63 - 1 is the largest slot 8 bytes hold, 2^63 needs 9
+    for top in (SLOT - 1, SLOT, SLOT + 1, (1 << 71) - 1, 1 << 71):
+        for sign in (1, -1):
+            for terms in (
+                [[((sign * top,), -2, 1)]],
+                [[((sign * (top // 2),), -2, 1)], [((sign * (top - top // 2),), -2, 1)]],
+                [[((0, sign * (top // 7)), -3, 1), ((7,), 0, 1)], [((sign * (top % 7),), -2, 1)]],
+            ):
+                assert laurent_sum_of_products(terms, "q") == UniRat.mono("q", -2, sign * top)
+
+
+def test_laurent_sum_bound_counts_denominator_ratio():
+    # x/1 + x/3 = 4x/3: the numerator over L = 3 is 3x + x, past 2^63 while
+    # x + x is not
+    x = SLOT // 2 - 1
+    got = laurent_sum_of_products([[((x,), 0, 1)], [((x,), 0, 3)]], "q")
+    assert got == UniRat.const(Fraction(4 * x, 3))
+    assert laurent_sum_of_products([[((x, x), -1, 2)], [((x,), 0, 6)]]) == ref_sum_of_products(
+        [[((x, x), -1, 2)], [((x,), 0, 6)]]
+    )
+
+
+def test_laurent_sum_edge_cases():
+    assert laurent_sum_of_products([]).is_zero()
+    assert laurent_sum_of_products([[((), 0, 1)], [((0, 0), 3, 5)]]).is_zero()
+    assert laurent_sum_of_products([[]]) == UniRat.one()  # the empty product
+    # the terms cancel: (1 - q) + (q - 1) = 0
+    assert laurent_sum_of_products([[((1, -1), 0, 1)], [((-1, 1), 0, 1)]]).is_zero()
+    one_over = laurent_sum_of_products([[((3,), -2, 6)]], "q")
+    assert (one_over.num, one_over.den, one_over.param) == ((1,), (0, 0, 2), "q")
+    assert laurent_sum_of_products([[((4,), 0, 2)]], "q").param is None
