@@ -544,13 +544,14 @@ def laurent_sum_of_products(terms, param=None):
     """sum over terms of the product of the term's factors, as a UniRat.
 
     A factor is a triple (c, low, d): the Laurent polynomial
-    sum_i c[i] q^(low+i) / d, with integers c[i] and d > 0.  With d_t the
-    product of term t's denominators and L their lcm, the sum is
+    sum_i c[i] q^(low+i) / d, with c a tuple of integers and d > 0.  With
+    d_t the product of term t's denominators and L their lcm, the sum is
     sum_t (L/d_t) * prod_f c_f(q) * q^(low_t) / L, and no coefficient of that
     numerator exceeds B = sum_t (L/d_t) * prod_f ||c_f||_1 in absolute value.
     Kronecker substitution q -> 2^(8w) is a ring map, so with one width w
     chosen up front with 2^(8w-1) > B the whole sum runs on bare packed ints
-    (each distinct factor packed once), and only the final int is read back.
+    (each distinct coefficient tuple packed once), and only the final int
+    is read back.
     """
     rows = []
     L = 1
@@ -559,19 +560,19 @@ def laurent_sum_of_products(terms, param=None):
         d, low = prod(dens), sum(lows)
         rows.append((cs, d, low, low + sum(map(len, cs)) - len(cs)))
         L = lcm(L, d)
-    distinct = {id(c): c for r in rows for c in r[0]}
-    norm = {i: sum(map(abs, c)) for i, c in distinct.items()}.__getitem__
-    B = sum(L // d * prod(map(norm, map(id, cs))) for cs, d, _, _ in rows)
+    distinct = {c for r in rows for c in r[0]}
+    norm = {c: sum(map(abs, c)) for c in distinct}.__getitem__
+    B = sum(L // d * prod(map(norm, cs)) for cs, d, _, _ in rows)
     if not B:
         return ZERO
     w = B.bit_length() // 8 + 1
     s = 8 * w
-    packed = {i: _pack_signed(c, w) for i, c in distinct.items()}.__getitem__
+    packed = {c: _pack_signed(c, w) for c in distinct}.__getitem__
     lo = min(r[2] for r in rows)
     total = 0
     for cs, d, low, _ in rows:
         ints = [L // d << s * (low - lo)]
-        ints += map(packed, map(id, cs))
+        ints += map(packed, cs)
         # a balanced product tree: small ints meet first, big ones last
         while len(ints) > 1:
             ints = [x * y for x, y in zip(ints[::2], ints[1::2])] + ints[len(ints) & ~1 :]

@@ -219,7 +219,7 @@ def test_laurent_sum_of_products_matches_unirat(terms):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(FACTOR, min_size=1, max_size=3), min_size=1, max_size=3), st.data())
 def test_laurent_sum_shares_factor_objects(terms, data):
-    # the same factor object in several terms is packed once
+    # the same coefficient tuple in several terms is packed once
     shared = data.draw(FACTOR)
     terms = [t + [shared] for t in terms]
     got = laurent_sum_of_products(terms, "q")
