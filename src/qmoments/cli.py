@@ -27,6 +27,8 @@ from .identities import (
     MAX_FINITE_N,
     MAX_QBIN_N,
     MAX_ZTRUNC,
+    RANDOM_POINT,
+    REGISTRY,
     IdentityCase,
     load_manifest,
     run_suite,
@@ -48,7 +50,7 @@ from .moments import (
     m_u_s_float,
 )
 from .partitions import parse_partition
-from .rbasis import c_coeff, rlambda_poly
+from .rbasis import MAX_C_DEGREE, c_coeff, rlambda_poly
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -153,21 +155,29 @@ def _json_safe(value):
     return value
 
 
+# (meta.bounds key, default value, --help wording) of every resource bound
+_BOUNDS = (
+    ("max_group_order", DEFAULT_ORDER_LIMIT,
+     "group order <= %d (override with QMOMENTS_MAX_GROUP_ORDER)"),
+    ("max_alphabet", MAX_ALPHABET, "alphabets <= %d"),
+    ("max_z_truncation", MAX_ZTRUNC, "truncation <= %d"),
+    ("max_finite_alphabet", MAX_FINITE_N, "finite alphabets <= %d"),
+    ("max_column_bound", MAX_FINITE_K, "column bound <= %d"),
+    ("max_qbin_n", MAX_QBIN_N, "QBIN n <= %d"),
+    ("max_moment_bits", MAX_MOMENT_BITS, "exact moments <= %d bits"),
+    ("max_c_degree", MAX_C_DEGREE, "degree of C(lambda; mu) <= %d"),
+    ("max_prime", MAX_PRIME, "p <= %d"),
+)
+
+
 def _metadata(argv, seed):
+    bounds = {key: value for key, value, _ in _BOUNDS}
+    bounds["max_group_order"] = order_limit()  # read per call: the environment may override it
     return {
         "command": "qmoments " + " ".join(argv),
         "version": __version__,
         "seed": seed,
-        "bounds": {
-            "max_group_order": order_limit(),
-            "max_alphabet": MAX_ALPHABET,
-            "max_z_truncation": MAX_ZTRUNC,
-            "max_finite_alphabet": MAX_FINITE_N,
-            "max_column_bound": MAX_FINITE_K,
-            "max_qbin_n": MAX_QBIN_N,
-            "max_moment_bits": MAX_MOMENT_BITS,
-            "max_prime": MAX_PRIME,
-        },
+        "bounds": bounds,
     }
 
 
@@ -339,19 +349,6 @@ def _cmd_oracle(args, meta, out):
     return EXIT_PASS if match else EXIT_FAIL
 
 
-_TRUNCATED_IDS = {
-    "EULER",
-    "GENFUN",
-    "COMBINAT",
-    "UMOY_ABELIAN",
-    "UMOY_TYPE_S",
-    "DELAUNAY",
-    "QBINHL",
-    "WARNAAR_A2",
-    "LASCOUX",
-}
-
-
 def _verify_params(args):
     params = {}
     if args.lam is not None:
@@ -381,12 +378,7 @@ def _cmd_verify(args, meta, out):
             if cid == "GENFUN" and "p" in params and not _is_prime(params["p"]):
                 raise UsageError("p must be prime, got %d" % params["p"])
             if params:
-                if "samples" in params:
-                    strategy = "random-point"
-                elif cid in _TRUNCATED_IDS:
-                    strategy = "truncated-series"
-                else:
-                    strategy = "symbolic-exact"
+                strategy = RANDOM_POINT if "samples" in params else REGISTRY[cid].strategies[0]
                 reports = [verify(IdentityCase(cid, params, strategy), mutate=args.mutate)]
             else:
                 _, _, cases = load_manifest(args.manifest)
@@ -490,12 +482,9 @@ def build_parser():
         "finite abelian p-groups, brute-force group oracles, and an exact "
         "identity verification suite.",
         epilog="Exit codes: 0 pass, 1 verification failure, 2 usage error, "
-        "3 resource bound exceeded. Default resource bounds: group order "
-        "<= %d (override with QMOMENTS_MAX_GROUP_ORDER), truncation <= %d, "
-        "alphabets <= %d, QBIN n <= %d, exact moments <= %d bits, "
-        "p <= %d. Default seed: taken from the case manifest."
-        % (DEFAULT_ORDER_LIMIT, MAX_ZTRUNC, MAX_ALPHABET, MAX_QBIN_N,
-           MAX_MOMENT_BITS, MAX_PRIME),
+        "3 resource bound exceeded. Default resource bounds: %s. Default "
+        "seed: taken from the case manifest."
+        % ", ".join(label % value for _, value, label in _BOUNDS),
     )
     parser.add_argument(
         "--format",
@@ -590,13 +579,7 @@ def main(argv=None, out=None):
             seed = 0
     try:
         return args.func(args, _metadata(argv, seed), out)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ModeError as exc:
+    except (UsageError, ParseError, ModeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ResourceBoundError as exc:

@@ -7,7 +7,7 @@ from itertools import permutations
 from math import inf
 
 from .errors import InvariantError, ResourceBoundError
-from .mpoly import MPoly
+from .mpoly import MPoly, _unit
 from .partitions import Partition
 from .qrat import UniRat, ZERO
 from .qseries import ZSeries, qq
@@ -62,7 +62,6 @@ def _hl_cached(lam, n, param):
     for ci, m in enumerate(mults):
         base.extend([ci] * m)
     total = MPoly.zero(n, param)
-    one = UniRat.one()
     for f in set(permutations(base)):
         inv = sum(
             1 for a in range(n) for b in range(a + 1, n) if f[a] > f[b]
@@ -74,33 +73,15 @@ def _hl_cached(lam, n, param):
         )
         for a in range(n):
             for b in range(a + 1, n):
-                if f[a] == f[b]:
-                    factor = {
-                        _unit(a, n): one,
-                        _unit(b, n): UniRat.const(-1),
-                    }
-                elif f[a] < f[b]:
-                    factor = {
-                        _unit(a, n): one,
-                        _unit(b, n): UniRat.mono(param, 1, -1),
-                    }
-                else:
-                    factor = {
-                        _unit(b, n): one,
-                        _unit(a, n): UniRat.mono(param, 1, -1),
-                    }
-                term = term * MPoly(factor, n, param)
+                # x_a - x_b for equal classes, else x_i - q x_j with f[i] < f[j]
+                i, j = (b, a) if f[a] > f[b] else (a, b)
+                s = 0 if f[a] == f[b] else 1
+                term = term * MPoly.two_term(_unit(n, i), _unit(n, j), s, param)
         total = total + term
     for a in range(n):
         for b in range(a + 1, n):
-            total = total.divexact(
-                MPoly({_unit(a, n): one, _unit(b, n): UniRat.const(-1)}, n, param)
-            )
+            total = total.divexact(MPoly.two_term(_unit(n, a), _unit(n, b), 0, param))
     return HLValue(lam, n, total)
-
-
-def _unit(i, n):
-    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def hl_p(lam, n, param="q"):

@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import ResourceBoundError
 from .groups import PGroup, aut_order, torsion_order
 from .hall_littlewood import b_lambda, hl_p, principal_spec
-from .mpoly import MPoly
+from .mpoly import MPoly, _unit
 from .partitions import Partition, partitions_of, subpartitions
 from .qrat import ONE, UniRat, ZERO, laurent_sum_of_products
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
@@ -137,25 +137,11 @@ def _compare_pairs(pairs, mutate=False):
     return first is None, first, compared
 
 
-def _geom_factor(slot, nvars, cap, qpow=0, coeff=Fraction(1)):
-    """Truncated expansion of 1/(1 - c*q^e*x_slot) up to x_slot^cap."""
-    terms = {}
-    for t in range(cap + 1):
-        e = [0] * nvars
-        e[slot] = t
-        terms[tuple(e)] = UniRat.mono("q", qpow * t, coeff**t)
-    return MPoly(terms, nvars, "q")
-
-
-def _pair_geom(si, sj, nvars, cap, qpow=0):
-    """Truncated expansion of 1/(1 - q^e*x_si*x_sj) up to (x_si*x_sj)^cap."""
-    terms = {}
-    for t in range(cap + 1):
-        e = [0] * nvars
-        e[si] = t
-        e[sj] = t
-        terms[tuple(e)] = UniRat.mono("q", qpow * t)
-    return MPoly(terms, nvars, "q")
+def _geom(v, cap, e):
+    """Truncated expansion of 1/(1 - q^e x^v) up to (x^v)^cap, for the
+    exponent tuple v of a monomial."""
+    terms = {tuple(t * a for a in v): UniRat.mono("q", e * t) for t in range(cap + 1)}
+    return MPoly(terms, len(v), "q")
 
 
 def _afacs(n, a):
@@ -165,12 +151,6 @@ def _afacs(n, a):
     for t in range(n):
         out.append(out[-1] * (1 - a.scale(UniRat.mono("q", -t))))
     return out
-
-
-def _unit(nvars, slot, power=1):
-    e = [0] * nvars
-    e[slot] = power
-    return tuple(e)
 
 
 def _box_partitions(n, k):
@@ -188,10 +168,6 @@ def _box_partitions(n, k):
 
 def _run_qbin(params, rng):
     n = int(params["n"])
-    if n < 0:
-        raise ValueError("QBIN needs n >= 0, got %d" % n)
-    if n > MAX_QBIN_N:
-        raise ResourceBoundError("QBIN degree", MAX_QBIN_N, n)
     lhs = {}
     for k in range(n + 1):
         lhs[k] = qbinomial(n, k) * UniRat.mono("q", math.comb(k, 2), (-1) ** k)
@@ -208,8 +184,6 @@ def _run_qbin(params, rng):
 
 def _run_euler(params, rng):
     n = int(params["zmax"])
-    if n > MAX_ZTRUNC:
-        raise ResourceBoundError("z truncation", MAX_ZTRUNC, n)
     lhs = {j: UniRat.mono("q", j) / qq(j) for j in range(n + 1)}
     series = qpochhammer((1, 1), math.inf, trunc=n, zpow=1).inverse()
     rhs = {j: series.coeff_at(j) for j in range(n + 1)}
@@ -220,8 +194,6 @@ def _run_genfun(params, rng):
     lam = Partition(tuple(params["lam"]))
     p = int(params["p"])
     n = int(params["zmax"])
-    if n > MAX_ZTRUNC:
-        raise ResourceBoundError("z truncation", MAX_ZTRUNC, n)
     lhs = {}
     for m in range(n + 1):
         acc = Fraction(0)
@@ -253,8 +225,6 @@ def _run_genfun(params, rng):
 def _run_combinat(params, rng):
     lam = Partition(tuple(params["lam"]))
     n = int(params["zmax"])
-    if n > MAX_ZTRUNC:
-        raise ResourceBoundError("z truncation", MAX_ZTRUNC, n)
     lamc = lam.conjugate()
     route_a = {}
     for m in range(n + 1):
@@ -292,86 +262,49 @@ def _run_combinat(params, rng):
     ]
 
 
-def _umoy_rhs(lam, n, base, zstep, shift):
-    """Subpartition sum sum_nu C(lam,nu)(1/q^base) z^{zstep*|nu|} q^{shift*|nu|}."""
-    rhs = {}
-    for nu in subpartitions(lam):
-        v = c_coeff(lam, nu).recip_param()
-        if base != 1:
-            v = v.pow_param(base)
-        if shift:
-            v = v * UniRat.mono("q", shift * nu.size)
-        key = zstep * nu.size
-        if key <= n:
-            rhs[key] = rhs.get(key, ZERO) + v
-    for m in range(n + 1):
-        rhs.setdefault(m, ZERO)
-    return rhs
-
-
-def _run_umoy_abelian(params, rng):
-    lam = Partition(tuple(params["lam"]))
-    ell = int(params["ell"])
-    n = int(params["zmax"])
-    if n > MAX_ZTRUNC:
-        raise ResourceBoundError("z truncation", MAX_ZTRUNC, n)
+def _column_bounded_lhs(lam, ell, n, b, c):
+    """z-coefficients up to z^n of the sum over mu with parts <= ell of
+    q^{b(2n(mu) - <lam',mu'>) + c|mu|} / b_mu(q^b) times
+    (z^b q^{b mu'_ell + 1}; q^b)_inf, the j-th term of that product at
+    z^{b(|mu| + j)}.  UMOY_ABELIAN is b = 1 and UMOY_TYPE_S is b = 2, both
+    with c = 1; DELAUNAY is b = 1, c = 0 and lam empty.  Every key up to n
+    is present, so the odd keys of type S hold ZERO."""
     if lam and lam[0] > ell:
         raise ValueError("largest part must not exceed the torsion exponent bound")
-    lamc = lam.conjugate()
     lhs = {m: ZERO for m in range(n + 1)}
-    for m in range(n + 1):
+    for m in range(n // b + 1):
         for mu in partitions_of(m, max_part=ell):
-            muc = mu.conjugate()
-            ip = sum(lamc[i] * muc[i] for i in range(min(len(lamc), len(muc))))
-            weight = UniRat.mono("q", 2 * mu.nstat() + mu.size - ip) / b_lambda(mu)
-            spow = mu.conj(ell) + 1
-            for j in range(n - m + 1):
-                lhs[m + j] = lhs[m + j] + weight * euler_coeff(j, spow)
-    rhs = _umoy_rhs(lam, n, 1, 1, 0)
-    return [("z-coefficients", lhs, rhs)]
-
-
-def _run_umoy_type_s(params, rng):
-    lam = Partition(tuple(params["lam"]))
-    ell = int(params["ell"])
-    n = int(params["zmax"])
-    if n > MAX_ZTRUNC:
-        raise ResourceBoundError("z truncation", MAX_ZTRUNC, n)
-    if lam and lam[0] > ell:
-        raise ValueError("largest part must not exceed the torsion exponent bound")
-    lamc = lam.conjugate()
-    lhs = {m: ZERO for m in range(n + 1)}
-    for mtot in range(n // 2 + 1):
-        for mu in partitions_of(mtot, max_part=ell):
-            muc = mu.conjugate()
-            ip = sum(lamc[i] * muc[i] for i in range(min(len(lamc), len(muc))))
+            ip = dot_product_conjugates(lam, mu)
             bmu = ONE
             for v in set(mu):
-                bmu = bmu * qq(mu.count(v), base=2)
-            weight = (
-                UniRat.mono("q", 4 * mu.nstat() + 2 * mu.size - 2 * ip - mu.size)
-                / bmu
-            )
-            spow = 2 * mu.conj(ell) + 1
-            for j in range((n - 2 * mtot) // 2 + 1):
-                key = 2 * mtot + 2 * j
-                lhs[key] = lhs[key] + weight * euler_coeff(j, spow, base=2)
-    rhs = _umoy_rhs(lam, n, 2, 2, -1)
+                bmu = bmu * qq(mu.mult(v), base=b)
+            weight = UniRat.mono("q", b * (2 * mu.nstat() - ip) + c * m) / bmu
+            spow = b * mu.conj(ell) + 1
+            for j in range((n - b * m) // b + 1):
+                key = b * (m + j)
+                lhs[key] = lhs[key] + weight * euler_coeff(j, spow, base=b)
+    return lhs
+
+
+def _run_umoy(params, b):
+    """UMOY_ABELIAN (b = 1) and UMOY_TYPE_S (b = 2): the column-bounded sum
+    against sum_nu C_{lam,nu}(q^-b) q^{(1-b)|nu|} z^{b|nu|}."""
+    lam = Partition(tuple(params["lam"]))
+    n = int(params["zmax"])
+    lhs = _column_bounded_lhs(lam, int(params["ell"]), n, b, 1)
+    rhs = {m: ZERO for m in range(n + 1)}
+    for nu in subpartitions(lam):
+        key = b * nu.size
+        if key <= n:
+            v = c_coeff(lam, nu).recip_param().pow_param(b)
+            rhs[key] = rhs[key] + v * UniRat.mono("q", (1 - b) * nu.size)
     return [("z-coefficients", lhs, rhs)]
 
 
 def _run_delaunay(params, rng):
     ell = int(params["ell"])
     n = int(params["zmax"])
-    if n > MAX_ZTRUNC:
-        raise ResourceBoundError("z truncation", MAX_ZTRUNC, n)
-    lhs = {m: ZERO for m in range(n + 1)}
-    for m in range(n + 1):
-        for mu in partitions_of(m, max_part=ell):
-            weight = UniRat.mono("q", 2 * mu.nstat()) / b_lambda(mu)
-            spow = mu.conj(ell) + 1
-            for j in range(n - m + 1):
-                lhs[m + j] = lhs[m + j] + weight * euler_coeff(j, spow)
+    lhs = _column_bounded_lhs(Partition(()), ell, n, 1, 0)
     rhs = {m: (ONE if m <= ell else ZERO) for m in range(n + 1)}
     return [("z-coefficients", lhs, rhs)]
 
@@ -379,8 +312,6 @@ def _run_delaunay(params, rng):
 def _run_qbinhl(params, rng):
     nx = int(params["nx"])
     d = int(params["d"])
-    if nx > MAX_ALPHABET:
-        raise ResourceBoundError("alphabet size", MAX_ALPHABET, nx)
     nv = nx + 1
     a_slot = nx
     keep = lambda e: sum(e[:nx]) <= d
@@ -396,19 +327,14 @@ def _run_qbinhl(params, rng):
             lhs = lhs + term.scale(UniRat.mono("q", lam.nstat()))
     rhs = MPoly.one(nv, "q")
     for i in range(nx):
-        rhs = rhs.mul(_geom_factor(i, nv, d), keep)
-    zero = tuple([0] * nv)
+        rhs = rhs.mul(_geom(_unit(nv, i), d, 0), keep)
     for i in range(nx):
-        e = [0] * nv
-        e[i] = 1
-        e[a_slot] = 1
-        fac = MPoly({zero: ONE, tuple(e): UniRat.mono("q", 0, -1)}, nv, "q")
-        rhs = rhs.mul(fac, keep)
+        rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, a_slot), 0, "q"), keep)
     pairs = [("main", lhs.terms, rhs.terms)]
     lhs0 = lhs.subs_scalar(a_slot, Fraction(0))
     cauchy = MPoly.one(nv, "q")
     for i in range(nx):
-        cauchy = cauchy.mul(_geom_factor(i, nv, d), keep)
+        cauchy = cauchy.mul(_geom(_unit(nv, i), d, 0), keep)
     pairs.append(("cauchy-at-a-zero", lhs0.terms, cauchy.terms))
     return pairs
 
@@ -416,8 +342,6 @@ def _run_qbinhl(params, rng):
 def _run_warnaar_a2(params, rng):
     nx, ny = int(params["nx"]), int(params["ny"])
     dx, dy = int(params["dx"]), int(params["dy"])
-    if max(nx, ny) > MAX_ALPHABET:
-        raise ResourceBoundError("alphabet size", MAX_ALPHABET, max(nx, ny))
     nv = nx + ny
     keep = lambda e: sum(e[:nx]) <= dx and sum(e[nx:]) <= dy
     lhs = MPoly.zero(nv, "q")
@@ -441,27 +365,19 @@ def _run_warnaar_a2(params, rng):
                     lhs = lhs + pl.mul(pm).scale(UniRat.mono("q", expo))
     rhs = MPoly.one(nv, "q")
     for i in range(nx):
-        rhs = rhs.mul(_geom_factor(i, nv, dx), keep)
+        rhs = rhs.mul(_geom(_unit(nv, i), dx, 0), keep)
     for j in range(nx, nv):
-        rhs = rhs.mul(_geom_factor(j, nv, dy), keep)
-    zero = tuple([0] * nv)
+        rhs = rhs.mul(_geom(_unit(nv, j), dy, 0), keep)
     for i in range(nx):
         for j in range(nx, nv):
-            cap = min(dx, dy)
-            rhs = rhs.mul(_pair_geom(i, j, nv, cap, qpow=-1), keep)
-            w = [0] * nv
-            w[i] = 1
-            w[j] = 1
-            fac = MPoly({zero: ONE, tuple(w): UniRat.mono("q", 0, -1)}, nv, "q")
-            rhs = rhs.mul(fac, keep)
+            rhs = rhs.mul(_geom(_unit(nv, i, j), min(dx, dy), -1), keep)
+            rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, j), 0, "q"), keep)
     return [("xy-coefficients", lhs.terms, rhs.terms)]
 
 
 def _run_lascoux(params, rng):
     nx, ny = int(params["nx"]), int(params["ny"])
     dx, dy = int(params["dx"]), int(params["dy"])
-    if max(nx, ny) > MAX_ALPHABET:
-        raise ResourceBoundError("alphabet size", MAX_ALPHABET, max(nx, ny))
     nv = nx + ny
     keep = lambda e: sum(e[:nx]) <= dx and sum(e[nx:]) <= dy
     lhs = MPoly.zero(nv, "q")
@@ -483,19 +399,11 @@ def _run_lascoux(params, rng):
             lhs = lhs + pl.mul(pm).scale(b_lambda(mu) * qprime_skew(lam, mu))
     rhs = MPoly.one(nv, "q")
     for i in range(nx):
-        rhs = rhs.mul(_geom_factor(i, nv, dx), keep)
-    zero = tuple([0] * nv)
+        rhs = rhs.mul(_geom(_unit(nv, i), dx, 0), keep)
     for i in range(nx):
         for j in range(nx, nv):
-            cap = min(dx, dy)
-            rhs = rhs.mul(_pair_geom(i, j, nv, cap), keep)
-            w = [0] * nv
-            w[i] = 1
-            w[j] = 1
-            fac = MPoly(
-                {zero: ONE, tuple(w): UniRat.mono("q", 1, -1)}, nv, "q"
-            )
-            rhs = rhs.mul(fac, keep)
+            rhs = rhs.mul(_geom(_unit(nv, i, j), min(dx, dy), 0), keep)
+            rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, j), 1, "q"), keep)
     pairs = [("xy-coefficients", lhs.terms, rhs.terms)]
 
     # principal one-variable y specialization: marker z at y -> z
@@ -507,15 +415,15 @@ def _run_lascoux(params, rng):
         pl = hl_p(lam, nx).poly.embed(nvz, list(range(nx)))
         for mu in subpartitions(lam):
             coeff = c_coeff(lam, mu).recip_param()
-            e = _unit(nvz, z_slot, mu.size)
+            e = (0,) * nx + (mu.size,)  # z^{|mu|}
             lhz = lhz + pl.mul(MPoly({e: coeff}, nvz, "q")).scale(
                 UniRat.mono("q", lam.nstat())
             )
     rhz = MPoly.one(nvz, "q")
     for i in range(nx):
-        rhz = rhz.mul(_geom_factor(i, nvz, dx), keepz)
+        rhz = rhz.mul(_geom(_unit(nvz, i), dx, 0), keepz)
     for i in range(nx):
-        rhz = rhz.mul(_pair_geom(i, z_slot, nvz, dx), keepz)
+        rhz = rhz.mul(_geom(_unit(nvz, i, z_slot), dx, 0), keepz)
     pairs.append(("principal-y", lhz.terms, rhz.terms))
 
     mirr_lhs, mirr_rhs = {}, {}
@@ -540,10 +448,6 @@ def _finite_lhs_terms(n, k):
 
 def _run_finite_qbinhl(params, rng):
     n, k = int(params["n"]), int(params["k"])
-    if n > MAX_FINITE_N:
-        raise ResourceBoundError("alphabet size", MAX_FINITE_N, n)
-    if k > MAX_FINITE_K:
-        raise ResourceBoundError("column bound", MAX_FINITE_K, k)
     if "samples" in params:
         return _finite_qbinhl_random(n, k, int(params["samples"]), rng)
     return _finite_qbinhl_symbolic(n, k)
@@ -747,13 +651,9 @@ def _finite_qbinhl_random(n, k, samples, rng):
 
 def _run_csq(params, rng):
     n, k = int(params["n"]), int(params["k"])
-    if n > MAX_FINITE_N:
-        raise ResourceBoundError("alphabet size", MAX_FINITE_N, n)
-    if k > MAX_FINITE_K:
-        raise ResourceBoundError("column bound", MAX_FINITE_K, k)
     nv = 2  # variables: z, a
     afac = _afacs(n, MPoly.var(1, nv, "q"))
-    zero = (0, 0)
+    zero, z, a, za = (0, 0), (1, 0), (0, 1), (1, 1)
     qn = qq(n)
 
     lhs = MPoly.zero(nv, "q")
@@ -768,10 +668,7 @@ def _run_csq(params, rng):
         term = term.mul(afac[ell]).mul(afac[n - lam.mult(k)])
         lhs = lhs + term
 
-    dz = {
-        j: MPoly({zero: ONE, (1, 0): UniRat.mono("q", j, -1)}, nv, "q")
-        for j in range(-1, 2 * n)
-    }
+    dz = {j: MPoly.two_term(zero, z, j, "q") for j in range(-1, 2 * n)}
     lhs_cleared = lhs
     for fac in dz.values():
         lhs_cleared = lhs_cleared.mul(fac)
@@ -783,24 +680,12 @@ def _run_csq(params, rng):
         for t in range(r):
             scal = scal * (ONE - UniRat.mono("q", n - r + 1 + t))
         term = MPoly({(k * r, 0): scal}, nv, "q")
-        term = term.mul(
-            MPoly({zero: ONE, (1, 0): UniRat.mono("q", 2 * r - 1, -1)}, nv, "q")
-        )
+        term = term.mul(MPoly.two_term(zero, z, 2 * r - 1, "q"))
         for t in range(n - r):
-            term = term.mul(
-                MPoly(
-                    {zero: ONE, (1, 1): UniRat.mono("q", r + t, -1)}, nv, "q"
-                )
-            )
+            term = term.mul(MPoly.two_term(zero, za, r + t, "q"))
         term = term.mul(afac[r])
         for t in range(r):
-            term = term.mul(
-                MPoly(
-                    {(1, 0): ONE, (0, 1): UniRat.mono("q", 1 - n - t, -1)},
-                    nv,
-                    "q",
-                )
-            )
+            term = term.mul(MPoly.two_term(z, a, 1 - n - t, "q"))
         term = term.mul(afac[n - r])
         for j, fac in dz.items():
             if not (r - 1 <= j <= r + n - 1):
@@ -831,33 +716,70 @@ def _run_mirror_swap(params, rng):
     return pairs
 
 
-_RUNNERS = {
-    "QBIN": _run_qbin,
-    "EULER": _run_euler,
-    "GENFUN": _run_genfun,
-    "COMBINAT": _run_combinat,
-    "UMOY_ABELIAN": _run_umoy_abelian,
-    "UMOY_TYPE_S": _run_umoy_type_s,
-    "DELAUNAY": _run_delaunay,
-    "QBINHL": _run_qbinhl,
-    "WARNAAR_A2": _run_warnaar_a2,
-    "LASCOUX": _run_lascoux,
-    "FINITE_QBINHL": _run_finite_qbinhl,
-    "CSQ": _run_csq,
-    "MIRROR_SWAP": _run_mirror_swap,
+class Identity(Record):
+    """A registered identity: `run(params, rng)` returns its (label, lhs,
+    rhs) triples; `strategies` are the checks it has, the first one the
+    default (a random-point check reads `samples` too); `params` maps each
+    param the runner reads to its (error label, limit) bound, or to None."""
+
+    run: object
+    strategies: tuple
+    params: dict
+
+
+_SERIES = (TRUNCATED_SERIES,)
+_EXACT = (SYMBOLIC_EXACT,)
+_Z = ("z truncation", MAX_ZTRUNC)
+_ALPHABET = ("alphabet size", MAX_ALPHABET)
+_LAM_ELL_Z = {"lam": None, "ell": None, "zmax": _Z}
+_TWO_ALPHABETS = {"nx": _ALPHABET, "ny": _ALPHABET, "dx": None, "dy": None}
+_FINITE = {"n": ("alphabet size", MAX_FINITE_N), "k": ("column bound", MAX_FINITE_K)}
+
+REGISTRY = {
+    "QBIN": Identity(_run_qbin, _EXACT, {"n": ("QBIN degree", MAX_QBIN_N)}),
+    "EULER": Identity(_run_euler, _SERIES, {"zmax": _Z}),
+    "GENFUN": Identity(_run_genfun, _SERIES, {"lam": None, "p": None, "zmax": _Z}),
+    "COMBINAT": Identity(_run_combinat, _SERIES, {"lam": None, "zmax": _Z}),
+    "UMOY_ABELIAN": Identity(lambda params, rng: _run_umoy(params, 1), _SERIES, _LAM_ELL_Z),
+    "UMOY_TYPE_S": Identity(lambda params, rng: _run_umoy(params, 2), _SERIES, _LAM_ELL_Z),
+    "DELAUNAY": Identity(_run_delaunay, _SERIES, {"ell": None, "zmax": _Z}),
+    "QBINHL": Identity(_run_qbinhl, _SERIES, {"nx": _ALPHABET, "d": None}),
+    "WARNAAR_A2": Identity(_run_warnaar_a2, _SERIES, _TWO_ALPHABETS),
+    "LASCOUX": Identity(_run_lascoux, _SERIES, _TWO_ALPHABETS),
+    "FINITE_QBINHL": Identity(_run_finite_qbinhl, (SYMBOLIC_EXACT, RANDOM_POINT), _FINITE),
+    "CSQ": Identity(_run_csq, _EXACT, _FINITE),
+    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, {"lam": None}),
 }
 
-IDENTITY_IDS = tuple(sorted(_RUNNERS))
+IDENTITY_IDS = tuple(sorted(REGISTRY))
 
 
 def verify(case, mutate=False):
-    """Run one case and report pass/fail with the first mismatching coefficient."""
-    if case.case_id not in _RUNNERS:
+    """Run one case and report pass/fail with the first mismatching coefficient.
+
+    A missing or negative param, or `samples` for an identity with no
+    random-point check, raises ValueError and a param over its bound
+    raises ResourceBoundError, before any work."""
+    identity = REGISTRY.get(case.case_id)
+    if identity is None:
         raise ValueError("unknown identity id: %r" % (case.case_id,))
+    missing = [name for name in identity.params if name not in case.params]
+    if missing:
+        raise ValueError("%s needs %s" % (case.case_id, ", ".join(missing)))
+    if "samples" in case.params and RANDOM_POINT not in identity.strategies:
+        raise ValueError("%s has no random-point check, so no samples" % case.case_id)
+    for name, bound in identity.params.items():
+        if name == "lam":
+            continue
+        value = int(case.params[name])
+        if value < 0:
+            raise ValueError("%s needs %s >= 0, got %d" % (case.case_id, name, value))
+        if bound is not None and value > bound[1]:
+            raise ResourceBoundError(bound[0], bound[1], value)
     seed = case.params.get("seed")
     rng = random.Random(seed if seed is not None else 0)
     start = time.perf_counter()
-    pairs = _RUNNERS[case.case_id](case.params, rng)
+    pairs = identity.run(case.params, rng)
     passed, mismatch, compared = _compare_pairs(pairs, mutate=mutate)
     elapsed = time.perf_counter() - start
     return VerificationReport(
@@ -887,7 +809,7 @@ def run_suite(ids=None, manifest=None):
     _, _, cases = load_manifest(manifest)
     if ids is not None:
         wanted = set(ids)
-        unknown = wanted - set(_RUNNERS)
+        unknown = wanted - set(REGISTRY)
         if unknown:
             raise ValueError("unknown identity id: %r" % (sorted(unknown)[0],))
         cases = [c for c in cases if c.case_id in wanted]

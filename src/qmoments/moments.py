@@ -10,10 +10,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ModeError, ResourceBoundError
+from .errors import InvariantError, ModeError, ResourceBoundError
 from .partitions import Partition, subpartitions
 from .qseries import qbinomial
-from .rbasis import c_coeff
+from .rbasis import _c_degree, c_coeff
 from .record import Record
 
 ABELIAN = "ABELIAN"
@@ -42,13 +42,6 @@ def _check_u(u):
             "use the float entry point" % (u,)
         )
     return int(f)
-
-
-def _c_degree(lam):
-    """A bound on the degree of every C_{lam,mu}(q): that degree is
-    sum_i mu'_i (lam'_i - mu'_i) <= sum_i lam'_i^2 / 4 (about |lam|^2 / 4
-    for lam = 1^n)."""
-    return sum(c * c for c in lam.conjugate()) // 4
 
 
 def _check_size(lam, p, e, cbase):
@@ -83,62 +76,59 @@ def _c_values(lam, p):
     )
 
 
+def _moment(lam, p, u, flavor, dps):
+    """sum over mu inside lam of C_{lam,mu}(b) p^{-|mu| e}, where (b, e) is
+    (p, u) for the abelian flavor and (p^2, 2u - 1) for type S: exact for
+    dps None, else an mpmath float at dps decimal digits.  Every query is
+    size-checked first, since both modes build each C_{lam,mu}(b) exactly."""
+    lam = Partition(lam)
+    b, e = (p * p, 2 * u - 1) if flavor == TYPE_S else (p, u)
+    _check_size(lam, p, e, b)
+    if dps is not None:
+        import mpmath
+
+        with mpmath.workdps(dps):
+            uu = mpmath.mpf(str(u)) if isinstance(u, float) else mpmath.mpmathify(u)
+            ee = 2 * uu - 1 if flavor == TYPE_S else uu
+            total = mpmath.mpf(0)
+            for size, c in _c_values(lam, b):
+                total += mpmath.mpmathify(c) * mpmath.power(p, -size * ee)
+            return total
+    pf = Fraction(p)
+    val = sum((c * pf ** (-size * e) for size, c in _c_values(lam, b)), Fraction(0))
+    # row partitions collapse to a geometric sum
+    if lam.length <= 1 and val != sum(pf ** (-e * k) for k in range(lam.size + 1)):
+        raise InvariantError("the moment of the row %s is not the geometric sum" % (lam,))
+    return val
+
+
+def _exact(query, flavor):
+    """The exact moment of a query, which must be of the given flavor."""
+    if query.flavor != flavor:
+        raise ValueError("this entry point computes the %s flavor, not %s" % (flavor, query.flavor))
+    return _moment(query.lam, query.p, _check_u(query.u), flavor, None)
+
+
 def m_u(query):
     """u-average of x^lam over finite abelian p-groups:
     sum over mu inside lam of C_{lam,mu}(p) p^{-|mu| u}."""
-    if query.flavor != ABELIAN:
-        raise ValueError("m_u computes the plain abelian flavor")
-    u = _check_u(query.u)
-    _check_size(query.lam, query.p, u, query.p)
-    p = Fraction(query.p)
-    return sum((c * p ** (-size * u) for size, c in _c_values(query.lam, query.p)),
-               Fraction(0))
+    return _exact(query, ABELIAN)
 
 
 def m_u_s(query):
     """u-average of x^lam in the sense of groups of type S:
     sum over mu inside lam of C_{lam,mu}(p^2) p^{-|mu|(2u-1)}."""
-    if query.flavor != TYPE_S:
-        raise ValueError("m_u_s computes the type-S flavor")
-    u = _check_u(query.u)
-    _check_size(query.lam, query.p, 2 * u - 1, query.p * query.p)
-    p = Fraction(query.p)
-    val = sum(
-        (c * p ** (-size * (2 * u - 1))
-         for size, c in _c_values(query.lam, query.p * query.p)),
-        Fraction(0),
-    )
-    lam = query.lam
-    if lam.length <= 1:
-        # row partitions collapse to a geometric sum
-        assert val == sum(p ** (-(2 * u - 1) * k) for k in range(lam.size + 1))
-    return val
+    return _exact(query, TYPE_S)
 
 
 def m_u_float(lam, p, u, dps=30):
     """Arbitrary-precision float m_u for real u >= 0 at dps decimal digits."""
-    import mpmath
-
-    lam = Partition(lam)
-    with mpmath.workdps(dps):
-        uu = mpmath.mpf(str(u)) if isinstance(u, float) else mpmath.mpmathify(u)
-        total = mpmath.mpf(0)
-        for size, c in _c_values(lam, p):
-            total += mpmath.mpmathify(c) * mpmath.power(p, -size * uu)
-        return total
+    return _moment(lam, p, u, ABELIAN, dps)
 
 
 def m_u_s_float(lam, p, u, dps=30):
     """Arbitrary-precision float m_u_s for real u >= 0 at dps decimal digits."""
-    import mpmath
-
-    lam = Partition(lam)
-    with mpmath.workdps(dps):
-        uu = mpmath.mpf(str(u)) if isinstance(u, float) else mpmath.mpmathify(u)
-        total = mpmath.mpf(0)
-        for size, c in _c_values(lam, p * p):
-            total += mpmath.mpmathify(c) * mpmath.power(p, -size * (2 * uu - 1))
-        return total
+    return _moment(lam, p, u, TYPE_S, dps)
 
 
 def coherence_check(lam, p):
@@ -271,7 +261,8 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
             prod = Fraction(1)
             for j in range(1, m + 1):
                 prod *= 1 + Fraction(p) ** j
-            assert val == prod
+            if val != prod:
+                raise InvariantError("the SELMER moment at ell = 1 is not prod_j (1 + p^j)")
         return val
     raise ValueError("unknown conjecture kind %r" % (kind,))
 
@@ -280,7 +271,7 @@ def fouvry_klueners_numbers(n, p, real=False):
     """Moments of x^{1^n}: sum_k qbin(n,k; p) for the imaginary flavor and
     sum_k qbin(n,k; p) p^{-k} for the real flavor, exactly.
 
-    Both values are asserted to agree with m_u at lam = 1^n (u = 0 and 1),
+    Both values are checked to agree with m_u at lam = 1^n (u = 0 and 1),
     so the real flavor also equals p^{-n} * sum_k qbin(n,k; p) p^k by the
     palindromic symmetry of the summands.
     """
@@ -291,5 +282,6 @@ def fouvry_klueners_numbers(n, p, real=False):
         term = qbinomial(n, k).eval_at(p)
         val += term * Fraction(p) ** (-k) if real else term
     lam = Partition([1] * n)
-    assert val == m_u(MomentQuery(lam, p, 1 if real else 0))
+    if val != m_u(MomentQuery(lam, p, 1 if real else 0)):
+        raise InvariantError("the q-binomial sum for 1^%d disagrees with m_u" % n)
     return val

@@ -50,6 +50,14 @@ def _add_bound(a, b):
     return a.mag * (L // a.L) + b.mag * (L // b.L)
 
 
+def _unit(nvars, *slots):
+    """The exponent tuple of prod_{i in slots} x_i (0-based, repeats allowed)."""
+    e = [0] * nvars
+    for i in slots:
+        e[i] += 1
+    return tuple(e)
+
+
 def _difference(terms):
     """(lead, rest, sign) when terms is sign * (x_i - x_j), lead > rest the
     two exponents, else None."""
@@ -317,14 +325,17 @@ class MPoly:
     @staticmethod
     def var(i, nvars, param=None):
         """x_i for 0-based i."""
-        e = [0] * nvars
-        e[i] = 1
-        return MPoly({tuple(e): UniRat.one()}, nvars, param)
+        return MPoly({_unit(nvars, i): UniRat.one()}, nvars, param)
 
     @staticmethod
     def mono(exps, coeff=1, param=None):
         exps = tuple(exps)
         return MPoly({exps: coeff}, len(exps), param)
+
+    @staticmethod
+    def two_term(u, v, s, param):
+        """x^u - param^s x^v for exponent tuples u, v."""
+        return MPoly({u: UniRat.one(), v: UniRat.mono(param, s, -1)}, len(u), param)
 
     # -- views ----------------------------------------------------------------
 

@@ -40,7 +40,9 @@ def _psub(a, b):
     return _padd(a, _pneg(b))
 
 
-def _pmul_school(a, b):
+def _pmul(a, b):
+    if not a or not b:
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -86,24 +88,6 @@ def _unpack_signed(p, w, n):
     if fmt:
         return [x - half for x in memoryview(raw).cast(fmt).tolist()]
     return [int.from_bytes(raw[i * w : (i + 1) * w], "little") - half for i in range(n)]
-
-
-def _pmul_kron(a, b):
-    # Kronecker substitution: evaluate at 2^(8w), one big multiply, unpack.
-    ma = max(abs(x) for x in a)
-    mb = max(abs(x) for x in b)
-    # smallest slot width w (bytes) with 2^(8w-1) > every product digit
-    w = (ma * mb * min(len(a), len(b))).bit_length() // 8 + 1
-    p = _pack_signed(a, w) * _pack_signed(b, w)
-    return _trim(_unpack_signed(p, w, len(a) + len(b) - 1))
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    if min(len(a), len(b)) < 40:
-        return _pmul_school(a, b)
-    return _pmul_kron(a, b)
 
 
 def _pshift(a, k):

@@ -10,7 +10,8 @@ equal to i.
 from functools import lru_cache
 from math import comb
 
-from .mpoly import MPoly
+from .errors import ResourceBoundError
+from .mpoly import MPoly, _unit
 from .partitions import Partition, subpartitions
 from .qrat import UniRat, ZERO
 from .qseries import qbinomial
@@ -18,6 +19,13 @@ from .record import Record
 
 R_TO_MONOMIAL = "R_TO_MONOMIAL"
 MONOMIAL_TO_R = "MONOMIAL_TO_R"
+
+# Past this degree bound (_c_degree) a C_{lam,mu} takes seconds to minutes
+# (lam = 1^181, bound 8190, takes about 3 s), and at lam = 1^500 the
+# recursive q-binomial runs out of stack, so such a query exits with a
+# resource bound.  `moments` asks for no larger bound: its MAX_MOMENT_BITS
+# already bounds _c_degree(lam) * log2(b) with b >= 2.
+MAX_C_DEGREE = 8192
 
 
 class RExpansion(Record):
@@ -62,13 +70,8 @@ def rlambda_poly(lam, ell=None, param="t"):
 
     def factor(i, j):
         # x_i - t^j x_{i-1}, 1-based i, with x_0 == 1
-        t_j = UniRat.mono(param, j, -1)
-        e_i = tuple(1 if k == i - 1 else 0 for k in range(ell))
-        if i == 1:
-            lower = (0,) * ell
-        else:
-            lower = tuple(1 if k == i - 2 else 0 for k in range(ell))
-        return MPoly({e_i: UniRat.one(), lower: t_j}, ell, param)
+        lower = _unit(ell, i - 2) if i > 1 else _unit(ell)
+        return MPoly.two_term(_unit(ell, i - 1), lower, j, param)
 
     out = MPoly.one(ell, param)
     for i in range(1, ell + 1):
@@ -125,8 +128,17 @@ def rlambda_expand(lam, param="t", validate=True):
     return RExpansion(lam, R_TO_MONOMIAL, coeffs)
 
 
+def _c_degree(lam):
+    """A bound on the degree of every C_{lam,mu}(q): that degree is
+    sum_i mu'_i (lam'_i - mu'_i) <= sum_i lam'_i^2 / 4 (about |lam|^2 / 4
+    for lam = 1^n)."""
+    return sum(c * c for c in lam.conjugate()) // 4
+
+
 @lru_cache(maxsize=None)
 def _c_coeff_cached(lam, mu, param):
+    if _c_degree(lam) > MAX_C_DEGREE:
+        raise ResourceBoundError("C_{lam,mu} degree", MAX_C_DEGREE, _c_degree(lam))
     if not lam.contains(mu):
         return ZERO
     width = lam.part(1)

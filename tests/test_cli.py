@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import qmoments
-from qmoments import cli
+from qmoments import cli, rbasis
 from qmoments.errors import ResourceBoundError
 from qmoments.cli import main
+from qmoments.identities import IDENTITY_IDS, load_manifest
 
 
 def run(argv):
@@ -196,6 +197,85 @@ def test_verify_qbin_size_is_bounded():
     assert out == ""
     code, data = run_json(["verify", "--id", "QBIN", "--n", "2"])
     assert data["meta"]["bounds"]["max_qbin_n"] == cli.MAX_QBIN_N
+
+
+def _verify_argv(cid, params):
+    argv = ["verify", "--id", cid]
+    for name, value in params.items():
+        if name == "lam":
+            argv += ["--lambda", ",".join(map(str, value))]
+        else:
+            argv += ["--" + name, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("cid", IDENTITY_IDS)
+def test_verify_params_are_checked_before_any_work(cid, capsys):
+    # the params of the id's first manifest case, without the sampling ones
+    params = next(c.params for c in load_manifest()[2] if c.case_id == cid)
+    params = {k: v for k, v in params.items() if k not in ("samples", "seed")}
+    for name in params:
+        rest = {k: v for k, v in params.items() if k != name}
+        # --case-seed keeps the params non-empty, so no manifest case runs
+        bad = [_verify_argv(cid, rest) + ["--case-seed", "1"]]
+        if name != "lam":
+            bad.append(_verify_argv(cid, dict(params, **{name: -1})))
+        for argv in bad:
+            code, out = run(argv)
+            assert (code, out) == (2, "")
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+    code, out = run(_verify_argv(cid, params) + ["--samples", "20"])
+    if cid == "FINITE_QBINHL":
+        row = json.loads(out)["rows"][0]
+        assert (code, row["strategy"], row["compared"]) == (0, "random-point", 20)
+    else:
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: %s has no random-point check" % cid)
+
+
+def test_coeff_degree_is_bounded(capsys):
+    start = time.perf_counter()
+    for lam, mu in (("1^300", "1^150"), ("1^600", "1^300")):
+        code, out = run(["coeff", "--lambda", lam, "--mu", mu])
+        assert (code, out) == (3, "")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("resource bound: ") for line in err)
+    code, data = run_json(["coeff", "--lambda", "1^20", "--mu", "1^10"])
+    assert code == 0
+    assert data["meta"]["bounds"]["max_c_degree"] == rbasis.MAX_C_DEGREE
+    assert "degree of C(lambda; mu) <= %d" % rbasis.MAX_C_DEGREE in cli.build_parser().epilog
+
+
+def test_float_moment_size_is_bounded():
+    start = time.perf_counter()
+    argv = ["moments", "--lambda", "1^300", "--p", "3", "--u", "1/2", "--float"]
+    for flavor in ([], ["--type-s"]):
+        code, out = run(argv + flavor)
+        assert (code, out) == (3, "")
+    assert time.perf_counter() - start < 1.0
+
+
+_PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+
+
+def test_pinned_cli_rows_replay_in_process(monkeypatch):
+    # every CLI call the benchmark can draw, with its pinned exit code and
+    # JSON rows (per-run timings left out)
+    monkeypatch.delenv("QMOMENTS_MAX_GROUP_ORDER", raising=False)
+    pinned = json.loads(_PINNED.read_text())["cli"]
+    assert pinned
+    mismatched = []
+    for key, want in pinned.items():
+        argv = json.loads(key)
+        code, out = run(argv)
+        rows = json.loads(out)["rows"] if out else []
+        for row in rows:
+            row.pop("elapsed_seconds", None)
+        if (code, rows) != (want["exit"], want["rows"]):
+            mismatched.append(argv)
+    assert mismatched == []
 
 
 def test_verify_genfun_rejects_composite_p():

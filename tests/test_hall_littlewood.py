@@ -271,6 +271,22 @@ except InvariantError:
 params = {"n": 4, "k": 2, "samples": 20, "seed": 20260816}
 rep = verify(IdentityCase("FINITE_QBINHL", params, "random-point"))
 print(len(v.poly.terms), rep.passed, rep.compared)
+from qmoments import moments
+from qmoments.moments import SELMER, TYPE_S, MomentQuery, conjecture_table, fouvry_klueners_numbers, m_u_s
+checks = (
+    lambda: m_u_s(MomentQuery((3,), 2, 1, TYPE_S)),  # a row: the geometric sum
+    lambda: conjecture_table(SELMER, p=2, lm=(1, 3)),
+    lambda: fouvry_klueners_numbers(4, 3),
+)
+print(*(f() for f in checks))
+good = moments._c_values
+moments._c_values = lambda lam, b: tuple((size, 2 * c) for size, c in good(lam, b))
+for f in checks:
+    try:
+        f()
+        print("unchecked")
+    except InvariantError:
+        print("checked")
 """
 
 
@@ -280,4 +296,6 @@ def test_hl_checks_and_sample_points_run_under_optimize():
         [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, check=True
     )
     terms = len(hl_p((2, 1), 3).poly.terms)
-    assert done.stdout.splitlines() == ["checked", "%d True 20" % terms]
+    assert done.stdout.splitlines() == [
+        "checked", "%d True 20" % terms, "15/8 135 212", "checked", "checked", "checked",
+    ]

@@ -15,7 +15,7 @@ from qmoments.identities import (
     load_manifest,
     run_suite,
     verify,
-    _RUNNERS,
+    REGISTRY,
     _finite_lhs_terms,
     _finite_qbinhl_cleared,
     _mpoly_factors,
@@ -126,7 +126,7 @@ def test_random_point_case_needs_enough_samples():
 
 
 def sampled_maps(params):
-    (label, lhs, rhs), = _RUNNERS["FINITE_QBINHL"](params, random.Random(params["seed"]))
+    (label, lhs, rhs), = REGISTRY["FINITE_QBINHL"].run(params, random.Random(params["seed"]))
     return label, lhs, rhs
 
 
@@ -302,7 +302,7 @@ def test_csq_small_case_passes():
 def test_labels_cover_the_documented_cross_checks():
     rng = random.Random(0)
     labels = lambda cid, params: [
-        t[0] for t in _RUNNERS[cid](params, rng)
+        t[0] for t in REGISTRY[cid].run(params, rng)
     ]
     assert "cauchy-at-a-zero" in labels("QBINHL", {"nx": 2, "d": 3})
     lascoux = labels("LASCOUX", {"nx": 2, "ny": 2, "dx": 3, "dy": 3})

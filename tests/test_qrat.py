@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmoments import ParamMismatch, UniRat
-from qmoments.qrat import _pmul_kron, _pmul_school, laurent_sum_of_products
+from qmoments.qrat import _pack_signed, _unpack_signed, laurent_sum_of_products
 
 
 def q():
@@ -141,19 +141,15 @@ def test_json_and_views():
     assert r.constant() is None
 
 
-def test_kronecker_matches_schoolbook():
+def test_pack_unpack_round_trip_at_every_width():
+    # widths outside {1, 2, 4, 8} take the byte-slicing path of _unpack_signed
     rng = random.Random(17)
-    for _ in range(60):
-        la = rng.randrange(1, 120)
-        lb = rng.randrange(1, 120)
-        hi = 10 ** rng.randrange(1, 12)
-        a = tuple(rng.randrange(-hi, hi + 1) for _ in range(la))
-        b = tuple(rng.randrange(-hi, hi + 1) for _ in range(lb))
-        if not any(a):
-            a = a[:-1] + (1,)
-        if not any(b):
-            b = b[:-1] + (1,)
-        assert _pmul_kron(a, b) == _pmul_school(a, b)
+    for w in range(1, 13):
+        top = 1 << (8 * w - 1)
+        for _ in range(20):
+            c = [rng.randrange(-top, top) for _ in range(rng.randrange(1, 80))]
+            c[rng.randrange(len(c))] = rng.choice((-top, top - 1))
+            assert _unpack_signed(_pack_signed(c, w), w, len(c)) == c
 
 
 def test_big_product_reduces():
