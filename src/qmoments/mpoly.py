@@ -13,20 +13,35 @@ bound `span` on the slot count.  A product's bound is
 min(#terms_A, #terms_B) * min(span_A, span_B) * mag_A * mag_B, a sum's is
 the sum of both bounds at the common L (their maximum when no exponent is
 in both), and s always satisfies 2^(s-1) > mag, so no slot can carry into
-its neighbour.  `eval_scalars` at rational constants sums the packed ints
-times integer multipliers and decodes once.  `terms` decodes to canonical
-UniRats lazily, once, and then drops the packed form (it is rebuilt if the
-poly enters another product or sum), so a large result is not held twice.
-`divexact` by x_i - x_j also runs on the packed ints, on slots widened to
+its neighbour.
+
+The exponent tuples are packed too: each variable gets a field of
+FIELD = 16 bits, x_1 most significant, so one int keys each coefficient,
+the int order is the lex order of the tuples and an exponent sum is one int
+addition.  The form keeps a bound `deg` on each variable's exponent; an
+exponent outside [0, 2^FIELD) leaves a poly unpacked, and a product whose
+bound could outgrow a field runs on the UniRat coefficients instead.  A
+product by a two-term poly (x_i - q^s, 1 - x_j q^s, x_i - x_j, ...) is two
+shifted copies of the other operand, merged.
+
+`eval_scalars` at rational constants sums the packed ints times integer
+multipliers and decodes once.  `terms` decodes to canonical UniRats lazily,
+once, and then drops the packed form (it is rebuilt if the poly enters
+another product or sum), so a large result is not held twice.  `divexact`
+by x_i - x_j also runs on the packed ints, on slots widened to
 #terms * mag.  Every other method, and any operand with a non-monomial
 denominator, works on the UniRat coefficients.
 """
 
+import sys
 from fractions import Fraction
 from math import lcm, prod
-from operator import add, sub
+from operator import add, mul
 
 from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
+
+FIELD = 16  # bits per variable in a packed exponent key (`_exponents` reads "H" items)
+_TOP = (1 << FIELD) - 1  # the largest exponent a field holds
 
 
 def _slot_width(mag, w=8):
@@ -59,45 +74,93 @@ def _unit(nvars, *slots):
 
 
 def _difference(terms):
-    """(lead, rest, sign) when terms is sign * (x_i - x_j), lead > rest the
-    two exponents, else None."""
+    """(i, j, sign) when terms is sign * (x_i - x_j) with i < j (so x_i is
+    the lex-larger term), else None."""
     if len(terms) != 2:
         return None
     (e1, c1), (e2, c2) = sorted(terms.items(), reverse=True)
     if not {*e1, *e2} <= {0, 1} or sum(e1) != 1 or sum(e2) != 1:
         return None
     if c1 == 1 and c2 == -1:
-        return e1, e2, 1
+        return e1.index(1), e2.index(1), 1
     if c1 == -1 and c2 == 1:
-        return e1, e2, -1
+        return e1.index(1), e2.index(1), -1
     return None
+
+
+def _key(e):
+    """The packed key of an exponent tuple whose entries fit a field."""
+    k = 0
+    for x in e:
+        k = (k << FIELD) + x
+    return k
+
+
+def _exponents(keys, nvars):
+    """The exponent tuples of packed keys, in the same order.
+
+    The fields of all keys are read in one memoryview cast; they come out
+    least significant first, so the flat list is reversed and regrouped.
+    """
+    if not nvars:
+        return [()] * len(keys)
+    raw = b"".join([k.to_bytes(2 * nvars, "little") for k in keys])
+    if sys.byteorder == "little":
+        flat = memoryview(raw).cast("H").tolist()
+    else:
+        flat = [int.from_bytes(raw[i : i + 2], "little") for i in range(0, len(raw), 2)]
+    flat.reverse()
+    out = list(zip(*[iter(flat)] * nvars))
+    out.reverse()
+    return out
+
+
+def _nonzero(out):
+    """out without its zero values; the C-level scan first finds most
+    products and sums have none."""
+    return {k: c for k, c in out.items() if c} if 0 in out.values() else out
+
+
+def _kept(keys, keep, nvars):
+    """The set of keys whose exponent tuples keep accepts, decoding each
+    distinct key once, in one pass."""
+    keys = list(keys)
+    return {k for k, e in zip(keys, _exponents(keys, nvars)) if keep(e)}
 
 
 class _Laurent:
     """Coefficients n_e(q) * q^-V / L, with n_e packed in w-byte slots.
 
-    Slot i of coeffs[e] is L times the coefficient of q^(i-V) in the value
-    at x^e.  Every slot lies in [-mag, mag], 2^(8w-1) > mag, and slots at
-    index >= span are zero.  No coefficient is zero.
+    coeffs maps the packed key of e (`_key`) to its packed numerator, and
+    deg[i] bounds the exponent of x_i in every key.  Slot i of coeffs[e] is
+    L times the coefficient of q^(i-V) in the value at x^e.  Every slot lies
+    in [-mag, mag], 2^(8w-1) > mag, and slots at index >= span are zero.  No
+    coefficient is zero.
     """
 
-    __slots__ = ("coeffs", "w", "L", "V", "mag", "span")
+    __slots__ = ("coeffs", "w", "L", "V", "mag", "span", "deg")
 
-    def __init__(self, coeffs, w, L, V, mag, span):
+    def __init__(self, coeffs, w, L, V, mag, span, deg):
         self.coeffs = coeffs
         self.w = w
         self.L = L
         self.V = V
         self.mag = mag
         self.span = span
+        self.deg = deg
 
     @staticmethod
-    def pack(terms):
+    def pack(terms, nvars):
         """The packed form of a UniRat term map, or None when some coefficient
         has a non-monomial denominator or is non-constant without a parameter
-        name (decoding gives every non-constant coefficient the poly's name)."""
+        name (decoding gives every non-constant coefficient the poly's name),
+        or when some exponent does not fit a field."""
         if not terms:
-            return _Laurent({}, 8, 1, 0, 0, 1)
+            return _Laurent({}, 8, 1, 0, 0, 1, (0,) * nvars)
+        cols = list(zip(*terms))
+        deg = tuple(map(max, cols))
+        if cols and (max(deg) > _TOP or min(map(min, cols)) < 0):
+            return None
         L, lo, hi = 1, None, None
         for c in terms.values():
             num, den = c.num, c.den
@@ -119,8 +182,8 @@ class _Laurent:
             k = L // den[-1]
             sh = V - len(den) + 1
             packed = _pack_signed([x * k for x in num[max(0, -sh):]], w)
-            coeffs[e] = packed << (8 * w * sh) if sh > 0 else packed
-        return _Laurent(coeffs, w, L, V, mag, hi - lo + 1)
+            coeffs[_key(e)] = packed << (8 * w * sh) if sh > 0 else packed
+        return _Laurent(coeffs, w, L, V, mag, hi - lo + 1, deg)
 
     def measure(self):
         """Replace the bound `mag` by the exact largest |slot|."""
@@ -139,7 +202,7 @@ class _Laurent:
         coeffs = {
             e: _pack_signed(_unpack_signed(c, self.w, n), w) for e, c in self.coeffs.items()
         }
-        return _Laurent(coeffs, w, self.L, self.V, self.mag, n)
+        return _Laurent(coeffs, w, self.L, self.V, self.mag, n, self.deg)
 
     def _common(self, other, bound):
         """Both operands at one width whose slots hold bound(self, other).
@@ -158,17 +221,40 @@ class _Laurent:
         return self.widen(w), other.widen(w), w, mag
 
     def mul(self, other, keep):
+        """The product, or None when an exponent could outgrow its field.
+
+        keep(e) sees the exponent tuple of each distinct key once, before
+        any coefficient is summed.
+        """
+        deg = tuple(map(add, self.deg, other.deg))
+        if deg and max(deg) > _TOP:
+            return None
         a, b, w, mag = self._common(other, _mul_bound)
-        out = {}
-        get = out.get
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = tuple(map(add, e1, e2))
-                if keep is not None and e not in out and not keep(e):
-                    continue
-                out[e] = get(e, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
-        return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1)
+        big, small = a.coeffs, b.coeffs
+        if len(big) == 2:
+            big, small = small, big
+        kept = None
+        if keep is not None:
+            kept = _kept({k1 + k2 for k1 in big for k2 in small}, keep, len(deg))
+        if len(small) == 2:
+            # two shifted copies of the larger operand, merged
+            (u, cu), (v, cv) = small.items()
+            out = {k + u: c * cu for k, c in big.items() if kept is None or k + u in kept}
+            get = out.get
+            for k, c in big.items():
+                k += v
+                if kept is None or k in kept:
+                    out[k] = get(k, 0) + c * cv
+        else:
+            out = {}
+            get = out.get
+            for k1, c1 in big.items():
+                for k2, c2 in small.items():
+                    k = k1 + k2
+                    if kept is None or k in kept:
+                        out[k] = get(k, 0) + c1 * c2
+        out = _nonzero(out)
+        return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1, deg)
 
     def add(self, other):
         a, b, w, mag = self._common(other, _add_bound)
@@ -183,46 +269,52 @@ class _Laurent:
             # no exponent is in both, so every slot comes from one operand
             mag = max(a.mag * ka, b.mag * kb)
         span = max(a.span + V - a.V, b.span + V - b.V)
-        out = {e: c for e, c in out.items() if c}
-        return _Laurent(out, w, L, V, mag, span)
+        out = _nonzero(out)
+        return _Laurent(out, w, L, V, mag, span, tuple(map(max, a.deg, b.deg)))
 
     def scale(self, other):
         """Every coefficient times the one coefficient of `other`."""
         a, b, w, mag = self._common(other, _mul_bound)
         (c,) = b.coeffs.values()
         out = {e: v * c for e, v in a.coeffs.items()}
-        return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1)
+        return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1, a.deg)
 
-    def divexact_difference(self, lead, rest, sign):
-        """The exact quotient by sign * (x^lead - x^rest), where lead > rest
-        are unit exponent vectors and sign is 1 or -1.
+    def divexact_difference(self, i, j, sign):
+        """The exact quotient by sign * (x_i - x_j), where i < j and sign is
+        1 or -1, or None when the remainder could outgrow a field.
 
         It is the UniRat division loop on the packed ints: the quotient at
-        m - lead is sign times the remainder at m, which is added to the
-        remainder at m - lead + rest.  Every quotient and remainder slot is
-        a signed sum of distinct dividend slots, so |slot| <= #terms * mag;
-        the slots widen to that bound first, which also makes each zero test
-        exact.  Raises ArithmeticError, as the UniRat loop does, when the
-        division is not exact.
+        m / x_i is sign times the remainder at m, which is added to the
+        remainder at m * x_j / x_i.  A step moves one unit of exponent from
+        x_i to x_j, so no remainder exponent of x_j passes deg_i + deg_j.  Every quotient and remainder slot is a signed sum of
+        distinct dividend slots, so |slot| <= #terms * mag; the slots widen
+        to that bound first, which also makes each zero test exact.  Raises
+        ArithmeticError, as the UniRat loop does, when the division is not
+        exact: when the remainder's largest key has no x_i.
         """
+        n = len(self.deg)
+        if self.deg[i] + self.deg[j] > _TOP:
+            return None
+        shift = FIELD * (n - 1 - i)
+        unit = 1 << shift  # the key of x_i
+        step = (1 << FIELD * (n - 1 - j)) - unit
         mag = len(self.coeffs) * self.mag
         a = self.widen(_slot_width(mag, self.w))
         r = dict(a.coeffs)
         out = {}
         while r:
             m = max(r)
-            qe = tuple(map(sub, m, lead))
-            if min(qe) < 0:
+            if not (m >> shift) & _TOP:
                 raise ArithmeticError("inexact polynomial division")
             c = r.pop(m)
-            out[qe] = c if sign > 0 else -c
-            t = tuple(map(add, qe, rest))
+            out[m - unit] = c if sign > 0 else -c
+            t = m + step
             c += r.get(t, 0)
             if c:
                 r[t] = c
             else:
                 r.pop(t, None)
-        return _Laurent(out, a.w, a.L, a.V, mag, a.span)
+        return _Laurent(out, a.w, a.L, a.V, mag, a.span, a.deg)
 
     def eval_scalars(self, xs, param):
         """The value at x_i = xs[i] (Fractions) as a UniRat, in one pass.
@@ -235,25 +327,33 @@ class _Laurent:
         """
         D = lcm(*(x.denominator for x in xs))
         ns = [x.numerator * (D // x.denominator) for x in xs]
-        top = max(map(sum, self.coeffs), default=0)
-        mult = {e: prod(map(pow, ns, e)) * D ** (top - sum(e)) for e in self.coeffs}
-        mag = len(mult) * self.mag * max(map(abs, mult.values()), default=0)
+        exps = _exponents(list(self.coeffs), len(self.deg))
+        top = max(map(sum, exps), default=0)
+        mult = [prod(map(pow, ns, e)) * D ** (top - sum(e)) for e in exps]
+        mag = len(mult) * self.mag * max(map(abs, mult), default=0)
         a = self.widen(_slot_width(mag, self.w))
-        total = sum(c * mult[e] for e, c in a.coeffs.items())
+        total = sum(map(mul, a.coeffs.values(), mult))
         if not total:
             return ZERO
-        value = _Laurent({(): total}, a.w, self.L * D**top, self.V, mag, self.span)
+        value = _Laurent({0: total}, a.w, self.L * D**top, self.V, mag, self.span, ())
         return value.decode(param)[()]
 
     def decode(self, param):
-        """Canonical UniRat coefficients, as the UniRat arithmetic gives them."""
+        """Canonical UniRat coefficients, as the UniRat arithmetic gives them.
+
+        Each distinct packed coefficient is decoded once (the 16,000 of a
+        FINITE_QBINHL n=3 side hold about 3,000 values), and the immutable
+        UniRat is shared.
+        """
         w, n, V = self.w, self.span, self.V
         lead = (0,) * -V if V < 0 else ()
         den = (0,) * V + (self.L,) if V > 0 else (self.L,)
-        return {
-            e: UniRat(lead + tuple(_unpack_signed(c, w, n)), den, param)
-            for e, c in self.coeffs.items()
+        coeffs = self.coeffs.values()
+        value = {
+            c: UniRat(lead + tuple(_unpack_signed(c, w, n)), den, param) for c in set(coeffs)
         }
+        exps = _exponents(list(self.coeffs), len(self.deg))
+        return dict(zip(exps, map(value.__getitem__, coeffs)))
 
 
 class MPoly:
@@ -304,7 +404,7 @@ class MPoly:
         """The packed Laurent form (built on first use), or None."""
         packed = self._packed
         if packed is None:
-            packed = _Laurent.pack(self._terms) or False
+            packed = _Laurent.pack(self._terms, self.nvars) or False
             object.__setattr__(self, "_packed", packed)
         return packed or None
 
@@ -404,8 +504,9 @@ class MPoly:
         param = _unify(self.param, other.param)
         a = self._laurent()
         b = a and other._laurent()
-        if b:
-            return MPoly._from_packed(a.mul(b, keep), self.nvars, param)
+        packed = b and a.mul(b, keep)
+        if packed:
+            return MPoly._from_packed(packed, self.nvars, param)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -431,7 +532,7 @@ class MPoly:
             return MPoly.zero(self.nvars, self.param)
         param = _unify(self.param, c.param)
         a = self._laurent()
-        b = a and _Laurent.pack({(): c})
+        b = a and _Laurent.pack({(): c}, 0)
         if b:
             return MPoly._from_packed(a.scale(b), self.nvars, param)
         return MPoly({e: v * c for e, v in self.terms.items()}, self.nvars, param)
@@ -459,8 +560,8 @@ class MPoly:
             raise ZeroDivisionError("division by zero polynomial")
         diff = _difference(other.terms)
         packed = diff and self._laurent()
-        if packed:
-            quot = packed.divexact_difference(*diff)
+        quot = packed and packed.divexact_difference(*diff)
+        if quot:
             return MPoly._from_packed(quot, self.nvars, _unify(self.param, other.param))
         dlead = max(other.terms)
         dc = other.terms[dlead]

@@ -10,7 +10,7 @@ equal to i.
 from functools import lru_cache
 from math import comb
 
-from .errors import ResourceBoundError
+from .errors import InvariantError, ResourceBoundError
 from .mpoly import MPoly, _unit
 from .partitions import Partition, subpartitions
 from .qrat import UniRat, ZERO
@@ -82,7 +82,8 @@ def rlambda_poly(lam, ell=None, param="t"):
     for i in range(1, ell + 1):
         for j in range(lam.mult(i)):
             alt = alt * factor(i, lam.conj(i + 1) + j)
-    assert out == alt
+    if out != alt:
+        raise InvariantError("the two products for R_%s disagree" % (lam,))
     return out
 
 
@@ -124,7 +125,8 @@ def rlambda_expand(lam, param="t", validate=True):
     if validate:
         direct = rlambda_poly(lam, param=param)
         collected = {_mu_from_exps(e): c for e, c in direct.terms.items()}
-        assert collected == coeffs
+        if collected != coeffs:
+            raise InvariantError("the closed form of R_%s disagrees with its product" % (lam,))
     return RExpansion(lam, R_TO_MONOMIAL, coeffs)
 
 
@@ -141,13 +143,15 @@ def _c_coeff_cached(lam, mu, param):
         raise ResourceBoundError("C_{lam,mu} degree", MAX_C_DEGREE, _c_degree(lam))
     if not lam.contains(mu):
         return ZERO
-    width = lam.part(1)
+    # a column i > mu_1 adds nothing, and a factor is 1 unless
+    # lam'_i != mu'_i and mu'_i != mu'_{i+1}
+    mc = mu.conjugate() + (0,)
     prod = UniRat.one()
     expo = 0
-    for i in range(1, width + 1):
-        lc, mc, mc1 = lam.conj(i), mu.conj(i), mu.conj(i + 1)
-        prod = prod * qbinomial(lc - mc1, lc - mc, param)
-        expo += mc1 * (lc - mc)
+    for lc, mc0, mc1 in zip(lam.conjugate(), mc, mc[1:]):
+        expo += mc1 * (lc - mc0)
+        if lc != mc0 and mc0 != mc1:
+            prod = prod * qbinomial(lc - mc1, lc - mc0, param)
     assert not prod.is_zero()
     return UniRat.mono(param, expo) * prod
 
@@ -179,7 +183,8 @@ def monomial_in_R_basis(lam, param="q", validate=True):
                     total.pop(nu, None)
                 else:
                     total[nu] = s
-        assert total == {lam: UniRat.one()}
+        if total != {lam: UniRat.one()}:
+            raise InvariantError("sum_mu C_{lam,mu} R_mu is not x^%s" % (lam,))
     return RExpansion(lam, MONOMIAL_TO_R, coeffs)
 
 
@@ -190,7 +195,8 @@ def mirror_poly(lam, param="q"):
     out = [ZERO] * (lam.size + 1)
     for mu in subpartitions(lam):
         out[mu.size] = out[mu.size] + c_coeff(lam, mu, param)
-    assert all(out[k] == out[lam.size - k] for k in range(lam.size + 1))
+    if out != out[::-1]:
+        raise InvariantError("the mirror polynomial of %s is not palindromic" % (lam,))
     return out
 
 

@@ -287,6 +287,28 @@ for f in checks:
         print("unchecked")
     except InvariantError:
         print("checked")
+from qmoments import rbasis
+from qmoments.partitions import Partition
+checks = (
+    lambda: rbasis.rlambda_expand((2, 1)).coeffs,
+    lambda: rbasis.monomial_in_R_basis((2, 1)).coeffs,
+    lambda: rbasis.mirror_poly((2, 1)),
+    lambda: rbasis.rlambda_poly((2, 1)).terms,
+)
+print(*(len(f()) for f in checks))
+good_c, good_r, good_mult = rbasis.c_coeff, rbasis.rlambda_poly, Partition.mult
+# C_{lam,()} + 1: the R-sum keeps an extra x^() and the mirror loses its
+# palindrome; twice R_lam breaks the closed form; one extra factor per part
+# value breaks the multiplicity-indexed product of R_lam
+rbasis.c_coeff = lambda lam, mu, param="q": good_c(lam, mu, param) + (0 if mu else 1)
+rbasis.rlambda_poly = lambda lam, ell=None, param="t": good_r(lam, ell, param) * 2
+Partition.mult = lambda lam, i: good_mult(lam, i) + 1
+for f in checks[:3] + (lambda: good_r((2, 1)),):
+    try:
+        f()
+        print("unchecked")
+    except InvariantError:
+        print("checked")
 """
 
 
@@ -298,4 +320,5 @@ def test_hl_checks_and_sample_points_run_under_optimize():
     terms = len(hl_p((2, 1), 3).poly.terms)
     assert done.stdout.splitlines() == [
         "checked", "%d True 20" % terms, "15/8 135 212", "checked", "checked", "checked",
+        "4 5 4 4", "checked", "checked", "checked", "checked",
     ]

@@ -1,5 +1,6 @@
 """Tests for the identity verification suite."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -268,6 +269,29 @@ def test_laurent_kernel_sides_match_zero_variable_mpoly_chain():
             lhs, rhs = zero_variable_sides(n, k, xs, a)
             for got, want in ((lhs_map[idx], lhs), (rhs_map[idx], rhs)):
                 assert (got.num, got.den, got.param) == (want.num, want.den, want.param)
+
+
+# SHA-256 over (key, num, den, param) of every coefficient of both cleared
+# sides, lhs then rhs, keys in sorted order; pinned at the tuple-keyed kernel.
+# Both sides run through the same MPoly kernel, so a kernel defect that
+# corrupts both alike still passes the comparison; only the digest sees it.
+SYMBOLIC_DIGESTS = {
+    2: (12391, "f5b988fb1846b21aef1d4d0d0e75398b47aeafcb6596610c57fa5122c35105a3"),
+    3: (16000, "b133c0d27625ac3ab8fbf02363a540538593aac43f60272466674fc1eeadbea5"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(SYMBOLIC_DIGESTS))
+def test_symbolic_finite_qbinhl_sides_are_pinned(k):
+    ((_, lhs, rhs),) = REGISTRY["FINITE_QBINHL"].run({"n": 3, "k": k}, random.Random(0))
+    h = hashlib.sha256()
+    for side in (lhs, rhs):
+        for key in sorted(side):
+            c = side[key]
+            h.update(repr((key, c.num, c.den, c.param)).encode())
+    assert (len(lhs), len(rhs), h.hexdigest()) == (
+        SYMBOLIC_DIGESTS[k][0], SYMBOLIC_DIGESTS[k][0], SYMBOLIC_DIGESTS[k][1]
+    )
 
 
 def test_random_point_mutation_fails_at_first_sample():

@@ -1,6 +1,8 @@
 """Sparse multivariate polynomial arithmetic."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,11 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmoments import ParamMismatch, UniRat
-from qmoments.mpoly import MPoly
+from qmoments.mpoly import FIELD, MPoly
 
 
 def xvars(n, param="q"):
     return [MPoly.var(i, n, param) for i in range(n)]
+
+
+@contextmanager
+def time_limit(seconds):
+    """Turn a hang into a failure: raise TimeoutError after `seconds`."""
+
+    def expire(*_):
+        raise TimeoutError("no answer in %d s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_basic_ring_ops():
@@ -488,7 +506,7 @@ def test_packed_divexact_inexact_raises(g, c, pair):
         return
     with pytest.raises(ArithmeticError):
         ref_divexact(f.terms, lead, rest, sign)
-    with pytest.raises(ArithmeticError):
+    with time_limit(2), pytest.raises(ArithmeticError):
         f.divexact(d)
 
 
@@ -514,3 +532,154 @@ def test_divexact_by_other_divisors_keeps_unirat_loop():
     g = x * x + y.scale(UniRat.mono("q", -1, 3)) * z
     for d in (x + y, 2 * x - 2 * y, x - y * y, x * y - z):
         assert (g * d).divexact(d) == g
+
+
+# -- packed exponent keys: the two-term product, field bounds, 0 variables --------
+
+TOP = (1 << FIELD) - 1  # the largest exponent a key field holds
+
+
+def two_terms(nvars=2, max_exp=2):
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return st.dictionaries(
+        exps, laurent_coeff(BOUNDARY).filter(lambda c: not c.is_zero()), min_size=2, max_size=2
+    ).map(lambda t: MPoly(t, nvars, "q"))
+
+
+@PROPS
+@given(laurent_poly(max_terms=8), two_terms(), st.booleans())
+def test_two_term_product_matches_unirat(a, b, left):
+    x, y = (b, a) if left else (a, b)
+    prod = x.mul(y)
+    assert prod._terms is None
+    assert canon(prod.terms) == canon(ref_mul(x.terms, y.terms))
+    kept = x.mul(y, keep=low_degree)
+    assert kept._terms is None
+    assert canon(kept.terms) == canon(ref_mul(x.terms, y.terms, low_degree))
+
+
+def test_two_term_keep_sees_each_exponent_tuple_once():
+    x, y = xvars(2)
+    geo = sum((x ** i * y for i in range(6)), MPoly.one(2, "q"))
+    seen = []
+
+    def keep(e):
+        seen.append(e)
+        return e[0] <= 3
+
+    got = geo.mul(x - y, keep=keep)
+    assert sorted(seen) == sorted(set(seen)) == sorted(ref_mul(geo.terms, (x - y).terms))
+    assert canon(got.terms) == canon(ref_mul(geo.terms, (x - y).terms, keep))
+
+
+NEAR_TOP = st.sampled_from([0, 1, 2, TOP // 2, TOP - 1, TOP])
+
+
+def field_poly(nvars=2, max_terms=3):
+    exps = st.tuples(*[NEAR_TOP] * nvars)
+    return st.dictionaries(exps, laurent_coeff(SMALL), max_size=max_terms).map(
+        lambda t: MPoly(t, nvars, "q")
+    )
+
+
+def degrees(terms, nvars):
+    return [max((e[i] for e in terms), default=0) for i in range(nvars)]
+
+
+@PROPS
+@given(field_poly(), field_poly())
+def test_exponents_at_the_field_top(a, b):
+    # the product stays packed while every per-variable degree sum fits a
+    # field, and takes the UniRat loop once one could cross it
+    fits = max(map(sum, zip(degrees(a.terms, 2), degrees(b.terms, 2)))) <= TOP
+    prod = a.mul(b)
+    assert (prod._terms is None) == fits
+    assert canon(prod.terms) == canon(ref_mul(a.terms, b.terms))
+    assert canon((a + b).terms) == canon(ref_add(a.terms, b.terms))
+
+
+def test_product_crossing_the_field_top_falls_back():
+    x = xvars(3)
+    for i in range(3):
+        k = (i + 1) % 3
+        top = MPoly.mono([TOP if v == i else 0 for v in range(3)], 1, "q")
+        for other in (x[i], x[i] - x[k], x[k] - x[i].scale(UniRat.mono("q", 2))):
+            prod = top * other
+            assert prod._terms is not None  # the UniRat loop ran
+            assert canon(prod.terms) == canon(ref_mul(top.terms, other.terms))
+        assert (top * x[k])._terms is None
+
+
+def test_exponent_past_the_field_top_is_not_packed():
+    x, y = xvars(2)
+    for e in ((TOP + 1, 0), (0, TOP + 1), (1 << 40, 3)):
+        p = MPoly({e: UniRat.mono("q", -1, 3), (1, 1): 2}, 2, "q")
+        assert p._laurent() is None
+        assert canon((p * (x - y)).terms) == canon(ref_mul(p.terms, (x - y).terms))
+        assert canon((p + x).terms) == canon(ref_add(p.terms, x.terms))
+    assert MPoly.mono((TOP, 0), 1, "q")._laurent() is not None
+
+
+@PROPS
+@given(field_poly(nvars=3), PAIR, laurent_coeff(SMALL))
+def test_packed_divexact_at_the_field_top(g, pair, c):
+    d, lead, rest, sign = difference(*pair)
+    f = g * d
+    with time_limit(20):
+        assert canon(f.divexact(d).terms) == canon(g.terms)
+        # x_k^2 for k the variable of lead: a remainder the divisor leaves
+        f = f + MPoly({tuple(2 * v for v in lead): c}, 3, "q")
+        if c.is_zero():
+            return
+        with pytest.raises(ArithmeticError):
+            f.divexact(d)
+
+
+def test_packed_divexact_raises_when_the_lead_field_is_empty():
+    # the remainder's largest key has no x_i: subtracting x_i would borrow
+    # from the field above (or go negative), so the division must stop there
+    x = xvars(3)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for f in (x[j], x[j] * x[j] + x[2 - i], x[i] + x[j] ** 3, x[i] ** 2):
+            for d in (x[i] - x[j], x[j] - x[i]):
+                assert f._laurent() is not None
+                with time_limit(2), pytest.raises(ArithmeticError):
+                    f.divexact(d)
+
+
+def test_packed_divexact_remainder_past_the_field_top_raises():
+    # dividing x^TOP y^5 by x - y walks the remainder to y^(TOP + 5), past a
+    # field: the UniRat loop takes it and stops where x runs out.  On packed
+    # keys, y^(TOP + 1) would carry into x, and the carried remainder x^5
+    # would cancel the dividend's -x^5, so an inexact division would pass
+    x, y = xvars(2)
+    for f in (MPoly.mono((TOP, 5), 3, "q"), MPoly({(TOP, 5): 1, (5, 0): -1}, 2, "q")):
+        assert f._laurent() is not None
+        with time_limit(20), pytest.raises(ArithmeticError):
+            f.divexact(x - y)
+    g = MPoly.mono((TOP - 6, 5), 3, "q")
+    assert canon((g * (x - y)).divexact(x - y).terms) == canon(g.terms)
+
+
+def zero_var_poly():
+    return st.dictionaries(st.just(()), laurent_coeff(BOUNDARY), max_size=1).map(
+        lambda t: MPoly(t, 0, "q")
+    )
+
+
+@PROPS
+@given(zero_var_poly(), zero_var_poly(), laurent_scalar())
+def test_zero_variable_polys_match_unirat(a, b, c):
+    prod = a.mul(b)
+    assert prod._terms is None
+    assert canon(prod.terms) == canon(ref_mul(a.terms, b.terms))
+    assert canon((a + b).terms) == canon(ref_add(a.terms, b.terms))
+    assert canon(a.scale(c).terms) == canon({e: v * c for e, v in a.terms.items()})
+    assert canon1(a.eval_scalars([])) == canon1(ref_eval(a.terms, []))
+
+
+@PROPS
+@given(field_poly(max_terms=4), st.lists(st.sampled_from([-1, 1, Fraction(-1), 0]), min_size=2, max_size=2))
+def test_packed_eval_at_the_field_top(a, xs):
+    assert a._laurent() is not None
+    assert canon1(a.eval_scalars(xs)) == canon1(ref_eval(a.terms, xs))

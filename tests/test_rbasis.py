@@ -107,6 +107,24 @@ def test_c_coeff_nonnegative_integer_coefficients():
                 assert c.den == (1,)
 
 
+def every_column_c(lam, mu):
+    """C_{lam,mu} as the product over all lam_1 columns, trivial ones too."""
+    prod, expo = UniRat.one(), 0
+    for i in range(1, lam.part(1) + 1):
+        lc, mc, mc1 = lam.conj(i), mu.conj(i), mu.conj(i + 1)
+        prod = prod * qbinomial(lc - mc1, lc - mc)
+        expo += mc1 * (lc - mc)
+    return UniRat.mono("q", expo) * prod
+
+
+def test_c_coeff_skips_only_trivial_columns():
+    lams = [lam for n in range(9) for lam in partitions_of(n)]
+    lams += [Partition(p) for p in ([30], [12, 12, 5], [9, 4, 4, 1, 1], [3] * 6)]
+    for lam in lams:
+        for mu in subpartitions(lam):
+            assert c_coeff(lam, mu) == every_column_c(lam, mu)
+
+
 def test_one_row_and_one_column():
     # x^(n) = sum over k<=n of R_(k), all coefficients 1
     lam = Partition([4])
