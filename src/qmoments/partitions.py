@@ -8,9 +8,11 @@ from .errors import ParseError
 
 @lru_cache(maxsize=None)
 def _conjugate(parts):
-    if not parts:
-        return ()
-    return tuple(sum(1 for a in parts if a >= i) for i in range(1, parts[0] + 1))
+    # conj_i = k for parts[k] < i <= parts[k - 1] (parts[len] read as 0)
+    out = []
+    for k in range(len(parts), 0, -1):
+        out += [k] * (parts[k - 1] - (parts[k] if k < len(parts) else 0))
+    return tuple(out)
 
 
 class Partition(tuple):
@@ -53,7 +55,8 @@ class Partition(tuple):
 
     def conjugate(self):
         """Transpose of the Young diagram: part i counts parts >= i."""
-        return Partition(_conjugate(tuple(self)))
+        # a conjugate is weakly decreasing and positive: no need to check it
+        return tuple.__new__(Partition, _conjugate(tuple(self)))
 
     def conj(self, i):
         """The i-th part of the conjugate, 1-based; 0 beyond lam_1."""

@@ -9,6 +9,7 @@ equal to i.
 
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .errors import InvariantError, ResourceBoundError
 from .mpoly import MPoly, _unit
@@ -134,7 +135,8 @@ def _c_degree(lam):
     """A bound on the degree of every C_{lam,mu}(q): that degree is
     sum_i mu'_i (lam'_i - mu'_i) <= sum_i lam'_i^2 / 4 (about |lam|^2 / 4
     for lam = 1^n)."""
-    return sum(c * c for c in lam.conjugate()) // 4
+    conj = lam.conjugate()
+    return sum(map(mul, conj, conj)) // 4
 
 
 @lru_cache(maxsize=None)

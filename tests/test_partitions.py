@@ -36,6 +36,10 @@ def test_conjugate_involution():
         lam = Partition(parts)
         assert lam.conjugate().conjugate() == lam
         assert lam.conjugate().size == lam.size
+        # part i of the conjugate counts the parts >= i
+        top = parts[0] if parts else 0
+        want = tuple(sum(1 for a in parts if a >= i) for i in range(1, top + 1))
+        assert type(lam.conjugate()) is Partition and lam.conjugate() == want
 
 
 def test_multiplicities():
