@@ -199,6 +199,4 @@ def eval_on_group(T, H):
             "evaluating on a group" % T.param
         )
     vals = [Fraction(torsion_order(H, k)) for k in range(1, T.nvars + 1)]
-    out = T.eval_scalars(vals).constant()
-    assert out is not None
-    return out
+    return T.eval_scalars(vals).constant()

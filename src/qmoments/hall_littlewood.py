@@ -122,8 +122,10 @@ def _principal_value(lam, n, param, validate):
     if validate and n != inf and n <= HL_MAX_ALPHABET:
         # substitute x_i = q^{i-1}; homogeneity carries the z^{|lam|} factor
         p = hl_p(lam, n, param).poly
-        got = p.eval_scalars([UniRat.mono(param, i) for i in range(n)])
-        assert got == val
+        for i in range(n):
+            p = p.subs_scalar(i, UniRat.mono(param, i))
+        if p.coeff_of((0,) * n) != val:
+            raise InvariantError("P_%s at x_i = q^(i-1) is not the closed form" % (tuple(lam),))
     return val
 
 

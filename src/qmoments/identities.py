@@ -137,6 +137,19 @@ def _compare_pairs(pairs, mutate=False):
     return first is None, first, compared
 
 
+def _push(stack, t):
+    """Push the MPoly t onto `stack`, a list of (count, sum of count terms)
+    with counts strictly decreasing, adding pairwise like a binary counter:
+    each term is copied about log2(#terms) times, where a running
+    `lhs + term` copies the whole growing lhs at every step, and at most
+    log2(#terms) partial sums are held."""
+    n = 1
+    while stack and stack[-1][0] == n:
+        m, s = stack.pop()
+        t, n = s + t, n + m
+    stack.append((n, t))
+
+
 def _geom(v, cap, e):
     """Truncated expansion of 1/(1 - q^e x^v) up to (x^v)^cap, for the
     exponent tuple v of a monomial."""
@@ -344,7 +357,7 @@ def _run_warnaar_a2(params, rng):
     dx, dy = int(params["dx"]), int(params["dy"])
     nv = nx + ny
     keep = lambda e: sum(e[:nx]) <= dx and sum(e[nx:]) <= dy
-    lhs = MPoly.zero(nv, "q")
+    stack = []
     for mx in range(dx + 1):
         for lam in partitions_of(mx, max_length=nx):
             plam = hl_p(lam, nx)
@@ -362,7 +375,8 @@ def _run_warnaar_a2(params, rng):
                         + mu.nstat()
                         - dot_product_conjugates(lam, mu)
                     )
-                    lhs = lhs + pl.mul(pm).scale(UniRat.mono("q", expo))
+                    _push(stack, pl.mul(pm).scale(UniRat.mono("q", expo)))
+    lhs = sum((s for _, s in stack), MPoly.zero(nv, "q"))
     rhs = MPoly.one(nv, "q")
     for i in range(nx):
         rhs = rhs.mul(_geom(_unit(nv, i), dx, 0), keep)
@@ -380,13 +394,13 @@ def _run_lascoux(params, rng):
     dx, dy = int(params["dx"]), int(params["dy"])
     nv = nx + ny
     keep = lambda e: sum(e[:nx]) <= dx and sum(e[nx:]) <= dy
-    lhs = MPoly.zero(nv, "q")
     lam_list = [
         lam
         for mx in range(dx + 1)
         for lam in partitions_of(mx, max_length=nx)
         if not hl_p(lam, nx).is_zero()
     ]
+    stack = []
     for lam in lam_list:
         pl = hl_p(lam, nx).poly.embed(nv, list(range(nx)))
         for mu in subpartitions(lam):
@@ -396,7 +410,8 @@ def _run_lascoux(params, rng):
             if pmu.is_zero():
                 continue
             pm = pmu.poly.embed(nv, list(range(nx, nv)))
-            lhs = lhs + pl.mul(pm).scale(b_lambda(mu) * qprime_skew(lam, mu))
+            _push(stack, pl.mul(pm).scale(b_lambda(mu) * qprime_skew(lam, mu)))
+    lhs = sum((s for _, s in stack), MPoly.zero(nv, "q"))
     rhs = MPoly.one(nv, "q")
     for i in range(nx):
         rhs = rhs.mul(_geom(_unit(nv, i), dx, 0), keep)
@@ -410,15 +425,17 @@ def _run_lascoux(params, rng):
     nvz = nx + 1
     z_slot = nx
     keepz = lambda e: sum(e[:nx]) <= dx and e[z_slot] <= dx
-    lhz = MPoly.zero(nvz, "q")
+    stack = []
     for lam in lam_list:
         pl = hl_p(lam, nx).poly.embed(nvz, list(range(nx)))
         for mu in subpartitions(lam):
             coeff = c_coeff(lam, mu).recip_param()
             e = (0,) * nx + (mu.size,)  # z^{|mu|}
-            lhz = lhz + pl.mul(MPoly({e: coeff}, nvz, "q")).scale(
-                UniRat.mono("q", lam.nstat())
+            _push(
+                stack,
+                pl.mul(MPoly({e: coeff}, nvz, "q")).scale(UniRat.mono("q", lam.nstat())),
             )
+    lhz = sum((s for _, s in stack), MPoly.zero(nvz, "q"))
     rhz = MPoly.one(nvz, "q")
     for i in range(nx):
         rhz = rhz.mul(_geom(_unit(nvz, i), dx, 0), keepz)

@@ -1,15 +1,18 @@
-"""Sparse multivariate polynomials over exact rational-function scalars.
+"""Sparse multivariate polynomials with Laurent-polynomial coefficients.
 
 An MPoly maps exponent tuples (one slot per variable) to nonzero UniRat
 coefficients.  Variables never appear in denominators; exact division is
-provided for quotients known to be polynomial (Vandermonde-type factors).
+provided by the factors x_i - x_j of a Vandermonde product.
 
-Packed Laurent form.  When every coefficient's denominator is a monomial
-c*q^v, `mul`, `+` and `scale` run on a second, internal form (`_Laurent`):
-all coefficients over one common denominator L*q^V, each numerator one
-Python int holding its q-coefficients in signed slots of s bits (Kronecker
-substitution q -> 2^s).  The form keeps a bound `mag` on every |slot| and a
-bound `span` on the slot count.  A product's bound is
+Every coefficient is a Laurent polynomial in q over an integer (c*q^v in
+the denominator): R_lambda, the Hall-Littlewood P_lambda and both cleared
+sides of every identity are; 1/(q;q)_k and the like stay in scalar UniRat
+and ZSeries values.  So `mul`, `+`, `scale`, `divexact` and `eval_scalars`
+run on one packed form (`_Laurent`) only: all coefficients over one common
+denominator L*q^V, each numerator one Python int holding its
+q-coefficients in signed slots of s bits (Kronecker substitution
+q -> 2^s).  The form keeps a bound `mag` on every |slot| and a bound `span`
+on the slot count.  A product's bound is
 min(#terms_A, #terms_B) * min(span_A, span_B) * mag_A * mag_B, a sum's is
 the sum of both bounds at the common L (their maximum when no exponent is
 in both), and s always satisfies 2^(s-1) > mag, so no slot can carry into
@@ -18,19 +21,21 @@ its neighbour.
 The exponent tuples are packed too: each variable gets a field of
 FIELD = 16 bits, x_1 most significant, so one int keys each coefficient,
 the int order is the lex order of the tuples and an exponent sum is one int
-addition.  The form keeps a bound `deg` on each variable's exponent; an
-exponent outside [0, 2^FIELD) leaves a poly unpacked, and a product whose
-bound could outgrow a field runs on the UniRat coefficients instead.  A
+addition.  The form keeps a bound `deg` on each variable's exponent.  A
 product by a two-term poly (x_i - q^s, 1 - x_j q^s, x_i - x_j, ...) is two
 shifted copies of the other operand, merged.
+
+Packing, on the first arithmetic, raises ValueError for a coefficient with
+a non-monomial denominator, a non-constant coefficient with no parameter
+name or a negative exponent; an exponent bound (of a poly, a product or a
+division's remainder) past 2^FIELD - 1 raises ResourceBoundError.
 
 `eval_scalars` at rational constants sums the packed ints times integer
 multipliers and decodes once.  `terms` decodes to canonical UniRats lazily,
 once, and then drops the packed form (it is rebuilt if the poly enters
 another product or sum), so a large result is not held twice.  `divexact`
-by x_i - x_j also runs on the packed ints, on slots widened to
-#terms * mag.  Every other method, and any operand with a non-monomial
-denominator, works on the UniRat coefficients.
+by +-(x_i - x_j) runs on slots widened to #terms * mag.  The substitutions
+and views work on the UniRat coefficients.
 """
 
 import sys
@@ -38,10 +43,17 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul
 
+from .errors import ResourceBoundError
 from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
 
 FIELD = 16  # bits per variable in a packed exponent key (`_exponents` reads "H" items)
 _TOP = (1 << FIELD) - 1  # the largest exponent a field holds
+
+
+def _fits(deg):
+    """Raise ResourceBoundError when an exponent bound passes a field."""
+    if deg and max(deg) > _TOP:
+        raise ResourceBoundError("exponent of a variable", _TOP, max(deg))
 
 
 def _slot_width(mag, w=8):
@@ -151,21 +163,25 @@ class _Laurent:
 
     @staticmethod
     def pack(terms, nvars):
-        """The packed form of a UniRat term map, or None when some coefficient
-        has a non-monomial denominator or is non-constant without a parameter
-        name (decoding gives every non-constant coefficient the poly's name),
-        or when some exponent does not fit a field."""
+        """The packed form of a UniRat term map.
+
+        Raises ValueError when some coefficient has a non-monomial
+        denominator or is non-constant without a parameter name (decoding
+        gives every non-constant coefficient the poly's name), or when some
+        exponent is negative; ResourceBoundError when one passes a field.
+        """
         if not terms:
             return _Laurent({}, 8, 1, 0, 0, 1, (0,) * nvars)
         cols = list(zip(*terms))
         deg = tuple(map(max, cols))
-        if cols and (max(deg) > _TOP or min(map(min, cols)) < 0):
-            return None
+        if cols and min(map(min, cols)) < 0:
+            raise ValueError("negative exponent in %r" % (min(terms),))
+        _fits(deg)
         L, lo, hi = 1, None, None
         for c in terms.values():
             num, den = c.num, c.den
             if any(den[:-1]) or (c.param is None and (len(num) > 1 or len(den) > 1)):
-                return None
+                raise ValueError("coefficient %r is not c*q^v over an integer" % (c,))
             v = len(den) - 1
             L = lcm(L, den[-1])
             low, high = _pval(num) - v, len(num) - 1 - v
@@ -221,14 +237,14 @@ class _Laurent:
         return self.widen(w), other.widen(w), w, mag
 
     def mul(self, other, keep):
-        """The product, or None when an exponent could outgrow its field.
+        """The product; ResourceBoundError when an exponent could outgrow
+        its field.
 
         keep(e) sees the exponent tuple of each distinct key once, before
         any coefficient is summed.
         """
         deg = tuple(map(add, self.deg, other.deg))
-        if deg and max(deg) > _TOP:
-            return None
+        _fits(deg)
         a, b, w, mag = self._common(other, _mul_bound)
         big, small = a.coeffs, b.coeffs
         if len(big) == 2:
@@ -281,20 +297,19 @@ class _Laurent:
 
     def divexact_difference(self, i, j, sign):
         """The exact quotient by sign * (x_i - x_j), where i < j and sign is
-        1 or -1, or None when the remainder could outgrow a field.
+        1 or -1; ResourceBoundError when the remainder could outgrow a field.
 
-        It is the UniRat division loop on the packed ints: the quotient at
+        It is long division on the packed ints: the quotient at
         m / x_i is sign times the remainder at m, which is added to the
         remainder at m * x_j / x_i.  A step moves one unit of exponent from
         x_i to x_j, so no remainder exponent of x_j passes deg_i + deg_j.  Every quotient and remainder slot is a signed sum of
         distinct dividend slots, so |slot| <= #terms * mag; the slots widen
         to that bound first, which also makes each zero test exact.  Raises
-        ArithmeticError, as the UniRat loop does, when the division is not
-        exact: when the remainder's largest key has no x_i.
+        ArithmeticError when the division is not exact: when the
+        remainder's largest key has no x_i.
         """
         n = len(self.deg)
-        if self.deg[i] + self.deg[j] > _TOP:
-            return None
+        _fits((self.deg[i] + self.deg[j],))
         shift = FIELD * (n - 1 - i)
         unit = 1 << shift  # the key of x_i
         step = (1 << FIELD * (n - 1 - j)) - unit
@@ -401,12 +416,13 @@ class MPoly:
         return terms
 
     def _laurent(self):
-        """The packed Laurent form (built on first use), or None."""
+        """The packed Laurent form, built on first use (`_Laurent.pack`
+        names the errors)."""
         packed = self._packed
         if packed is None:
-            packed = _Laurent.pack(self._terms, self.nvars) or False
+            packed = _Laurent.pack(self._terms, self.nvars)
             object.__setattr__(self, "_packed", packed)
-        return packed or None
+        return packed
 
     # -- constructors --------------------------------------------------------
 
@@ -471,15 +487,7 @@ class MPoly:
             return NotImplemented
         self._check(other)
         param = _unify(self.param, other.param)
-        a = self._laurent()
-        b = a and other._laurent()
-        if b:
-            return MPoly._from_packed(a.add(b), self.nvars, param)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return MPoly(out, self.nvars, param)
+        return MPoly._from_packed(self._laurent().add(other._laurent()), self.nvars, param)
 
     __radd__ = __add__
 
@@ -502,21 +510,7 @@ class MPoly:
             other = MPoly.const(other, self.nvars)
         self._check(other)
         param = _unify(self.param, other.param)
-        a = self._laurent()
-        b = a and other._laurent()
-        packed = b and a.mul(b, keep)
-        if packed:
-            return MPoly._from_packed(packed, self.nvars, param)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if keep is not None and e not in out and not keep(e):
-                    continue
-                c = c1 * c2
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return MPoly(out, self.nvars, param)
+        return MPoly._from_packed(self._laurent().mul(other._laurent(), keep), self.nvars, param)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, UniRat, MPoly)):
@@ -531,11 +525,8 @@ class MPoly:
         if c.is_zero():
             return MPoly.zero(self.nvars, self.param)
         param = _unify(self.param, c.param)
-        a = self._laurent()
-        b = a and _Laurent.pack({(): c}, 0)
-        if b:
-            return MPoly._from_packed(a.scale(b), self.nvars, param)
-        return MPoly({e: v * c for e, v in self.terms.items()}, self.nvars, param)
+        packed = self._laurent().scale(_Laurent.pack({(): c}, 0))
+        return MPoly._from_packed(packed, self.nvars, param)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -551,38 +542,16 @@ class MPoly:
         return out
 
     def divexact(self, other):
-        """Exact division by a polynomial divisor; raises if any remainder."""
-        if isinstance(other, (int, Fraction, UniRat)):
-            u = other if isinstance(other, UniRat) else UniRat.const(other)
-            return self.scale(UniRat.one() / u)
+        """Exact division by +-(x_i - x_j), the one divisor the package
+        needs (the Vandermonde factors of a Hall-Littlewood sum).  Raises
+        ValueError for any other divisor and ArithmeticError when the
+        division leaves a remainder."""
+        diff = _difference(other.terms) if isinstance(other, MPoly) else None
+        if diff is None:
+            raise ValueError("divexact divides by +-(x_i - x_j) only, not %r" % (other,))
         self._check(other)
-        if not other.terms:
-            raise ZeroDivisionError("division by zero polynomial")
-        diff = _difference(other.terms)
-        packed = diff and self._laurent()
-        quot = packed and packed.divexact_difference(*diff)
-        if quot:
-            return MPoly._from_packed(quot, self.nvars, _unify(self.param, other.param))
-        dlead = max(other.terms)
-        dc = other.terms[dlead]
-        rest = [(e, c) for e, c in other.terms.items() if e != dlead]
-        r = dict(self.terms)
-        out = {}
-        while r:
-            m = max(r)
-            qe = tuple(a - b for a, b in zip(m, dlead))
-            if any(x < 0 for x in qe):
-                raise ArithmeticError("inexact polynomial division")
-            qc = r.pop(m) / dc
-            out[qe] = qc
-            for e, c in rest:
-                t = tuple(a + b for a, b in zip(qe, e))
-                s = r.get(t, ZERO) - qc * c
-                if s.is_zero():
-                    r.pop(t, None)
-                else:
-                    r[t] = s
-        return MPoly(out, self.nvars, _unify(self.param, other.param))
+        quot = self._laurent().divexact_difference(*diff)
+        return MPoly._from_packed(quot, self.nvars, _unify(self.param, other.param))
 
     # -- substitutions ----------------------------------------------------------
 
@@ -625,26 +594,19 @@ class MPoly:
         return MPoly(out, self.nvars, _unify(self.param, value.param))
 
     def eval_scalars(self, values):
-        """Full substitution x_i -> values[i]; returns a UniRat.
+        """Full substitution x_i -> values[i] at rational constants (int,
+        Fraction or a constant UniRat); returns a UniRat.
 
-        When every value is a rational constant and the poly has the packed
-        Laurent form, the sum runs on the packed ints and decodes once.
+        The sum runs on the packed ints and decodes once.  A non-constant
+        value raises ValueError: substitute it with `subs_scalar`.
         """
         vals = [v if isinstance(v, UniRat) else UniRat.const(v) for v in values]
         if len(vals) != self.nvars:
             raise ValueError("need %d values" % self.nvars)
         consts = [v.constant() for v in vals]
-        packed = None if None in consts else self._laurent()
-        if packed:
-            return packed.eval_scalars(consts, self.param)
-        total = ZERO
-        for e, c in self.terms.items():
-            t = c
-            for a, v in zip(e, vals):
-                if a:
-                    t = t * v ** a
-            total = total + t
-        return total
+        if None in consts:
+            raise ValueError("eval_scalars takes rational constants, not %r" % (values,))
+        return self._laurent().eval_scalars(consts, self.param)
 
     def specialize_param(self, x):
         """Evaluate every coefficient at the rational point x."""

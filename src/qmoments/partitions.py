@@ -1,7 +1,6 @@
 """Integer partitions: parsing, statistics, containment, enumeration."""
 
 from functools import lru_cache
-from math import comb
 
 from .errors import ParseError
 
@@ -69,19 +68,12 @@ class Partition(tuple):
 
     def nstat(self):
         """Sum of (i-1)*lam_i over 1-based i; equals sum of C(conj_i, 2)."""
-        v = sum(i * a for i, a in enumerate(self))
-        assert v == sum(comb(c, 2) for c in self.conjugate())
-        return v
+        return sum(i * a for i, a in enumerate(self))
 
     def contains(self, mu):
         """True iff mu_i <= lam_i for every i (missing parts read as 0)."""
         mu = mu if isinstance(mu, Partition) else Partition(mu)
-        ok = len(mu) <= len(self) and all(m <= a for m, a in zip(mu, self))
-        if __debug__:
-            mc, lc = mu.conjugate(), self.conjugate()
-            ok2 = len(mc) <= len(lc) and all(m <= a for m, a in zip(mc, lc))
-            assert ok == ok2
-        return ok
+        return len(mu) <= len(self) and all(m <= a for m, a in zip(mu, self))
 
     def mult_form(self):
         """Render as multiplicity clauses, e.g. (2,1,1) -> "1^2 2^1"."""

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import inf
 
 from .errors import SingularityError
-from .qrat import ONE, UniRat, ZERO, _padd, _pmul, _pshift, _unify
+from .qrat import ONE, UniRat, ZERO, _padd, _pshift, _unify
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +107,7 @@ def _qbin_raw(n, k):
 
 def qbinomial(n, k, param="q"):
     """The Gaussian binomial [n k] in the given parameter; 0 out of range."""
-    raw = _qbin_raw(n, k)
-    assert all(c > 0 for c in raw)
-    return UniRat(raw, (1,), param)
-
-
-def qbinomial_inverse_identity(n, k, param="q"):
-    """Check [n k] at q -> 1/q equals q^{k(k-n)} [n k] exactly."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    b = qbinomial(n, k, param)
-    return b.recip_param() == UniRat.mono(param, k * (k - n)) * b
+    return UniRat(_qbin_raw(n, k), (1,), param)
 
 
 # ---------------------------------------------------------------------------
@@ -265,50 +255,3 @@ class ZSeries:
         body = " + ".join(bits) if bits else "0"
         return "%s + O(z^%d)" % (body, self.trunc + 1)
 
-
-# ---------------------------------------------------------------------------
-# exact summation over a factored common denominator
-
-
-@lru_cache(maxsize=None)
-def _factor_pow_raw(j, e, base):
-    """Coefficient tuple of (1 - q^{base*j})^e."""
-    if e == 0:
-        return (1,)
-    half = _factor_pow_raw(j, e // 2, base)
-    sq = _pmul(half, half)
-    if e % 2:
-        sq = _padd(sq, tuple(-c for c in _pshift(sq, base * j)))
-    return sq
-
-
-def sum_over_common_den(terms, param="q", base=1):
-    """Exactly sum num / prod_j (1-q^{base*j})^e over terms [(num, {j: e})].
-
-    Each term is a UniRat numerator together with a factored denominator
-    given as a mapping from j >= 1 to the exponent of (1 - q^{base*j}).
-    The sum is accumulated over the least common denominator and reduced
-    once at the end.
-    """
-    terms = list(terms)
-    lcm = {}
-    for _, fac in terms:
-        for j, e in fac.items():
-            if e > lcm.get(j, 0):
-                lcm[j] = e
-    total = ZERO
-    for num, fac in terms:
-        if num.is_zero():
-            continue
-        scaled = num
-        for j, e in lcm.items():
-            need = e - fac.get(j, 0)
-            if need:
-                scaled = scaled * UniRat(_factor_pow_raw(j, need, base), (1,), param)
-        total = total + scaled
-    if total.is_zero():
-        return ZERO
-    den = ONE
-    for j, e in sorted(lcm.items()):
-        den = den * UniRat(_factor_pow_raw(j, e, base), (1,), param)
-    return total / den

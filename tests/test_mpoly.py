@@ -6,10 +6,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmoments import ParamMismatch, UniRat
+from qmoments import ParamMismatch, ResourceBoundError, UniRat
 from qmoments.mpoly import FIELD, MPoly
 
 
@@ -72,19 +72,20 @@ def test_degrees():
 def test_divexact_roundtrip_random():
     rng = random.Random(23)
     n = 3
+    x = xvars(n)
     for _ in range(40):
-        def rand_poly():
-            t = {}
-            for _ in range(rng.randrange(1, 6)):
-                e = tuple(rng.randrange(0, 3) for _ in range(n))
-                t[e] = t.get(e, 0) + rng.randrange(-3, 4)
-            return MPoly(t, n, "q")
-
-        a, b = rand_poly(), rand_poly()
-        if b.is_zero():
-            continue
-        prod = a * b
-        assert prod.divexact(b) == a
+        t = {}
+        for _ in range(rng.randrange(1, 6)):
+            e = tuple(rng.randrange(0, 3) for _ in range(n))
+            t[e] = t.get(e, 0) + rng.randrange(-3, 4)
+        a = MPoly(t, n, "q")
+        ds = [x[i] - x[j] for i, j in (rng.sample(range(n), 2) for _ in range(rng.randrange(1, 4)))]
+        prod = a
+        for d in ds:
+            prod = prod * d
+        for d in reversed(ds):
+            prod = prod.divexact(d)
+        assert prod == a
 
 
 def test_divexact_vandermonde():
@@ -99,6 +100,8 @@ def test_divexact_vandermonde():
 def test_divexact_inexact_raises():
     x, y = xvars(2)
     with pytest.raises(ArithmeticError):
+        (x * x + y).divexact(x - y)
+    with pytest.raises(ValueError):  # not a divisor +-(x_i - x_j)
         (x * x + y).divexact(x + y)
 
 
@@ -134,7 +137,10 @@ def test_subs_and_eval():
     p = x ** 2 + x * y.scale(q)
     sub = p.subs_scalar(1, q ** 2)
     assert sub == x ** 2 + x.scale(q ** 3)
-    val = p.eval_scalars([q, 1 - q])
+    # eval_scalars takes rational constants; subs_scalar any UniRat
+    with pytest.raises(ValueError):
+        p.eval_scalars([q, 1 - q])
+    val = p.subs_scalar(0, q).subs_scalar(1, 1 - q).coeff_of((0, 0))
     assert val == q ** 2 + q * (1 - q) * q
     assert p.eval_scalars([Fraction(1, 2), 2]).constant() is None  # still has q
 
@@ -256,15 +262,21 @@ def test_packed_add_matches_unirat(a, b, c):
 
 @PROPS
 @given(laurent_poly(), laurent_poly(), st.booleans())
-def test_non_laurent_operand_falls_back(a, b, left):
+def test_non_laurent_operand_raises(a, b, left):
     r = with_rational_coeff(b)
     x, y = (r, a) if left else (a, r)
-    assert r._laurent() is None
-    assert canon(x.mul(y).terms) == canon(ref_mul(x.terms, y.terms))
-    assert canon(x.mul(y, keep=low_degree).terms) == canon(
-        ref_mul(x.terms, y.terms, low_degree)
-    )
-    assert canon((x + y).terms) == canon(ref_add(x.terms, y.terms))
+    for op in (lambda: x.mul(y), lambda: x.mul(y, keep=low_degree), lambda: x + y):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_non_constant_coefficient_without_a_name_raises():
+    # decoding names every non-constant coefficient after the poly, so an
+    # unnamed one cannot be packed
+    p = MPoly({(1,): UniRat((0, 1), (1,), None)}, 1)
+    assert p.param is None
+    with pytest.raises(ValueError):
+        p * p
 
 
 @settings(max_examples=25, deadline=None)
@@ -355,13 +367,15 @@ def test_packed_scale_matches_unirat(a, c):
 
 @PROPS
 @given(laurent_poly(), laurent_scalar(SMALL), st.booleans())
-def test_scale_by_non_laurent_scalar_falls_back(a, c, rational_poly):
-    # 1/(1 - q) has a non-monomial denominator; so does the poly's
-    # coefficient from with_rational_coeff
+def test_scale_by_non_laurent_scalar_raises(a, c, rational_poly):
+    # c / (1 - q) has a non-monomial denominator unless c cancels it; so has
+    # the poly's coefficient from with_rational_coeff
     r = c / (1 - UniRat.var("q"))
+    assume(any(r.den[:-1]))
     p = with_rational_coeff(a) if rational_poly else a
     for s in (r, c) if rational_poly else (r,):
-        assert canon(p.scale(s).terms) == canon({e: v * s for e, v in p.terms.items()})
+        with pytest.raises(ValueError):
+            p.scale(s)
     assert a.scale(0).is_zero()
 
 
@@ -398,17 +412,21 @@ def test_packed_eval_matches_unirat(a, xs):
 
 @PROPS
 @given(laurent_poly(), st.lists(POINT, min_size=2, max_size=2))
-def test_eval_of_non_laurent_poly_falls_back(a, xs):
-    r = with_rational_coeff(a)
-    assert r._laurent() is None
-    assert canon1(r.eval_scalars(xs)) == canon1(ref_eval(r.terms, xs))
+def test_eval_of_non_laurent_poly_raises(a, xs):
+    with pytest.raises(ValueError):
+        with_rational_coeff(a).eval_scalars(xs)
 
 
 @PROPS
-@given(laurent_poly(SMALL, max_exp=3), st.integers(-3, 3), st.integers(-3, 3))
+@given(laurent_poly(SMALL, max_exp=3), st.integers(-3, 3).filter(bool), st.integers(-3, 3))
 def test_eval_at_non_constant_values_uses_unirat_loop(a, i, j):
+    # eval_scalars refuses a non-constant point; subs_scalar substitutes it
+    # on the UniRat coefficients
     xs = [UniRat.mono("q", i, 2), 1 + UniRat.mono("q", j)]
-    assert canon1(a.eval_scalars(xs)) == canon1(ref_eval(a.terms, xs))
+    with pytest.raises(ValueError):
+        a.eval_scalars(xs)
+    got = a.subs_scalar(0, xs[0]).subs_scalar(1, xs[1]).coeff_of((0, 0))
+    assert canon1(got) == canon1(ref_eval(a.terms, xs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,11 +545,13 @@ def test_packed_divexact_quotient_outgrows_dividend_slots():
             }
 
 
-def test_divexact_by_other_divisors_keeps_unirat_loop():
+def test_divexact_by_other_divisors_raises():
     x, y, z = xvars(3)
     g = x * x + y.scale(UniRat.mono("q", -1, 3)) * z
-    for d in (x + y, 2 * x - 2 * y, x - y * y, x * y - z):
-        assert (g * d).divexact(d) == g
+    others = (x + y, 2 * x - 2 * y, x - y * y, x * y - z, x - y.scale(UniRat.var("q")), x)
+    for d in others + (MPoly.zero(3, "q"), 2, UniRat.var("q")):
+        with pytest.raises(ValueError):
+            (g * d).divexact(d)
 
 
 # -- packed exponent keys: the two-term product, field bounds, 0 variables --------
@@ -589,43 +609,63 @@ def degrees(terms, nvars):
 @PROPS
 @given(field_poly(), field_poly())
 def test_exponents_at_the_field_top(a, b):
-    # the product stays packed while every per-variable degree sum fits a
-    # field, and takes the UniRat loop once one could cross it
+    # the product runs while every per-variable degree sum fits a field, and
+    # raises ResourceBoundError once one could cross it
     fits = max(map(sum, zip(degrees(a.terms, 2), degrees(b.terms, 2)))) <= TOP
-    prod = a.mul(b)
-    assert (prod._terms is None) == fits
-    assert canon(prod.terms) == canon(ref_mul(a.terms, b.terms))
+    if fits:
+        assert canon(a.mul(b).terms) == canon(ref_mul(a.terms, b.terms))
+    else:
+        with pytest.raises(ResourceBoundError):
+            a.mul(b)
     assert canon((a + b).terms) == canon(ref_add(a.terms, b.terms))
 
 
-def test_product_crossing_the_field_top_falls_back():
+def test_product_crossing_the_field_top_raises():
     x = xvars(3)
     for i in range(3):
         k = (i + 1) % 3
         top = MPoly.mono([TOP if v == i else 0 for v in range(3)], 1, "q")
         for other in (x[i], x[i] - x[k], x[k] - x[i].scale(UniRat.mono("q", 2))):
-            prod = top * other
-            assert prod._terms is not None  # the UniRat loop ran
-            assert canon(prod.terms) == canon(ref_mul(top.terms, other.terms))
-        assert (top * x[k])._terms is None
+            with pytest.raises(ResourceBoundError):
+                top * other
+        assert canon((top * x[k]).terms) == canon(ref_mul(top.terms, x[k].terms))
 
 
 def test_exponent_past_the_field_top_is_not_packed():
+    # an exponent past a field, or a negative one, raises on the first
+    # arithmetic
     x, y = xvars(2)
     for e in ((TOP + 1, 0), (0, TOP + 1), (1 << 40, 3)):
         p = MPoly({e: UniRat.mono("q", -1, 3), (1, 1): 2}, 2, "q")
-        assert p._laurent() is None
-        assert canon((p * (x - y)).terms) == canon(ref_mul(p.terms, (x - y).terms))
-        assert canon((p + x).terms) == canon(ref_add(p.terms, x.terms))
+        for op in (lambda: p * (x - y), lambda: p + x, lambda: p.scale(3), lambda: p.eval_scalars([1, 1])):
+            with pytest.raises(ResourceBoundError):
+                op()
+    for e in ((-1, 0), (2, -3)):
+        p = MPoly({e: UniRat.mono("q", -1, 3), (1, 1): 2}, 2, "q")
+        for op in (lambda: x * p, lambda: x + p, lambda: p.eval_scalars([1, 1])):
+            with pytest.raises(ValueError):
+                op()
     assert MPoly.mono((TOP, 0), 1, "q")._laurent() is not None
 
 
 @PROPS
 @given(field_poly(nvars=3), PAIR, laurent_coeff(SMALL))
 def test_packed_divexact_at_the_field_top(g, pair, c):
+    # g * d fits while every degree of g plus one does; the division walks
+    # exponent from x_i over to x_j, so it runs while deg_i + deg_j of the
+    # dividend fits a field, and raises ResourceBoundError past it
     d, lead, rest, sign = difference(*pair)
+    deg = [a + (v in pair) for v, a in enumerate(degrees(g.terms, 3))]
+    if max(deg) > TOP:
+        with pytest.raises(ResourceBoundError):
+            g * d
+        return
     f = g * d
     with time_limit(20):
+        if deg[pair[0]] + deg[pair[1]] > TOP:
+            with pytest.raises(ResourceBoundError):
+                f.divexact(d)
+            return
         assert canon(f.divexact(d).terms) == canon(g.terms)
         # x_k^2 for k the variable of lead: a remainder the divisor leaves
         f = f + MPoly({tuple(2 * v for v in lead): c}, 3, "q")
@@ -649,16 +689,19 @@ def test_packed_divexact_raises_when_the_lead_field_is_empty():
 
 def test_packed_divexact_remainder_past_the_field_top_raises():
     # dividing x^TOP y^5 by x - y walks the remainder to y^(TOP + 5), past a
-    # field: the UniRat loop takes it and stops where x runs out.  On packed
-    # keys, y^(TOP + 1) would carry into x, and the carried remainder x^5
-    # would cancel the dividend's -x^5, so an inexact division would pass
+    # field.  On packed keys, y^(TOP + 1) would carry into x, and the carried
+    # remainder x^5 would cancel the dividend's -x^5, so an inexact division
+    # would pass; the degree bound deg_x + deg_y <= TOP refuses it first
     x, y = xvars(2)
     for f in (MPoly.mono((TOP, 5), 3, "q"), MPoly({(TOP, 5): 1, (5, 0): -1}, 2, "q")):
         assert f._laurent() is not None
-        with time_limit(20), pytest.raises(ArithmeticError):
+        with time_limit(20), pytest.raises(ResourceBoundError):
             f.divexact(x - y)
-    g = MPoly.mono((TOP - 6, 5), 3, "q")
+    # the largest dividend the bound lets through: deg_x + deg_y = TOP
+    g = MPoly.mono((TOP - 7, 5), 3, "q")
     assert canon((g * (x - y)).divexact(x - y).terms) == canon(g.terms)
+    with pytest.raises(ResourceBoundError):
+        (g * x * (x - y)).divexact(x - y)
 
 
 def zero_var_poly():

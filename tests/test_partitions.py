@@ -59,9 +59,9 @@ def test_nstat():
     assert Partition([2, 2]).nstat() == 2
     assert Partition([3, 2, 1]).nstat() == 2 * 1 + 1 * 2  # 0*3 + 1*2 + 2*1
     # n(lambda) = sum over columns of C(col, 2)
-    lam = Partition([4, 4, 2, 1])
-    expected = sum(c * (c - 1) // 2 for c in lam.conjugate())
-    assert lam.nstat() == expected
+    for n in range(11):
+        for lam in partitions_of(n):
+            assert lam.nstat() == sum(c * (c - 1) // 2 for c in lam.conjugate())
 
 
 def test_contains():
@@ -72,6 +72,13 @@ def test_contains():
     assert not lam.contains(Partition([3, 3]))
     assert not lam.contains(Partition([1, 1, 1]))
     assert not Partition([]).contains(Partition([1]))
+    # the same test on the conjugates
+    lams = [lam for n in range(8) for lam in partitions_of(n)]
+    for lam in lams:
+        lc = lam.conjugate()
+        for mu in lams:
+            mc = mu.conjugate()
+            assert lam.contains(mu) == (len(mc) <= len(lc) and all(m <= a for m, a in zip(mc, lc)))
 
 
 def test_parse_forms():

@@ -1,6 +1,5 @@
 """q-shifted factorials, q-binomials, and truncated z-series."""
 
-import random
 from fractions import Fraction
 from math import inf
 
@@ -12,10 +11,8 @@ from qmoments.qseries import (
     euler_coeff,
     euler_coeff_recip,
     qbinomial,
-    qbinomial_inverse_identity,
     qpochhammer,
     qq,
-    sum_over_common_den,
 )
 
 
@@ -100,6 +97,9 @@ def test_qbinomial_values():
     assert qbinomial(3, 5).is_zero()
     assert qbinomial(5, 0) == UniRat.one()
     assert qbinomial(0, 0) == UniRat.one()
+    for n in range(13):
+        for k in range(n + 1):
+            assert all(c > 0 for c in qbinomial(n, k).num)
 
 
 def test_qbinomial_ratio_definition():
@@ -119,12 +119,11 @@ def test_qbinomial_pascal_both():
 
 
 def test_qbinomial_inverse_identity():
-    assert qbinomial_inverse_identity(0, 0)
-    assert qbinomial_inverse_identity(2, 1)
-    assert qbinomial_inverse_identity(5, 3)
+    # [n k] at q -> 1/q is q^{k(k-n)} [n k]
     for n in range(8):
         for k in range(n + 1):
-            assert qbinomial_inverse_identity(n, k)
+            b = qbinomial(n, k)
+            assert b.recip_param() == UniRat.mono("q", k * (k - n)) * b
 
 
 def test_finite_qbinomial_theorem():
@@ -182,31 +181,3 @@ def test_euler_identity_series_inverse():
     rhs = qpochhammer((1, 1), inf, trunc=n).inverse()
     assert lhs == rhs
 
-
-def test_sum_over_common_den():
-    x = q()
-    rng = random.Random(5)
-    for _ in range(25):
-        terms = []
-        brute = UniRat.zero()
-        for _ in range(rng.randrange(1, 5)):
-            num = UniRat.poly([rng.randrange(-4, 5) for _ in range(3)], "q")
-            fac = {}
-            for j in (1, 2, 3):
-                e = rng.randrange(0, 3)
-                if e:
-                    fac[j] = e
-            terms.append((num, fac))
-            den = UniRat.one()
-            for j, e in fac.items():
-                den = den * (1 - x ** j) ** e
-            brute = brute + num / den
-        assert sum_over_common_den(terms) == brute
-    assert sum_over_common_den([]) == UniRat.zero()
-
-
-def test_sum_over_common_den_base():
-    x = q()
-    terms = [(UniRat.one(), {1: 1}), (UniRat.one(), {2: 1})]
-    got = sum_over_common_den(terms, base=2)
-    assert got == 1 / (1 - x ** 2) + 1 / (1 - x ** 4)

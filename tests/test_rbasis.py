@@ -1,5 +1,7 @@
 """R-basis polynomials, monomial expansion, inversion coefficients."""
 
+from math import comb
+
 import pytest
 
 from qmoments import Partition, UniRat
@@ -105,6 +107,7 @@ def test_c_coeff_nonnegative_integer_coefficients():
                 assert c.is_polynomial()
                 assert all(v >= 0 for v in c.num)
                 assert c.den == (1,)
+                assert not c.is_zero()
 
 
 def every_column_c(lam, mu):
@@ -198,9 +201,15 @@ def test_qprime_skew_relation_and_positivity():
     for n in range(7):
         for lam in partitions_of(n):
             for mu in subpartitions(lam):
-                v = qprime_skew(lam, mu)  # debug assert checks the relation
+                v = qprime_skew(lam, mu)
+                lhs = c_coeff(lam, mu).recip_param()
+                assert lhs == UniRat.mono("q", mu.nstat() - lam.nstat()) * v
                 assert v.is_polynomial()
                 assert all(c >= 0 for c in v.num)
+                # the q-power is n of the skew diagram lam / mu
+                expo = mu.size + lam.nstat() + mu.nstat() - dot_product_conjugates(lam, mu)
+                width = lam.part(1)
+                assert expo == sum(comb(lam.conj(i) - mu.conj(i), 2) for i in range(1, width + 1))
 
 
 def test_rexpansion_json():
