@@ -110,12 +110,28 @@ def _key_order(k):
     return (len(k), k) if isinstance(k, tuple) else ((0, k),)
 
 
+def _first_mismatch(label, lhs, rhs):
+    """(number of keys of either map, first Mismatch in key order or None)."""
+    keys = sorted(set(lhs) | set(rhs), key=_key_order)
+    for k in keys:
+        a, b = lhs.get(k), rhs.get(k)
+        if not _values_equal(a, b):
+            return len(keys), Mismatch(label, repr(k), repr(a), repr(b))
+    return len(keys), None
+
+
 def _compare_pairs(pairs, mutate=False):
-    """Compare (label, lhs_map, rhs_map) triples; return (passed, mismatch, n)."""
+    """Compare (label, lhs, rhs) triples; return (passed, mismatch, n).
+
+    The sides are key -> value maps, or two MPolys: those are compared on
+    their packed forms (`MPoly.compare`) and decoded only to locate the
+    first mismatch, or to mutate."""
     if mutate:
         mutated = []
         flipped = False
         for label, lhs, rhs in pairs:
+            if isinstance(lhs, MPoly):
+                lhs, rhs = lhs.terms, rhs.terms
             rhs = dict(rhs)
             if not flipped:
                 for k in sorted(rhs, key=_key_order):
@@ -128,12 +144,15 @@ def _compare_pairs(pairs, mutate=False):
     compared = 0
     first = None
     for label, lhs, rhs in pairs:
-        keys = sorted(set(lhs) | set(rhs), key=_key_order)
-        for k in keys:
-            compared += 1
-            a, b = lhs.get(k), rhs.get(k)
-            if not _values_equal(a, b) and first is None:
-                first = Mismatch(label, repr(k), repr(a), repr(b))
+        if isinstance(lhs, MPoly):
+            same, n = lhs.compare(rhs)
+            if not same and first is None:
+                first = _first_mismatch(label, lhs.terms, rhs.terms)[1]
+        else:
+            n, mismatch = _first_mismatch(label, lhs, rhs)
+            if first is None:
+                first = mismatch
+        compared += n
     return first is None, first, compared
 
 
@@ -175,7 +194,8 @@ def _box_partitions(n, k):
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns a list of (label, lhs_map, rhs_map) triples
+# runners: each returns a list of (label, lhs, rhs) triples, both sides
+# key -> value maps or both MPolys
 # ---------------------------------------------------------------------------
 
 
@@ -343,12 +363,12 @@ def _run_qbinhl(params, rng):
         rhs = rhs.mul(_geom(_unit(nv, i), d, 0), keep)
     for i in range(nx):
         rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, a_slot), 0, "q"), keep)
-    pairs = [("main", lhs.terms, rhs.terms)]
+    pairs = [("main", lhs, rhs)]
     lhs0 = lhs.subs_scalar(a_slot, Fraction(0))
     cauchy = MPoly.one(nv, "q")
     for i in range(nx):
         cauchy = cauchy.mul(_geom(_unit(nv, i), d, 0), keep)
-    pairs.append(("cauchy-at-a-zero", lhs0.terms, cauchy.terms))
+    pairs.append(("cauchy-at-a-zero", lhs0, cauchy))
     return pairs
 
 
@@ -386,7 +406,7 @@ def _run_warnaar_a2(params, rng):
         for j in range(nx, nv):
             rhs = rhs.mul(_geom(_unit(nv, i, j), min(dx, dy), -1), keep)
             rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, j), 0, "q"), keep)
-    return [("xy-coefficients", lhs.terms, rhs.terms)]
+    return [("xy-coefficients", lhs, rhs)]
 
 
 def _run_lascoux(params, rng):
@@ -419,7 +439,7 @@ def _run_lascoux(params, rng):
         for j in range(nx, nv):
             rhs = rhs.mul(_geom(_unit(nv, i, j), min(dx, dy), 0), keep)
             rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, j), 1, "q"), keep)
-    pairs = [("xy-coefficients", lhs.terms, rhs.terms)]
+    pairs = [("xy-coefficients", lhs, rhs)]
 
     # principal one-variable y specialization: marker z at y -> z
     nvz = nx + 1
@@ -441,7 +461,7 @@ def _run_lascoux(params, rng):
         rhz = rhz.mul(_geom(_unit(nvz, i), dx, 0), keepz)
     for i in range(nx):
         rhz = rhz.mul(_geom(_unit(nvz, i, z_slot), dx, 0), keepz)
-    pairs.append(("principal-y", lhz.terms, rhz.terms))
+    pairs.append(("principal-y", lhz, rhz))
 
     mirr_lhs, mirr_rhs = {}, {}
     for lam in lam_list:
@@ -537,20 +557,49 @@ def _mpoly_factors(n, k, x, a, p_lams):
 
 
 def _mpoly_sides(names, table):
-    """(lhs * D, rhs * D) as MPolys, for `names` from `_finite_qbinhl_cleared`:
-    each term multiplied left to right in the order of its names, q-powers
-    by `scale`."""
+    """(lhs * D, rhs * D) as MPolys, for `names` from `_finite_qbinhl_cleared`.
+
+    An lhs term is multiplied left to right in the order of its names, and
+    the lhs sum times D.  The rhs terms share most of their factors, so
+    their sum is split greedily (multivariate Horner): with f the name in
+    the most terms, sum = (the terms with f, one f taken out) * f + (the
+    terms without f).  Ties go to the name seen first in the term lists, so
+    the split, and the order of the products, is the same in every
+    process.  q-powers are applied by `scale`."""
     nv = table[("afac", 0)].nvars
+
+    def times(acc, key):
+        if key[0] == "q":
+            c = UniRat.mono("q", key[1])
+            return MPoly.const(c, nv, "q") if acc is None else acc.scale(c)
+        return table[key] if acc is None else acc.mul(table[key])
 
     def chain(term):
         acc = None
         for key in term:
-            if key[0] == "q":
-                c = UniRat.mono("q", key[1])
-                acc = MPoly.const(c, nv, "q") if acc is None else acc.scale(c)
+            acc = times(acc, key)
+        return MPoly.one(nv, "q") if acc is None else acc
+
+    def horner(terms):
+        if len(terms) == 1:
+            return chain(terms[0])
+        counts = {}
+        for term in terms:
+            for key in dict.fromkeys(term):
+                counts[key] = counts.get(key, 0) + 1
+        if not counts:
+            return MPoly.const(len(terms), nv, "q")
+        best = max(counts, key=counts.get)
+        inside, outside = [], []
+        for term in terms:
+            if best in term:
+                term = list(term)
+                term.remove(best)
+                inside.append(term)
             else:
-                acc = table[key] if acc is None else acc.mul(table[key])
-        return acc
+                outside.append(term)
+        out = times(horner(inside), best)
+        return out + horner(outside) if outside else out
 
     lhs_terms, dfac, rhs_terms = names
     lhs = MPoly.zero(nv, "q")
@@ -558,10 +607,7 @@ def _mpoly_sides(names, table):
         lhs = lhs + chain(term)
     for key in dfac:
         lhs = lhs.mul(table[key])
-    rhs = MPoly.zero(nv, "q")
-    for term in rhs_terms:
-        rhs = rhs + chain(term)
-    return lhs, rhs
+    return lhs, horner(rhs_terms)
 
 
 def _binom(c0, e0, c1, e1, d):
@@ -634,7 +680,7 @@ def _finite_qbinhl_symbolic(n, k):
     p_lams = {lam: pl.embed(nv, list(range(n))) for lam, pl in _finite_lhs_terms(n, k)}
     table = _mpoly_factors(n, k, x, MPoly.var(n, nv, "q"), p_lams)
     lhs, rhs = _mpoly_sides(_finite_qbinhl_cleared(n, k), table)
-    return [("cleared-coefficients", lhs.terms, rhs.terms)]
+    return [("cleared-coefficients", lhs, rhs)]
 
 
 def _sample_points(n, samples, rng):
@@ -708,7 +754,7 @@ def _run_csq(params, rng):
             if not (r - 1 <= j <= r + n - 1):
                 term = term.mul(fac)
         rhs_cleared = rhs_cleared + term
-    return [("cleared-coefficients", lhs_cleared.terms, rhs_cleared.terms)]
+    return [("cleared-coefficients", lhs_cleared, rhs_cleared)]
 
 
 def _run_mirror_swap(params, rng):

@@ -31,11 +31,13 @@ name or a negative exponent; an exponent bound (of a poly, a product or a
 division's remainder) past 2^FIELD - 1 raises ResourceBoundError.
 
 `eval_scalars` at rational constants sums the packed ints times integer
-multipliers and decodes once.  `terms` decodes to canonical UniRats lazily,
-once, and then drops the packed form (it is rebuilt if the poly enters
-another product or sum), so a large result is not held twice.  `divexact`
-by +-(x_i - x_j) runs on slots widened to #terms * mag.  The substitutions
-and views work on the UniRat coefficients.
+multipliers and decodes once.  `==`, `is_zero` and negation work on the
+packed form too, so they decode nothing: two packed polys are compared at
+one width, L and V.  `terms` decodes to canonical UniRats lazily, once, and
+then drops the packed form (it is rebuilt if the poly enters another
+product or sum), so a large result is not held twice.  `divexact` by
++-(x_i - x_j) runs on slots widened to #terms * mag.  The substitutions and
+views work on the UniRat coefficients.
 """
 
 import sys
@@ -75,6 +77,12 @@ def _mul_bound(a, b):
 def _add_bound(a, b):
     L = lcm(a.L, b.L)
     return a.mag * (L // a.L) + b.mag * (L // b.L)
+
+
+def _eq_bound(a, b):
+    # each side's slots, brought to the common L, on their own
+    L = lcm(a.L, b.L)
+    return max(a.mag * (L // a.L), b.mag * (L // b.L))
 
 
 def _unit(nvars, *slots):
@@ -288,6 +296,33 @@ class _Laurent:
         out = _nonzero(out)
         return _Laurent(out, w, L, V, mag, span, tuple(map(max, a.deg, b.deg)))
 
+    def equals(self, other):
+        """Whether both hold the same values.
+
+        Both sides are brought to one width, L and V, where every numerator
+        is one int (signed slots that fit have one packing), and the
+        key -> int maps are compared.
+        """
+        a, b, w, _ = self._common(other, _eq_bound)
+        if a.L == b.L and a.V == b.V:
+            return a.coeffs == b.coeffs
+        if len(a.coeffs) != len(b.coeffs):
+            return False
+        # key by key, so that neither side is copied at the common L and V
+        L, V = lcm(a.L, b.L), max(a.V, b.V)
+        ka, kb = L // a.L, L // b.L
+        sa, sb = 8 * w * (V - a.V), 8 * w * (V - b.V)
+        get = b.coeffs.get
+        for e, c in a.coeffs.items():
+            d = get(e)
+            if d is None or (c * ka) << sa != (d * kb) << sb:
+                return False
+        return True
+
+    def neg(self):
+        out = {e: -c for e, c in self.coeffs.items()}
+        return _Laurent(out, self.w, self.L, self.V, self.mag, self.span, self.deg)
+
     def scale(self, other):
         """Every coefficient times the one coefficient of `other`."""
         a, b, w, mag = self._common(other, _mul_bound)
@@ -410,10 +445,15 @@ class MPoly:
         """Exponent tuple -> nonzero UniRat coefficient (decoded on first use)."""
         terms = self._terms
         if terms is None:
-            terms = self._packed.decode(self.param)
+            terms = self._decoded()
             object.__setattr__(self, "_terms", terms)
             object.__setattr__(self, "_packed", None)
         return terms
+
+    def _decoded(self):
+        """The term map, decoding the packed form without dropping it."""
+        terms = self._terms
+        return self._packed.decode(self.param) if terms is None else terms
 
     def _laurent(self):
         """The packed Laurent form, built on first use (`_Laurent.pack`
@@ -459,10 +499,11 @@ class MPoly:
         return self.terms.get(tuple(exps), ZERO)
 
     def is_zero(self):
-        return not self.terms
+        packed = self._packed
+        return not (self._terms if packed is None else packed.coeffs)
 
     def __bool__(self):
-        return bool(self.terms)
+        return not self.is_zero()
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -492,7 +533,9 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({e: -c for e, c in self.terms.items()}, self.nvars, self.param)
+        if self._packed is None:
+            return MPoly({e: -c for e, c in self._terms.items()}, self.nvars, self.param)
+        return MPoly._from_packed(self._packed.neg(), self.nvars, self.param)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, UniRat)):
@@ -618,13 +661,25 @@ class MPoly:
     # -- comparison and rendering -------------------------------------------------
 
     def __eq__(self, other):
+        """Same arity, compatible parameters and the same coefficients:
+        compared on the packed forms when both have one (`_Laurent.equals`),
+        else on the term maps."""
         if not isinstance(other, MPoly):
             return NotImplemented
-        if self.nvars != other.nvars or self.terms != other.terms:
+        if self.nvars != other.nvars:
             return False
-        if self.param is None or other.param is None:
-            return True
-        return self.param == other.param
+        if None not in (self.param, other.param) and self.param != other.param:
+            return False
+        a, b = self._packed, other._packed
+        if a is not None and b is not None:
+            return a.equals(b)
+        return self._decoded() == other._decoded()
+
+    def compare(self, other):
+        """(self == other, the number of exponents with a coefficient on
+        either side), on the packed forms: neither side is decoded."""
+        a, b = self._laurent().coeffs, other._laurent().coeffs
+        return self == other, len(a) + len(b.keys() - a.keys())
 
     def as_json(self):
         return [

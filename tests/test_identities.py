@@ -3,8 +3,12 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from qmoments.errors import ResourceBoundError
 from qmoments.identities import (
     IDENTITY_IDS,
     IdentityCase,
+    Mismatch,
     VerificationReport,
     load_manifest,
     run_suite,
@@ -284,6 +289,7 @@ SYMBOLIC_DIGESTS = {
 @pytest.mark.parametrize("k", sorted(SYMBOLIC_DIGESTS))
 def test_symbolic_finite_qbinhl_sides_are_pinned(k):
     ((_, lhs, rhs),) = REGISTRY["FINITE_QBINHL"].run({"n": 3, "k": k}, random.Random(0))
+    lhs, rhs = (side.terms if isinstance(side, MPoly) else side for side in (lhs, rhs))
     h = hashlib.sha256()
     for side in (lhs, rhs):
         for key in sorted(side):
@@ -358,3 +364,91 @@ def test_run_suite_filtered_is_sorted_and_passes():
     assert [(r.case_id, r.params) for r in again] == [
         (r.case_id, r.params) for r in reports
     ]
+
+
+# -- symbolic sides compared on their packed forms ----------------------------------
+
+
+# the first mismatch that verify(..., mutate=True) reports, pinned at the
+# key-by-key comparison of decoded sides
+MUTATED = {
+    ("FINITE_QBINHL", 3, 2): (12391, ("cleared-coefficients", "(0, 2, 4, 0)", "(1)/(q^9)", "(-1)/(q^9)")),
+    ("CSQ", 3, 3): (100, ("cleared-coefficients", "(0, 0)", "1", "-1")),
+}
+
+
+@pytest.mark.parametrize("cid,n,k", sorted(MUTATED))
+def test_mutated_symbolic_case_reports_the_pinned_mismatch(cid, n, k):
+    rep = verify(IdentityCase(cid, {"n": n, "k": k}, "symbolic-exact"), mutate=True)
+    compared, mismatch = MUTATED[cid, n, k]
+    assert (rep.passed, rep.compared, rep.mismatch) == (False, compared, Mismatch(*mismatch))
+
+
+def chain_sides(names, table):
+    """(lhs * D, rhs * D) with every term of both sides multiplied left to
+    right, as before the Horner rhs: the reference for `_mpoly_sides`."""
+    nv = table[("afac", 0)].nvars
+
+    def chain(term):
+        acc = MPoly.one(nv, "q")
+        for key in term:
+            acc = acc.scale(qmono(key[1])) if key[0] == "q" else acc.mul(table[key])
+        return acc
+
+    lhs_terms, dfac, rhs_terms = names
+    lhs = sum((chain(t) for t in lhs_terms), MPoly.zero(nv, "q"))
+    for key in dfac:
+        lhs = lhs.mul(table[key])
+    return lhs, sum((chain(t) for t in rhs_terms), MPoly.zero(nv, "q"))
+
+
+def symbolic_table(n, k):
+    nv = n + 1
+    x = [MPoly.var(i, nv, "q") for i in range(n)]
+    p_lams = {lam: pl.embed(nv, list(range(n))) for lam, pl in _finite_lhs_terms(n, k)}
+    return _mpoly_factors(n, k, x, MPoly.var(n, nv, "q"), p_lams)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_horner_rhs_equals_the_left_to_right_chains(n, k):
+    names = _finite_qbinhl_cleared(n, k)
+    lhs, rhs = _mpoly_sides(names, symbolic_table(n, k))
+    ref_lhs, ref_rhs = chain_sides(names, symbolic_table(n, k))
+    assert lhs == ref_lhs and rhs == ref_rhs and lhs == rhs
+
+
+# the operand and result sizes of every product of the n=3, k=2 Horner rhs
+MUL_LOG = """
+import hashlib
+from qmoments import identities as I
+from qmoments.mpoly import MPoly
+
+sizes = []
+mul = MPoly.mul
+
+def logged(self, other, keep=None):
+    out = mul(self, other, keep)
+    sizes.append(tuple(len(p._packed.coeffs) for p in (self, other, out)))
+    return out
+
+n, k = 3, 2
+x = [MPoly.var(i, n + 1, "q") for i in range(n)]
+p_lams = {lam: pl.embed(n + 1, list(range(n))) for lam, pl in I._finite_lhs_terms(n, k)}
+table = I._mpoly_factors(n, k, x, MPoly.var(n, n + 1, "q"), p_lams)
+MPoly.mul = logged
+I._mpoly_sides(([], [], I._finite_qbinhl_cleared(n, k)[2]), table)
+print(len(sizes), hashlib.sha256(repr(sizes).encode()).hexdigest())
+"""
+
+
+def test_horner_split_is_the_same_under_any_string_hash():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", MUL_LOG], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        out.add(done.stdout)
+    assert len(out) == 1

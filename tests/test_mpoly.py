@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmoments import ParamMismatch, ResourceBoundError, UniRat
+from qmoments.identities import Mismatch, _compare_pairs, _key_order
 from qmoments.mpoly import FIELD, MPoly
 
 
@@ -726,3 +727,117 @@ def test_zero_variable_polys_match_unirat(a, b, c):
 def test_packed_eval_at_the_field_top(a, xs):
     assert a._laurent() is not None
     assert canon1(a.eval_scalars(xs)) == canon1(ref_eval(a.terms, xs))
+
+
+# -- equality, zero test and negation on the packed form ---------------------------
+
+
+def layout(p):
+    packed = p._packed
+    return packed.w, packed.L, packed.V
+
+
+def relaid(a, how):
+    """a with the same values in another packed layout: over 3L (scaled by
+    1/3, then by 3), over q^5 or in wider slots (a constant q^-5 or 2^200
+    added and taken away)."""
+    if how == "L":
+        return a.scale(Fraction(1, 3)).scale(3)
+    c = MPoly.const(UniRat.mono("q", -5) if how == "V" else 1 << 200, a.nvars, "q")
+    return (a + c) - c
+
+
+@PROPS
+@given(laurent_poly(), st.sampled_from("LVw"), laurent_poly(SMALL, max_terms=2))
+def test_packed_equality_across_layouts(a, how, d):
+    a._laurent()
+    v = relaid(a, how)
+    assert layout(v) != layout(a)
+    assert v == a and a == v and not v != a
+    assert v._terms is None  # compared without decoding
+    assert (v - a).is_zero() and not (v - a)
+    assert v.is_zero() == (not a.terms) == (not v)
+    changed = v + d
+    assert changed._terms is None
+    assert (changed == a) == d.is_zero() == (changed == v)
+    # a packed side against a decoded one: the packed side stays packed
+    assert MPoly(dict(a.terms), 2, "q") == v
+    assert v._terms is None
+    assert canon(v.terms) == canon(a.terms)
+
+
+def test_packed_equality_checks_arity_and_parameter():
+    x, y = xvars(2)
+    p = x * y
+    assert p != MPoly.mono((1, 1, 0), 1, "q") * MPoly.one(3, "q")
+    assert p != (MPoly.var(0, 2, "t") * MPoly.var(1, 2, "t"))
+    assert p == MPoly.var(0, 2) * MPoly.var(1, 2)  # no parameter name: compatible
+
+
+@PROPS
+@given(laurent_poly())
+def test_packed_negation_keeps_the_layout(a):
+    p = a.mul(MPoly.one(2, "q"))
+    n = -p
+    assert n._terms is None
+    fields = lambda packed: (packed.w, packed.L, packed.V, packed.mag, packed.span, packed.deg)
+    assert fields(n._packed) == fields(p._packed)
+    assert canon(n.terms) == canon({e: -c for e, c in a.terms.items()})
+    assert canon((-a).terms) == canon(n.terms)  # a decoded poly negates its terms
+    # 1 - p and p - 1, as `1 - a * x[i]` is built
+    one = {(0, 0): UniRat.one()}
+    minus = {e: -c for e, c in a.terms.items()}
+    assert canon((1 - p).terms) == canon(ref_add(one, minus))
+    assert canon((p - 1).terms) == canon(ref_add(a.terms, {(0, 0): -UniRat.one()}))
+
+
+def dict_loop(pairs):
+    """The key-by-key comparison of two maps per pair, as it ran before the
+    packed compare: the reference for `identities._compare_pairs`."""
+    compared = 0
+    first = None
+    for label, lhs, rhs in pairs:
+        for k in sorted(set(lhs) | set(rhs), key=_key_order):
+            compared += 1
+            a, b = lhs.get(k), rhs.get(k)
+            same = (b is None or b.is_zero()) if a is None else (
+                a.is_zero() if b is None else a == b
+            )
+            if not same and first is None:
+                first = Mismatch(label, repr(k), repr(a), repr(b))
+    return first is None, first, compared
+
+
+@st.composite
+def side_pairs(draw):
+    """(lhs, rhs): packed MPolys in different layouts, the rhs holding the
+    lhs's values or those with one coefficient changed, one key missing or
+    one key extra."""
+    a = draw(laurent_poly(SMALL, max_terms=5))
+    lhs = a.mul(MPoly.one(2, "q"))
+    rhs = relaid(a, draw(st.sampled_from("LVw")))
+    edit = draw(st.sampled_from(["none", "change", "drop", "extra"]))
+    coeff = laurent_coeff(SMALL).filter(bool)
+    keys = sorted(a.terms)
+    if edit in ("change", "drop") and keys:
+        e = draw(st.sampled_from(keys))
+        rhs = rhs + MPoly({e: -a.terms[e] if edit == "drop" else draw(coeff)}, 2, "q")
+    elif edit == "extra":
+        e = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: e not in a.terms))
+        rhs = rhs + MPoly({e: draw(coeff)}, 2, "q")
+    return lhs, rhs
+
+
+@PROPS
+@given(side_pairs(), side_pairs(), st.booleans())
+def test_packed_compare_matches_the_dict_loop(first, second, mutate):
+    pairs = [("first", *first), ("second", *second)]
+    decoded = [(label, a._decoded(), b._decoded()) for label, a, b in pairs]
+    got = _compare_pairs(pairs, mutate=mutate)
+    if mutate:
+        assert got == _compare_pairs(decoded, mutate=True)
+    else:
+        assert got == dict_loop(decoded)
+        if got[0]:
+            # equal sides are compared without being decoded
+            assert all(b._terms is None for _, _, b in pairs)

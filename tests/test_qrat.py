@@ -1,5 +1,6 @@
 """Exact rational-function arithmetic in one parameter."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qmoments import ParamMismatch, UniRat
 from qmoments.qrat import _pack_signed, _unpack_signed, laurent_sum_of_products
+from qmoments.qseries import qbinomial
 
 
 def q():
@@ -254,3 +256,97 @@ def test_laurent_sum_edge_cases():
     one_over = laurent_sum_of_products([[((3,), -2, 6)]], "q")
     assert (one_over.num, one_over.den, one_over.param) == ((1,), (0, 0, 2), "q")
     assert laurent_sum_of_products([[((4,), 0, 2)]], "q").param is None
+
+
+# -- ring laws against sympy, an independent oracle ------------------------------
+
+
+def conv(a, b):
+    """The product of two ascending integer coefficient lists."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def sympy_q():
+    """sympy's polynomial ring Z[q] and its fraction field, with their q."""
+    sp = pytest.importorskip("sympy")
+    R, q = sp.ring("q", sp.ZZ)
+    K, qk = sp.field("q", sp.ZZ)
+    return R, q, K, qk
+
+
+def sympy_poly(coeffs):
+    R, q, _, _ = sympy_q()
+    return sum((x * q**i for i, x in enumerate(coeffs)), R.zero)
+
+
+def sympy_value(num, den):
+    """num/den (ascending integer coefficients) in sympy's Z(q)."""
+    _, _, K, qk = sympy_q()
+    poly = lambda c: sum((x * qk**i for i, x in enumerate(c)), K.zero)
+    return poly(num) / poly(den)
+
+
+def assert_canonical(r, expected):
+    """r is the reduced form of the sympy value `expected`: the same value,
+    no common factor of numerator and denominator (a power of q, a
+    polynomial or an integer), no zero leading coefficient and a positive
+    leading denominator coefficient."""
+    assert sympy_value(r.num, r.den) == expected
+    if not r.num:
+        assert r.den == (1,)
+        return
+    assert r.num[-1] and r.den[-1] > 0
+    assert math.gcd(*r.num, *r.den) == 1
+    assert sympy_poly(r.num).gcd(sympy_poly(r.den)).degree() == 0
+
+
+COEFFS = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+
+
+@st.composite
+def raw_fraction(draw):
+    """(num, den) = (f * g * q^i, h * g * q^j) with a common factor g."""
+    f, g = draw(COEFFS), draw(COEFFS.filter(any))
+    h = draw(COEFFS.filter(any))
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return [0] * i + conv(f, g), [0] * j + conv(h, g)
+
+
+SYMPY = settings(max_examples=150, deadline=None)
+
+
+@SYMPY
+@given(raw_fraction())
+def test_normalization_matches_sympy(raw):
+    num, den = raw
+    assert_canonical(UniRat(num, den, "q"), sympy_value(num, den))
+
+
+@SYMPY
+@given(raw_fraction(), raw_fraction())
+def test_ring_operations_match_sympy(x, y):
+    a, b = UniRat(*x, "q"), UniRat(*y, "q")
+    va, vb = sympy_value(*x), sympy_value(*y)
+    assert_canonical(a + b, va + vb)
+    assert_canonical(a - b, va - vb)
+    assert_canonical(a * b, va * vb)
+    if b:
+        assert_canonical(a / b, va / vb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(-2, 14))
+def test_qbinomial_matches_sympy(n, k):
+    _, _, K, q = sympy_q()
+    expected = K.zero
+    if 0 <= k <= n:
+        expected = K.one
+        for i in range(1, k + 1):
+            expected *= (1 - q ** (n - k + i)) / (1 - q**i)
+    got = qbinomial(n, k)
+    assert got.is_polynomial()
+    assert_canonical(got, expected)
