@@ -26,6 +26,8 @@ from .identities import (
     MAX_FINITE_K,
     MAX_FINITE_N,
     MAX_QBIN_N,
+    MAX_SAMPLES,
+    MAX_SERIES_DEGREE,
     MAX_ZTRUNC,
     RANDOM_POINT,
     REGISTRY,
@@ -164,6 +166,8 @@ _BOUNDS = (
     ("max_finite_alphabet", MAX_FINITE_N, "finite alphabets <= %d"),
     ("max_column_bound", MAX_FINITE_K, "column bound <= %d"),
     ("max_qbin_n", MAX_QBIN_N, "QBIN n <= %d"),
+    ("max_series_degree", MAX_SERIES_DEGREE, "series degree d, dx, dy <= %d"),
+    ("max_samples", MAX_SAMPLES, "random sample points <= %d"),
     ("max_moment_bits", MAX_MOMENT_BITS, "exact moments <= %d bits"),
     ("max_c_degree", MAX_C_DEGREE, "degree of C(lambda; mu) <= %d"),
     ("max_prime", MAX_PRIME, "p <= %d"),
@@ -349,11 +353,15 @@ def _cmd_oracle(args, meta, out):
     return EXIT_PASS if match else EXIT_FAIL
 
 
+# the int params a `verify` case can set, one option each
+_VERIFY_INTS = ("n", "k", "ell", "zmax", "p", "nx", "ny", "dx", "dy", "d", "samples")
+
+
 def _verify_params(args):
     params = {}
     if args.lam is not None:
         params["lam"] = list(_partition(args.lam))
-    for name in ("n", "k", "ell", "zmax", "nx", "ny", "dx", "dy", "d", "p", "samples"):
+    for name in _VERIFY_INTS:
         value = getattr(args, name)
         if value is not None:
             params[name] = value
@@ -381,15 +389,7 @@ def _cmd_verify(args, meta, out):
                 strategy = RANDOM_POINT if "samples" in params else REGISTRY[cid].strategies[0]
                 reports = [verify(IdentityCase(cid, params, strategy), mutate=args.mutate)]
             else:
-                _, _, cases = load_manifest(args.manifest)
-                reports = sorted(
-                    (
-                        verify(case, mutate=args.mutate)
-                        for case in cases
-                        if case.case_id == cid
-                    ),
-                    key=lambda r: (r.case_id, repr(sorted(r.params.items()))),
-                )
+                reports = run_suite([cid], args.manifest, mutate=args.mutate)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows = []
@@ -531,17 +531,8 @@ def build_parser():
     p_ver.add_argument("--all", action="store_true", help="run the full manifest grid")
     p_ver.add_argument("--manifest", default=None, help="alternate manifest path")
     p_ver.add_argument("--lambda", dest="lam", default=None)
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--k", type=int, default=None)
-    p_ver.add_argument("--ell", type=int, default=None)
-    p_ver.add_argument("--zmax", type=int, default=None)
-    p_ver.add_argument("--p", type=int, default=None)
-    p_ver.add_argument("--nx", type=int, default=None)
-    p_ver.add_argument("--ny", type=int, default=None)
-    p_ver.add_argument("--dx", type=int, default=None)
-    p_ver.add_argument("--dy", type=int, default=None)
-    p_ver.add_argument("--d", type=int, default=None)
-    p_ver.add_argument("--samples", type=int, default=None)
+    for name in _VERIFY_INTS:
+        p_ver.add_argument("--" + name, type=int, default=None)
     p_ver.add_argument("--case-seed", dest="case_seed", type=int, default=None)
     p_ver.add_argument(
         "--mutate",

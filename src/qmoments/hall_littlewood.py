@@ -10,7 +10,7 @@ from .errors import InvariantError, ResourceBoundError
 from .mpoly import MPoly, _unit
 from .partitions import Partition
 from .qrat import UniRat, ZERO
-from .qseries import ZSeries, qq
+from .qseries import qq
 from .record import Record
 
 HL_MAX_ALPHABET = 5
@@ -129,21 +129,13 @@ def _principal_value(lam, n, param, validate):
     return val
 
 
-def principal_spec(lam, n, z_marker=False, param="q", trunc=None, validate=True):
+def principal_spec(lam, n, param="q", validate=True):
     """P_lam(z, zq, ..., zq^{n-1}; q) = z^{|lam|} q^{n(lam)} (q)_n /
     ((q)_{n-l(lam)} b_lam(q)); n = inf drops the (q)_n ratio.
 
-    Returns the q-part as a UniRat; with z_marker=True, a ZSeries carrying
-    it on the z^{|lam|} coefficient (truncation defaults to |lam|).
-    For alphabets within the hl_p cap the closed form is checked against
-    direct substitution into hl_p once per (lam, n).
+    Returns the q-part as a UniRat.  For alphabets within the hl_p cap the
+    closed form is checked against direct substitution into hl_p once per
+    (lam, n).
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    val = _principal_value(lam, n, param, bool(validate))
-    if not z_marker:
-        return val
-    t = lam.size if trunc is None else trunc
-    coeffs = [ZERO] * (t + 1)
-    if lam.size <= t and not val.is_zero():
-        coeffs[lam.size] = val
-    return ZSeries(coeffs, t, param)
+    return _principal_value(lam, n, param, bool(validate))

@@ -29,7 +29,9 @@ MAX_ZTRUNC = 12
 MAX_FINITE_N = 4
 MAX_FINITE_K = 3
 MAX_QBIN_N = 48
+MAX_SERIES_DEGREE = 5
 MIN_SAMPLES = 20
+MAX_SAMPLES = 500
 
 _MANIFEST_PATH = Path(__file__).parent / "data" / "manifest.json"
 
@@ -85,25 +87,13 @@ class VerificationReport(Record):
 
 
 def _is_zero_value(v):
-    if v is None:
-        return True
-    if isinstance(v, UniRat):
-        return v.is_zero()
-    return v == 0
+    return v is None or v == 0
 
 
 def _values_equal(a, b):
-    if a is None:
-        return _is_zero_value(b)
-    if b is None:
-        return _is_zero_value(a)
+    if a is None or b is None:
+        return _is_zero_value(a) and _is_zero_value(b)
     return a == b
-
-
-def _negate(v):
-    if isinstance(v, UniRat):
-        return ZERO - v
-    return -v
 
 
 def _key_order(k):
@@ -136,7 +126,7 @@ def _compare_pairs(pairs, mutate=False):
             if not flipped:
                 for k in sorted(rhs, key=_key_order):
                     if not _is_zero_value(rhs[k]):
-                        rhs[k] = _negate(rhs[k])
+                        rhs[k] = -rhs[k]
                         flipped = True
                         break
             mutated.append((label, lhs, rhs))
@@ -286,7 +276,7 @@ def _run_combinat(params, rng):
         for mu in partitions_of(m):
             ip = dot_product_conjugates(lam, mu)
             weight = UniRat.mono("q", mu.size + mu.nstat() - ip)
-            principal = principal_spec(mu, math.inf, z_marker=True).coeff_at(mu.size)
+            principal = principal_spec(mu, math.inf)
             acc = acc + weight * principal
         route_c[m] = acc
     return [
@@ -347,7 +337,7 @@ def _run_qbinhl(params, rng):
     d = int(params["d"])
     nv = nx + 1
     a_slot = nx
-    keep = lambda e: sum(e[:nx]) <= d
+    keep = ((0, nx, d),)  # the total degree in x is at most d
     afac = _afacs(nx, MPoly.var(a_slot, nv, "q"))
     lhs = MPoly.zero(nv, "q")
     for m in range(d + 1):
@@ -358,25 +348,21 @@ def _run_qbinhl(params, rng):
             term = plam.poly.embed(nv, list(range(nx)))
             term = term.mul(afac[len(lam)])
             lhs = lhs + term.scale(UniRat.mono("q", lam.nstat()))
-    rhs = MPoly.one(nv, "q")
-    for i in range(nx):
-        rhs = rhs.mul(_geom(_unit(nv, i), d, 0), keep)
-    for i in range(nx):
-        rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, a_slot), 0, "q"), keep)
-    pairs = [("main", lhs, rhs)]
-    lhs0 = lhs.subs_scalar(a_slot, Fraction(0))
     cauchy = MPoly.one(nv, "q")
     for i in range(nx):
         cauchy = cauchy.mul(_geom(_unit(nv, i), d, 0), keep)
-    pairs.append(("cauchy-at-a-zero", lhs0, cauchy))
-    return pairs
+    rhs = cauchy
+    for i in range(nx):
+        rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, a_slot), 0, "q"), keep)
+    lhs0 = lhs.subs_scalar(a_slot, Fraction(0))
+    return [("main", lhs, rhs), ("cauchy-at-a-zero", lhs0, cauchy)]
 
 
 def _run_warnaar_a2(params, rng):
     nx, ny = int(params["nx"]), int(params["ny"])
     dx, dy = int(params["dx"]), int(params["dy"])
     nv = nx + ny
-    keep = lambda e: sum(e[:nx]) <= dx and sum(e[nx:]) <= dy
+    keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
     stack = []
     for mx in range(dx + 1):
         for lam in partitions_of(mx, max_length=nx):
@@ -413,7 +399,7 @@ def _run_lascoux(params, rng):
     nx, ny = int(params["nx"]), int(params["ny"])
     dx, dy = int(params["dx"]), int(params["dy"])
     nv = nx + ny
-    keep = lambda e: sum(e[:nx]) <= dx and sum(e[nx:]) <= dy
+    keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
     lam_list = [
         lam
         for mx in range(dx + 1)
@@ -444,7 +430,7 @@ def _run_lascoux(params, rng):
     # principal one-variable y specialization: marker z at y -> z
     nvz = nx + 1
     z_slot = nx
-    keepz = lambda e: sum(e[:nx]) <= dx and e[z_slot] <= dx
+    keepz = ((0, nx, dx), (z_slot, nvz, dx))
     stack = []
     for lam in lam_list:
         pl = hl_p(lam, nx).poly.embed(nvz, list(range(nx)))
@@ -702,6 +688,8 @@ def _finite_qbinhl_random(n, k, samples, rng):
     """Both cleared sides at `samples` random points (`_sample_points`)."""
     if samples < MIN_SAMPLES:
         raise ValueError("need at least %d random sample points" % MIN_SAMPLES)
+    if samples > MAX_SAMPLES:
+        raise ResourceBoundError("random sample points", MAX_SAMPLES, samples)
     p_lams = _finite_lhs_terms(n, k)
     names = _finite_qbinhl_cleared(n, k)
     lhs_map, rhs_map = {}, {}
@@ -794,8 +782,9 @@ _SERIES = (TRUNCATED_SERIES,)
 _EXACT = (SYMBOLIC_EXACT,)
 _Z = ("z truncation", MAX_ZTRUNC)
 _ALPHABET = ("alphabet size", MAX_ALPHABET)
+_DEGREE = ("series degree", MAX_SERIES_DEGREE)
 _LAM_ELL_Z = {"lam": None, "ell": None, "zmax": _Z}
-_TWO_ALPHABETS = {"nx": _ALPHABET, "ny": _ALPHABET, "dx": None, "dy": None}
+_TWO_ALPHABETS = {"nx": _ALPHABET, "ny": _ALPHABET, "dx": _DEGREE, "dy": _DEGREE}
 _FINITE = {"n": ("alphabet size", MAX_FINITE_N), "k": ("column bound", MAX_FINITE_K)}
 
 REGISTRY = {
@@ -806,7 +795,7 @@ REGISTRY = {
     "UMOY_ABELIAN": Identity(lambda params, rng: _run_umoy(params, 1), _SERIES, _LAM_ELL_Z),
     "UMOY_TYPE_S": Identity(lambda params, rng: _run_umoy(params, 2), _SERIES, _LAM_ELL_Z),
     "DELAUNAY": Identity(_run_delaunay, _SERIES, {"ell": None, "zmax": _Z}),
-    "QBINHL": Identity(_run_qbinhl, _SERIES, {"nx": _ALPHABET, "d": None}),
+    "QBINHL": Identity(_run_qbinhl, _SERIES, {"nx": _ALPHABET, "d": _DEGREE}),
     "WARNAAR_A2": Identity(_run_warnaar_a2, _SERIES, _TWO_ALPHABETS),
     "LASCOUX": Identity(_run_lascoux, _SERIES, _TWO_ALPHABETS),
     "FINITE_QBINHL": Identity(_run_finite_qbinhl, (SYMBOLIC_EXACT, RANDOM_POINT), _FINITE),
@@ -867,7 +856,7 @@ def load_manifest(path=None):
     return raw["version"], raw.get("default_seed"), cases
 
 
-def run_suite(ids=None, manifest=None):
+def run_suite(ids=None, manifest=None, mutate=False):
     """Verify every manifest case (optionally filtered); reports sorted by id."""
     _, _, cases = load_manifest(manifest)
     if ids is not None:
@@ -876,5 +865,5 @@ def run_suite(ids=None, manifest=None):
         if unknown:
             raise ValueError("unknown identity id: %r" % (sorted(unknown)[0],))
         cases = [c for c in cases if c.case_id in wanted]
-    reports = [verify(case) for case in cases]
+    reports = [verify(case, mutate=mutate) for case in cases]
     return sorted(reports, key=lambda r: (r.case_id, repr(sorted(r.params.items()))))

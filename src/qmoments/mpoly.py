@@ -25,6 +25,15 @@ addition.  The form keeps a bound `deg` on each variable's exponent.  A
 product by a two-term poly (x_i - q^s, 1 - x_j q^s, x_i - x_j, ...) is two
 shifted copies of the other operand, merged.
 
+A truncated product keeps only the terms whose exponents of x_lo..x_{hi-1}
+sum to at most cap, for each block (lo, hi, cap) it is given.  Each operand
+key gets a guard int with each block's exponent sum in a w-bit field,
+2^(w-1) > max(cap, the block's degree), so sums add without a carry; one
+operand's fields are biased by 2^(w-1) - 1 - cap, so a pair is kept iff
+g1 + g2 has no field's top (guard) bit set, and no product key is decoded
+(Monagan and Pearce, CASC 2007).  A blocked variable's `deg` is clamped to
+its cap.
+
 Packing, on the first arithmetic, raises ValueError for a coefficient with
 a non-monomial denominator, a non-constant coefficient with no parameter
 name or a negative exponent; an exponent bound (of a poly, a product or a
@@ -50,6 +59,7 @@ from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
 
 FIELD = 16  # bits per variable in a packed exponent key (`_exponents` reads "H" items)
 _TOP = (1 << FIELD) - 1  # the largest exponent a field holds
+_SLOT = (1 << 2 * FIELD) - 1  # a block sum's slot in `_guards`
 
 
 def _fits(deg):
@@ -141,11 +151,28 @@ def _nonzero(out):
     return {k: c for k, c in out.items() if c} if 0 in out.values() else out
 
 
-def _kept(keys, keep, nvars):
-    """The set of keys whose exponent tuples keep accepts, decoding each
-    distinct key once, in one pass."""
-    keys = list(keys)
-    return {k for k, e in zip(keys, _exponents(keys, nvars)) if keep(e)}
+def _guards(keys, blocks, deg, biased):
+    """(guard ints of keys, guard mask) for truncation blocks (lo, hi, cap) of
+    a product with exponent bounds deg before truncation; biased adds
+    2^(w-1) - 1 - cap to each field.  A block's sum is its even and odd
+    fields added into 2*FIELD-bit slots, which mult sums into the top one:
+    no slot passes (hi - lo) * _TOP < 2^(2*FIELD), so nothing carries."""
+    out, guard, off = [0] * len(keys), 0, 0
+    for lo, hi, cap in blocks:
+        h = (hi - lo + 1) // 2
+        ev = sum(_TOP << 2 * FIELD * t for t in range(h))
+        od = sum(_TOP << 2 * FIELD * t for t in range((hi - lo) // 2))
+        mult = sum(1 << 2 * FIELD * t for t in range(h))
+        sh, top = FIELD * (len(deg) - hi), 2 * FIELD * (h - 1)
+        w = max(cap, sum(deg[lo:hi])).bit_length() + 1
+        bias = ((1 << (w - 1)) - 1 - cap) if biased else 0
+        out = [
+            g + ((((((k >> sh) & ev) + ((k >> sh + FIELD) & od)) * mult >> top & _SLOT) + bias) << off)
+            for g, k in zip(out, keys)
+        ]
+        guard |= 1 << (off + w - 1)
+        off += w
+    return out, guard
 
 
 class _Laurent:
@@ -245,38 +272,43 @@ class _Laurent:
         return self.widen(w), other.widen(w), w, mag
 
     def mul(self, other, keep):
-        """The product; ResourceBoundError when an exponent could outgrow
-        its field.
-
-        keep(e) sees the exponent tuple of each distinct key once, before
-        any coefficient is summed.
-        """
+        """The product, truncated to the blocks keep when given (`_guards`);
+        ResourceBoundError when an exponent could outgrow its field."""
         deg = tuple(map(add, self.deg, other.deg))
+        if keep:
+            unclamped = deg
+            for lo, hi, cap in keep:
+                deg = deg[:lo] + tuple(min(d, cap) for d in deg[lo:hi]) + deg[hi:]
         _fits(deg)
         a, b, w, mag = self._common(other, _mul_bound)
         big, small = a.coeffs, b.coeffs
         if len(big) == 2:
             big, small = small, big
-        kept = None
-        if keep is not None:
-            kept = _kept({k1 + k2 for k1 in big for k2 in small}, keep, len(deg))
-        if len(small) == 2:
+        if keep:
+            gs, guard = _guards(small, keep, unclamped, True)
+            pairs = list(zip(small.items(), gs))
+            out = {}
+            get = out.get
+            for (k1, c1), g1 in zip(big.items(), _guards(big, keep, unclamped, False)[0]):
+                for (k2, c2), g2 in pairs:
+                    if not (g1 + g2) & guard:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
+        elif len(small) == 2:
             # two shifted copies of the larger operand, merged
             (u, cu), (v, cv) = small.items()
-            out = {k + u: c * cu for k, c in big.items() if kept is None or k + u in kept}
+            out = {k + u: c * cu for k, c in big.items()}
             get = out.get
             for k, c in big.items():
                 k += v
-                if kept is None or k in kept:
-                    out[k] = get(k, 0) + c * cv
+                out[k] = get(k, 0) + c * cv
         else:
             out = {}
             get = out.get
             for k1, c1 in big.items():
                 for k2, c2 in small.items():
                     k = k1 + k2
-                    if kept is None or k in kept:
-                        out[k] = get(k, 0) + c1 * c2
+                    out[k] = get(k, 0) + c1 * c2
         out = _nonzero(out)
         return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1, deg)
 
@@ -505,9 +537,6 @@ class MPoly:
     def __bool__(self):
         return not self.is_zero()
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def homogeneous_degree(self):
         """Common total degree of all terms, or None."""
         degs = {sum(e) for e in self.terms}
@@ -548,7 +577,8 @@ class MPoly:
         return (-self) + other
 
     def mul(self, other, keep=None):
-        """Product, optionally dropping exponents where keep(exps) is false."""
+        """Product; keep, when given, is a tuple of blocks (lo, hi, cap) and
+        drops every term whose exponents of x_lo..x_{hi-1} sum past cap."""
         if isinstance(other, (int, Fraction, UniRat)):
             other = MPoly.const(other, self.nvars)
         self._check(other)

@@ -36,10 +36,6 @@ def _pneg(a):
     return tuple(-x for x in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()

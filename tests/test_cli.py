@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qmoments
-from qmoments import cli, rbasis
+from qmoments import cli, identities, rbasis
 from qmoments.errors import ResourceBoundError
 from qmoments.cli import main
 from qmoments.identities import IDENTITY_IDS, load_manifest
@@ -197,6 +197,32 @@ def test_verify_qbin_size_is_bounded():
     assert out == ""
     code, data = run_json(["verify", "--id", "QBIN", "--n", "2"])
     assert data["meta"]["bounds"]["max_qbin_n"] == cli.MAX_QBIN_N
+
+
+def test_verify_series_degree_and_samples_are_bounded(capsys):
+    over = identities.MAX_SERIES_DEGREE + 1
+    bad = [
+        ["verify", "--id", "QBINHL", "--nx", "4", "--d", str(over)],
+        ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3",
+         "--samples", str(identities.MAX_SAMPLES + 1)],
+    ]
+    for cid in ("WARNAAR_A2", "LASCOUX"):
+        for dx, dy in ((over, 1), (1, over)):
+            bad.append(["verify", "--id", cid, "--nx", "4", "--ny", "4",
+                        "--dx", str(dx), "--dy", str(dy)])
+    start = time.perf_counter()
+    for argv in bad:
+        assert run(argv) == (3, "")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(bad) and all(line.startswith("resource bound: ") for line in err)
+    code, data = run_json(["verify", "--id", "QBINHL", "--nx", "2", "--d", "4"])
+    assert code == 0
+    assert data["meta"]["bounds"]["max_series_degree"] == identities.MAX_SERIES_DEGREE
+    assert data["meta"]["bounds"]["max_samples"] == identities.MAX_SAMPLES
+    epilog = cli.build_parser().epilog
+    assert "series degree d, dx, dy <= %d" % identities.MAX_SERIES_DEGREE in epilog
+    assert "random sample points <= %d" % identities.MAX_SAMPLES in epilog
 
 
 def _verify_argv(cid, params):

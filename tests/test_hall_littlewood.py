@@ -197,9 +197,6 @@ def test_principal_spec_closed_form():
     # (2,1), n=2 -> z^3 q (1+q): q-part q(1+q), z-degree 3
     v = principal_spec(Partition([2, 1]), 2)
     assert v == qv * (1 + qv)
-    s = principal_spec(Partition([2, 1]), 2, z_marker=True)
-    assert s.trunc == 3 and s.coeff_at(3) == qv * (1 + qv)
-    assert s.coeff_at(2).is_zero()
     assert principal_spec(Partition([1]), 1) == UniRat.one()
     assert principal_spec(Partition([1, 1]), 1) == ZERO
 

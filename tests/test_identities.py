@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from qmoments.errors import ResourceBoundError
 from qmoments.identities import (
     IDENTITY_IDS,
+    RANDOM_POINT,
     IdentityCase,
     Mismatch,
     VerificationReport,
@@ -32,6 +34,7 @@ from qmoments.hall_littlewood import hl_p
 from qmoments.partitions import Partition, partitions_of, subpartitions
 from qmoments.qrat import ONE, UniRat, ZERO
 from qmoments.rbasis import c_coeff
+from test_mpoly import time_limit
 
 FAST_POINTS = {
     "QBIN": {"n": 5},
@@ -129,6 +132,39 @@ def test_random_point_case_needs_enough_samples():
                 "random-point",
             )
         )
+
+
+def test_unbounded_params_end_within_seconds():
+    # every int param without a bound, and `samples` of an id with a
+    # random-point check, at 10**6 and the rest at the id's first manifest
+    # case: each call answers or is refused within 5 s, never hangs
+    first = {}
+    for case in load_manifest()[2]:
+        first.setdefault(case.case_id, case.params)
+    walked = []
+    for cid, identity in REGISTRY.items():
+        names = [n for n, bound in identity.params.items() if bound is None and n != "lam"]
+        if RANDOM_POINT in identity.strategies:
+            names.append("samples")
+        for name in names:
+            params = dict(first[cid], **{name: 10**6})
+            strategy = RANDOM_POINT if "samples" in params else identity.strategies[0]
+            start = time.perf_counter()
+            with time_limit(5):
+                try:
+                    verify(IdentityCase(cid, params, strategy))
+                except (ResourceBoundError, ValueError):
+                    pass
+            assert time.perf_counter() - start < 5, (cid, name)
+            walked.append((cid, name))
+    assert ("FINITE_QBINHL", "samples") in walked and ("GENFUN", "p") in walked
+
+
+def test_truncated_rhs_degrees_stay_at_the_caps():
+    # each block caps its variables' degree bound, not only their terms
+    (_, _, rhs), = REGISTRY["WARNAAR_A2"].run({"nx": 3, "ny": 3, "dx": 5, "dy": 5}, None)
+    assert rhs._packed.deg == (5,) * 6
+    assert max(max(e) for e in rhs.terms) == 5
 
 
 def sampled_maps(params):

@@ -64,7 +64,6 @@ def test_uni_rat_coefficients_and_param():
 def test_degrees():
     x, y = xvars(2)
     p = x ** 2 * y + x * y
-    assert p.total_degree() == 3
     assert p.homogeneous_degree() is None
     assert (x * y + x ** 2).homogeneous_degree() == 2
     assert MPoly.zero(2).homogeneous_degree() == 0
@@ -109,7 +108,7 @@ def test_divexact_inexact_raises():
 def test_mul_keep_filter():
     x, y = xvars(2)
     geo = sum((x ** i for i in range(1, 5)), MPoly.one(2))
-    p = geo.mul(geo, keep=lambda e: sum(e) <= 3)
+    p = geo.mul(geo, keep=((0, 2, 3),))
     assert p.coeff_of((3, 0)) == UniRat.const(4)
     assert p.coeff_of((4, 0)).is_zero()
     _ = y
@@ -231,6 +230,9 @@ def low_degree(e):
     return sum(e) <= 3
 
 
+LOW_DEGREE = ((0, 2, 3),)  # low_degree as truncation blocks
+
+
 PROPS = settings(max_examples=150, deadline=None)
 
 
@@ -245,7 +247,7 @@ def test_packed_mul_matches_unirat(a, b):
 @PROPS
 @given(laurent_poly(), laurent_poly())
 def test_packed_mul_keep_matches_unirat(a, b):
-    assert canon(a.mul(b, keep=low_degree).terms) == canon(
+    assert canon(a.mul(b, keep=LOW_DEGREE).terms) == canon(
         ref_mul(a.terms, b.terms, low_degree)
     )
 
@@ -266,7 +268,7 @@ def test_packed_add_matches_unirat(a, b, c):
 def test_non_laurent_operand_raises(a, b, left):
     r = with_rational_coeff(b)
     x, y = (r, a) if left else (a, r)
-    for op in (lambda: x.mul(y), lambda: x.mul(y, keep=low_degree), lambda: x + y):
+    for op in (lambda: x.mul(y), lambda: x.mul(y, keep=LOW_DEGREE), lambda: x + y):
         with pytest.raises(ValueError):
             op()
 
@@ -574,23 +576,9 @@ def test_two_term_product_matches_unirat(a, b, left):
     prod = x.mul(y)
     assert prod._terms is None
     assert canon(prod.terms) == canon(ref_mul(x.terms, y.terms))
-    kept = x.mul(y, keep=low_degree)
+    kept = x.mul(y, keep=LOW_DEGREE)
     assert kept._terms is None
     assert canon(kept.terms) == canon(ref_mul(x.terms, y.terms, low_degree))
-
-
-def test_two_term_keep_sees_each_exponent_tuple_once():
-    x, y = xvars(2)
-    geo = sum((x ** i * y for i in range(6)), MPoly.one(2, "q"))
-    seen = []
-
-    def keep(e):
-        seen.append(e)
-        return e[0] <= 3
-
-    got = geo.mul(x - y, keep=keep)
-    assert sorted(seen) == sorted(set(seen)) == sorted(ref_mul(geo.terms, (x - y).terms))
-    assert canon(got.terms) == canon(ref_mul(geo.terms, (x - y).terms, keep))
 
 
 NEAR_TOP = st.sampled_from([0, 1, 2, TOP // 2, TOP - 1, TOP])
@@ -619,6 +607,46 @@ def test_exponents_at_the_field_top(a, b):
         with pytest.raises(ResourceBoundError):
             a.mul(b)
     assert canon((a + b).terms) == canon(ref_add(a.terms, b.terms))
+
+
+def block_poly():
+    # small exponents, so that most products fit, and exponents near the top
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, 3, TOP // 2, TOP - 1, TOP])] * 3)
+    return st.dictionaries(exps, laurent_coeff(SMALL), min_size=1, max_size=4).map(
+        lambda t: MPoly(t, 3, "q")
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(block_poly(), block_poly(), st.data())
+def test_block_truncation_matches_the_tuple_predicate(a, b, data):
+    # caps of 0, on either side of some term's block sum (the edge of the
+    # guard bit) and past the block's degree; exponents near the field top
+    # give block sums past a field
+    deg = [x + y for x, y in zip(degrees(a.terms, 3), degrees(b.terms, 3))]
+    sums = [tuple(x + y for x, y in zip(e1, e2)) for e1 in a.terms for e2 in b.terms]
+    blocks = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        lo = data.draw(st.integers(0, 2))
+        hi = data.draw(st.integers(lo + 1, 3))
+        edges = [sum(e[lo:hi]) for e in sums]
+        high = sum(deg[lo:hi])
+        caps = [0, high + 1, high + TOP] + edges + [s - 1 for s in edges if s]
+        blocks.append((lo, hi, data.draw(st.sampled_from(caps))))
+
+    def keep(e):
+        return all(sum(e[lo:hi]) <= cap for lo, hi, cap in blocks)
+
+    for lo, hi, cap in blocks:
+        deg[lo:hi] = [min(d, cap) for d in deg[lo:hi]]
+    if max(deg) > TOP:
+        with pytest.raises(ResourceBoundError):
+            a.mul(b, keep=tuple(blocks))
+        return
+    got = a.mul(b, keep=tuple(blocks))
+    assert got._terms is None
+    assert all(d <= bound for d, bound in zip(got._packed.deg, deg))
+    assert canon(got.terms) == canon(ref_mul(a.terms, b.terms, keep))
 
 
 def test_product_crossing_the_field_top_raises():
