@@ -13,7 +13,9 @@ from . import __version__
 from .errors import ModeError, ParseError, ResourceBoundError
 from .groups import (
     DEFAULT_ORDER_LIMIT,
+    MAX_PRIME,
     PGroup,
+    _is_prime,
     aut_order,
     count_injective_homs,
     count_subgroups_of_type,
@@ -76,37 +78,6 @@ _TABLE_LABELS = {
 
 class UsageError(Exception):
     """Bad arguments beyond what argparse itself catches."""
-
-
-# Miller-Rabin with the first 13 prime bases is exact for every n below
-# MAX_PRIME (Sorenson and Webster, Math. Comp. 86 (2017)); a larger p is a
-# resource-bound exit.  The first 12 bases alone fail at 3.19e23.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MAX_PRIME = 3317044064679887385961980
-
-
-def _is_prime(n):
-    if n > MAX_PRIME:
-        raise ResourceBoundError("prime p", MAX_PRIME, n)
-    if n < 2:
-        return False
-    for b in _PRIME_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _PRIME_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _frac(text):
@@ -383,8 +354,6 @@ def _cmd_verify(args, meta, out):
                     "unknown identity id %r (known: %s)" % (args.id, ", ".join(IDENTITY_IDS))
                 )
             params = _verify_params(args)
-            if cid == "GENFUN" and "p" in params and not _is_prime(params["p"]):
-                raise UsageError("p must be prime, got %d" % params["p"])
             if params:
                 strategy = RANDOM_POINT if "samples" in params else REGISTRY[cid].strategies[0]
                 reports = [verify(IdentityCase(cid, params, strategy), mutate=args.mutate)]

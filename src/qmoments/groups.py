@@ -1,6 +1,6 @@
-"""Finite abelian p-groups: torsion counts, automorphism orders, and
-brute-force subgroup/injection oracles that are independent of the
-polynomial formulas they are used to validate.
+"""Finite abelian p-groups: the primality test of p, torsion counts,
+automorphism orders, and brute-force subgroup/injection oracles that are
+independent of the polynomial formulas they are used to validate.
 
 Both oracles go through one search, `_spans`: it grows the subgroups of
 one asked type level by level from generator tuples of explicit elements,
@@ -19,6 +19,37 @@ from .partitions import Partition, subpartitions
 from .record import Record
 
 DEFAULT_ORDER_LIMIT = 4096
+
+# Miller-Rabin with the first 13 prime bases is exact for every n below
+# MAX_PRIME (Sorenson and Webster, Math. Comp. 86 (2017)); a larger p is a
+# resource-bound exit.  The first 12 bases alone fail at 3.19e23.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961980
+
+
+def _is_prime(n):
+    """Whether n is prime; ResourceBoundError past MAX_PRIME."""
+    if n > MAX_PRIME:
+        raise ResourceBoundError("prime p", MAX_PRIME, n)
+    if n < 2:
+        return False
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def order_limit():

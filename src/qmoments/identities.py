@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ResourceBoundError
-from .groups import PGroup, aut_order, torsion_order
+from .groups import PGroup, _is_prime, aut_order, torsion_order
 from .hall_littlewood import b_lambda, hl_p, principal_spec
 from .mpoly import MPoly, _unit
 from .partitions import Partition, partitions_of, subpartitions
@@ -345,7 +345,7 @@ def _run_qbinhl(params, rng):
             plam = hl_p(lam, nx)
             if plam.is_zero():
                 continue
-            term = plam.poly.embed(nv, list(range(nx)))
+            term = plam.poly.embed(nv, 0)
             term = term.mul(afac[len(lam)])
             lhs = lhs + term.scale(UniRat.mono("q", lam.nstat()))
     cauchy = MPoly.one(nv, "q")
@@ -369,13 +369,13 @@ def _run_warnaar_a2(params, rng):
             plam = hl_p(lam, nx)
             if plam.is_zero():
                 continue
-            pl = plam.poly.embed(nv, list(range(nx)))
+            pl = plam.poly.embed(nv, 0)
             for my in range(dy + 1):
                 for mu in partitions_of(my, max_length=ny):
                     pmu = hl_p(mu, ny)
                     if pmu.is_zero():
                         continue
-                    pm = pmu.poly.embed(nv, list(range(nx, nv)))
+                    pm = pmu.poly.embed(nv, nx)
                     expo = (
                         lam.nstat()
                         + mu.nstat()
@@ -408,14 +408,14 @@ def _run_lascoux(params, rng):
     ]
     stack = []
     for lam in lam_list:
-        pl = hl_p(lam, nx).poly.embed(nv, list(range(nx)))
+        pl = hl_p(lam, nx).poly.embed(nv, 0)
         for mu in subpartitions(lam):
             if len(mu) > ny or mu.size > dy:
                 continue
             pmu = hl_p(mu, ny)
             if pmu.is_zero():
                 continue
-            pm = pmu.poly.embed(nv, list(range(nx, nv)))
+            pm = pmu.poly.embed(nv, nx)
             _push(stack, pl.mul(pm).scale(b_lambda(mu) * qprime_skew(lam, mu)))
     lhs = sum((s for _, s in stack), MPoly.zero(nv, "q"))
     rhs = MPoly.one(nv, "q")
@@ -433,7 +433,7 @@ def _run_lascoux(params, rng):
     keepz = ((0, nx, dx), (z_slot, nvz, dx))
     stack = []
     for lam in lam_list:
-        pl = hl_p(lam, nx).poly.embed(nvz, list(range(nx)))
+        pl = hl_p(lam, nx).poly.embed(nvz, 0)
         for mu in subpartitions(lam):
             coeff = c_coeff(lam, mu).recip_param()
             e = (0,) * nx + (mu.size,)  # z^{|mu|}
@@ -663,7 +663,7 @@ def _scalar_sides(names, table):
 def _finite_qbinhl_symbolic(n, k):
     nv = n + 1
     x = [MPoly.var(i, nv, "q") for i in range(n)]
-    p_lams = {lam: pl.embed(nv, list(range(n))) for lam, pl in _finite_lhs_terms(n, k)}
+    p_lams = {lam: pl.embed(nv, 0) for lam, pl in _finite_lhs_terms(n, k)}
     table = _mpoly_factors(n, k, x, MPoly.var(n, nv, "q"), p_lams)
     lhs, rhs = _mpoly_sides(_finite_qbinhl_cleared(n, k), table)
     return [("cleared-coefficients", lhs, rhs)]
@@ -809,9 +809,9 @@ IDENTITY_IDS = tuple(sorted(REGISTRY))
 def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
-    A missing or negative param, or `samples` for an identity with no
-    random-point check, raises ValueError and a param over its bound
-    raises ResourceBoundError, before any work."""
+    A missing or negative param, a composite `p`, or `samples` for an
+    identity with no random-point check, raises ValueError and a param over
+    its bound raises ResourceBoundError, before any work."""
     identity = REGISTRY.get(case.case_id)
     if identity is None:
         raise ValueError("unknown identity id: %r" % (case.case_id,))
@@ -828,6 +828,8 @@ def verify(case, mutate=False):
             raise ValueError("%s needs %s >= 0, got %d" % (case.case_id, name, value))
         if bound is not None and value > bound[1]:
             raise ResourceBoundError(bound[0], bound[1], value)
+    if "p" in identity.params and not _is_prime(int(case.params["p"])):
+        raise ValueError("p must be prime, got %d" % int(case.params["p"]))
     seed = case.params.get("seed")
     rng = random.Random(seed if seed is not None else 0)
     start = time.perf_counter()

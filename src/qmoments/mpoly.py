@@ -34,19 +34,19 @@ g1 + g2 has no field's top (guard) bit set, and no product key is decoded
 (Monagan and Pearce, CASC 2007).  A blocked variable's `deg` is clamped to
 its cap.
 
-Packing, on the first arithmetic, raises ValueError for a coefficient with
-a non-monomial denominator, a non-constant coefficient with no parameter
-name or a negative exponent; an exponent bound (of a poly, a product or a
-division's remainder) past 2^FIELD - 1 raises ResourceBoundError.
+An MPoly holds the packed form only.  Its constructor packs the term map
+and raises ValueError for a coefficient with a non-monomial denominator, a
+non-constant coefficient with no parameter name or a negative exponent; an
+exponent bound (of a poly, a product or a division's remainder) past
+2^FIELD - 1 raises ResourceBoundError.
 
 `eval_scalars` at rational constants sums the packed ints times integer
 multipliers and decodes once.  `==`, `is_zero` and negation work on the
 packed form too, so they decode nothing: two packed polys are compared at
-one width, L and V.  `terms` decodes to canonical UniRats lazily, once, and
-then drops the packed form (it is rebuilt if the poly enters another
-product or sum), so a large result is not held twice.  `divexact` by
-+-(x_i - x_j) runs on slots widened to #terms * mag.  The substitutions and
-views work on the UniRat coefficients.
+one width, L and V.  `terms` decodes to canonical UniRats afresh and keeps
+nothing.  `embed` shifts every key.  `divexact` by +-(x_i - x_j) runs on
+slots widened to #terms * mag and then measures the quotient's mag.  The
+substitutions and views work on the decoded UniRats.
 """
 
 import sys
@@ -237,10 +237,11 @@ class _Laurent:
         return _Laurent(coeffs, w, L, V, mag, hi - lo + 1, deg)
 
     def measure(self):
-        """Replace the bound `mag` by the exact largest |slot|."""
+        """Replace the bound `mag` by the exact largest |slot|, unpacking
+        each distinct coefficient once."""
         w, n = self.w, self.span
         mag = 0
-        for c in self.coeffs.values():
+        for c in set(self.coeffs.values()):
             d = _unpack_signed(c, w, n)
             mag = max(mag, max(d), -min(d))
         self.mag = mag
@@ -373,7 +374,8 @@ class _Laurent:
         distinct dividend slots, so |slot| <= #terms * mag; the slots widen
         to that bound first, which also makes each zero test exact.  Raises
         ArithmeticError when the division is not exact: when the
-        remainder's largest key has no x_i.
+        remainder's largest key has no x_i.  The quotient's mag is measured,
+        so a chain of divisions does not multiply the bound.
         """
         n = len(self.deg)
         _fits((self.deg[i] + self.deg[j],))
@@ -396,7 +398,16 @@ class _Laurent:
                 r[t] = c
             else:
                 r.pop(t, None)
-        return _Laurent(out, a.w, a.L, a.V, mag, a.span, a.deg)
+        quot = _Laurent(out, a.w, a.L, a.V, mag, a.span, a.deg)
+        quot.measure()
+        return quot
+
+    def embed(self, offset, pad):
+        """The same values with offset variables before and pad after."""
+        sh = FIELD * pad
+        coeffs = {k << sh: c for k, c in self.coeffs.items()}
+        deg = (0,) * offset + self.deg + (0,) * pad
+        return _Laurent(coeffs, self.w, self.L, self.V, self.mag, self.span, deg)
 
     def eval_scalars(self, xs, param):
         """The value at x_i = xs[i] (Fractions) as a UniRat, in one pass.
@@ -439,9 +450,9 @@ class _Laurent:
 
 
 class MPoly:
-    """Polynomial in x_1..x_nvars with UniRat coefficients."""
+    """Polynomial in x_1..x_nvars with UniRat coefficients, held packed."""
 
-    __slots__ = ("nvars", "param", "_terms", "_packed")
+    __slots__ = ("nvars", "param", "_packed")
 
     def __init__(self, terms, nvars, param=None):
         clean = {}
@@ -455,15 +466,13 @@ class MPoly:
                 raise ValueError("exponent %r has wrong arity" % (e,))
             param = _unify(param, c.param)
             clean[e] = c
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_packed", None)
+        object.__setattr__(self, "_packed", _Laurent.pack(clean, nvars))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "param", param)
 
     @staticmethod
     def _from_packed(packed, nvars, param):
         out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "_terms", None)
         object.__setattr__(out, "_packed", packed)
         object.__setattr__(out, "nvars", nvars)
         object.__setattr__(out, "param", param)
@@ -474,27 +483,8 @@ class MPoly:
 
     @property
     def terms(self):
-        """Exponent tuple -> nonzero UniRat coefficient (decoded on first use)."""
-        terms = self._terms
-        if terms is None:
-            terms = self._decoded()
-            object.__setattr__(self, "_terms", terms)
-            object.__setattr__(self, "_packed", None)
-        return terms
-
-    def _decoded(self):
-        """The term map, decoding the packed form without dropping it."""
-        terms = self._terms
-        return self._packed.decode(self.param) if terms is None else terms
-
-    def _laurent(self):
-        """The packed Laurent form, built on first use (`_Laurent.pack`
-        names the errors)."""
-        packed = self._packed
-        if packed is None:
-            packed = _Laurent.pack(self._terms, self.nvars)
-            object.__setattr__(self, "_packed", packed)
-        return packed
+        """Exponent tuple -> nonzero UniRat coefficient, decoded afresh."""
+        return self._packed.decode(self.param)
 
     # -- constructors --------------------------------------------------------
 
@@ -531,8 +521,7 @@ class MPoly:
         return self.terms.get(tuple(exps), ZERO)
 
     def is_zero(self):
-        packed = self._packed
-        return not (self._terms if packed is None else packed.coeffs)
+        return not self._packed.coeffs
 
     def __bool__(self):
         return not self.is_zero()
@@ -557,13 +546,11 @@ class MPoly:
             return NotImplemented
         self._check(other)
         param = _unify(self.param, other.param)
-        return MPoly._from_packed(self._laurent().add(other._laurent()), self.nvars, param)
+        return MPoly._from_packed(self._packed.add(other._packed), self.nvars, param)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._packed is None:
-            return MPoly({e: -c for e, c in self._terms.items()}, self.nvars, self.param)
         return MPoly._from_packed(self._packed.neg(), self.nvars, self.param)
 
     def __sub__(self, other):
@@ -583,7 +570,7 @@ class MPoly:
             other = MPoly.const(other, self.nvars)
         self._check(other)
         param = _unify(self.param, other.param)
-        return MPoly._from_packed(self._laurent().mul(other._laurent(), keep), self.nvars, param)
+        return MPoly._from_packed(self._packed.mul(other._packed, keep), self.nvars, param)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, UniRat, MPoly)):
@@ -598,7 +585,7 @@ class MPoly:
         if c.is_zero():
             return MPoly.zero(self.nvars, self.param)
         param = _unify(self.param, c.param)
-        packed = self._laurent().scale(_Laurent.pack({(): c}, 0))
+        packed = self._packed.scale(_Laurent.pack({(): c}, 0))
         return MPoly._from_packed(packed, self.nvars, param)
 
     def __pow__(self, k):
@@ -623,7 +610,7 @@ class MPoly:
         if diff is None:
             raise ValueError("divexact divides by +-(x_i - x_j) only, not %r" % (other,))
         self._check(other)
-        quot = self._laurent().divexact_difference(*diff)
+        quot = self._packed.divexact_difference(*diff)
         return MPoly._from_packed(quot, self.nvars, _unify(self.param, other.param))
 
     # -- substitutions ----------------------------------------------------------
@@ -643,15 +630,12 @@ class MPoly:
         perm[i], perm[j] = perm[j], perm[i]
         return self.permute_vars(perm)
 
-    def embed(self, nvars, positions):
-        """View inside a larger variable list; old slot i goes to positions[i]."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * nvars
-            for i, a in enumerate(e):
-                ne[positions[i]] = a
-            out[tuple(ne)] = c
-        return MPoly(out, nvars, self.param)
+    def embed(self, nvars, offset):
+        """View inside a larger variable list: old slot i goes to offset + i."""
+        pad = nvars - offset - self.nvars
+        if offset < 0 or pad < 0:
+            raise ValueError("%d variables at offset %d do not fit %d" % (self.nvars, offset, nvars))
+        return MPoly._from_packed(self._packed.embed(offset, pad), nvars, self.param)
 
     def subs_scalar(self, i, value):
         """Substitute x_i -> value (a UniRat scalar); arity is preserved."""
@@ -679,7 +663,7 @@ class MPoly:
         consts = [v.constant() for v in vals]
         if None in consts:
             raise ValueError("eval_scalars takes rational constants, not %r" % (values,))
-        return self._laurent().eval_scalars(consts, self.param)
+        return self._packed.eval_scalars(consts, self.param)
 
     def specialize_param(self, x):
         """Evaluate every coefficient at the rational point x."""
@@ -691,24 +675,20 @@ class MPoly:
     # -- comparison and rendering -------------------------------------------------
 
     def __eq__(self, other):
-        """Same arity, compatible parameters and the same coefficients:
-        compared on the packed forms when both have one (`_Laurent.equals`),
-        else on the term maps."""
+        """Same arity, compatible parameters and the same coefficients,
+        compared on the packed forms (`_Laurent.equals`)."""
         if not isinstance(other, MPoly):
             return NotImplemented
         if self.nvars != other.nvars:
             return False
         if None not in (self.param, other.param) and self.param != other.param:
             return False
-        a, b = self._packed, other._packed
-        if a is not None and b is not None:
-            return a.equals(b)
-        return self._decoded() == other._decoded()
+        return self._packed.equals(other._packed)
 
     def compare(self, other):
         """(self == other, the number of exponents with a coefficient on
         either side), on the packed forms: neither side is decoded."""
-        a, b = self._laurent().coeffs, other._laurent().coeffs
+        a, b = self._packed.coeffs, other._packed.coeffs
         return self == other, len(a) + len(b.keys() - a.keys())
 
     def as_json(self):

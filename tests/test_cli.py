@@ -306,9 +306,10 @@ def test_pinned_cli_rows_replay_in_process(monkeypatch):
 
 def test_verify_genfun_rejects_composite_p():
     argv = ["verify", "--id", "GENFUN", "--lambda", "1", "--zmax", "4", "--p"]
-    code, out = run(argv + ["4"])
-    assert code == 2
-    assert out == ""
+    for p in ("4", "1000000"):
+        code, out = run(argv + [p])
+        assert code == 2
+        assert out == ""
     code, data = run_json(argv + ["3"])
     assert code == 0
     assert data["rows"][0]["passed"] is True

@@ -73,7 +73,7 @@ def hl_branching(lam, n, param="q"):
     else:
         out = MPoly.zero(n, param)
         for mu in _interlacing_subs(lam):
-            sub = hl_branching(mu, n - 1, param).embed(n, list(range(n - 1)))
+            sub = hl_branching(mu, n - 1, param).embed(n, 0)
             xn_pow = MPoly.mono(
                 tuple(0 if k < n - 1 else lam.size - mu.size for k in range(n)),
                 1,

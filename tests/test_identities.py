@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 from qmoments.errors import ResourceBoundError
+from qmoments.groups import MAX_PRIME
 from qmoments.identities import (
     IDENTITY_IDS,
     RANDOM_POINT,
+    Identity,
     IdentityCase,
     Mismatch,
     VerificationReport,
@@ -30,9 +32,9 @@ from qmoments.identities import (
     _mpoly_sides,
 )
 from qmoments.mpoly import MPoly
-from qmoments.hall_littlewood import hl_p
+from qmoments.hall_littlewood import _hl_cached, hl_p
 from qmoments.partitions import Partition, partitions_of, subpartitions
-from qmoments.qrat import ONE, UniRat, ZERO
+from qmoments.qrat import ONE, UniRat, ZERO, _unpack_signed
 from qmoments.rbasis import c_coeff
 from test_mpoly import time_limit
 
@@ -165,6 +167,32 @@ def test_truncated_rhs_degrees_stay_at_the_caps():
     (_, _, rhs), = REGISTRY["WARNAAR_A2"].run({"nx": 3, "ny": 3, "dx": 5, "dy": 5}, None)
     assert rhs._packed.deg == (5,) * 6
     assert max(max(e) for e in rhs.terms) == 5
+
+
+def test_finite_box_hl_p_bounds_are_the_largest_slots():
+    # the Vandermonde divisions of hl_p measure their quotient, so a cached
+    # P_lam carries its exact largest |slot|, not a product of term counts
+    _hl_cached.cache_clear()
+    for lam, poly in _finite_lhs_terms(4, 3):
+        packed = poly._packed
+        slots = [
+            abs(x) for c in packed.coeffs.values() for x in _unpack_signed(c, packed.w, packed.span)
+        ]
+        assert packed.mag == max(slots, default=0), lam
+
+
+def test_genfun_rejects_a_composite_p_before_any_work(monkeypatch):
+    genfun = REGISTRY["GENFUN"]
+
+    def run(params, rng):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setitem(REGISTRY, "GENFUN", Identity(run, genfun.strategies, genfun.params))
+    for p in (0, 1, 4, 10**6, 3215031751):
+        with pytest.raises(ValueError, match="p must be prime"):
+            verify(IdentityCase("GENFUN", {"lam": [1], "p": p, "zmax": 6}, "truncated-series"))
+    with pytest.raises(ResourceBoundError):
+        verify(IdentityCase("GENFUN", {"lam": [1], "p": MAX_PRIME + 1, "zmax": 6}, "truncated-series"))
 
 
 def sampled_maps(params):
@@ -441,7 +469,7 @@ def chain_sides(names, table):
 def symbolic_table(n, k):
     nv = n + 1
     x = [MPoly.var(i, nv, "q") for i in range(n)]
-    p_lams = {lam: pl.embed(nv, list(range(n))) for lam, pl in _finite_lhs_terms(n, k)}
+    p_lams = {lam: pl.embed(nv, 0) for lam, pl in _finite_lhs_terms(n, k)}
     return _mpoly_factors(n, k, x, MPoly.var(n, nv, "q"), p_lams)
 
 
@@ -469,7 +497,7 @@ def logged(self, other, keep=None):
 
 n, k = 3, 2
 x = [MPoly.var(i, n + 1, "q") for i in range(n)]
-p_lams = {lam: pl.embed(n + 1, list(range(n))) for lam, pl in I._finite_lhs_terms(n, k)}
+p_lams = {lam: pl.embed(n + 1, 0) for lam, pl in I._finite_lhs_terms(n, k)}
 table = I._mpoly_factors(n, k, x, MPoly.var(n, n + 1, "q"), p_lams)
 MPoly.mul = logged
 I._mpoly_sides(([], [], I._finite_qbinhl_cleared(n, k)[2]), table)

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import qmoments
@@ -17,4 +18,15 @@ def test_no_check_is_stripped_by_optimize():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert len(SOURCES) > 10
+    assert found == []
+
+
+def test_packed_format_stays_inside_mpoly():
+    # only mpoly.py reads or builds the packed form of an MPoly
+    found = [
+        path.name
+        for path in SOURCES
+        if path.name != "mpoly.py" and re.search(r"\b(_packed|_Laurent)\b", path.read_text())
+    ]
+    assert "mpoly.py" in {path.name for path in SOURCES}
     assert found == []
