@@ -107,7 +107,7 @@ def b_lambda(lam, param="q"):
 
 
 @lru_cache(maxsize=None)
-def _principal_value(lam, n, param, validate):
+def _principal_value(lam, n, param):
     ell = lam.length
     if n == inf:
         val = UniRat.mono(param, lam.nstat()) / b_lambda(lam, param)
@@ -119,7 +119,7 @@ def _principal_value(lam, n, param, validate):
             * qq(n, param)
             / (qq(n - ell, param) * b_lambda(lam, param))
         )
-    if validate and n != inf and n <= HL_MAX_ALPHABET:
+    if n != inf and n <= HL_MAX_ALPHABET:
         # substitute x_i = q^{i-1}; homogeneity carries the z^{|lam|} factor
         p = hl_p(lam, n, param).poly
         for i in range(n):
@@ -129,7 +129,7 @@ def _principal_value(lam, n, param, validate):
     return val
 
 
-def principal_spec(lam, n, param="q", validate=True):
+def principal_spec(lam, n, param="q"):
     """P_lam(z, zq, ..., zq^{n-1}; q) = z^{|lam|} q^{n(lam)} (q)_n /
     ((q)_{n-l(lam)} b_lam(q)); n = inf drops the (q)_n ratio.
 
@@ -138,4 +138,4 @@ def principal_spec(lam, n, param="q", validate=True):
     (lam, n).
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    return _principal_value(lam, n, param, bool(validate))
+    return _principal_value(lam, n, param)

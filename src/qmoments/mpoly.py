@@ -7,8 +7,8 @@ provided by the factors x_i - x_j of a Vandermonde product.
 Every coefficient is a Laurent polynomial in q over an integer (c*q^v in
 the denominator): R_lambda, the Hall-Littlewood P_lambda and both cleared
 sides of every identity are; 1/(q;q)_k and the like stay in scalar UniRat
-and ZSeries values.  So `mul`, `+`, `scale`, `divexact` and `eval_scalars`
-run on one packed form (`_Laurent`) only: all coefficients over one common
+and ZSeries values.  So an MPoly is one packed form, on which `mul`, `+`,
+`scale`, `divexact` and `eval_scalars` run: all coefficients over one common
 denominator L*q^V, each numerator one Python int holding its
 q-coefficients in signed slots of s bits (Kronecker substitution
 q -> 2^s).  The form keeps a bound `mag` on every |slot| and a bound `span`
@@ -34,19 +34,19 @@ g1 + g2 has no field's top (guard) bit set, and no product key is decoded
 (Monagan and Pearce, CASC 2007).  A blocked variable's `deg` is clamped to
 its cap.
 
-An MPoly holds the packed form only.  Its constructor packs the term map
-and raises ValueError for a coefficient with a non-monomial denominator, a
-non-constant coefficient with no parameter name or a negative exponent; an
-exponent bound (of a poly, a product or a division's remainder) past
-2^FIELD - 1 raises ResourceBoundError.
+The constructor packs the term map and raises ValueError for a coefficient
+with a non-monomial denominator, a non-constant coefficient with no
+parameter name or a negative exponent; an exponent bound (of a poly, a
+product or a division's remainder) past 2^FIELD - 1 raises
+ResourceBoundError.
 
 `eval_scalars` at rational constants sums the packed ints times integer
-multipliers and decodes once.  `==`, `is_zero` and negation work on the
-packed form too, so they decode nothing: two packed polys are compared at
-one width, L and V.  `terms` decodes to canonical UniRats afresh and keeps
-nothing.  `embed` shifts every key.  `divexact` by +-(x_i - x_j) runs on
-slots widened to #terms * mag and then measures the quotient's mag.  The
-substitutions and views work on the decoded UniRats.
+multipliers and decodes once.  `==`, `is_zero`, negation and `swap_vars`
+work on the packed form too, so they decode nothing: two packed polys are
+compared at one width, L and V.  `terms` decodes to canonical UniRats afresh
+and keeps nothing.  `embed` shifts every key.  `divexact` by +-(x_i - x_j)
+runs on slots widened to #terms * mag and then measures the quotient's mag
+and span.  The substitutions and views work on the decoded UniRats.
 """
 
 import sys
@@ -81,18 +81,18 @@ def _slot_width(mag, w=8):
 
 def _mul_bound(a, b):
     # a product slot sums at most min(#terms) * min(span) slot products
-    return min(len(a.coeffs), len(b.coeffs)) * min(a.span, b.span) * a.mag * b.mag
+    return min(len(a._coeffs), len(b._coeffs)) * min(a._span, b._span) * a._mag * b._mag
 
 
 def _add_bound(a, b):
-    L = lcm(a.L, b.L)
-    return a.mag * (L // a.L) + b.mag * (L // b.L)
+    L = lcm(a._L, b._L)
+    return a._mag * (L // a._L) + b._mag * (L // b._L)
 
 
 def _eq_bound(a, b):
     # each side's slots, brought to the common L, on their own
-    L = lcm(a.L, b.L)
-    return max(a.mag * (L // a.L), b.mag * (L // b.L))
+    L = lcm(a._L, b._L)
+    return max(a._mag * (L // a._L), b._mag * (L // b._L))
 
 
 def _unit(nvars, *slots):
@@ -175,284 +175,86 @@ def _guards(keys, blocks, deg, biased):
     return out, guard
 
 
-class _Laurent:
-    """Coefficients n_e(q) * q^-V / L, with n_e packed in w-byte slots.
+def _pack(terms, nvars):
+    """The packed fields (coeffs, w, L, V, mag, span, deg) of a UniRat term map.
 
-    coeffs maps the packed key of e (`_key`) to its packed numerator, and
-    deg[i] bounds the exponent of x_i in every key.  Slot i of coeffs[e] is
-    L times the coefficient of q^(i-V) in the value at x^e.  Every slot lies
-    in [-mag, mag], 2^(8w-1) > mag, and slots at index >= span are zero.  No
-    coefficient is zero.
+    Raises ValueError when some coefficient has a non-monomial
+    denominator or is non-constant without a parameter name (decoding
+    gives every non-constant coefficient the poly's name), or when some
+    exponent is negative; ResourceBoundError when one passes a field.
     """
+    if not terms:
+        return {}, 8, 1, 0, 0, 1, (0,) * nvars
+    cols = list(zip(*terms))
+    deg = tuple(map(max, cols))
+    if cols and min(map(min, cols)) < 0:
+        raise ValueError("negative exponent in %r" % (min(terms),))
+    _fits(deg)
+    L, lo, hi = 1, None, None
+    for c in terms.values():
+        num, den = c.num, c.den
+        if any(den[:-1]) or (c.param is None and (len(num) > 1 or len(den) > 1)):
+            raise ValueError("coefficient %r is not c*q^v over an integer" % (c,))
+        v = len(den) - 1
+        L = lcm(L, den[-1])
+        low, high = _pval(num) - v, len(num) - 1 - v
+        if lo is None or low < lo:
+            lo = low
+        if hi is None or high > hi:
+            hi = high
+    V = -lo
+    mag = max(max(map(abs, c.num)) * (L // c.den[-1]) for c in terms.values())
+    w = _slot_width(mag)
+    coeffs = {}
+    for e, c in terms.items():
+        num, den = c.num, c.den
+        k = L // den[-1]
+        sh = V - len(den) + 1
+        packed = _pack_signed([x * k for x in num[max(0, -sh):]], w)
+        coeffs[_key(e)] = packed << (8 * w * sh) if sh > 0 else packed
+    return coeffs, w, L, V, mag, hi - lo + 1, deg
 
-    __slots__ = ("coeffs", "w", "L", "V", "mag", "span", "deg")
 
-    def __init__(self, coeffs, w, L, V, mag, span, deg):
-        self.coeffs = coeffs
-        self.w = w
-        self.L = L
-        self.V = V
-        self.mag = mag
-        self.span = span
-        self.deg = deg
+def _unirat(c, w, span, L, V, param):
+    """The canonical UniRat of the packed numerator c over L*q^V."""
+    lead = (0,) * -V if V < 0 else ()
+    den = (0,) * V + (L,) if V > 0 else (L,)
+    return UniRat(lead + tuple(_unpack_signed(c, w, span)), den, param)
 
-    @staticmethod
-    def pack(terms, nvars):
-        """The packed form of a UniRat term map.
 
-        Raises ValueError when some coefficient has a non-monomial
-        denominator or is non-constant without a parameter name (decoding
-        gives every non-constant coefficient the poly's name), or when some
-        exponent is negative; ResourceBoundError when one passes a field.
-        """
-        if not terms:
-            return _Laurent({}, 8, 1, 0, 0, 1, (0,) * nvars)
-        cols = list(zip(*terms))
-        deg = tuple(map(max, cols))
-        if cols and min(map(min, cols)) < 0:
-            raise ValueError("negative exponent in %r" % (min(terms),))
-        _fits(deg)
-        L, lo, hi = 1, None, None
-        for c in terms.values():
-            num, den = c.num, c.den
-            if any(den[:-1]) or (c.param is None and (len(num) > 1 or len(den) > 1)):
-                raise ValueError("coefficient %r is not c*q^v over an integer" % (c,))
-            v = len(den) - 1
-            L = lcm(L, den[-1])
-            low, high = _pval(num) - v, len(num) - 1 - v
-            if lo is None or low < lo:
-                lo = low
-            if hi is None or high > hi:
-                hi = high
-        V = -lo
-        mag = max(max(map(abs, c.num)) * (L // c.den[-1]) for c in terms.values())
-        w = _slot_width(mag)
-        coeffs = {}
-        for e, c in terms.items():
-            num, den = c.num, c.den
-            k = L // den[-1]
-            sh = V - len(den) + 1
-            packed = _pack_signed([x * k for x in num[max(0, -sh):]], w)
-            coeffs[_key(e)] = packed << (8 * w * sh) if sh > 0 else packed
-        return _Laurent(coeffs, w, L, V, mag, hi - lo + 1, deg)
+_set = object.__setattr__
 
-    def measure(self):
-        """Replace the bound `mag` by the exact largest |slot|, unpacking
-        each distinct coefficient once."""
-        w, n = self.w, self.span
-        mag = 0
-        for c in set(self.coeffs.values()):
-            d = _unpack_signed(c, w, n)
-            mag = max(mag, max(d), -min(d))
-        self.mag = mag
 
-    def widen(self, w):
-        """The same values in w-byte slots (w >= self.w)."""
-        if w == self.w:
-            return self
-        n = self.span
-        coeffs = {
-            e: _pack_signed(_unpack_signed(c, self.w, n), w) for e, c in self.coeffs.items()
-        }
-        return _Laurent(coeffs, w, self.L, self.V, self.mag, n, self.deg)
+def _fill(p, param, coeffs, w, L, V, mag, span, deg):
+    """p with its fields set, past the __setattr__ that refuses them."""
+    _set(p, "param", param)
+    _set(p, "_coeffs", coeffs)
+    _set(p, "_w", w)
+    _set(p, "_L", L)
+    _set(p, "_V", V)
+    _set(p, "_mag", mag)
+    _set(p, "_span", span)
+    _set(p, "_deg", deg)
+    return p
 
-    def _common(self, other, bound):
-        """Both operands at one width whose slots hold bound(self, other).
 
-        When the certified bound outgrows the current width, both operands'
-        bounds are first re-measured exactly; only if that is not enough do
-        the slots widen.  Returns (a, b, w, bound).
-        """
-        w = max(self.w, other.w)
-        mag = bound(self, other)
-        if mag >> (8 * w - 1):
-            self.measure()
-            other.measure()
-            mag = bound(self, other)
-            w = _slot_width(mag, w)
-        return self.widen(w), other.widen(w), w, mag
-
-    def mul(self, other, keep):
-        """The product, truncated to the blocks keep when given (`_guards`);
-        ResourceBoundError when an exponent could outgrow its field."""
-        deg = tuple(map(add, self.deg, other.deg))
-        if keep:
-            unclamped = deg
-            for lo, hi, cap in keep:
-                deg = deg[:lo] + tuple(min(d, cap) for d in deg[lo:hi]) + deg[hi:]
-        _fits(deg)
-        a, b, w, mag = self._common(other, _mul_bound)
-        big, small = a.coeffs, b.coeffs
-        if len(big) == 2:
-            big, small = small, big
-        if keep:
-            gs, guard = _guards(small, keep, unclamped, True)
-            pairs = list(zip(small.items(), gs))
-            out = {}
-            get = out.get
-            for (k1, c1), g1 in zip(big.items(), _guards(big, keep, unclamped, False)[0]):
-                for (k2, c2), g2 in pairs:
-                    if not (g1 + g2) & guard:
-                        k = k1 + k2
-                        out[k] = get(k, 0) + c1 * c2
-        elif len(small) == 2:
-            # two shifted copies of the larger operand, merged
-            (u, cu), (v, cv) = small.items()
-            out = {k + u: c * cu for k, c in big.items()}
-            get = out.get
-            for k, c in big.items():
-                k += v
-                out[k] = get(k, 0) + c * cv
-        else:
-            out = {}
-            get = out.get
-            for k1, c1 in big.items():
-                for k2, c2 in small.items():
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        out = _nonzero(out)
-        return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1, deg)
-
-    def add(self, other):
-        a, b, w, mag = self._common(other, _add_bound)
-        L, V = lcm(a.L, b.L), max(a.V, b.V)
-        ka, kb = L // a.L, L // b.L
-        sa, sb = 8 * w * (V - a.V), 8 * w * (V - b.V)
-        out = {e: (c * ka) << sa for e, c in a.coeffs.items()}
-        get = out.get
-        for e, c in b.coeffs.items():
-            out[e] = get(e, 0) + ((c * kb) << sb)
-        if len(out) == len(a.coeffs) + len(b.coeffs):
-            # no exponent is in both, so every slot comes from one operand
-            mag = max(a.mag * ka, b.mag * kb)
-        span = max(a.span + V - a.V, b.span + V - b.V)
-        out = _nonzero(out)
-        return _Laurent(out, w, L, V, mag, span, tuple(map(max, a.deg, b.deg)))
-
-    def equals(self, other):
-        """Whether both hold the same values.
-
-        Both sides are brought to one width, L and V, where every numerator
-        is one int (signed slots that fit have one packing), and the
-        key -> int maps are compared.
-        """
-        a, b, w, _ = self._common(other, _eq_bound)
-        if a.L == b.L and a.V == b.V:
-            return a.coeffs == b.coeffs
-        if len(a.coeffs) != len(b.coeffs):
-            return False
-        # key by key, so that neither side is copied at the common L and V
-        L, V = lcm(a.L, b.L), max(a.V, b.V)
-        ka, kb = L // a.L, L // b.L
-        sa, sb = 8 * w * (V - a.V), 8 * w * (V - b.V)
-        get = b.coeffs.get
-        for e, c in a.coeffs.items():
-            d = get(e)
-            if d is None or (c * ka) << sa != (d * kb) << sb:
-                return False
-        return True
-
-    def neg(self):
-        out = {e: -c for e, c in self.coeffs.items()}
-        return _Laurent(out, self.w, self.L, self.V, self.mag, self.span, self.deg)
-
-    def scale(self, other):
-        """Every coefficient times the one coefficient of `other`."""
-        a, b, w, mag = self._common(other, _mul_bound)
-        (c,) = b.coeffs.values()
-        out = {e: v * c for e, v in a.coeffs.items()}
-        return _Laurent(out, w, a.L * b.L, a.V + b.V, mag, a.span + b.span - 1, a.deg)
-
-    def divexact_difference(self, i, j, sign):
-        """The exact quotient by sign * (x_i - x_j), where i < j and sign is
-        1 or -1; ResourceBoundError when the remainder could outgrow a field.
-
-        It is long division on the packed ints: the quotient at
-        m / x_i is sign times the remainder at m, which is added to the
-        remainder at m * x_j / x_i.  A step moves one unit of exponent from
-        x_i to x_j, so no remainder exponent of x_j passes deg_i + deg_j.  Every quotient and remainder slot is a signed sum of
-        distinct dividend slots, so |slot| <= #terms * mag; the slots widen
-        to that bound first, which also makes each zero test exact.  Raises
-        ArithmeticError when the division is not exact: when the
-        remainder's largest key has no x_i.  The quotient's mag is measured,
-        so a chain of divisions does not multiply the bound.
-        """
-        n = len(self.deg)
-        _fits((self.deg[i] + self.deg[j],))
-        shift = FIELD * (n - 1 - i)
-        unit = 1 << shift  # the key of x_i
-        step = (1 << FIELD * (n - 1 - j)) - unit
-        mag = len(self.coeffs) * self.mag
-        a = self.widen(_slot_width(mag, self.w))
-        r = dict(a.coeffs)
-        out = {}
-        while r:
-            m = max(r)
-            if not (m >> shift) & _TOP:
-                raise ArithmeticError("inexact polynomial division")
-            c = r.pop(m)
-            out[m - unit] = c if sign > 0 else -c
-            t = m + step
-            c += r.get(t, 0)
-            if c:
-                r[t] = c
-            else:
-                r.pop(t, None)
-        quot = _Laurent(out, a.w, a.L, a.V, mag, a.span, a.deg)
-        quot.measure()
-        return quot
-
-    def embed(self, offset, pad):
-        """The same values with offset variables before and pad after."""
-        sh = FIELD * pad
-        coeffs = {k << sh: c for k, c in self.coeffs.items()}
-        deg = (0,) * offset + self.deg + (0,) * pad
-        return _Laurent(coeffs, self.w, self.L, self.V, self.mag, self.span, deg)
-
-    def eval_scalars(self, xs, param):
-        """The value at x_i = xs[i] (Fractions) as a UniRat, in one pass.
-
-        With D the lcm of the denominators, x_i = n_i / D for integers n_i,
-        so the value is sum_e c_e * prod(n_i^e_i) * D^(top-|e|) / D^top with
-        top the largest total degree.  Every factor is an integer, so the sum
-        runs on the packed ints; a slot of it is at most
-        #terms * mag * max|multiplier|.
-        """
-        D = lcm(*(x.denominator for x in xs))
-        ns = [x.numerator * (D // x.denominator) for x in xs]
-        exps = _exponents(list(self.coeffs), len(self.deg))
-        top = max(map(sum, exps), default=0)
-        mult = [prod(map(pow, ns, e)) * D ** (top - sum(e)) for e in exps]
-        mag = len(mult) * self.mag * max(map(abs, mult), default=0)
-        a = self.widen(_slot_width(mag, self.w))
-        total = sum(map(mul, a.coeffs.values(), mult))
-        if not total:
-            return ZERO
-        value = _Laurent({0: total}, a.w, self.L * D**top, self.V, mag, self.span, ())
-        return value.decode(param)[()]
-
-    def decode(self, param):
-        """Canonical UniRat coefficients, as the UniRat arithmetic gives them.
-
-        Each distinct packed coefficient is decoded once (the 16,000 of a
-        FINITE_QBINHL n=3 side hold about 3,000 values), and the immutable
-        UniRat is shared.
-        """
-        w, n, V = self.w, self.span, self.V
-        lead = (0,) * -V if V < 0 else ()
-        den = (0,) * V + (self.L,) if V > 0 else (self.L,)
-        coeffs = self.coeffs.values()
-        value = {
-            c: UniRat(lead + tuple(_unpack_signed(c, w, n)), den, param) for c in set(coeffs)
-        }
-        exps = _exponents(list(self.coeffs), len(self.deg))
-        return dict(zip(exps, map(value.__getitem__, coeffs)))
+def _new(*fields):
+    """The MPoly of (param, coeffs, w, L, V, mag, span, deg)."""
+    return _fill(object.__new__(MPoly), *fields)
 
 
 class MPoly:
-    """Polynomial in x_1..x_nvars with UniRat coefficients, held packed."""
+    """Polynomial in x_1..x_nvars with UniRat coefficients, held packed:
+    n_e(q) * q^-V / L at x^e, with n_e packed in w-byte slots.
 
-    __slots__ = ("nvars", "param", "_packed")
+    _coeffs maps the packed key of e (`_key`) to its packed numerator, and
+    _deg[i] bounds the exponent of x_i in every key.  Slot i of _coeffs[e]
+    is L times the coefficient of q^(i-V) in the value at x^e.  Every slot
+    lies in [-mag, mag], 2^(8w-1) > mag, and slots at index >= span are
+    zero.  No coefficient is zero.
+    """
+
+    __slots__ = ("param", "_coeffs", "_w", "_L", "_V", "_mag", "_span", "_deg")
 
     def __init__(self, terms, nvars, param=None):
         clean = {}
@@ -466,25 +268,70 @@ class MPoly:
                 raise ValueError("exponent %r has wrong arity" % (e,))
             param = _unify(param, c.param)
             clean[e] = c
-        object.__setattr__(self, "_packed", _Laurent.pack(clean, nvars))
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "param", param)
-
-    @staticmethod
-    def _from_packed(packed, nvars, param):
-        out = MPoly.__new__(MPoly)
-        object.__setattr__(out, "_packed", packed)
-        object.__setattr__(out, "nvars", nvars)
-        object.__setattr__(out, "param", param)
-        return out
+        _fill(self, param, *_pack(clean, nvars))
 
     def __setattr__(self, *a):
         raise AttributeError("MPoly is immutable")
 
     @property
+    def nvars(self):
+        return len(self._deg)
+
+    @property
     def terms(self):
-        """Exponent tuple -> nonzero UniRat coefficient, decoded afresh."""
-        return self._packed.decode(self.param)
+        """Exponent tuple -> nonzero UniRat coefficient, decoded afresh.
+
+        Each distinct packed coefficient is decoded once (the 16,000 of a
+        FINITE_QBINHL n=3 side hold about 3,000 values), and the immutable
+        UniRat is shared.
+        """
+        w, n, L, V, param = self._w, self._span, self._L, self._V, self.param
+        coeffs = self._coeffs.values()
+        value = {c: _unirat(c, w, n, L, V, param) for c in set(coeffs)}
+        exps = _exponents(list(self._coeffs), len(self._deg))
+        return dict(zip(exps, map(value.__getitem__, coeffs)))
+
+    # -- packed bounds and widths ------------------------------------------------
+
+    def measure(self):
+        """Replace the bounds `mag` and `span` by the exact largest |slot|
+        and slot count, unpacking each distinct coefficient once."""
+        w, n = self._w, self._span
+        mag, span = 0, 1
+        for c in set(self._coeffs.values()):
+            d = _unpack_signed(c, w, n)
+            mag = max(mag, max(d), -min(d))
+            while not d[-1]:
+                d.pop()
+            span = max(span, len(d))
+        _set(self, "_mag", mag)
+        _set(self, "_span", span)
+
+    def widen(self, w):
+        """The same values in w-byte slots (w >= self._w)."""
+        if w == self._w:
+            return self
+        n = self._span
+        coeffs = {
+            e: _pack_signed(_unpack_signed(c, self._w, n), w) for e, c in self._coeffs.items()
+        }
+        return _new(self.param, coeffs, w, self._L, self._V, self._mag, n, self._deg)
+
+    def _common(self, other, bound):
+        """Both operands at one width whose slots hold bound(self, other).
+
+        When the certified bound outgrows the current width, both operands'
+        bounds are first re-measured exactly; only if that is not enough do
+        the slots widen.  Returns (a, b, w, bound).
+        """
+        w = max(self._w, other._w)
+        mag = bound(self, other)
+        if mag >> (8 * w - 1):
+            self.measure()
+            other.measure()
+            mag = bound(self, other)
+            w = _slot_width(mag, w)
+        return self.widen(w), other.widen(w), w, mag
 
     # -- constructors --------------------------------------------------------
 
@@ -521,14 +368,14 @@ class MPoly:
         return self.terms.get(tuple(exps), ZERO)
 
     def is_zero(self):
-        return not self._packed.coeffs
+        return not self._coeffs
 
     def __bool__(self):
         return not self.is_zero()
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None."""
-        degs = {sum(e) for e in self.terms}
+        degs = set(map(sum, _exponents(list(self._coeffs), len(self._deg))))
         if len(degs) == 1:
             return degs.pop()
         return None if degs else 0
@@ -546,12 +393,26 @@ class MPoly:
             return NotImplemented
         self._check(other)
         param = _unify(self.param, other.param)
-        return MPoly._from_packed(self._packed.add(other._packed), self.nvars, param)
+        a, b, w, mag = self._common(other, _add_bound)
+        L, V = lcm(a._L, b._L), max(a._V, b._V)
+        ka, kb = L // a._L, L // b._L
+        sa, sb = 8 * w * (V - a._V), 8 * w * (V - b._V)
+        out = {e: (c * ka) << sa for e, c in a._coeffs.items()}
+        get = out.get
+        for e, c in b._coeffs.items():
+            out[e] = get(e, 0) + ((c * kb) << sb)
+        if len(out) == len(a._coeffs) + len(b._coeffs):
+            # no exponent is in both, so every slot comes from one operand
+            mag = max(a._mag * ka, b._mag * kb)
+        span = max(a._span + V - a._V, b._span + V - b._V)
+        out = _nonzero(out)
+        return _new(param, out, w, L, V, mag, span, tuple(map(max, a._deg, b._deg)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._from_packed(self._packed.neg(), self.nvars, self.param)
+        out = {e: -c for e, c in self._coeffs.items()}
+        return _new(self.param, out, self._w, self._L, self._V, self._mag, self._span, self._deg)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, UniRat)):
@@ -565,12 +426,50 @@ class MPoly:
 
     def mul(self, other, keep=None):
         """Product; keep, when given, is a tuple of blocks (lo, hi, cap) and
-        drops every term whose exponents of x_lo..x_{hi-1} sum past cap."""
+        drops every term whose exponents of x_lo..x_{hi-1} sum past cap
+        (`_guards`).  ResourceBoundError when an exponent could outgrow its
+        field."""
         if isinstance(other, (int, Fraction, UniRat)):
             other = MPoly.const(other, self.nvars)
         self._check(other)
         param = _unify(self.param, other.param)
-        return MPoly._from_packed(self._packed.mul(other._packed, keep), self.nvars, param)
+        deg = tuple(map(add, self._deg, other._deg))
+        if keep:
+            unclamped = deg
+            for lo, hi, cap in keep:
+                deg = deg[:lo] + tuple(min(d, cap) for d in deg[lo:hi]) + deg[hi:]
+        _fits(deg)
+        a, b, w, mag = self._common(other, _mul_bound)
+        big, small = a._coeffs, b._coeffs
+        if len(big) == 2:
+            big, small = small, big
+        if keep:
+            gs, guard = _guards(small, keep, unclamped, True)
+            pairs = list(zip(small.items(), gs))
+            out = {}
+            get = out.get
+            for (k1, c1), g1 in zip(big.items(), _guards(big, keep, unclamped, False)[0]):
+                for (k2, c2), g2 in pairs:
+                    if not (g1 + g2) & guard:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
+        elif len(small) == 2:
+            # two shifted copies of the larger operand, merged
+            (u, cu), (v, cv) = small.items()
+            out = {k + u: c * cu for k, c in big.items()}
+            get = out.get
+            for k, c in big.items():
+                k += v
+                out[k] = get(k, 0) + c * cv
+        else:
+            out = {}
+            get = out.get
+            for k1, c1 in big.items():
+                for k2, c2 in small.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        out = _nonzero(out)
+        return _new(param, out, w, a._L * b._L, a._V + b._V, mag, a._span + b._span - 1, deg)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, UniRat, MPoly)):
@@ -580,13 +479,16 @@ class MPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
+        """Every coefficient times the scalar c, packed as a 0-variable poly."""
         if not isinstance(c, UniRat):
             c = UniRat.const(c)
         if c.is_zero():
             return MPoly.zero(self.nvars, self.param)
         param = _unify(self.param, c.param)
-        packed = self._packed.scale(_Laurent.pack({(): c}, 0))
-        return MPoly._from_packed(packed, self.nvars, param)
+        a, b, w, mag = self._common(MPoly({(): c}, 0), _mul_bound)
+        (k,) = b._coeffs.values()
+        out = {e: v * k for e, v in a._coeffs.items()}
+        return _new(param, out, w, a._L * b._L, a._V + b._V, mag, a._span + b._span - 1, a._deg)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -605,37 +507,74 @@ class MPoly:
         """Exact division by +-(x_i - x_j), the one divisor the package
         needs (the Vandermonde factors of a Hall-Littlewood sum).  Raises
         ValueError for any other divisor and ArithmeticError when the
-        division leaves a remainder."""
+        division leaves a remainder; ResourceBoundError when the remainder
+        could outgrow a field.
+
+        It is long division on the packed ints, for sign * (x_i - x_j) with
+        i < j: the quotient at m / x_i is sign times the remainder at m,
+        which is added to the remainder at m * x_j / x_i.  A step moves one
+        unit of exponent from x_i to x_j, so no remainder exponent of x_j
+        passes deg_i + deg_j.  Every quotient and remainder slot is a signed
+        sum of distinct dividend slots, so |slot| <= #terms * mag; the slots
+        widen to that bound first, which also makes each zero test exact.
+        The division is not exact when the remainder's largest key has no
+        x_i.  The quotient's mag and span are measured, so a chain of
+        divisions does not multiply the bound.
+        """
         diff = _difference(other.terms) if isinstance(other, MPoly) else None
         if diff is None:
             raise ValueError("divexact divides by +-(x_i - x_j) only, not %r" % (other,))
         self._check(other)
-        quot = self._packed.divexact_difference(*diff)
-        return MPoly._from_packed(quot, self.nvars, _unify(self.param, other.param))
+        i, j, sign = diff
+        n = self.nvars
+        _fits((self._deg[i] + self._deg[j],))
+        shift = FIELD * (n - 1 - i)
+        unit = 1 << shift  # the key of x_i
+        step = (1 << FIELD * (n - 1 - j)) - unit
+        mag = len(self._coeffs) * self._mag
+        a = self.widen(_slot_width(mag, self._w))
+        r = dict(a._coeffs)
+        out = {}
+        while r:
+            m = max(r)
+            if not (m >> shift) & _TOP:
+                raise ArithmeticError("inexact polynomial division")
+            c = r.pop(m)
+            out[m - unit] = c if sign > 0 else -c
+            t = m + step
+            c += r.get(t, 0)
+            if c:
+                r[t] = c
+            else:
+                r.pop(t, None)
+        param = _unify(self.param, other.param)
+        quot = _new(param, out, a._w, a._L, a._V, mag, a._span, a._deg)
+        quot.measure()
+        return quot
 
     # -- substitutions ----------------------------------------------------------
 
-    def permute_vars(self, perm):
-        """Relabel variables: old slot i becomes new slot perm[i]."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for i, a in enumerate(e):
-                ne[perm[i]] = a
-            out[tuple(ne)] = c
-        return MPoly(out, self.nvars, self.param)
-
     def swap_vars(self, i, j):
-        perm = list(range(self.nvars))
-        perm[i], perm[j] = perm[j], perm[i]
-        return self.permute_vars(perm)
+        """x_i and x_j exchanged: the two fields of every packed key swap."""
+        si, sj = FIELD * (self.nvars - 1 - i), FIELD * (self.nvars - 1 - j)
+        rest = ~((_TOP << si) | (_TOP << sj))
+        coeffs = {
+            (k & rest) | ((k >> si & _TOP) << sj) | ((k >> sj & _TOP) << si): c
+            for k, c in self._coeffs.items()
+        }
+        deg = list(self._deg)
+        deg[i], deg[j] = deg[j], deg[i]
+        return _new(self.param, coeffs, self._w, self._L, self._V, self._mag, self._span, tuple(deg))
 
     def embed(self, nvars, offset):
         """View inside a larger variable list: old slot i goes to offset + i."""
         pad = nvars - offset - self.nvars
         if offset < 0 or pad < 0:
             raise ValueError("%d variables at offset %d do not fit %d" % (self.nvars, offset, nvars))
-        return MPoly._from_packed(self._packed.embed(offset, pad), nvars, self.param)
+        sh = FIELD * pad
+        coeffs = {k << sh: c for k, c in self._coeffs.items()}
+        deg = (0,) * offset + self._deg + (0,) * pad
+        return _new(self.param, coeffs, self._w, self._L, self._V, self._mag, self._span, deg)
 
     def subs_scalar(self, i, value):
         """Substitute x_i -> value (a UniRat scalar); arity is preserved."""
@@ -652,18 +591,32 @@ class MPoly:
 
     def eval_scalars(self, values):
         """Full substitution x_i -> values[i] at rational constants (int,
-        Fraction or a constant UniRat); returns a UniRat.
-
-        The sum runs on the packed ints and decodes once.  A non-constant
+        Fraction or a constant UniRat); returns a UniRat.  A non-constant
         value raises ValueError: substitute it with `subs_scalar`.
+
+        With D the lcm of the denominators, x_i = n_i / D for integers n_i,
+        so the value is sum_e c_e * prod(n_i^e_i) * D^(top-|e|) / D^top with
+        top the largest total degree.  Every factor is an integer, so the sum
+        runs on the packed ints and decodes once; a slot of it is at most
+        #terms * mag * max|multiplier|.
         """
         vals = [v if isinstance(v, UniRat) else UniRat.const(v) for v in values]
         if len(vals) != self.nvars:
             raise ValueError("need %d values" % self.nvars)
-        consts = [v.constant() for v in vals]
-        if None in consts:
+        xs = [v.constant() for v in vals]
+        if None in xs:
             raise ValueError("eval_scalars takes rational constants, not %r" % (values,))
-        return self._packed.eval_scalars(consts, self.param)
+        D = lcm(*(x.denominator for x in xs))
+        ns = [x.numerator * (D // x.denominator) for x in xs]
+        exps = _exponents(list(self._coeffs), len(self._deg))
+        top = max(map(sum, exps), default=0)
+        mult = [prod(map(pow, ns, e)) * D ** (top - sum(e)) for e in exps]
+        mag = len(mult) * self._mag * max(map(abs, mult), default=0)
+        a = self.widen(_slot_width(mag, self._w))
+        total = sum(map(mul, a._coeffs.values(), mult))
+        if not total:
+            return ZERO
+        return _unirat(total, a._w, self._span, self._L * D**top, self._V, self.param)
 
     def specialize_param(self, x):
         """Evaluate every coefficient at the rational point x."""
@@ -675,27 +628,39 @@ class MPoly:
     # -- comparison and rendering -------------------------------------------------
 
     def __eq__(self, other):
-        """Same arity, compatible parameters and the same coefficients,
-        compared on the packed forms (`_Laurent.equals`)."""
+        """Same arity, compatible parameters and the same coefficients.
+
+        Both sides are brought to one width, L and V, where every numerator
+        is one int (signed slots that fit have one packing), and the
+        key -> int maps are compared.
+        """
         if not isinstance(other, MPoly):
             return NotImplemented
         if self.nvars != other.nvars:
             return False
         if None not in (self.param, other.param) and self.param != other.param:
             return False
-        return self._packed.equals(other._packed)
+        a, b, w, _ = self._common(other, _eq_bound)
+        if a._L == b._L and a._V == b._V:
+            return a._coeffs == b._coeffs
+        if len(a._coeffs) != len(b._coeffs):
+            return False
+        # key by key, so that neither side is copied at the common L and V
+        L, V = lcm(a._L, b._L), max(a._V, b._V)
+        ka, kb = L // a._L, L // b._L
+        sa, sb = 8 * w * (V - a._V), 8 * w * (V - b._V)
+        get = b._coeffs.get
+        for e, c in a._coeffs.items():
+            d = get(e)
+            if d is None or (c * ka) << sa != (d * kb) << sb:
+                return False
+        return True
 
     def compare(self, other):
         """(self == other, the number of exponents with a coefficient on
         either side), on the packed forms: neither side is decoded."""
-        a, b = self._packed.coeffs, other._packed.coeffs
+        a, b = self._coeffs, other._coeffs
         return self == other, len(a) + len(b.keys() - a.keys())
-
-    def as_json(self):
-        return [
-            {"exps": list(e), "coeff": c.as_json()}
-            for e, c in sorted(self.terms.items(), reverse=True)
-        ]
 
     def __repr__(self):
         if not self.terms:

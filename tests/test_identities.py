@@ -165,20 +165,21 @@ def test_unbounded_params_end_within_seconds():
 def test_truncated_rhs_degrees_stay_at_the_caps():
     # each block caps its variables' degree bound, not only their terms
     (_, _, rhs), = REGISTRY["WARNAAR_A2"].run({"nx": 3, "ny": 3, "dx": 5, "dy": 5}, None)
-    assert rhs._packed.deg == (5,) * 6
+    assert rhs._deg == (5,) * 6
     assert max(max(e) for e in rhs.terms) == 5
 
 
 def test_finite_box_hl_p_bounds_are_the_largest_slots():
     # the Vandermonde divisions of hl_p measure their quotient, so a cached
-    # P_lam carries its exact largest |slot|, not a product of term counts
+    # P_lam carries its exact largest |slot|, not a product of term counts,
+    # and its exact slot count, one past the top nonzero slot
     _hl_cached.cache_clear()
     for lam, poly in _finite_lhs_terms(4, 3):
-        packed = poly._packed
-        slots = [
-            abs(x) for c in packed.coeffs.values() for x in _unpack_signed(c, packed.w, packed.span)
-        ]
-        assert packed.mag == max(slots, default=0), lam
+        digits = [_unpack_signed(c, poly._w, poly._span) for c in poly._coeffs.values()]
+        slots = [abs(x) for d in digits for x in d]
+        assert poly._mag == max(slots, default=0), lam
+        top = max((i for d in digits for i, x in enumerate(d) if x), default=0)
+        assert poly._span == top + 1, lam
 
 
 def test_genfun_rejects_a_composite_p_before_any_work(monkeypatch):
@@ -492,7 +493,7 @@ mul = MPoly.mul
 
 def logged(self, other, keep=None):
     out = mul(self, other, keep)
-    sizes.append(tuple(len(p._packed.coeffs) for p in (self, other, out)))
+    sizes.append(tuple(len(p._coeffs) for p in (self, other, out)))
     return out
 
 n, k = 3, 2

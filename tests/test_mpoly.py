@@ -120,7 +120,6 @@ def test_swap_and_permute():
     assert p.swap_vars(0, 1) == y ** 2 * x + z
     sym = x * y + x * z + y * z
     assert sym.swap_vars(0, 2) == sym
-    assert p.permute_vars([1, 2, 0]) == y ** 2 * z + x
 
 
 def test_embed():
@@ -157,15 +156,6 @@ def test_specialize_param():
     assert sp.coeff_of((1, 0)) == UniRat.const(Fraction(1, 2))
     assert sp.coeff_of((0, 1)) == UniRat.const(Fraction(1, 4))
     assert sp.param is None
-
-
-def test_as_json():
-    x, _ = xvars(2, "q")
-    j = (x ** 2 - 1).as_json()
-    assert j == [
-        {"exps": [2, 0], "coeff": {"num": [1], "den": [1], "param": None}},
-        {"exps": [0, 0], "coeff": {"num": [-1], "den": [1], "param": None}},
-    ]
 
 
 # -- packed Laurent kernel against the UniRat arithmetic -------------------------
@@ -304,13 +294,13 @@ def test_product_digit_at_slot_boundary():
     for sign in (1, -1):
         a = MPoly({(1, 0): UniRat.mono("q", -1, sign * ((SLOT - 1) // 7))}, 2, "q")
         b = MPoly({(0, 1): UniRat.mono("q", 2, 7)}, 2, "q")
-        assert a._packed.w == b._packed.w == 8
+        assert a._w == b._w == 8
         prod = a * b
-        assert (prod._packed.w, prod._packed.mag) == (8, SLOT - 1)
+        assert (prod._w, prod._mag) == (8, SLOT - 1)
         assert prod.terms == {(1, 1): UniRat.mono("q", 1, sign * (SLOT - 1))}
         # one unit more does not fit: the slots widen
         bigger = prod + MPoly({(1, 1): UniRat.mono("q", 1, sign)}, 2, "q")
-        assert bigger._packed.w == 16
+        assert bigger._w == 16
         assert bigger.terms == {(1, 1): UniRat.mono("q", 1, sign * SLOT)}
 
 
@@ -323,10 +313,10 @@ def test_bound_counts_digit_and_term_sums():
     by_terms = (one + x).scale(ROOT)  # x coefficient of the square: 2 ROOT^2
     by_sum = one.scale(ROOT) + one.scale(ROOT)  # one slot of 2 ROOT: square 4 ROOT^2
     disjoint = one.scale(ROOT) + x.scale(ROOT)  # no shared exponent: bound ROOT
-    assert (by_sum._packed.mag, disjoint._packed.mag) == (2 * ROOT, ROOT)
+    assert (by_sum._mag, disjoint._mag) == (2 * ROOT, ROOT)
     for p in (by_digits, by_terms, by_sum, disjoint):
         sq = p * p
-        assert sq._packed.w == 16
+        assert sq._w == 16
         assert canon(sq.terms) == canon(ref_mul(p.terms, p.terms))
 
 
@@ -527,7 +517,7 @@ def test_packed_divexact_quotient_outgrows_dividend_slots():
     x, y = xvars(2)
     for s in (1, -1):
         f = MPoly({(3, 0): s * m, (2, 1): s * m, (1, 2): -s * m, (0, 3): -s * m}, 2, "q")
-        assert f._packed.w == 8
+        assert f._w == 8
         for d, sign in ((x - y, 1), (y - x, -1)):
             got = f.divexact(d)
             assert got.terms == {
@@ -631,7 +621,7 @@ def test_block_truncation_matches_the_tuple_predicate(a, b, data):
             a.mul(b, keep=tuple(blocks))
         return
     got = a.mul(b, keep=tuple(blocks))
-    assert all(d <= bound for d, bound in zip(got._packed.deg, deg))
+    assert all(d <= bound for d, bound in zip(got._deg, deg))
     assert canon(got.terms) == canon(ref_mul(a.terms, b.terms, keep))
 
 
@@ -654,7 +644,7 @@ def test_exponent_past_the_field_top_is_not_packed():
     for e in ((-1, 0), (2, -3)):
         with pytest.raises(ValueError):
             MPoly({e: UniRat.mono("q", -1, 3), (1, 1): 2}, 2, "q")
-    assert MPoly.mono((TOP, 0), 1, "q")._packed.deg == (TOP, 0)
+    assert MPoly.mono((TOP, 0), 1, "q")._deg == (TOP, 0)
 
 
 @PROPS
@@ -733,7 +723,42 @@ def test_packed_embed_matches_padded_exponents(case):
     got = p.embed(nvars, offset)
     assert got.nvars == nvars and got.param == p.param
     assert canon(got.terms) == canon(ref.terms)
-    assert got == ref and got._packed.deg == ref._packed.deg
+    assert got == ref and got._deg == ref._deg
+
+
+@st.composite
+def swap_case(draw):
+    """(poly on 1-4 variables, i, j): i < j, i > j or i == j; exponents up
+    to the field top; the empty poly included."""
+    k = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, TOP - 1, TOP])] * k)
+    p = MPoly(draw(st.dictionaries(exps, laurent_coeff(BOUNDARY), max_size=5)), k, "q")
+    return p, draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+
+
+@PROPS
+@given(swap_case())
+def test_packed_swap_matches_swapped_exponents(case):
+    # the reference swaps entries i and j of each decoded exponent tuple
+    p, i, j = case
+    swap = lambda e: tuple(e[j] if v == i else e[i] if v == j else a for v, a in enumerate(e))
+    ref = MPoly({swap(e): c for e, c in p.terms.items()}, p.nvars, "q")
+    got = p.swap_vars(i, j)
+    assert got.nvars == p.nvars and got.param == p.param
+    assert canon(got.terms) == canon(ref.terms)
+    assert got == ref and got._deg == ref._deg
+    assert got.swap_vars(j, i) == p
+
+
+def test_every_slot_is_immutable():
+    p = MPoly.mono((1, 2), UniRat.mono("q", -1, 3), "q")
+    for name in MPoly.__slots__ + ("nvars",):
+        before = getattr(p, name)
+        with pytest.raises(AttributeError):
+            setattr(p, name, before)
+        assert getattr(p, name) is before
+    with pytest.raises(AttributeError):
+        p.extra = 1
 
 
 def zero_var_poly():
@@ -762,8 +787,7 @@ def test_packed_eval_at_the_field_top(a, xs):
 
 
 def layout(p):
-    packed = p._packed
-    return packed.w, packed.L, packed.V
+    return p._w, p._L, p._V
 
 
 def relaid(a, how):
@@ -804,8 +828,8 @@ def test_packed_equality_checks_arity_and_parameter():
 def test_packed_negation_keeps_the_layout(a):
     p = a.mul(MPoly.one(2, "q"))
     n = -p
-    fields = lambda packed: (packed.w, packed.L, packed.V, packed.mag, packed.span, packed.deg)
-    assert fields(n._packed) == fields(p._packed)
+    fields = lambda p: (p._w, p._L, p._V, p._mag, p._span, p._deg)
+    assert fields(n) == fields(p)
     assert canon(n.terms) == canon({e: -c for e, c in a.terms.items()})
     assert canon((-a).terms) == canon(n.terms)
     # 1 - p and p - 1, as `1 - a * x[i]` is built

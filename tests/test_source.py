@@ -1,10 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
 import qmoments
+from qmoments.mpoly import MPoly
 
 SOURCES = sorted(Path(qmoments.__file__).parent.glob("*.py"))
 
@@ -22,11 +24,35 @@ def test_no_check_is_stripped_by_optimize():
 
 
 def test_packed_format_stays_inside_mpoly():
-    # only mpoly.py reads or builds the packed form of an MPoly
+    # only mpoly.py reads or builds the packed fields of an MPoly
+    packed = re.compile(r"\b(_packed|_Laurent)\b|\._(coeffs|w|L|V|mag|span|deg)\b")
     found = [
         path.name
         for path in SOURCES
-        if path.name != "mpoly.py" and re.search(r"\b(_packed|_Laurent)\b", path.read_text())
+        if path.name != "mpoly.py" and packed.search(path.read_text())
     ]
     assert "mpoly.py" in {path.name for path in SOURCES}
     assert found == []
+
+
+def test_benchmark_tracer_patches_and_restores():
+    # perfbench/tracer.py patches qmoments functions and methods by name, so
+    # a rename in the package would break a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layers(tracer)
+        patches = list(tracer._patches)
+        x = MPoly.var(0, 2, "q")
+        (x + 1).mul(x - 1)
+    finally:
+        tracer.restore()
+    patched = {(getattr(obj, "__name__", ""), key) for obj, key, _ in patches}
+    for attr in ("mul", "__add__", "__radd__", "scale", "divexact"):
+        assert ("MPoly", attr) in patched
+    assert tracer.stats["mpoly.mul"][0] == 1
+    assert tracer.counts["mpoly.mul.term_pairs"] == 4
+    assert [key for obj, key, value in patches if vars(obj)[key] is not value] == []
