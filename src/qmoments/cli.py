@@ -30,6 +30,7 @@ from .identities import (
     MAX_QBIN_N,
     MAX_SAMPLES,
     MAX_SERIES_DEGREE,
+    MAX_SYMBOLIC_FINITE_N,
     MAX_ZTRUNC,
     RANDOM_POINT,
     REGISTRY,
@@ -135,6 +136,7 @@ _BOUNDS = (
     ("max_alphabet", MAX_ALPHABET, "alphabets <= %d"),
     ("max_z_truncation", MAX_ZTRUNC, "truncation <= %d"),
     ("max_finite_alphabet", MAX_FINITE_N, "finite alphabets <= %d"),
+    ("max_symbolic_finite_alphabet", MAX_SYMBOLIC_FINITE_N, "symbolic finite alphabets <= %d"),
     ("max_column_bound", MAX_FINITE_K, "column bound <= %d"),
     ("max_qbin_n", MAX_QBIN_N, "QBIN n <= %d"),
     ("max_series_degree", MAX_SERIES_DEGREE, "series degree d, dx, dy <= %d"),
@@ -324,8 +326,11 @@ def _cmd_oracle(args, meta, out):
     return EXIT_PASS if match else EXIT_FAIL
 
 
-# the int params a `verify` case can set, one option each
-_VERIFY_INTS = ("n", "k", "ell", "zmax", "p", "nx", "ny", "dx", "dy", "d", "samples")
+# the int params a `verify` case can set, one option each: every registry
+# param but `lam` (--lambda), and `samples`
+_VERIFY_INTS = tuple(
+    dict.fromkeys(n for identity in REGISTRY.values() for n in identity.params if n != "lam")
+) + ("samples",)
 
 
 def _verify_params(args):

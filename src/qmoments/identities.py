@@ -27,6 +27,7 @@ RANDOM_POINT = "random-point"
 MAX_ALPHABET = 4
 MAX_ZTRUNC = 12
 MAX_FINITE_N = 4
+MAX_SYMBOLIC_FINITE_N = 3
 MAX_FINITE_K = 3
 MAX_QBIN_N = 48
 MAX_SERIES_DEGREE = 5
@@ -146,17 +147,60 @@ def _compare_pairs(pairs, mutate=False):
     return first is None, first, compared
 
 
-def _push(stack, t):
-    """Push the MPoly t onto `stack`, a list of (count, sum of count terms)
-    with counts strictly decreasing, adding pairwise like a binary counter:
-    each term is copied about log2(#terms) times, where a running
-    `lhs + term` copies the whole growing lhs at every step, and at most
-    log2(#terms) partial sums are held."""
-    n = 1
-    while stack and stack[-1][0] == n:
-        m, s = stack.pop()
-        t, n = s + t, n + m
-    stack.append((n, t))
+def _mpoly_product(factors, keep=None):
+    """The product of `factors` left to right: an MPoly factor is applied by
+    `mul(f, keep)` and a scalar one by `scale`.  Scalars before the first
+    MPoly multiply as scalars, so a product with no MPoly factor is a
+    scalar (ONE for no factors).  `keep` truncates products only, so every
+    factor must lie inside it."""
+    acc = ONE
+    for f in factors:
+        if isinstance(acc, MPoly):
+            acc = acc.mul(f, keep) if isinstance(f, MPoly) else acc.scale(f)
+        elif isinstance(f, MPoly):
+            acc = f if acc == ONE else f.scale(acc)
+        else:
+            acc = acc * f
+    return acc
+
+
+def _mpoly_sum(terms, table):
+    """The sum over `terms` of their products (`_mpoly_product`), a term
+    being a list of hashable names and table[name] its MPoly or scalar.
+
+    A term alone is multiplied left to right in the order of its names.
+    Terms that share factors are split greedily, as a multivariate Horner
+    scheme (Ceberio and Kreinovich, ACM SIGSAM Bulletin 38(1), 2004): with
+    f the name in the most terms, the sum is (the terms with f, one f taken
+    out) * f plus the terms without f.  Ties go to the name seen first, so
+    the split, and the order of the products, is the same in every process.
+    The terms with f recurse and the terms without f loop, so the depth is
+    at most the length of a term and one partial sum is held per level."""
+    total = None
+    while terms:
+        counts = {}
+        for term in terms:
+            for name in dict.fromkeys(term):
+                counts[name] = counts.get(name, 0) + 1
+        if len(terms) == 1:
+            piece, terms = _mpoly_product([table[name] for name in terms[0]]), []
+        elif not counts:
+            # every term is the empty product 1
+            piece, terms = UniRat.const(len(terms)), []
+        else:
+            best = max(counts, key=counts.get)
+            inside, outside = [], []
+            for term in terms:
+                if best in term:
+                    term = list(term)
+                    term.remove(best)
+                    inside.append(term)
+                else:
+                    outside.append(term)
+            piece = _mpoly_product([_mpoly_sum(inside, table), table[best]])
+            terms = outside
+        total = piece if total is None else total + piece
+    return ZERO if total is None else total
 
 
 def _geom(v, cap, e):
@@ -166,13 +210,20 @@ def _geom(v, cap, e):
     return MPoly(terms, len(v), "q")
 
 
-def _afacs(n, a):
-    """[(a; 1/q)_r for r = 0..n], (a; 1/q)_r = prod_{t<r} (1 - a*q^{-t}),
-    for an MPoly a."""
-    out = [MPoly.one(a.nvars, "q")]
-    for t in range(n):
-        out.append(out[-1] * (1 - a.scale(UniRat.mono("q", -t))))
-    return out
+def _afac(r, one, a):
+    """(a; 1/q)_r = prod_{t<r} (1 - a*q^{-t}) as shapes (`_mpoly_shapes`),
+    for the exponent tuples of 1 and of the variable a."""
+    return [(one, -t, a) for t in range(r)]
+
+
+def _mpoly_shapes(shapes):
+    """The product of `shapes` as an MPoly (ONE for no shape), each shape
+    (u, s, v) the binomial x^u - q^s x^v, or the monomial q^s x^u when v is
+    None, for exponent tuples u and v."""
+    return _mpoly_product(
+        MPoly.two_term(u, v, s, "q") if v is not None else MPoly.mono(u, UniRat.mono("q", s), "q")
+        for u, s, v in shapes
+    )
 
 
 def _box_partitions(n, k):
@@ -332,28 +383,39 @@ def _run_delaunay(params, rng):
     return [("z-coefficients", lhs, rhs)]
 
 
+def _q_powers(terms):
+    """("q", e) -> q^e for every ("q", e) name in `terms`."""
+    return {name: UniRat.mono("q", name[1]) for term in terms for name in term if name[0] == "q"}
+
+
+def _nonzero_hl(n, d):
+    """Every lam of size <= d with P_lam(x_1..x_n) nonzero."""
+    return [
+        lam
+        for m in range(d + 1)
+        for lam in partitions_of(m, max_length=n)
+        if not hl_p(lam, n).is_zero()
+    ]
+
+
 def _run_qbinhl(params, rng):
     nx = int(params["nx"])
     d = int(params["d"])
     nv = nx + 1
     a_slot = nx
     keep = ((0, nx, d),)  # the total degree in x is at most d
-    afac = _afacs(nx, MPoly.var(a_slot, nv, "q"))
-    lhs = MPoly.zero(nv, "q")
-    for m in range(d + 1):
-        for lam in partitions_of(m, max_length=nx):
-            plam = hl_p(lam, nx)
-            if plam.is_zero():
-                continue
-            term = plam.poly.embed(nv, 0)
-            term = term.mul(afac[len(lam)])
-            lhs = lhs + term.scale(UniRat.mono("q", lam.nstat()))
-    cauchy = MPoly.one(nv, "q")
-    for i in range(nx):
-        cauchy = cauchy.mul(_geom(_unit(nv, i), d, 0), keep)
-    rhs = cauchy
-    for i in range(nx):
-        rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, a_slot), 0, "q"), keep)
+    one, a = _unit(nv), _unit(nv, a_slot)
+    lams = _nonzero_hl(nx, d)
+    terms = [[("x", lam), ("afac", len(lam)), ("q", lam.nstat())] for lam in lams]
+    table = _q_powers(terms)
+    table.update((("x", lam), hl_p(lam, nx).poly.embed(nv, 0)) for lam in lams)
+    table.update((("afac", r), _mpoly_shapes(_afac(r, one, a))) for r in range(nx + 1))
+    lhs = _mpoly_sum(terms, table)
+    cauchy = _mpoly_product(
+        [MPoly.one(nv, "q")] + [_geom(_unit(nv, i), d, 0) for i in range(nx)], keep
+    )
+    num = [MPoly.two_term(one, _unit(nv, i, a_slot), 0, "q") for i in range(nx)]
+    rhs = _mpoly_product([cauchy] + num, keep)
     lhs0 = lhs.subs_scalar(a_slot, Fraction(0))
     return [("main", lhs, rhs), ("cauchy-at-a-zero", lhs0, cauchy)]
 
@@ -363,36 +425,24 @@ def _run_warnaar_a2(params, rng):
     dx, dy = int(params["dx"]), int(params["dy"])
     nv = nx + ny
     keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
-    stack = []
-    for mx in range(dx + 1):
-        for lam in partitions_of(mx, max_length=nx):
-            plam = hl_p(lam, nx)
-            if plam.is_zero():
-                continue
-            pl = plam.poly.embed(nv, 0)
-            for my in range(dy + 1):
-                for mu in partitions_of(my, max_length=ny):
-                    pmu = hl_p(mu, ny)
-                    if pmu.is_zero():
-                        continue
-                    pm = pmu.poly.embed(nv, nx)
-                    expo = (
-                        lam.nstat()
-                        + mu.nstat()
-                        - dot_product_conjugates(lam, mu)
-                    )
-                    _push(stack, pl.mul(pm).scale(UniRat.mono("q", expo)))
-    lhs = sum((s for _, s in stack), MPoly.zero(nv, "q"))
-    rhs = MPoly.one(nv, "q")
-    for i in range(nx):
-        rhs = rhs.mul(_geom(_unit(nv, i), dx, 0), keep)
-    for j in range(nx, nv):
-        rhs = rhs.mul(_geom(_unit(nv, j), dy, 0), keep)
+    lams, mus = _nonzero_hl(nx, dx), _nonzero_hl(ny, dy)
+    terms = [
+        [("x", lam), ("y", mu), ("q", lam.nstat() + mu.nstat() - dot_product_conjugates(lam, mu))]
+        for lam in lams
+        for mu in mus
+    ]
+    table = _q_powers(terms)
+    table.update((("x", lam), hl_p(lam, nx).poly.embed(nv, 0)) for lam in lams)
+    table.update((("y", mu), hl_p(mu, ny).poly.embed(nv, nx)) for mu in mus)
+    lhs = _mpoly_sum(terms, table)
+    factors = [MPoly.one(nv, "q")]
+    factors += [_geom(_unit(nv, i), dx, 0) for i in range(nx)]
+    factors += [_geom(_unit(nv, j), dy, 0) for j in range(nx, nv)]
     for i in range(nx):
         for j in range(nx, nv):
-            rhs = rhs.mul(_geom(_unit(nv, i, j), min(dx, dy), -1), keep)
-            rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, j), 0, "q"), keep)
-    return [("xy-coefficients", lhs, rhs)]
+            factors.append(_geom(_unit(nv, i, j), min(dx, dy), -1))
+            factors.append(MPoly.two_term(_unit(nv), _unit(nv, i, j), 0, "q"))
+    return [("xy-coefficients", lhs, _mpoly_product(factors, keep))]
 
 
 def _run_lascoux(params, rng):
@@ -400,57 +450,44 @@ def _run_lascoux(params, rng):
     dx, dy = int(params["dx"]), int(params["dy"])
     nv = nx + ny
     keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
-    lam_list = [
-        lam
-        for mx in range(dx + 1)
-        for lam in partitions_of(mx, max_length=nx)
-        if not hl_p(lam, nx).is_zero()
-    ]
-    stack = []
-    for lam in lam_list:
-        pl = hl_p(lam, nx).poly.embed(nv, 0)
+    lams = _nonzero_hl(nx, dx)
+    table, terms = {}, []
+    for lam in lams:
+        table["x", lam] = hl_p(lam, nx).poly.embed(nv, 0)
         for mu in subpartitions(lam):
             if len(mu) > ny or mu.size > dy:
                 continue
             pmu = hl_p(mu, ny)
             if pmu.is_zero():
                 continue
-            pm = pmu.poly.embed(nv, nx)
-            _push(stack, pl.mul(pm).scale(b_lambda(mu) * qprime_skew(lam, mu)))
-    lhs = sum((s for _, s in stack), MPoly.zero(nv, "q"))
-    rhs = MPoly.one(nv, "q")
-    for i in range(nx):
-        rhs = rhs.mul(_geom(_unit(nv, i), dx, 0), keep)
+            table["y", mu] = pmu.poly.embed(nv, nx)
+            table["c", lam, mu] = b_lambda(mu) * qprime_skew(lam, mu)
+            terms.append([("x", lam), ("y", mu), ("c", lam, mu)])
+    factors = [MPoly.one(nv, "q")] + [_geom(_unit(nv, i), dx, 0) for i in range(nx)]
     for i in range(nx):
         for j in range(nx, nv):
-            rhs = rhs.mul(_geom(_unit(nv, i, j), min(dx, dy), 0), keep)
-            rhs = rhs.mul(MPoly.two_term(_unit(nv), _unit(nv, i, j), 1, "q"), keep)
-    pairs = [("xy-coefficients", lhs, rhs)]
+            factors.append(_geom(_unit(nv, i, j), min(dx, dy), 0))
+            factors.append(MPoly.two_term(_unit(nv), _unit(nv, i, j), 1, "q"))
+    pairs = [("xy-coefficients", _mpoly_sum(terms, table), _mpoly_product(factors, keep))]
 
     # principal one-variable y specialization: marker z at y -> z
     nvz = nx + 1
     z_slot = nx
     keepz = ((0, nx, dx), (z_slot, nvz, dx))
-    stack = []
-    for lam in lam_list:
-        pl = hl_p(lam, nx).poly.embed(nvz, 0)
+    table, terms = {}, []
+    for lam in lams:
+        table["x", lam] = hl_p(lam, nx).poly.embed(nvz, 0)
         for mu in subpartitions(lam):
-            coeff = c_coeff(lam, mu).recip_param()
-            e = (0,) * nx + (mu.size,)  # z^{|mu|}
-            _push(
-                stack,
-                pl.mul(MPoly({e: coeff}, nvz, "q")).scale(UniRat.mono("q", lam.nstat())),
-            )
-    lhz = sum((s for _, s in stack), MPoly.zero(nvz, "q"))
-    rhz = MPoly.one(nvz, "q")
-    for i in range(nx):
-        rhz = rhz.mul(_geom(_unit(nvz, i), dx, 0), keepz)
-    for i in range(nx):
-        rhz = rhz.mul(_geom(_unit(nvz, i, z_slot), dx, 0), keepz)
-    pairs.append(("principal-y", lhz, rhz))
+            table["z", mu.size] = MPoly.mono((0,) * nx + (mu.size,), 1, "q")
+            table["c", lam, mu] = c_coeff(lam, mu).recip_param()
+            terms.append([("x", lam), ("z", mu.size), ("c", lam, mu), ("q", lam.nstat())])
+    table.update(_q_powers(terms))
+    factors = [MPoly.one(nvz, "q")] + [_geom(_unit(nvz, i), dx, 0) for i in range(nx)]
+    factors += [_geom(_unit(nvz, i, z_slot), dx, 0) for i in range(nx)]
+    pairs.append(("principal-y", _mpoly_sum(terms, table), _mpoly_product(factors, keepz)))
 
     mirr_lhs, mirr_rhs = {}, {}
-    for lam in lam_list:
+    for lam in lams:
         by_size = {}
         for mu in subpartitions(lam):
             by_size[mu.size] = by_size.get(mu.size, ZERO) + c_coeff(
@@ -473,6 +510,9 @@ def _run_finite_qbinhl(params, rng):
     n, k = int(params["n"]), int(params["k"])
     if "samples" in params:
         return _finite_qbinhl_random(n, k, int(params["samples"]), rng)
+    if n > MAX_SYMBOLIC_FINITE_N:
+        # n = 4, k = 1 compares 276,300 coefficients in about 47 s
+        raise ResourceBoundError("symbolic finite alphabet size", MAX_SYMBOLIC_FINITE_N, n)
     return _finite_qbinhl_symbolic(n, k)
 
 
@@ -480,15 +520,16 @@ def _finite_qbinhl_cleared(n, k):
     """Both sides of FINITE_QBINHL times the denominator D of its rhs, as
     products of named factors.
 
-    Returns (lhs, dfac, rhs): lhs * D is the sum over the terms of `lhs`
-    times the product of `dfac`, and rhs * D is the sum over the terms of
-    `rhs`; a term is a list of factor names and stands for their product.
-    D is the product of `dfac`: x_i - q^{1-s} ("pole-x"), 1 - x_j q^s
-    ("pole-one") and x_i - x_j ("vand").  The rhs term of a subset S of the
-    alphabet is N_S over the factors of D that S uses, so it enters as N_S
-    times the factors S does not use, and both sides are polynomials in x
-    and a.  ("q", e) names q^e; `_mpoly_factors` and `_scalar_factors` give
-    the value of every other name.
+    Returns (lhs, dfac, rhs, shapes): lhs * D is the sum over the terms of
+    `lhs` times the product of `dfac`, and rhs * D is the sum over the
+    terms of `rhs`; a term is a list of factor names and stands for their
+    product.  D is the product of `dfac`: x_i - q^{1-s} ("pole-x"),
+    1 - x_j q^s ("pole-one") and x_i - x_j ("vand").  The rhs term of a
+    subset S of the alphabet is N_S over the factors of D that S uses, so
+    it enters as N_S times the factors S does not use, and both sides are
+    polynomials in x and a.  ("P", lam) names P_lam(x) and ("q", e) names
+    q^e; `shapes` maps every other name to the shapes whose product it is
+    (`_mpoly_shapes`), with exponent tuples over x_1..x_n, a.
     """
     lhs = [
         [("P", lam), ("afac", len(lam)), ("afac", n - lam.mult(k)), ("q", lam.nstat())]
@@ -518,91 +559,53 @@ def _finite_qbinhl_cleared(n, k):
                 term.append(("num-vand", i, j))
                 used.add(("vand", i, j))
         rhs.append(term + [key for key in dfac if key not in used])
-    return lhs, dfac, rhs
-
-
-def _mpoly_factors(n, k, x, a, p_lams):
-    """Every factor name of `_finite_qbinhl_cleared` but ("q", e) as an MPoly
-    at x (n MPolys) and a; p_lams maps each lam of the box to P_lam at x."""
-    q = lambda e: UniRat.mono("q", e)
-    table = {("afac", r): f for r, f in enumerate(_afacs(n, a))}
-    table.update((("P", lam), pl) for lam, pl in p_lams.items())
+    nv = n + 1
+    one, a = _unit(nv), _unit(nv, n)
+    shapes = {("afac", r): _afac(r, one, a) for r in range(n + 1)}
     for i in range(n):
-        table[("num-x", i)] = x[i] - a.scale(q(1 - n))
-        table[("xpow", i)] = x[i] ** k
-        table[("num-one", i)] = 1 - a * x[i]
+        x = _unit(nv, i)
+        shapes["num-x", i] = [(x, 1 - n, a)]
+        shapes["xpow", i] = [(_unit(nv, *[i] * k), 0, None)]
+        shapes["num-one", i] = [(one, 0, _unit(nv, i, n))]
         for s in range(1, n + 1):
-            table[("pole-x", i, s)] = x[i] - q(1 - s)
+            shapes["pole-x", i, s] = [(x, 1 - s, one)]
         for s in range(n):
-            table[("pole-one", i, s)] = 1 - x[i].scale(q(s))
+            shapes["pole-one", i, s] = [(one, s, x)]
         for j in range(n):
             if i != j:
-                table[("vand", i, j)] = x[i] - x[j]
-                table[("num-vand", i, j)] = x[i] - x[j].scale(q(1))
-    return table
+                shapes["vand", i, j] = [(x, 0, _unit(nv, j))]
+                shapes["num-vand", i, j] = [(x, 1, _unit(nv, j))]
+    return lhs, dfac, rhs, shapes
 
 
-def _mpoly_sides(names, table):
-    """(lhs * D, rhs * D) as MPolys, for `names` from `_finite_qbinhl_cleared`.
-
-    An lhs term is multiplied left to right in the order of its names, and
-    the lhs sum times D.  The rhs terms share most of their factors, so
-    their sum is split greedily (multivariate Horner): with f the name in
-    the most terms, sum = (the terms with f, one f taken out) * f + (the
-    terms without f).  Ties go to the name seen first in the term lists, so
-    the split, and the order of the products, is the same in every
-    process.  q-powers are applied by `scale`."""
-    nv = table[("afac", 0)].nvars
-
-    def times(acc, key):
-        if key[0] == "q":
-            c = UniRat.mono("q", key[1])
-            return MPoly.const(c, nv, "q") if acc is None else acc.scale(c)
-        return table[key] if acc is None else acc.mul(table[key])
-
-    def chain(term):
-        acc = None
-        for key in term:
-            acc = times(acc, key)
-        return MPoly.one(nv, "q") if acc is None else acc
-
-    def horner(terms):
-        if len(terms) == 1:
-            return chain(terms[0])
-        counts = {}
-        for term in terms:
-            for key in dict.fromkeys(term):
-                counts[key] = counts.get(key, 0) + 1
-        if not counts:
-            return MPoly.const(len(terms), nv, "q")
-        best = max(counts, key=counts.get)
-        inside, outside = [], []
-        for term in terms:
-            if best in term:
-                term = list(term)
-                term.remove(best)
-                inside.append(term)
-            else:
-                outside.append(term)
-        out = times(horner(inside), best)
-        return out + horner(outside) if outside else out
-
-    lhs_terms, dfac, rhs_terms = names
-    lhs = MPoly.zero(nv, "q")
-    for term in lhs_terms:
-        lhs = lhs + chain(term)
-    for key in dfac:
-        lhs = lhs.mul(table[key])
-    return lhs, horner(rhs_terms)
+def _laurent_shapes(shapes, point):
+    """`shapes` (`_mpoly_shapes`) at a rational point, given as the
+    (numerator, denominator) of each variable, as Laurent factors
+    (c, low, d): x^u - q^s x^v = (N_u D_v - N_v D_u q^s) / (D_u D_v)."""
+    out = []
+    for u, s, v in shapes:
+        nu, du = _power(point, u)
+        if v is None:
+            out.append(((nu,), s, du))
+            continue
+        nv, dv = _power(point, v)
+        c0, c1 = nu * dv, -nv * du
+        if s == 0:
+            out.append(((c0 + c1,), 0, du * dv))
+        elif s > 0:
+            out.append(((c0,) + (0,) * (s - 1) + (c1,), 0, du * dv))
+        else:
+            out.append(((c1,) + (0,) * (-s - 1) + (c0,), s, du * dv))
+    return out
 
 
-def _binom(c0, e0, c1, e1, d):
-    """(c0*q^e0 + c1*q^e1) / d as a Laurent factor (c, low, d)."""
-    if e0 > e1:
-        c0, e0, c1, e1 = c1, e1, c0, e0
-    if e0 == e1:
-        return ((c0 + c1,), e0, d)
-    return ((c0,) + (0,) * (e1 - e0 - 1) + (c1,), e0, d)
+def _power(point, u):
+    """(N_u, D_u): x^u at `point` as an unreduced numerator and denominator."""
+    num = den = 1
+    for (p, m), e in zip(point, u):
+        if e:
+            num, den = num * p**e, den * m**e
+    return num, den
 
 
 def _laurent_factor(v):
@@ -610,63 +613,13 @@ def _laurent_factor(v):
     return (v.num, 1 - len(v.den), v.den[-1])
 
 
-def _scalar_factors(n, k, xs, a, p_vals):
-    """Every factor name of `_finite_qbinhl_cleared` but ("q", e) at the
-    rational point (xs, a), as a list of Laurent factors (c, low, d) whose
-    product it is; p_vals maps each lam of the box to P_lam(xs) (a UniRat)."""
-    an, am = a.numerator, a.denominator
-    table = {}
-    afac = []
-    for t in range(n):
-        # 1 - a*q^{-t} = (am - an*q^{-t}) / am
-        afac.append(_binom(am, 0, -an, -t, am))
-        table[("afac", t + 1)] = list(afac)
-    table[("afac", 0)] = []
-    for lam, v in p_vals.items():
-        table[("P", lam)] = [_laurent_factor(v)]
-    for i, x in enumerate(xs):
-        n_i, m_i = x.numerator, x.denominator
-        table[("num-x", i)] = [_binom(n_i * am, 0, -an * m_i, 1 - n, m_i * am)]
-        table[("xpow", i)] = [((n_i**k,), 0, m_i**k)]
-        table[("num-one", i)] = [_binom(am * m_i, 0, -an * n_i, 0, am * m_i)]
-        for s in range(1, n + 1):
-            table[("pole-x", i, s)] = [_binom(n_i, 0, -m_i, 1 - s, m_i)]
-        for s in range(n):
-            table[("pole-one", i, s)] = [_binom(m_i, 0, -n_i, s, m_i)]
-        for j, y in enumerate(xs):
-            if i != j:
-                n_j, m_j = y.numerator, y.denominator
-                table[("vand", i, j)] = [_binom(n_i * m_j, 0, -n_j * m_i, 0, m_i * m_j)]
-                table[("num-vand", i, j)] = [_binom(n_i * m_j, 0, -n_j * m_i, 1, m_i * m_j)]
-    return table
-
-
-def _scalar_sides(names, table):
-    """(lhs * D, rhs * D) at one sample point as UniRats in q, for `names`
-    from `_finite_qbinhl_cleared`: each sum on one certified slot width
-    (`laurent_sum_of_products`)."""
-
-    def factors(term):
-        return [
-            f
-            for key in term
-            for f in ([((1,), key[1], 1)] if key[0] == "q" else table[key])
-        ]
-
-    lhs_terms, dfac, rhs_terms = names
-    inner = laurent_sum_of_products([factors(t) for t in lhs_terms], "q")
-    lhs = laurent_sum_of_products([[_laurent_factor(inner)] + factors(dfac)], "q")
-    rhs = laurent_sum_of_products([factors(t) for t in rhs_terms], "q")
-    return lhs, rhs
-
-
 def _finite_qbinhl_symbolic(n, k):
-    nv = n + 1
-    x = [MPoly.var(i, nv, "q") for i in range(n)]
-    p_lams = {lam: pl.embed(nv, 0) for lam, pl in _finite_lhs_terms(n, k)}
-    table = _mpoly_factors(n, k, x, MPoly.var(n, nv, "q"), p_lams)
-    lhs, rhs = _mpoly_sides(_finite_qbinhl_cleared(n, k), table)
-    return [("cleared-coefficients", lhs, rhs)]
+    lhs_terms, dfac, rhs_terms, shapes = _finite_qbinhl_cleared(n, k)
+    table = {name: _mpoly_shapes(s) for name, s in shapes.items()}
+    table.update(_q_powers(lhs_terms + rhs_terms))
+    table.update((("P", lam), pl.embed(n + 1, 0)) for lam, pl in _finite_lhs_terms(n, k))
+    lhs = _mpoly_product([_mpoly_sum(lhs_terms, table)] + [table[name] for name in dfac])
+    return [("cleared-coefficients", lhs, _mpoly_sum(rhs_terms, table))]
 
 
 def _sample_points(n, samples, rng):
@@ -685,64 +638,62 @@ def _sample_points(n, samples, rng):
 
 
 def _finite_qbinhl_random(n, k, samples, rng):
-    """Both cleared sides at `samples` random points (`_sample_points`)."""
+    """Both cleared sides at `samples` random points (`_sample_points`),
+    each sum on one certified slot width (`laurent_sum_of_products`)."""
     if samples < MIN_SAMPLES:
         raise ValueError("need at least %d random sample points" % MIN_SAMPLES)
     if samples > MAX_SAMPLES:
         raise ResourceBoundError("random sample points", MAX_SAMPLES, samples)
     p_lams = _finite_lhs_terms(n, k)
-    names = _finite_qbinhl_cleared(n, k)
+    lhs_terms, dfac, rhs_terms, shapes = _finite_qbinhl_cleared(n, k)
+    q_powers = {name: [((1,), name[1], 1)] for name in _q_powers(lhs_terms + rhs_terms)}
     lhs_map, rhs_map = {}, {}
     for idx, (xs, a) in enumerate(_sample_points(n, samples, rng)):
-        p_vals = {lam: pl.eval_scalars(xs) for lam, pl in p_lams}
-        table = _scalar_factors(n, k, xs, a, p_vals)
-        lhs_map[idx], rhs_map[idx] = _scalar_sides(names, table)
+        point = [(v.numerator, v.denominator) for v in xs + [a]]
+        table = {name: _laurent_shapes(s, point) for name, s in shapes.items()}
+        table.update(q_powers)
+        table.update((("P", lam), [_laurent_factor(pl.eval_scalars(xs))]) for lam, pl in p_lams)
+        factors = lambda term: [f for name in term for f in table[name]]
+        inner = laurent_sum_of_products([factors(t) for t in lhs_terms], "q")
+        lhs_map[idx] = laurent_sum_of_products([[_laurent_factor(inner)] + factors(dfac)], "q")
+        rhs_map[idx] = laurent_sum_of_products([factors(t) for t in rhs_terms], "q")
     return [("sample-points (cleared)", lhs_map, rhs_map)]
 
 
 def _run_csq(params, rng):
     n, k = int(params["n"]), int(params["k"])
     nv = 2  # variables: z, a
-    afac = _afacs(n, MPoly.var(1, nv, "q"))
     zero, z, a, za = (0, 0), (1, 0), (0, 1), (1, 1)
     qn = qq(n)
+    table = {("afac", r): _mpoly_shapes(_afac(r, zero, a)) for r in range(n + 1)}
+    table.update((("z", e), MPoly.mono((e, 0), 1, "q")) for e in range(n * k + 1))
+    table.update((("dz", j), MPoly.two_term(zero, z, j, "q")) for j in range(-1, 2 * n))
+    table.update((("dza", s), MPoly.two_term(zero, za, s, "q")) for s in range(n))
+    table.update((("z-a", s), MPoly.two_term(z, a, s, "q")) for s in range(2 - 2 * n, 2 - n))
 
-    lhs = MPoly.zero(nv, "q")
+    lhs_terms = []
     for lam in _box_partitions(n, k):
         ell = len(lam)
-        scal = (
-            UniRat.mono("q", 2 * lam.nstat())
-            * qn
-            / (qq(n - ell) * b_lambda(lam))
-        )
-        term = MPoly({(lam.size, 0): scal}, nv, "q")
-        term = term.mul(afac[ell]).mul(afac[n - lam.mult(k)])
-        lhs = lhs + term
+        table["lam", lam] = UniRat.mono("q", 2 * lam.nstat()) * qn / (qq(n - ell) * b_lambda(lam))
+        lhs_terms.append([("z", lam.size), ("lam", lam), ("afac", ell), ("afac", n - lam.mult(k))])
+    dz = [table["dz", j] for j in range(-1, 2 * n)]
+    lhs = _mpoly_product([_mpoly_sum(lhs_terms, table)] + dz)
 
-    dz = {j: MPoly.two_term(zero, z, j, "q") for j in range(-1, 2 * n)}
-    lhs_cleared = lhs
-    for fac in dz.values():
-        lhs_cleared = lhs_cleared.mul(fac)
-
-    rhs_cleared = MPoly.zero(nv, "q")
+    rhs_terms = []
     for r in range(n + 1):
         scal = UniRat.mono("q", (2 * k + 3) * math.comb(r, 2), (-1) ** r) / qq(r)
         # finite factor (q^{n-r+1}; q)_r
         for t in range(r):
             scal = scal * (ONE - UniRat.mono("q", n - r + 1 + t))
-        term = MPoly({(k * r, 0): scal}, nv, "q")
-        term = term.mul(MPoly.two_term(zero, z, 2 * r - 1, "q"))
-        for t in range(n - r):
-            term = term.mul(MPoly.two_term(zero, za, r + t, "q"))
-        term = term.mul(afac[r])
-        for t in range(r):
-            term = term.mul(MPoly.two_term(z, a, 1 - n - t, "q"))
-        term = term.mul(afac[n - r])
-        for j, fac in dz.items():
-            if not (r - 1 <= j <= r + n - 1):
-                term = term.mul(fac)
-        rhs_cleared = rhs_cleared + term
-    return [("cleared-coefficients", lhs_cleared, rhs_cleared)]
+        table["r", r] = scal
+        term = [("z", k * r), ("r", r), ("dz", 2 * r - 1)]
+        term += [("dza", r + t) for t in range(n - r)]
+        term.append(("afac", r))
+        term += [("z-a", 1 - n - t) for t in range(r)]
+        term.append(("afac", n - r))
+        term += [("dz", j) for j in range(-1, 2 * n) if not (r - 1 <= j <= r + n - 1)]
+        rhs_terms.append(term)
+    return [("cleared-coefficients", lhs, _mpoly_sum(rhs_terms, table))]
 
 
 def _run_mirror_swap(params, rng):

@@ -225,6 +225,35 @@ def test_verify_series_degree_and_samples_are_bounded(capsys):
     assert "random sample points <= %d" % identities.MAX_SAMPLES in epilog
 
 
+def test_symbolic_finite_alphabet_is_bounded_but_sampled_runs(capsys):
+    # symbolic n = 4, k = 1 compares 276,300 coefficients in about 47 s
+    n = str(identities.MAX_SYMBOLIC_FINITE_N + 1)
+    start = time.perf_counter()
+    for k in ("1", "2", "3"):
+        assert run(["verify", "--id", "FINITE_QBINHL", "--n", n, "--k", k]) == (3, "")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("resource bound: symbolic finite alphabet size") for line in err)
+    argv = ["verify", "--id", "FINITE_QBINHL", "--n", n, "--k", "1", "--samples", "20"]
+    code, data = run_json(argv)
+    row = data["rows"][0]
+    assert (code, row["passed"], row["strategy"], row["compared"]) == (0, True, "random-point", 20)
+    bound = identities.MAX_SYMBOLIC_FINITE_N
+    assert data["meta"]["bounds"]["max_symbolic_finite_alphabet"] == bound
+    assert "symbolic finite alphabets <= %d" % bound in cli.build_parser().epilog
+
+
+def test_every_registry_param_has_a_verify_option():
+    parser = cli.build_parser()
+    for cid, identity in identities.REGISTRY.items():
+        argv = ["verify", "--id", cid]
+        for name in identity.params:
+            argv += ["--lambda", "1"] if name == "lam" else ["--" + name, "1"]
+        params = cli._verify_params(parser.parse_args(argv))
+        assert params == {name: [1] if name == "lam" else 1 for name in identity.params}, cid
+
+
 def _verify_argv(cid, params):
     argv = ["verify", "--id", cid]
     for name, value in params.items():

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmoments.errors import ResourceBoundError
 from qmoments.groups import MAX_PRIME
@@ -26,10 +28,13 @@ from qmoments.identities import (
     run_suite,
     verify,
     REGISTRY,
+    MAX_SYMBOLIC_FINITE_N,
     _finite_lhs_terms,
     _finite_qbinhl_cleared,
-    _mpoly_factors,
-    _mpoly_sides,
+    _mpoly_product,
+    _mpoly_shapes,
+    _mpoly_sum,
+    _q_powers,
 )
 from qmoments.mpoly import MPoly
 from qmoments.hall_littlewood import _hl_cached, hl_p
@@ -110,6 +115,9 @@ def test_resource_bounds_enforced():
         verify(IdentityCase("QBINHL", {"nx": 5, "d": 3}, "truncated-series"))
     with pytest.raises(ResourceBoundError):
         verify(IdentityCase("FINITE_QBINHL", {"n": 5, "k": 2}, "symbolic-exact"))
+    symbolic_n = MAX_SYMBOLIC_FINITE_N + 1
+    with pytest.raises(ResourceBoundError, match="symbolic finite alphabet size"):
+        verify(IdentityCase("FINITE_QBINHL", {"n": symbolic_n, "k": 1}, "symbolic-exact"))
     with pytest.raises(ResourceBoundError):
         verify(IdentityCase("CSQ", {"n": 3, "k": 4}, "symbolic-exact"))
 
@@ -315,13 +323,25 @@ def test_cleared_random_point_check_matches_uncleared_formula():
         assert lhs == rhs
 
 
+def symbolic_table(n, k):
+    """The names of the cleared FINITE_QBINHL sides, and the value of every
+    factor name as the symbolic check builds it."""
+    names = _finite_qbinhl_cleared(n, k)
+    table = {name: _mpoly_shapes(shapes) for name, shapes in names[3].items()}
+    table.update(_q_powers(names[0] + names[2]))
+    table.update((("P", lam), pl.embed(n + 1, 0)) for lam, pl in _finite_lhs_terms(n, k))
+    return names[:3], table
+
+
 def zero_variable_sides(n, k, xs, a):
-    """Both cleared sides at one point through the MPoly chain in 0 variables:
-    the sample-point evaluation before the Laurent kernel, kept as a reference."""
-    const = lambda v: MPoly.const(v, 0, "q")
-    p_lams = {lam: const(pl.eval_scalars(xs)) for lam, pl in _finite_lhs_terms(n, k)}
-    table = _mpoly_factors(n, k, [const(v) for v in xs], const(a), p_lams)
-    lhs, rhs = _mpoly_sides(_finite_qbinhl_cleared(n, k), table)
+    """Both cleared sides at one point through the MPoly chain in 0 variables,
+    each symbolic factor evaluated at the point: the sample-point evaluation
+    before the Laurent kernel, kept as a reference."""
+    (lhs_terms, dfac, rhs_terms), table = symbolic_table(n, k)
+    const = lambda f: MPoly.const(f.eval_scalars(xs + [a]) if isinstance(f, MPoly) else f, 0, "q")
+    table = {name: const(f) for name, f in table.items()}
+    lhs = _mpoly_product([_mpoly_sum(lhs_terms, table)] + [table[name] for name in dfac])
+    rhs = _mpoly_sum(rhs_terms, table)
     return lhs.coeff_of(()), rhs.coeff_of(())
 
 
@@ -341,28 +361,57 @@ def test_laurent_kernel_sides_match_zero_variable_mpoly_chain():
                 assert (got.num, got.den, got.param) == (want.num, want.den, want.param)
 
 
-# SHA-256 over (key, num, den, param) of every coefficient of both cleared
-# sides, lhs then rhs, keys in sorted order; pinned at the tuple-keyed kernel.
-# Both sides run through the same MPoly kernel, so a kernel defect that
-# corrupts both alike still passes the comparison; only the digest sees it.
-SYMBOLIC_DIGESTS = {
-    2: (12391, "f5b988fb1846b21aef1d4d0d0e75398b47aeafcb6596610c57fa5122c35105a3"),
-    3: (16000, "b133c0d27625ac3ab8fbf02363a540538593aac43f60272466674fc1eeadbea5"),
-}
+# SHA-256 over (key, num, den, param) of every coefficient of every pair's
+# sides, pair by pair, lhs then rhs, keys in sorted order, for each manifest
+# case of an id with MPoly sides; the FINITE_QBINHL n=3 digests were pinned
+# at the tuple-keyed kernel, the rest at the `_push`-stack and unrolled-chain
+# builders.  Both sides run through the same MPoly kernel, so a kernel or
+# builder defect that corrupts both alike still passes the comparison; only
+# the digest sees it.
+SYMBOLIC_DIGESTS = [
+    ("QBINHL", {"nx": 2, "d": 4}, "011bef52464f443f268aa2ba28f4529ab4fbe350123e0e2aa65fd1741dfcbd0a"),
+    ("QBINHL", {"nx": 3, "d": 3}, "1ca9eb0c8ad32fa3b99a706a75a5ec3a4f2fccd9b96cac236c91e9cdaa11ff67"),
+    ("QBINHL", {"nx": 3, "d": 5}, "eb7bcc468d53766b31d9727e4e69800d27932fca8fbbb43df6b70936ca1fd846"),
+    ("WARNAAR_A2", {"nx": 2, "ny": 2, "dx": 4, "dy": 4}, "4f1a69b41094de2a6d6b54b5e7b16efb3d559637800b81648e3bc486b04cc567"),
+    ("WARNAAR_A2", {"nx": 3, "ny": 3, "dx": 5, "dy": 5}, "7ad844ae8308abb8e297dfbc02e064201a70e4db6ffe25a98e1e35935590b842"),
+    ("WARNAAR_A2", {"nx": 3, "ny": 2, "dx": 4, "dy": 3}, "f8649735687dfcf8942f2b87970f7ae0e7857e20f4f375642636a947aa284d7d"),
+    ("LASCOUX", {"nx": 2, "ny": 2, "dx": 4, "dy": 4}, "babd70ca18973b90b1a90b741777255bb480939c6639ab571bf1d4aa3271b27a"),
+    ("LASCOUX", {"nx": 3, "ny": 3, "dx": 5, "dy": 5}, "e507044187e026b0aa89ef98b1b9849092cd6ae0600d96a8776f215deb600667"),
+    ("LASCOUX", {"nx": 3, "ny": 2, "dx": 4, "dy": 3}, "fffda2c42d8dfd2dca7eac9ce3fda44f15cb24e2dc4f7dcf4eb55850d9013f1d"),
+    ("FINITE_QBINHL", {"n": 2, "k": 2}, "c4984bcdd01ff5dca3cb99f6a3eef2e7b93757cc8111985fb65902cd8afa70dd"),
+    ("FINITE_QBINHL", {"n": 3, "k": 2}, "f5b988fb1846b21aef1d4d0d0e75398b47aeafcb6596610c57fa5122c35105a3"),
+    ("FINITE_QBINHL", {"n": 3, "k": 3}, "b133c0d27625ac3ab8fbf02363a540538593aac43f60272466674fc1eeadbea5"),
+    ("CSQ", {"n": 2, "k": 2}, "0342fb9e440fccc4403e88bede355094375f9d3bec509ec6829527dbc8496094"),
+    ("CSQ", {"n": 3, "k": 2}, "23c1ef1d9ba06441fd59b542f31b8eecc8ee830cfd5c6152ef0efc4043ecde77"),
+    ("CSQ", {"n": 3, "k": 3}, "27325ad02672f6d68772d6f19db08e6b36f900cf01f539d26c50c7b29e165087"),
+    ("CSQ", {"n": 4, "k": 3}, "a00992d6d2c6eb4f29dbf6ee54fae10e7a717aea0902d4b84a662bb7f839ce4e"),
+]
 
 
-@pytest.mark.parametrize("k", sorted(SYMBOLIC_DIGESTS))
-def test_symbolic_finite_qbinhl_sides_are_pinned(k):
-    ((_, lhs, rhs),) = REGISTRY["FINITE_QBINHL"].run({"n": 3, "k": k}, random.Random(0))
-    lhs, rhs = (side.terms if isinstance(side, MPoly) else side for side in (lhs, rhs))
+def test_digests_cover_every_manifest_case_with_mpoly_sides():
+    ids = ("QBINHL", "WARNAAR_A2", "LASCOUX", "FINITE_QBINHL", "CSQ")
+    manifest = [
+        (c.case_id, c.params)
+        for c in load_manifest()[2]
+        if c.case_id in ids and c.strategy != RANDOM_POINT
+    ]
+    assert sorted(map(repr, manifest)) == sorted(repr(d[:2]) for d in SYMBOLIC_DIGESTS)
+
+
+@pytest.mark.parametrize(
+    "cid,params,digest",
+    SYMBOLIC_DIGESTS,
+    ids=["%s-%s" % (d[0], "-".join("%s%d" % kv for kv in d[1].items())) for d in SYMBOLIC_DIGESTS],
+)
+def test_symbolic_sides_are_pinned(cid, params, digest):
     h = hashlib.sha256()
-    for side in (lhs, rhs):
-        for key in sorted(side):
-            c = side[key]
-            h.update(repr((key, c.num, c.den, c.param)).encode())
-    assert (len(lhs), len(rhs), h.hexdigest()) == (
-        SYMBOLIC_DIGESTS[k][0], SYMBOLIC_DIGESTS[k][0], SYMBOLIC_DIGESTS[k][1]
-    )
+    for _, lhs, rhs in REGISTRY[cid].run(params, random.Random(0)):
+        for side in (lhs, rhs):
+            side = side.terms if isinstance(side, MPoly) else side
+            for key in sorted(side):
+                c = side[key]
+                h.update(repr((key, c.num, c.den, c.param)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_random_point_mutation_fails_at_first_sample():
@@ -449,37 +498,74 @@ def test_mutated_symbolic_case_reports_the_pinned_mismatch(cid, n, k):
     assert (rep.passed, rep.compared, rep.mismatch) == (False, compared, Mismatch(*mismatch))
 
 
-def chain_sides(names, table):
-    """(lhs * D, rhs * D) with every term of both sides multiplied left to
-    right, as before the Horner rhs: the reference for `_mpoly_sides`."""
-    nv = table[("afac", 0)].nvars
-
-    def chain(term):
-        acc = MPoly.one(nv, "q")
-        for key in term:
-            acc = acc.scale(qmono(key[1])) if key[0] == "q" else acc.mul(table[key])
-        return acc
-
-    lhs_terms, dfac, rhs_terms = names
-    lhs = sum((chain(t) for t in lhs_terms), MPoly.zero(nv, "q"))
-    for key in dfac:
-        lhs = lhs.mul(table[key])
-    return lhs, sum((chain(t) for t in rhs_terms), MPoly.zero(nv, "q"))
+def chain(term, table, keep=None):
+    """One term's product, its factors multiplied left to right from 1."""
+    acc = None
+    for name in term:
+        f = table[name]
+        if acc is None:
+            acc = f
+        elif isinstance(f, MPoly):
+            acc = f.scale(acc) if not isinstance(acc, MPoly) else acc.mul(f, keep)
+        else:
+            acc = acc.scale(f) if isinstance(acc, MPoly) else acc * f
+    return ONE if acc is None else acc
 
 
-def symbolic_table(n, k):
-    nv = n + 1
-    x = [MPoly.var(i, nv, "q") for i in range(n)]
-    p_lams = {lam: pl.embed(nv, 0) for lam, pl in _finite_lhs_terms(n, k)}
-    return _mpoly_factors(n, k, x, MPoly.var(n, nv, "q"), p_lams)
+def chain_sum(terms, table):
+    """The sum of the terms' products, left to right: the reference for the
+    Horner split of `_mpoly_sum`."""
+    total = ZERO
+    for term in terms:
+        total = total + chain(term, table)
+    return total
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_horner_rhs_equals_the_left_to_right_chains(n, k):
-    names = _finite_qbinhl_cleared(n, k)
-    lhs, rhs = _mpoly_sides(names, symbolic_table(n, k))
-    ref_lhs, ref_rhs = chain_sides(names, symbolic_table(n, k))
-    assert lhs == ref_lhs and rhs == ref_rhs and lhs == rhs
+    ((_, lhs, rhs),) = REGISTRY["FINITE_QBINHL"].run({"n": n, "k": k}, None)
+    (lhs_terms, dfac, rhs_terms), table = symbolic_table(n, k)
+    ref_lhs = chain_sum(lhs_terms, table)
+    for name in dfac:
+        ref_lhs = ref_lhs.mul(table[name])
+    assert lhs == ref_lhs and rhs == chain_sum(rhs_terms, table) and lhs == rhs
+
+
+# a small factor table over x_0, x_1, x_2: MPolys of degree at most 1 in
+# each block and UniRat scalars, so every factor lies inside KEEP
+X = [MPoly.var(i, 3, "q") for i in range(3)]
+SUM_TABLE = {
+    "a": X[0] - X[1].scale(UniRat.mono("q", 1)),
+    "b": 1 + X[2],
+    "c": MPoly.two_term((0, 0, 0), (1, 0, 1), -2, "q"),
+    "d": MPoly.const(UniRat.mono("q", 3, -2), 3, "q"),
+    "e": X[1],
+    "s": UniRat.mono("q", -1, 3),
+    "t": UniRat.const(Fraction(-1, 2)),
+    "u": UniRat.mono("q", 2),
+}
+KEEP = ((0, 2, 2), (2, 3, 1))  # degree in x_0, x_1 at most 2, in x_2 at most 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(sorted(SUM_TABLE)), max_size=5), max_size=8),
+    st.booleans(),
+)
+def test_horner_sum_equals_the_left_to_right_chains(terms, truncated):
+    keep = KEEP if truncated else None
+    assert _mpoly_sum(terms, SUM_TABLE) == chain_sum(terms, SUM_TABLE)
+    for term in terms:
+        factors = [SUM_TABLE[name] for name in term]
+        assert _mpoly_product(factors, keep) == chain(term, SUM_TABLE, keep)
+
+
+def test_horner_sum_of_many_distinct_terms_does_not_recurse_deeply():
+    table = {i: MPoly.mono((i % 7, i // 7), UniRat.mono("q", i % 5), "q") for i in range(2000)}
+    terms = [[i] for i in range(2000)]
+    total = _mpoly_sum(terms, table)
+    assert total == chain_sum(terms, table)
+    assert len(total.terms) == 2000
 
 
 # the operand and result sizes of every product of the n=3, k=2 Horner rhs
@@ -497,11 +583,11 @@ def logged(self, other, keep=None):
     return out
 
 n, k = 3, 2
-x = [MPoly.var(i, n + 1, "q") for i in range(n)]
-p_lams = {lam: pl.embed(n + 1, 0) for lam, pl in I._finite_lhs_terms(n, k)}
-table = I._mpoly_factors(n, k, x, MPoly.var(n, n + 1, "q"), p_lams)
+_, _, rhs_terms, shapes = I._finite_qbinhl_cleared(n, k)
+table = {name: I._mpoly_shapes(s) for name, s in shapes.items()}
+table.update(I._q_powers(rhs_terms))
 MPoly.mul = logged
-I._mpoly_sides(([], [], I._finite_qbinhl_cleared(n, k)[2]), table)
+I._mpoly_sum(rhs_terms, table)
 print(len(sizes), hashlib.sha256(repr(sizes).encode()).hexdigest())
 """
 
