@@ -10,6 +10,7 @@ from .errors import (
     QmomentsError,
     ResourceBoundError,
     SingularityError,
+    UsageError,
 )
 from .groups import (
     PGroup,
@@ -76,6 +77,7 @@ __all__ = [
     "SingularityError",
     "TYPE_S",
     "UniRat",
+    "UsageError",
     "VerificationReport",
     "aut_order",
     "b_lambda",

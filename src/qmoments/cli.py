@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import ModeError, ParseError, ResourceBoundError
+from .errors import ResourceBoundError, UsageError
 from .groups import (
     DEFAULT_ORDER_LIMIT,
     MAX_PRIME,
@@ -62,23 +62,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 
-_TABLE_KINDS = {
-    "class-imaginary": CLASS_GROUP_IMAGINARY,
-    "class-real": CLASS_GROUP_REAL,
-    "sha": SHA,
-    "selmer": SELMER,
+# --conjecture value -> (moments kind, context label)
+_TABLES = {
+    "class-imaginary": (CLASS_GROUP_IMAGINARY, "conjectural average over class groups of imaginary quadratic fields (odd p)"),
+    "class-real": (CLASS_GROUP_REAL, "conjectural average over class groups of real quadratic fields (odd p)"),
+    "sha": (SHA, "conjectural average over p-parts of Tate-Shafarevich groups (type-S heuristic)"),
+    "selmer": (SELMER, "conjectural p-Selmer moment (type-S heuristic at u=0)"),
 }
-
-_TABLE_LABELS = {
-    "class-imaginary": "conjectural average over class groups of imaginary quadratic fields (odd p)",
-    "class-real": "conjectural average over class groups of real quadratic fields (odd p)",
-    "sha": "conjectural average over p-parts of Tate-Shafarevich groups (type-S heuristic)",
-    "selmer": "conjectural p-Selmer moment (type-S heuristic at u=0)",
-}
-
-
-class UsageError(Exception):
-    """Bad arguments beyond what argparse itself catches."""
 
 
 def _frac(text):
@@ -86,13 +76,6 @@ def _frac(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError("not a rational number: %r" % (text,)) from None
-
-
-def _partition(text):
-    try:
-        return parse_partition(text)
-    except ParseError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _fracstr(x):
@@ -187,9 +170,9 @@ def _csv_cell(value):
     return value
 
 
-def _cmd_coeff(args, meta, out):
-    lam = _partition(args.lam)
-    mu = _partition(args.mu)
+def _cmd_coeff(args):
+    lam = parse_partition(args.lam)
+    mu = parse_partition(args.mu)
     value = c_coeff(lam, mu)
     coeffs = [int(c) for c in value.poly_coeffs()] or [0]
     row = {"lambda": str(lam), "mu": str(mu), "coefficients": coeffs}
@@ -199,24 +182,16 @@ def _cmd_coeff(args, meta, out):
         row["eval_at"] = point
         row["value"] = value.eval_at(point)
         lines.append("value at %s: %s" % (_fracstr(point), _fracstr(row["value"])))
-    _emit(
-        args.format,
-        meta,
-        [row],
-        ["lambda", "mu", "coefficients", "eval_at", "value"],
-        lines,
-        out,
-    )
-    return EXIT_PASS
+    return [row], ["lambda", "mu", "coefficients", "eval_at", "value"], lines, True
 
 
-def _cmd_moments(args, meta, out):
+def _cmd_moments(args):
     if not _is_prime(args.p):
         raise UsageError("p must be prime, got %d" % args.p)
     u = _frac(args.u)
     if u < 0:
         raise UsageError("u must be nonnegative, got %s" % args.u)
-    lam = _partition(args.lam)
+    lam = parse_partition(args.lam)
     flavor = TYPE_S if args.type_s else ABELIAN
     integral = u.denominator == 1
     if not integral and not args.as_float:
@@ -240,7 +215,7 @@ def _cmd_moments(args, meta, out):
         _set_float(row, approx)
     if args.conjecture:
         row["conjecture"] = args.conjecture
-        row["label"] = _TABLE_LABELS[args.conjecture]
+        row["label"] = _TABLES[args.conjecture][1]
     lines = [
         "M_%s(%s) at p=%d [%s]: %s%s"
         % (
@@ -252,33 +227,25 @@ def _cmd_moments(args, meta, out):
             _float_text(row),
         )
     ]
-    _emit(
-        args.format,
-        meta,
-        [row],
-        ["lambda", "p", "u", "flavor", "value", "float"],
-        lines,
-        out,
-    )
-    return EXIT_PASS
+    return [row], ["lambda", "p", "u", "flavor", "value", "float"], lines, True
 
 
-def _cmd_oracle(args, meta, out):
+def _cmd_oracle(args):
     if not _is_prime(args.p):
         raise UsageError("p must be prime, got %d" % args.p)
-    lam = _partition(args.lam)
+    lam = parse_partition(args.lam)
     p = args.p
     if args.check == "subgroups":
         if args.mu is None:
             raise UsageError("--check subgroups needs --mu")
-        mu = _partition(args.mu)
+        mu = parse_partition(args.mu)
         group = PGroup(p, lam)
         counted = count_subgroups_of_type(group, mu)
         predicted = c_coeff(lam, mu).eval_at(Fraction(p))
     elif args.check == "injections":
         if args.mu is None:
             raise UsageError("--check injections needs --mu")
-        mu = _partition(args.mu)
+        mu = parse_partition(args.mu)
         group = PGroup(p, mu)
         counted = count_injective_homs(lam, group)
         predicted = eval_on_group(
@@ -315,15 +282,7 @@ def _cmd_oracle(args, meta, out):
             row["status"],
         )
     ]
-    _emit(
-        args.format,
-        meta,
-        [row],
-        ["check", "lambda", "mu", "p", "oracle", "formula", "status"],
-        lines,
-        out,
-    )
-    return EXIT_PASS if match else EXIT_FAIL
+    return [row], ["check", "lambda", "mu", "p", "oracle", "formula", "status"], lines, match
 
 
 # the int params a `verify` case can set, one option each: every registry
@@ -336,7 +295,7 @@ _VERIFY_INTS = tuple(
 def _verify_params(args):
     params = {}
     if args.lam is not None:
-        params["lam"] = list(_partition(args.lam))
+        params["lam"] = list(parse_partition(args.lam))
     for name in _VERIFY_INTS:
         value = getattr(args, name)
         if value is not None:
@@ -346,26 +305,23 @@ def _verify_params(args):
     return params
 
 
-def _cmd_verify(args, meta, out):
+def _cmd_verify(args):
     if not args.all and args.id is None:
         raise UsageError("need --id NAME or --all")
-    try:
-        if args.all:
-            reports = run_suite(manifest=args.manifest)
+    if args.all:
+        reports = run_suite(manifest=args.manifest)
+    else:
+        cid = args.id.upper()
+        if cid not in IDENTITY_IDS:
+            raise UsageError(
+                "unknown identity id %r (known: %s)" % (args.id, ", ".join(IDENTITY_IDS))
+            )
+        params = _verify_params(args)
+        if params:
+            strategy = RANDOM_POINT if "samples" in params else REGISTRY[cid].strategies[0]
+            reports = [verify(IdentityCase(cid, params, strategy), mutate=args.mutate)]
         else:
-            cid = args.id.upper()
-            if cid not in IDENTITY_IDS:
-                raise UsageError(
-                    "unknown identity id %r (known: %s)" % (args.id, ", ".join(IDENTITY_IDS))
-                )
-            params = _verify_params(args)
-            if params:
-                strategy = RANDOM_POINT if "samples" in params else REGISTRY[cid].strategies[0]
-                reports = [verify(IdentityCase(cid, params, strategy), mutate=args.mutate)]
-            else:
-                reports = run_suite([cid], args.manifest, mutate=args.mutate)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+            reports = run_suite([cid], args.manifest, mutate=args.mutate)
     rows = []
     lines = []
     for rep in reports:
@@ -387,50 +343,39 @@ def _cmd_verify(args, meta, out):
                 "  first mismatch in %s at %s: lhs=%s rhs=%s"
                 % (rep.mismatch.label, rep.mismatch.key, rep.mismatch.lhs, rep.mismatch.rhs)
             )
-    all_passed = all(r.passed for r in reports)
     lines.append(
         "%d/%d cases passed" % (sum(r.passed for r in reports), len(reports))
     )
-    _emit(
-        args.format,
-        meta,
-        rows,
-        ["id", "strategy", "passed", "compared", "elapsed_seconds", "params", "mismatch"],
-        lines,
-        out,
-    )
-    return EXIT_PASS if all_passed else EXIT_FAIL
+    header = ["id", "strategy", "passed", "compared", "elapsed_seconds", "params", "mismatch"]
+    return rows, header, lines, all(r.passed for r in reports)
 
 
-def _cmd_table(args, meta, out):
-    kind = _TABLE_KINDS[args.conjecture]
+def _cmd_table(args):
+    kind, label = _TABLES[args.conjecture]
     if not _is_prime(args.p):
         raise UsageError("p must be prime, got %d" % args.p)
     wants_partition = args.conjecture in ("class-imaginary", "class-real", "sha")
     if wants_partition and args.lam is None:
         raise UsageError("--conjecture %s needs --lambda" % args.conjecture)
-    row = {"conjecture": args.conjecture, "p": args.p, "label": _TABLE_LABELS[args.conjecture]}
-    try:
-        if args.conjecture == "sha":
-            if args.u is None:
-                raise UsageError("--conjecture sha needs --u")
-            u = _frac(args.u)
-            if u.denominator != 1 or u < 0:
-                raise UsageError("sha table needs a nonnegative integer u")
-            lam = _partition(args.lam)
-            value = conjecture_table(kind, lam=lam, p=args.p, u=int(u))
-            row.update({"lambda": str(lam), "u": int(u)})
-        elif args.conjecture == "selmer":
-            if args.ell is None or args.m is None:
-                raise UsageError("--conjecture selmer needs --ell and --m")
-            value = conjecture_table(kind, p=args.p, lm=(args.ell, args.m))
-            row.update({"ell": args.ell, "m": args.m})
-        else:
-            lam = _partition(args.lam)
-            value = conjecture_table(kind, lam=lam, p=args.p)
-            row["lambda"] = str(lam)
-    except ModeError as exc:
-        raise UsageError(str(exc)) from None
+    row = {"conjecture": args.conjecture, "p": args.p, "label": label}
+    if args.conjecture == "sha":
+        if args.u is None:
+            raise UsageError("--conjecture sha needs --u")
+        u = _frac(args.u)
+        if u.denominator != 1 or u < 0:
+            raise UsageError("sha table needs a nonnegative integer u")
+        lam = parse_partition(args.lam)
+        value = conjecture_table(kind, lam=lam, p=args.p, u=int(u))
+        row.update({"lambda": str(lam), "u": int(u)})
+    elif args.conjecture == "selmer":
+        if args.ell is None or args.m is None:
+            raise UsageError("--conjecture selmer needs --ell and --m")
+        value = conjecture_table(kind, p=args.p, lm=(args.ell, args.m))
+        row.update({"ell": args.ell, "m": args.m})
+    else:
+        lam = parse_partition(args.lam)
+        value = conjecture_table(kind, lam=lam, p=args.p)
+        row["lambda"] = str(lam)
     row["value"] = value
     _set_float(row, value)
     if args.conjecture in ("class-imaginary", "class-real") and args.p == 2:
@@ -438,15 +383,8 @@ def _cmd_table(args, meta, out):
     lines = ["%s p=%d: %s%s" % (args.conjecture, args.p, _fracstr(value), _float_text(row))]
     if "warning" in row:
         lines.append("warning: " + row["warning"])
-    _emit(
-        args.format,
-        meta,
-        [row],
-        ["conjecture", "lambda", "ell", "m", "u", "p", "value", "float", "warning", "label"],
-        lines,
-        out,
-    )
-    return EXIT_PASS
+    header = ["conjecture", "lambda", "ell", "m", "u", "p", "value", "float", "warning", "label"]
+    return [row], header, lines, True
 
 
 def build_parser():
@@ -490,7 +428,7 @@ def build_parser():
     p_mom.add_argument("--u", required=True, help="nonnegative rational")
     p_mom.add_argument("--type-s", dest="type_s", action="store_true")
     p_mom.add_argument("--float", dest="as_float", action="store_true", help="allow non-integral u via high-precision evaluation")
-    p_mom.add_argument("--conjecture", choices=sorted(_TABLE_KINDS), default=None, help="attach a conjectural-context label")
+    p_mom.add_argument("--conjecture", choices=sorted(_TABLES), default=None, help="attach a conjectural-context label")
     p_mom.set_defaults(func=_cmd_moments)
 
     p_orc = sub.add_parser("oracle", help="brute-force group count vs closed formula", parents=[common])
@@ -517,7 +455,7 @@ def build_parser():
     p_ver.set_defaults(func=_cmd_verify)
 
     p_tab = sub.add_parser("table", help="conjectural averages with context labels", parents=[common])
-    p_tab.add_argument("--conjecture", choices=sorted(_TABLE_KINDS), required=True)
+    p_tab.add_argument("--conjecture", choices=sorted(_TABLES), required=True)
     p_tab.add_argument("--lambda", dest="lam", default=None)
     p_tab.add_argument("--p", type=int, required=True)
     p_tab.add_argument("--u", default=None)
@@ -540,16 +478,20 @@ def main(argv=None, out=None):
     if seed is None:
         try:
             _, seed, _ = load_manifest()
-        except OSError:
+        except UsageError:
             seed = 0
+    # the only exit-code map: any other exception is a defect
     try:
-        return args.func(args, _metadata(argv, seed), out)
-    except (UsageError, ParseError, ModeError) as exc:
+        meta = _metadata(argv, seed)
+        rows, header, lines, passed = args.func(args)
+    except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ResourceBoundError as exc:
         print("resource bound: %s" % exc, file=sys.stderr)
         return EXIT_BOUND
+    _emit(args.format, meta, rows, header, lines, out)
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -5,7 +5,11 @@ class QmomentsError(Exception):
     """Base class for package-specific errors."""
 
 
-class ParseError(QmomentsError, ValueError):
+class UsageError(QmomentsError, ValueError):
+    """Bad input from the caller, not a defect (CLI exit 2)."""
+
+
+class ParseError(UsageError):
     """Malformed partition or flag text."""
 
 
@@ -17,7 +21,7 @@ class SingularityError(QmomentsError, ZeroDivisionError):
     """A q-shifted factorial with negative index hit a vanishing factor."""
 
 
-class ModeError(QmomentsError, ValueError):
+class ModeError(UsageError):
     """Exact mode was asked for something only the float mode supports."""
 
 

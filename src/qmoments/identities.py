@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ResourceBoundError
+from .errors import ResourceBoundError, UsageError
 from .groups import PGroup, _is_prime, aut_order, torsion_order
 from .hall_littlewood import b_lambda, hl_p, principal_spec
 from .mpoly import MPoly, _unit
@@ -344,7 +344,7 @@ def _column_bounded_lhs(lam, ell, n, b, c):
     with c = 1; DELAUNAY is b = 1, c = 0 and lam empty.  Every key up to n
     is present, so the odd keys of type S hold ZERO."""
     if lam and lam[0] > ell:
-        raise ValueError("largest part must not exceed the torsion exponent bound")
+        raise UsageError("largest part must not exceed the torsion exponent bound")
     lhs = {m: ZERO for m in range(n + 1)}
     for m in range(n // b + 1):
         for mu in partitions_of(m, max_part=ell):
@@ -619,7 +619,10 @@ def _finite_qbinhl_symbolic(n, k):
     table.update(_q_powers(lhs_terms + rhs_terms))
     table.update((("P", lam), pl.embed(n + 1, 0)) for lam, pl in _finite_lhs_terms(n, k))
     lhs = _mpoly_product([_mpoly_sum(lhs_terms, table)] + [table[name] for name in dfac])
-    return [("cleared-coefficients", lhs, _mpoly_sum(rhs_terms, table))]
+    rhs = _mpoly_sum(rhs_terms, table)
+    if not isinstance(rhs, MPoly):  # n = 0: every rhs factor is a scalar
+        rhs = MPoly.const(rhs, n + 1, "q")
+    return [("cleared-coefficients", lhs, rhs)]
 
 
 def _sample_points(n, samples, rng):
@@ -640,10 +643,6 @@ def _sample_points(n, samples, rng):
 def _finite_qbinhl_random(n, k, samples, rng):
     """Both cleared sides at `samples` random points (`_sample_points`),
     each sum on one certified slot width (`laurent_sum_of_products`)."""
-    if samples < MIN_SAMPLES:
-        raise ValueError("need at least %d random sample points" % MIN_SAMPLES)
-    if samples > MAX_SAMPLES:
-        raise ResourceBoundError("random sample points", MAX_SAMPLES, samples)
     p_lams = _finite_lhs_terms(n, k)
     lhs_terms, dfac, rhs_terms, shapes = _finite_qbinhl_cleared(n, k)
     q_powers = {name: [((1,), name[1], 1)] for name in _q_powers(lhs_terms + rhs_terms)}
@@ -756,31 +755,43 @@ REGISTRY = {
 
 IDENTITY_IDS = tuple(sorted(REGISTRY))
 
+# the params whose least value is above 0: the column bound k, the torsion
+# exponent ell (p^ell-torsion needs ell >= 1) and the random sample points
+_LEAST = {"k": 1, "ell": 1, "samples": MIN_SAMPLES}
+
 
 def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
-    A missing or negative param, a composite `p`, or `samples` for an
-    identity with no random-point check, raises ValueError and a param over
-    its bound raises ResourceBoundError, before any work."""
+    A missing, malformed or too small param (`_LEAST`, else 0), a composite
+    `p`, or `samples` for an identity with no random-point check, raises
+    UsageError and a param over its bound raises ResourceBoundError, before
+    any work."""
     identity = REGISTRY.get(case.case_id)
     if identity is None:
-        raise ValueError("unknown identity id: %r" % (case.case_id,))
+        raise UsageError("unknown identity id: %r" % (case.case_id,))
     missing = [name for name in identity.params if name not in case.params]
     if missing:
-        raise ValueError("%s needs %s" % (case.case_id, ", ".join(missing)))
-    if "samples" in case.params and RANDOM_POINT not in identity.strategies:
-        raise ValueError("%s has no random-point check, so no samples" % case.case_id)
-    for name, bound in identity.params.items():
+        raise UsageError("%s needs %s" % (case.case_id, ", ".join(missing)))
+    bounds = dict(identity.params)
+    if "samples" in case.params:
+        if RANDOM_POINT not in identity.strategies:
+            raise UsageError("%s has no random-point check, so no samples" % case.case_id)
+        bounds["samples"] = ("random sample points", MAX_SAMPLES)
+    for name, bound in bounds.items():
+        try:
+            value = Partition(case.params[name]) if name == "lam" else int(case.params[name])
+        except (TypeError, ValueError) as exc:
+            raise UsageError("%s has a malformed %s: %s" % (case.case_id, name, exc)) from None
         if name == "lam":
             continue
-        value = int(case.params[name])
-        if value < 0:
-            raise ValueError("%s needs %s >= 0, got %d" % (case.case_id, name, value))
+        least = _LEAST.get(name, 0)
+        if value < least:
+            raise UsageError("%s needs %s >= %d, got %d" % (case.case_id, name, least, value))
         if bound is not None and value > bound[1]:
             raise ResourceBoundError(bound[0], bound[1], value)
     if "p" in identity.params and not _is_prime(int(case.params["p"])):
-        raise ValueError("p must be prime, got %d" % int(case.params["p"]))
+        raise UsageError("p must be prime, got %d" % int(case.params["p"]))
     seed = case.params.get("seed")
     rng = random.Random(seed if seed is not None else 0)
     start = time.perf_counter()
@@ -800,13 +811,18 @@ def verify(case, mutate=False):
 
 
 def load_manifest(path=None):
-    """Read the case manifest; returns (version, seed, list of IdentityCase)."""
-    raw = json.loads(Path(path or _MANIFEST_PATH).read_text())
-    cases = [
-        IdentityCase(c["id"], dict(c.get("params", {})), c["strategy"])
-        for c in raw["cases"]
-    ]
-    return raw["version"], raw.get("default_seed"), cases
+    """Read the case manifest; returns (version, seed, list of IdentityCase).
+    An unreadable or malformed file raises UsageError."""
+    path = Path(path or _MANIFEST_PATH)
+    try:
+        raw = json.loads(path.read_text())
+        cases = [
+            IdentityCase(str(c["id"]), dict(c.get("params", {})), c["strategy"])
+            for c in raw["cases"]
+        ]
+        return raw["version"], raw.get("default_seed"), cases
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise UsageError("unreadable manifest %s: %s: %s" % (path, type(exc).__name__, exc)) from None
 
 
 def run_suite(ids=None, manifest=None, mutate=False):
@@ -816,7 +832,7 @@ def run_suite(ids=None, manifest=None, mutate=False):
         wanted = set(ids)
         unknown = wanted - set(REGISTRY)
         if unknown:
-            raise ValueError("unknown identity id: %r" % (sorted(unknown)[0],))
+            raise UsageError("unknown identity id: %r" % (sorted(unknown)[0],))
         cases = [c for c in cases if c.case_id in wanted]
     reports = [verify(case, mutate=mutate) for case in cases]
     return sorted(reports, key=lambda r: (r.case_id, repr(sorted(r.params.items()))))

@@ -159,6 +159,8 @@ def _guards(keys, blocks, deg, biased):
     no slot passes (hi - lo) * _TOP < 2^(2*FIELD), so nothing carries."""
     out, guard, off = [0] * len(keys), 0, 0
     for lo, hi, cap in blocks:
+        if lo == hi:
+            continue  # no variables: the block's sum is 0 <= cap
         h = (hi - lo + 1) // 2
         ev = sum(_TOP << 2 * FIELD * t for t in range(h))
         od = sum(_TOP << 2 * FIELD * t for t in range((hi - lo) // 2))

@@ -552,3 +552,81 @@ def test_seed_override_is_echoed():
     code, data = run_json(["--seed", "7", "coeff", "--lambda", "1", "--mu", "1"])
     assert code == 0
     assert data["meta"]["seed"] == 7
+
+
+_OVER = str(identities.MAX_SERIES_DEGREE + 1)
+_MANIFESTS = {
+    "not-json": "not json",
+    "no-cases": '{"version": 1}',
+    "bad-param": '{"version": 1, "cases": [{"id": "QBIN", "strategy": "symbolic-exact",'
+                 ' "params": {"n": "abc"}}]}',
+    "list-id": '{"version": 1, "cases": [{"id": ["QBIN"], "strategy": "symbolic-exact"}]}',
+}
+
+# every usage-error and resource-bound call of this file, and the refusals
+# of k = 0, ell = 0, too few samples, lam_1 > ell and an unreadable manifest
+_REFUSED = [
+    (2, ["coeff", "--lambda", "1,2", "--mu", "1"]),
+    (2, ["coeff", "--lambda", "1,1", "--mu", "1", "--eval-at", "x"]),
+    (2, ["moments", "--lambda", "1", "--p", "4", "--u", "0"]),
+    (2, ["moments", "--lambda", "1", "--p", "3", "--u", "1/2"]),
+    (2, ["moments", "--lambda", "1", "--p", "3", "--u", "-1"]),
+    (2, ["oracle", "--check", "subgroups", "--lambda", "1,1", "--p", "2"]),
+    (2, ["verify", "--id", "NOPE"]),
+    (2, ["verify"]),
+    (2, ["verify", "--id", "QBIN", "--n", "-1"]),
+    (2, ["verify", "--id", "QBINHL", "--nx", "2", "--d", "4", "--samples", "20"]),
+    (2, ["verify", "--id", "GENFUN", "--lambda", "1", "--zmax", "4", "--p", "4"]),
+    (2, ["verify", "--id", "GENFUN", "--lambda", "1", "--zmax", "4", "--p", "1000000"]),
+    (2, ["table", "--conjecture", "selmer", "--p", "2"]),
+    (2, ["table", "--conjecture", "sha", "--lambda", "1", "--p", "3"]),
+    (2, ["table", "--conjecture", "class-real", "--lambda", "1", "--p", "6"]),
+    (2, ["verify", "--id", "CSQ", "--n", "1", "--k", "0"]),
+    (2, ["verify", "--id", "FINITE_QBINHL", "--n", "1", "--k", "0"]),
+    (2, ["verify", "--id", "FINITE_QBINHL", "--n", "1", "--k", "0", "--samples", "20"]),
+    (2, ["verify", "--id", "FINITE_QBINHL", "--n", "2", "--k", "1", "--samples", "5"]),
+    (2, ["verify", "--id", "DELAUNAY", "--ell", "0", "--zmax", "4"]),
+    (2, ["verify", "--id", "UMOY_ABELIAN", "--lambda", "", "--ell", "0", "--zmax", "4"]),
+    (2, ["verify", "--id", "UMOY_TYPE_S", "--lambda", "1", "--ell", "0", "--zmax", "4"]),
+    (2, ["verify", "--id", "UMOY_ABELIAN", "--lambda", "2", "--ell", "1", "--zmax", "4"]),
+    (2, ["verify", "--all", "--manifest", "{missing}"]),
+    (2, ["verify", "--all", "--manifest", "{not-json}"]),
+    (2, ["verify", "--all", "--manifest", "{no-cases}"]),
+    (2, ["verify", "--all", "--manifest", "{bad-param}"]),
+    (2, ["verify", "--all", "--manifest", "{list-id}"]),
+    (3, ["oracle", "--check", "aut", "--lambda", "13", "--p", "2"]),
+    (3, ["verify", "--id", "QBINHL", "--nx", "5", "--d", "3"]),
+    (3, ["verify", "--id", "QBIN", "--n", "1000"]),
+    (3, ["verify", "--id", "QBINHL", "--nx", "4", "--d", _OVER]),
+    (3, ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3",
+         "--samples", str(identities.MAX_SAMPLES + 1)]),
+    (3, ["verify", "--id", "WARNAAR_A2", "--nx", "4", "--ny", "4", "--dx", _OVER, "--dy", "1"]),
+    (3, ["verify", "--id", "LASCOUX", "--nx", "4", "--ny", "4", "--dx", "1", "--dy", _OVER]),
+    (3, ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "1"]),
+    (3, ["coeff", "--lambda", "1^300", "--mu", "1^150"]),
+    (3, ["coeff", "--lambda", "1^600", "--mu", "1^300"]),
+    (3, ["moments", "--lambda", "1^300", "--p", "3", "--u", "1/2", "--float"]),
+    (3, ["moments", "--lambda", "1^300", "--p", "3", "--u", "1/2", "--float", "--type-s"]),
+    (3, ["moments", "--lambda", "1", "--p", str(cli.MAX_PRIME + 2), "--u", "1"]),
+    (3, ["moments", "--lambda", "1", "--p", "3", "--u", "100000000"]),
+    (3, ["moments", "--lambda", "1", "--p", "3", "--u", "100000000", "--type-s"]),
+    (3, ["moments", "--lambda", "1", "--p", "3", "--u", "5200"]),
+    (3, ["table", "--conjecture", "sha", "--lambda", "1", "--p", "3", "--u", "100000000"]),
+    (3, ["table", "--conjecture", "class-imaginary", "--lambda", "1^300", "--p", "3"]),
+    (3, ["moments", "--lambda", "1^300", "--p", "3", "--u", "0", "--type-s"]),
+]
+
+
+@pytest.mark.parametrize("code, argv", _REFUSED, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_refused_call_prints_one_line_and_no_rows(code, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("QMOMENTS_MAX_GROUP_ORDER", raising=False)
+    for name, text in _MANIFESTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert run(argv) == (code, "")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: " if code == 2 else "resource bound: ")
+

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmoments.errors import ResourceBoundError
+from qmoments.errors import ModeError, ParseError, ResourceBoundError, UsageError
 from qmoments.groups import MAX_PRIME
 from qmoments.identities import (
     IDENTITY_IDS,
@@ -467,6 +467,57 @@ def test_manifest_loads_and_covers_every_identity():
         seen[case.case_id] = seen.get(case.case_id, 0) + 1
     assert set(seen) == set(IDENTITY_IDS)
     assert all(count >= 3 for count in seen.values()), seen
+
+
+def test_unreadable_manifest_is_a_usage_error(tmp_path):
+    assert issubclass(UsageError, ValueError)
+    assert issubclass(ParseError, UsageError) and issubclass(ModeError, UsageError)
+    texts = {"not-json": "not json", "no-cases": '{"version": 1}', "list": "[1, 2]"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    for name in ["missing"] + list(texts):
+        with pytest.raises(UsageError, match="unreadable manifest"):
+            load_manifest(tmp_path / name)
+        with pytest.raises(UsageError, match="unreadable manifest"):
+            run_suite(manifest=tmp_path / name)
+
+
+# (id, strategy, param) refused at 0: the column bound k and the torsion
+# exponent ell start at 1, p must be prime and samples start at MIN_SAMPLES
+_REFUSED_AT_ZERO = {
+    ("CSQ", "symbolic-exact", "k"),
+    ("FINITE_QBINHL", "symbolic-exact", "k"),
+    ("FINITE_QBINHL", "random-point", "k"),
+    ("FINITE_QBINHL", "random-point", "samples"),
+    ("DELAUNAY", "truncated-series", "ell"),
+    ("UMOY_ABELIAN", "truncated-series", "ell"),
+    ("UMOY_TYPE_S", "truncated-series", "ell"),
+    ("GENFUN", "truncated-series", "p"),
+}
+
+
+def test_every_param_at_zero_passes_or_is_refused():
+    # one param at 0 (lam empty), the rest at the first manifest case of
+    # the (id, strategy): each case passes with compared > 0, or raises
+    # UsageError before any work
+    first = {}
+    for case in load_manifest()[2]:
+        first.setdefault((case.case_id, case.strategy), case.params)
+    walked = set()
+    for (cid, strategy), params in first.items():
+        names = list(REGISTRY[cid].params) + (["samples"] if strategy == RANDOM_POINT else [])
+        for name in names:
+            case = IdentityCase(cid, dict(params, **{name: [] if name == "lam" else 0}), strategy)
+            walked.add((cid, strategy, name))
+            if (cid, strategy, name) in _REFUSED_AT_ZERO:
+                with pytest.raises(UsageError):
+                    verify(case)
+                continue
+            rep = verify(case)
+            assert rep.passed and rep.compared > 0, (cid, strategy, name)
+    assert _REFUSED_AT_ZERO < walked
+    assert ("WARNAAR_A2", "truncated-series", "nx") in walked
+    assert ("FINITE_QBINHL", "symbolic-exact", "n") in walked
 
 
 def test_run_suite_filtered_is_sorted_and_passes():
