@@ -306,17 +306,19 @@ def _verify_params(args):
 
 
 def _cmd_verify(args):
-    if not args.all and args.id is None:
-        raise UsageError("need --id NAME or --all")
+    params = _verify_params(args)
     if args.all:
-        reports = run_suite(manifest=args.manifest)
+        if args.id is not None or params:
+            raise UsageError("--all runs the manifest cases as written: drop --id and the case params")
+        reports = run_suite(manifest=args.manifest, mutate=args.mutate)
+    elif args.id is None:
+        raise UsageError("need --id NAME or --all")
     else:
         cid = args.id.upper()
         if cid not in IDENTITY_IDS:
             raise UsageError(
                 "unknown identity id %r (known: %s)" % (args.id, ", ".join(IDENTITY_IDS))
             )
-        params = _verify_params(args)
         if params:
             strategy = RANDOM_POINT if "samples" in params else REGISTRY[cid].strategies[0]
             reports = [verify(IdentityCase(cid, params, strategy), mutate=args.mutate)]

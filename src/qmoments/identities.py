@@ -764,9 +764,9 @@ def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
     A missing, malformed or too small param (`_LEAST`, else 0), a composite
-    `p`, or `samples` for an identity with no random-point check, raises
-    UsageError and a param over its bound raises ResourceBoundError, before
-    any work."""
+    `p`, a `seed` that is not an int (a bool included), or `samples` for an
+    identity with no random-point check, raises UsageError and a param over
+    its bound raises ResourceBoundError, before any work."""
     identity = REGISTRY.get(case.case_id)
     if identity is None:
         raise UsageError("unknown identity id: %r" % (case.case_id,))
@@ -793,6 +793,8 @@ def verify(case, mutate=False):
     if "p" in identity.params and not _is_prime(int(case.params["p"])):
         raise UsageError("p must be prime, got %d" % int(case.params["p"]))
     seed = case.params.get("seed")
+    if seed is not None and type(seed) is not int:  # bool is an int subclass
+        raise UsageError("%s has a malformed seed: %r is not an int" % (case.case_id, seed))
     rng = random.Random(seed if seed is not None else 0)
     start = time.perf_counter()
     pairs = identity.run(case.params, rng)

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvariantError, ModeError, ResourceBoundError
+from .errors import InvariantError, ModeError, ResourceBoundError, UsageError
 from .partitions import Partition, subpartitions
 from .qseries import qbinomial
 from .rbasis import _c_degree, c_coeff
@@ -239,7 +239,8 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
 
     CLASS_GROUP_IMAGINARY / CLASS_GROUP_REAL take lam and p (u fixed to 0
     resp. 1); SHA takes lam, p, and u; SELMER takes lm = (ell, m) and p,
-    with lam = the rectangle ell^m.
+    with lam = the rectangle ell^m, and raises UsageError unless ell >= 1
+    and m >= 0.
     """
     if p is None or p < 2:
         raise ValueError("a prime p is required")
@@ -255,6 +256,8 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
         ell, m = lm if lm is not None else (None, None)
         if ell is None:
             raise ValueError("SELMER needs lm=(ell, m)")
+        if ell < 1 or m < 0:
+            raise UsageError("SELMER needs ell >= 1 and m >= 0, got ell=%d, m=%d" % (ell, m))
         lam = Partition([ell] * m)
         val = m_u_s(MomentQuery(lam, p, 0, TYPE_S))
         if ell == 1:

@@ -8,7 +8,7 @@ are explicit.  Constants carry no parameter name at all.
 
 import sys
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .errors import ParamMismatch
 
@@ -112,41 +112,34 @@ def _pprim(a):
     return a
 
 
-def _prem(a, b):
-    """Pseudo-remainder of a by b (b nonzero)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and r:
-        top = r[-1]
-        if top == 0:
-            r.pop()
-            continue
-        r = [lb * x for x in r]
-        off = len(r) - 1 - db
-        for i, bc in enumerate(b):
-            r[off + i] -= top * bc
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
-
-
 def _pgcd(a, b):
-    """Primitive gcd via the primitive PRS; result has positive lead."""
-    a, b = _pprim(a), _pprim(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        if len(b) == 1:
-            return (1,)
-        r = _pprim(_prem(a, b))
-        a, b = b, r
-    return a
+    """(g, a/g, b/g) for g the primitive gcd of the nonzero a and b, g[-1] > 0.
+
+    Heuristic gcd (GCDHEU; Char, Geddes and Gonnet 1989): the integer gcd
+    h of a(xi) and b(xi), read back in symmetric base-xi digits, has a
+    primitive part g that is the gcd as soon as g divides both a and b,
+    because xi >= 2*min(||a||_inf, ||b||_inf) + 2 (Geddes, Czapor and
+    Labahn 1992, Thm 7.7); the exact divisions are that check.  The loop
+    ends: with G the gcd, h = |G(xi)| * k where k divides the nonzero
+    resultant of a/G and b/G, so once xi > 2*||kG||_inf the digits are
+    +-kG, whose primitive part G passes the check, and the bit length of xi
+    grows geometrically, so that point is reached.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        h = gcd(_peval(a, xi), _peval(b, xi))
+        digits = []
+        while h:
+            h, d = divmod(h, xi)
+            if 2 * d > xi:
+                d -= xi
+                h += 1
+            digits.append(d)
+        g = _pprim(tuple(digits))
+        try:
+            return g, _pexactdiv(a, g), _pexactdiv(b, g)
+        except ArithmeticError:
+            xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
 def _pexactdiv(a, b):
@@ -187,7 +180,7 @@ def _ismono(a):
 
 
 def _peval(a, x):
-    v = Fraction(0)
+    v = 0
     for c in reversed(a):
         v = v * x + c
     return v
@@ -222,10 +215,7 @@ def _normalize(num, den):
         # only integer content can be shared once the q-power is stripped
         g = gcd(num[-1], _pcontent(den)) * (-1 if den[-1] < 0 else 1)
     else:
-        gp = _pgcd(num, den)
-        if len(gp) > 1:
-            num = _pexactdiv(num, gp)
-            den = _pexactdiv(den, gp)
+        _, num, den = _pgcd(num, den)
         if den == (1,):
             return num, den
         g = gcd(_pcontent(num), _pcontent(den)) * (-1 if den[-1] < 0 else 1)

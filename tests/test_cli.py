@@ -509,6 +509,15 @@ def test_verify_all_with_custom_manifest(tmp_path):
     assert [r["id"] for r in data["rows"]] == ["MIRROR_SWAP", "QBIN"]
 
 
+def test_verify_all_applies_mutate(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"version": 1, "cases": [
+        {"id": "QBIN", "strategy": "symbolic-exact", "params": {"n": 3}}]}))
+    code, data = run_json(["verify", "--all", "--manifest", str(path), "--mutate"])
+    assert code == 1
+    assert data["rows"][0]["passed"] is False and data["rows"][0]["mismatch"]
+
+
 def test_table_pinned_values_and_warning():
     code, data = run_json(["table", "--conjecture", "selmer", "--ell", "1", "--m", "3", "--p", "2"])
     assert code == 0
@@ -561,10 +570,16 @@ _MANIFESTS = {
     "bad-param": '{"version": 1, "cases": [{"id": "QBIN", "strategy": "symbolic-exact",'
                  ' "params": {"n": "abc"}}]}',
     "list-id": '{"version": 1, "cases": [{"id": ["QBIN"], "strategy": "symbolic-exact"}]}',
+    "list-seed": '{"version": 1, "cases": [{"id": "FINITE_QBINHL", "strategy": "random-point",'
+                 ' "params": {"n": 2, "k": 1, "samples": 20, "seed": [1]}}]}',
+    "bool-seed": '{"version": 1, "cases": [{"id": "FINITE_QBINHL", "strategy": "random-point",'
+                 ' "params": {"n": 2, "k": 1, "samples": 20, "seed": true}}]}',
 }
 
 # every usage-error and resource-bound call of this file, and the refusals
-# of k = 0, ell = 0, too few samples, lam_1 > ell and an unreadable manifest
+# of k = 0, ell = 0, too few samples, lam_1 > ell, an unreadable manifest, a
+# seed that is not an int, --all with a single-case option and an
+# out-of-range selmer row
 _REFUSED = [
     (2, ["coeff", "--lambda", "1,2", "--mu", "1"]),
     (2, ["coeff", "--lambda", "1,1", "--mu", "1", "--eval-at", "x"]),
@@ -594,6 +609,12 @@ _REFUSED = [
     (2, ["verify", "--all", "--manifest", "{no-cases}"]),
     (2, ["verify", "--all", "--manifest", "{bad-param}"]),
     (2, ["verify", "--all", "--manifest", "{list-id}"]),
+    (2, ["verify", "--all", "--manifest", "{list-seed}"]),
+    (2, ["verify", "--all", "--manifest", "{bool-seed}"]),
+    (2, ["verify", "--all", "--id", "QBIN"]),
+    (2, ["verify", "--all", "--n", "3"]),
+    (2, ["table", "--conjecture", "selmer", "--ell", "0", "--m", "1", "--p", "2"]),
+    (2, ["table", "--conjecture", "selmer", "--ell", "1", "--m", "-1", "--p", "2"]),
     (3, ["oracle", "--check", "aut", "--lambda", "13", "--p", "2"]),
     (3, ["verify", "--id", "QBINHL", "--nx", "5", "--d", "3"]),
     (3, ["verify", "--id", "QBIN", "--n", "1000"]),

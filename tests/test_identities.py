@@ -144,6 +144,13 @@ def test_random_point_case_needs_enough_samples():
         )
 
 
+@pytest.mark.parametrize("seed", [[1], "1", 1.0, True])
+def test_random_point_case_needs_an_int_seed(seed):
+    params = {"n": 2, "k": 1, "samples": 20, "seed": seed}
+    with pytest.raises(UsageError, match="seed"):
+        verify(IdentityCase("FINITE_QBINHL", params, "random-point"))
+
+
 def test_unbounded_params_end_within_seconds():
     # every int param without a bound, and `samples` of an id with a
     # random-point check, at 10**6 and the rest at the id's first manifest

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from qmoments import moments
-from qmoments.errors import ModeError, ResourceBoundError
+from qmoments.errors import ModeError, ResourceBoundError, UsageError
 from qmoments.moments import (
     ABELIAN,
     CLASS_GROUP_IMAGINARY,
@@ -168,6 +168,20 @@ def test_selmer_product_law():
             for j in range(1, m + 1):
                 prod *= 1 + Fraction(p) ** j
             assert conjecture_table(SELMER, lm=(1, m), p=p) == prod
+
+
+def test_selmer_m1_row_is_the_divisor_sum():
+    # the average size of Sel_n is sigma(n) (Bhargava-Kane-Lenstra-Poonen-Rains);
+    # the m = 1 row is the n = p^ell case
+    for p in (2, 3, 5):
+        for ell in range(1, 5):
+            assert conjecture_table(SELMER, lm=(ell, 1), p=p) == sum(p**j for j in range(ell + 1))
+
+
+def test_selmer_refuses_out_of_range_rows():
+    for lm in ((0, 1), (1, -1), (-1, 2)):
+        with pytest.raises(UsageError):
+            conjecture_table(SELMER, lm=lm, p=2)
 
 
 def test_fouvry_klueners_numbers():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmoments import ParamMismatch, UniRat
-from qmoments.qrat import _pack_signed, _unpack_signed, laurent_sum_of_products
+from qmoments import qrat
+from qmoments.qrat import _pack_signed, _pgcd, _pmul, _trim, _unpack_signed, laurent_sum_of_products
 from qmoments.qseries import qbinomial
 
 
@@ -350,3 +352,68 @@ def test_qbinomial_matches_sympy(n, k):
     got = qbinomial(n, k)
     assert got.is_polynomial()
     assert_canonical(got, expected)
+
+
+# -- the heuristic gcd behind every reduction ------------------------------------
+
+NONZERO_POLY = st.lists(
+    st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12)), min_size=1, max_size=6
+).filter(lambda c: c[-1]).map(tuple)
+
+
+def primitive_gcd_by_sympy(a, b):
+    """The gcd of a and b in Z[q] with its content removed and positive lead."""
+    _, g = sympy_poly(a).gcd(sympy_poly(b)).primitive()
+    if g.LC < 0:
+        g = -g
+    return tuple(int(x) for x in reversed(g.to_dense()))
+
+
+@SYMPY
+@given(NONZERO_POLY, NONZERO_POLY, NONZERO_POLY)
+def test_pgcd_matches_sympy(a, b, c):
+    ac, bc = _trim(conv(a, c)), _trim(conv(b, c))
+    g, qa, qb = _pgcd(ac, bc)
+    assert g == primitive_gcd_by_sympy(ac, bc)
+    assert _pmul(g, qa) == ac and _pmul(g, qb) == bc
+
+
+def count_evaluation_points(monkeypatch):
+    """Count the evaluation points _pgcd tries: each failed check moves on."""
+    failed = []
+    exactdiv = qrat._pexactdiv
+
+    def counting(a, b):
+        try:
+            return exactdiv(a, b)
+        except ArithmeticError:
+            failed.append(b)
+            raise
+
+    monkeypatch.setattr(qrat, "_pexactdiv", counting)
+    return lambda: len(failed) + 1
+
+
+def test_pgcd_grows_the_evaluation_point(monkeypatch):
+    # the first three points give the linear candidates 2q - 3, q - 8 and
+    # 2q - 49, none of which divides a
+    points = count_evaluation_points(monkeypatch)
+    a, b = (3, 1, 0, 3), (2, -1, -3, -2)
+    assert _pgcd(a, b) == ((1,), a, b)
+    assert points() == 4
+
+
+def test_pgcd_of_degree_near_max_c_degree(monkeypatch):
+    # the values at xi carry about 8,000 base-xi digits, so each evaluation
+    # point costs big-int work; the pair still needs only two points
+    points = count_evaluation_points(monkeypatch)
+    num = (-1,) + (0,) * 8189 + (1,)  # q^8190 - 1
+    den = _pmul((-1, 0, 0, 0, 0, 0, 1), (2, 1))  # (q^6 - 1)(q + 2)
+    start = time.perf_counter()
+    g, qn, qd = _pgcd(num, den)
+    assert time.perf_counter() - start < 1.0
+    assert g == (-1, 0, 0, 0, 0, 0, 1) and qd == (2, 1)
+    assert _pmul(g, qn) == num
+    assert points() == 2
+    r = UniRat(num, den, "q")
+    assert r.den == (2, 1) and len(r.num) == 8185
