@@ -3,12 +3,11 @@ normalization factor b_lambda(q), and the principal specialization
 x_i = z q^{i-1} in closed form."""
 
 from functools import lru_cache
-from itertools import permutations
 from math import inf
 
 from .errors import InvariantError, ResourceBoundError
-from .mpoly import MPoly, _unit
-from .partitions import Partition
+from .mpoly import MPoly
+from .partitions import Partition, subpartitions
 from .qrat import UniRat, ZERO
 from .qseries import qq
 from .record import Record
@@ -50,37 +49,24 @@ class HLValue(Record):
 
 @lru_cache(maxsize=None)
 def _hl_cached(lam, n, param):
-    # sum over fillings f: positions -> value classes with prescribed class
-    # sizes (coset representatives), divided by the Vandermonde product
-    vals = sorted(set(lam), reverse=True)
-    if len(lam) < n:
-        vals.append(0)
-    mults = [
-        (sum(1 for a in lam if a == v) if v else n - len(lam)) for v in vals
-    ]
-    base = []
-    for ci, m in enumerate(mults):
-        base.extend([ci] * m)
+    # the branching rule (Macdonald III (5.11'), (5.8')): the sum over the
+    # horizontal strips lam/mu with at most n - 1 parts in mu of
+    # psi_{lam/mu}(q) x_n^{|lam|-|mu|} P_mu(x_1..x_{n-1}), where psi is the
+    # product of 1 - q^{m_j(mu)} over the j with m_j(mu) = m_j(lam) + 1
+    if n == 0:
+        return HLValue(lam, 0, MPoly.one(0, param))
     total = MPoly.zero(n, param)
-    for f in set(permutations(base)):
-        inv = sum(
-            1 for a in range(n) for b in range(a + 1, n) if f[a] > f[b]
-        )
-        term = MPoly.mono(
-            tuple(vals[f[a]] for a in range(n)),
-            -1 if inv % 2 else 1,
-            param,
-        )
-        for a in range(n):
-            for b in range(a + 1, n):
-                # x_a - x_b for equal classes, else x_i - q x_j with f[i] < f[j]
-                i, j = (b, a) if f[a] > f[b] else (a, b)
-                s = 0 if f[a] == f[b] else 1
-                term = term * MPoly.two_term(_unit(n, i), _unit(n, j), s, param)
-        total = total + term
-    for a in range(n):
-        for b in range(a + 1, n):
-            total = total.divexact(MPoly.two_term(_unit(n, a), _unit(n, b), 0, param))
+    for mu in subpartitions(lam):
+        if len(mu) >= n or any(mu.part(i) < a for i, a in enumerate(lam[1:], 1)):
+            continue
+        psi = UniRat.one()
+        for j in set(mu):
+            if mu.mult(j) == lam.mult(j) + 1:
+                psi = psi * (1 - UniRat.mono(param, mu.mult(j)))
+        xn = MPoly.mono((0,) * (n - 1) + (lam.size - mu.size,), psi, param)
+        total = total + _hl_cached(mu, n - 1, param).poly.embed(n, 0) * xn
+    # exact bounds, so a cached P_lam carries its largest |slot| and slot count
+    total.measure()
     return HLValue(lam, n, total)
 
 

@@ -226,12 +226,10 @@ def _mpoly_shapes(shapes):
     )
 
 
-def _box_partitions(n, k):
-    """All partitions fitting in an n x k box (at most n parts, each <= k)."""
-    out = []
-    for m in range(n * k + 1):
-        out.extend(partitions_of(m, max_part=k, max_length=n))
-    return out
+def _partitions_upto(d, n, k=None):
+    """Every lam of size <= d with at most n parts (so P_lam(x_1..x_n) is
+    nonzero, being monic in x^lam), each part <= k when k is given."""
+    return [lam for m in range(d + 1) for lam in partitions_of(m, max_part=k, max_length=n)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +386,6 @@ def _q_powers(terms):
     return {name: UniRat.mono("q", name[1]) for term in terms for name in term if name[0] == "q"}
 
 
-def _nonzero_hl(n, d):
-    """Every lam of size <= d with P_lam(x_1..x_n) nonzero."""
-    return [
-        lam
-        for m in range(d + 1)
-        for lam in partitions_of(m, max_length=n)
-        if not hl_p(lam, n).is_zero()
-    ]
-
-
 def _run_qbinhl(params, rng):
     nx = int(params["nx"])
     d = int(params["d"])
@@ -405,7 +393,7 @@ def _run_qbinhl(params, rng):
     a_slot = nx
     keep = ((0, nx, d),)  # the total degree in x is at most d
     one, a = _unit(nv), _unit(nv, a_slot)
-    lams = _nonzero_hl(nx, d)
+    lams = _partitions_upto(d, nx)
     terms = [[("x", lam), ("afac", len(lam)), ("q", lam.nstat())] for lam in lams]
     table = _q_powers(terms)
     table.update((("x", lam), hl_p(lam, nx).poly.embed(nv, 0)) for lam in lams)
@@ -425,7 +413,7 @@ def _run_warnaar_a2(params, rng):
     dx, dy = int(params["dx"]), int(params["dy"])
     nv = nx + ny
     keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
-    lams, mus = _nonzero_hl(nx, dx), _nonzero_hl(ny, dy)
+    lams, mus = _partitions_upto(dx, nx), _partitions_upto(dy, ny)
     terms = [
         [("x", lam), ("y", mu), ("q", lam.nstat() + mu.nstat() - dot_product_conjugates(lam, mu))]
         for lam in lams
@@ -450,17 +438,14 @@ def _run_lascoux(params, rng):
     dx, dy = int(params["dx"]), int(params["dy"])
     nv = nx + ny
     keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
-    lams = _nonzero_hl(nx, dx)
+    lams = _partitions_upto(dx, nx)
     table, terms = {}, []
     for lam in lams:
         table["x", lam] = hl_p(lam, nx).poly.embed(nv, 0)
         for mu in subpartitions(lam):
             if len(mu) > ny or mu.size > dy:
                 continue
-            pmu = hl_p(mu, ny)
-            if pmu.is_zero():
-                continue
-            table["y", mu] = pmu.poly.embed(nv, nx)
+            table["y", mu] = hl_p(mu, ny).poly.embed(nv, nx)
             table["c", lam, mu] = b_lambda(mu) * qprime_skew(lam, mu)
             terms.append([("x", lam), ("y", mu), ("c", lam, mu)])
     factors = [MPoly.one(nv, "q")] + [_geom(_unit(nv, i), dx, 0) for i in range(nx)]
@@ -503,7 +488,7 @@ def _run_lascoux(params, rng):
 
 def _finite_lhs_terms(n, k):
     """(lam, P_lam(x_1..x_n)) for every lam in the n x k box."""
-    return [(lam, hl_p(lam, n).poly) for lam in _box_partitions(n, k)]
+    return [(lam, hl_p(lam, n).poly) for lam in _partitions_upto(n * k, n, k)]
 
 
 def _run_finite_qbinhl(params, rng):
@@ -533,7 +518,7 @@ def _finite_qbinhl_cleared(n, k):
     """
     lhs = [
         [("P", lam), ("afac", len(lam)), ("afac", n - lam.mult(k)), ("q", lam.nstat())]
-        for lam in _box_partitions(n, k)
+        for lam in _partitions_upto(n * k, n, k)
     ]
     dfac = [("pole-x", i, s) for i in range(n) for s in range(1, n + 1)]
     dfac += [("pole-one", j, s) for j in range(n) for s in range(n)]
@@ -671,7 +656,7 @@ def _run_csq(params, rng):
     table.update((("z-a", s), MPoly.two_term(z, a, s, "q")) for s in range(2 - 2 * n, 2 - n))
 
     lhs_terms = []
-    for lam in _box_partitions(n, k):
+    for lam in _partitions_upto(n * k, n, k):
         ell = len(lam)
         table["lam", lam] = UniRat.mono("q", 2 * lam.nstat()) * qn / (qq(n - ell) * b_lambda(lam))
         lhs_terms.append([("z", lam.size), ("lam", lam), ("afac", ell), ("afac", n - lam.mult(k))])
@@ -763,8 +748,9 @@ _LEAST = {"k": 1, "ell": 1, "samples": MIN_SAMPLES}
 def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
-    A missing, malformed or too small param (`_LEAST`, else 0), a composite
-    `p`, a `seed` that is not an int (a bool included), or `samples` for an
+    A missing, malformed or too small param (`_LEAST`, else 0; an int param
+    or a part of `lam` must be an int and not a bool), a composite `p`, a
+    `seed` that is not an int (a bool included), or `samples` for an
     identity with no random-point check, raises UsageError and a param over
     its bound raises ResourceBoundError, before any work."""
     identity = REGISTRY.get(case.case_id)
@@ -779,19 +765,21 @@ def verify(case, mutate=False):
             raise UsageError("%s has no random-point check, so no samples" % case.case_id)
         bounds["samples"] = ("random sample points", MAX_SAMPLES)
     for name, bound in bounds.items():
-        try:
-            value = Partition(case.params[name]) if name == "lam" else int(case.params[name])
-        except (TypeError, ValueError) as exc:
-            raise UsageError("%s has a malformed %s: %s" % (case.case_id, name, exc)) from None
+        value = case.params[name]
+        # a float, bool or string would run as another case (bool is an int)
+        for a in value if name == "lam" and isinstance(value, (list, tuple)) else (value,):
+            if type(a) is not int:
+                raise UsageError("%s has a malformed %s: %r is not an int" % (case.case_id, name, a))
         if name == "lam":
+            Partition(value)  # raises ParseError, a UsageError, unless weakly decreasing
             continue
         least = _LEAST.get(name, 0)
         if value < least:
             raise UsageError("%s needs %s >= %d, got %d" % (case.case_id, name, least, value))
         if bound is not None and value > bound[1]:
             raise ResourceBoundError(bound[0], bound[1], value)
-    if "p" in identity.params and not _is_prime(int(case.params["p"])):
-        raise UsageError("p must be prime, got %d" % int(case.params["p"]))
+    if "p" in identity.params and not _is_prime(case.params["p"]):
+        raise UsageError("p must be prime, got %d" % case.params["p"])
     seed = case.params.get("seed")
     if seed is not None and type(seed) is not int:  # bool is an int subclass
         raise UsageError("%s has a malformed seed: %r is not an int" % (case.case_id, seed))

@@ -63,9 +63,9 @@ class MomentQuery(Record):
     def __post_init__(self):
         object.__setattr__(self, "lam", Partition(self.lam))
         if self.p < 2:
-            raise ValueError("p must be at least 2")
+            raise UsageError("p must be at least 2")
         if self.flavor not in (ABELIAN, TYPE_S):
-            raise ValueError("unknown flavor %r" % (self.flavor,))
+            raise UsageError("unknown flavor %r" % (self.flavor,))
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +105,7 @@ def _moment(lam, p, u, flavor, dps):
 def _exact(query, flavor):
     """The exact moment of a query, which must be of the given flavor."""
     if query.flavor != flavor:
-        raise ValueError("this entry point computes the %s flavor, not %s" % (flavor, query.flavor))
+        raise UsageError("this entry point computes the %s flavor, not %s" % (flavor, query.flavor))
     return _moment(query.lam, query.p, _check_u(query.u), flavor, None)
 
 
@@ -160,9 +160,9 @@ class RankProfile(Record):
     def __post_init__(self):
         object.__setattr__(self, "mu", Partition(self.mu))
         if self.ell < max(1, self.mu.length):
-            raise ValueError("ell must cover every nonzero rank")
+            raise UsageError("ell must cover every nonzero rank")
         if self.trunc < 1:
-            raise ValueError("truncation order must be at least 1")
+            raise UsageError("truncation order must be at least 1")
 
 
 class Residual(Record):
@@ -198,7 +198,7 @@ def pj_rank_prob(profile, flavor=ABELIAN):
     elif flavor == TYPE_S:
         expo, qstep, estart = 2 * weight + (2 * u - 1) * size, 2, 2 * u - 1
     else:
-        raise ValueError("unknown flavor %r" % (flavor,))
+        raise UsageError("unknown flavor %r" % (flavor,))
     lo = parts[profile.ell - 1] + 1 if profile.ell else 1
     tail_top = estart + qstep * (lo + trunc)
     # every value below is a ratio of products of powers of p; bound the sum
@@ -243,19 +243,19 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
     and m >= 0.
     """
     if p is None or p < 2:
-        raise ValueError("a prime p is required")
+        raise UsageError("a prime p is required")
     if kind == CLASS_GROUP_IMAGINARY:
         return m_u(MomentQuery(Partition(lam), p, 0))
     if kind == CLASS_GROUP_REAL:
         return m_u(MomentQuery(Partition(lam), p, 1))
     if kind == SHA:
         if u is None:
-            raise ValueError("SHA needs u")
+            raise UsageError("SHA needs u")
         return m_u_s(MomentQuery(Partition(lam), p, u, TYPE_S))
     if kind == SELMER:
         ell, m = lm if lm is not None else (None, None)
         if ell is None:
-            raise ValueError("SELMER needs lm=(ell, m)")
+            raise UsageError("SELMER needs lm=(ell, m)")
         if ell < 1 or m < 0:
             raise UsageError("SELMER needs ell >= 1 and m >= 0, got ell=%d, m=%d" % (ell, m))
         lam = Partition([ell] * m)
@@ -267,7 +267,7 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
             if val != prod:
                 raise InvariantError("the SELMER moment at ell = 1 is not prod_j (1 + p^j)")
         return val
-    raise ValueError("unknown conjecture kind %r" % (kind,))
+    raise UsageError("unknown conjecture kind %r" % (kind,))
 
 
 def fouvry_klueners_numbers(n, p, real=False):
@@ -279,7 +279,7 @@ def fouvry_klueners_numbers(n, p, real=False):
     palindromic symmetry of the summands.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise UsageError("n must be nonnegative")
     val = Fraction(0)
     for k in range(n + 1):
         term = qbinomial(n, k).eval_at(p)

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials with Laurent-polynomial coefficients.
 
 An MPoly maps exponent tuples (one slot per variable) to nonzero UniRat
-coefficients.  Variables never appear in denominators; exact division is
-provided by the factors x_i - x_j of a Vandermonde product.
+coefficients.  Variables never appear in denominators; `divexact` divides
+exactly by a factor x_i - x_j, for the symmetrize-and-divide oracles of the
+tests (no library code calls it; the benchmark tracer hooks it by name).
 
 Every coefficient is a Laurent polynomial in q over an integer (c*q^v in
 the denominator): R_lambda, the Hall-Littlewood P_lambda and both cleared
@@ -506,8 +507,9 @@ class MPoly:
         return out
 
     def divexact(self, other):
-        """Exact division by +-(x_i - x_j), the one divisor the package
-        needs (the Vandermonde factors of a Hall-Littlewood sum).  Raises
+        """Exact division by +-(x_i - x_j), the Vandermonde factors of the
+        tests' symmetrize-and-divide oracles (`hl_p` builds P_lam by the
+        branching rule, with no division).  Raises
         ValueError for any other divisor and ArithmeticError when the
         division leaves a remainder; ResourceBoundError when the remainder
         could outgrow a field.

@@ -574,12 +574,20 @@ _MANIFESTS = {
                  ' "params": {"n": 2, "k": 1, "samples": 20, "seed": [1]}}]}',
     "bool-seed": '{"version": 1, "cases": [{"id": "FINITE_QBINHL", "strategy": "random-point",'
                  ' "params": {"n": 2, "k": 1, "samples": 20, "seed": true}}]}',
+    "float-n": '{"version": 1, "cases": [{"id": "QBIN", "strategy": "symbolic-exact",'
+               ' "params": {"n": 3.9}}]}',
+    "bool-n": '{"version": 1, "cases": [{"id": "QBIN", "strategy": "symbolic-exact",'
+              ' "params": {"n": true}}]}',
+    "string-n": '{"version": 1, "cases": [{"id": "QBIN", "strategy": "symbolic-exact",'
+                ' "params": {"n": "4"}}]}',
+    "float-part": '{"version": 1, "cases": [{"id": "MIRROR_SWAP", "strategy": "symbolic-exact",'
+                  ' "params": {"lam": [2.5]}}]}',
 }
 
 # every usage-error and resource-bound call of this file, and the refusals
 # of k = 0, ell = 0, too few samples, lam_1 > ell, an unreadable manifest, a
-# seed that is not an int, --all with a single-case option and an
-# out-of-range selmer row
+# seed, an int param or a part of lam that is not an int, --all with a
+# single-case option and an out-of-range selmer row
 _REFUSED = [
     (2, ["coeff", "--lambda", "1,2", "--mu", "1"]),
     (2, ["coeff", "--lambda", "1,1", "--mu", "1", "--eval-at", "x"]),
@@ -611,6 +619,10 @@ _REFUSED = [
     (2, ["verify", "--all", "--manifest", "{list-id}"]),
     (2, ["verify", "--all", "--manifest", "{list-seed}"]),
     (2, ["verify", "--all", "--manifest", "{bool-seed}"]),
+    (2, ["verify", "--all", "--manifest", "{float-n}"]),
+    (2, ["verify", "--all", "--manifest", "{bool-n}"]),
+    (2, ["verify", "--all", "--manifest", "{string-n}"]),
+    (2, ["verify", "--all", "--manifest", "{float-part}"]),
     (2, ["verify", "--all", "--id", "QBIN"]),
     (2, ["verify", "--all", "--n", "3"]),
     (2, ["table", "--conjecture", "selmer", "--ell", "0", "--m", "1", "--p", "2"]),

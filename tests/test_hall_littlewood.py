@@ -1,5 +1,6 @@
 """Hall-Littlewood polynomials against independent constructions: the
-branching rule, Schur polynomials at q=0, monomial symmetric at q=1."""
+symmetrize-and-divide formula, Schur polynomials at q=0, monomial
+symmetric at q=1."""
 
 import os
 import subprocess
@@ -15,73 +16,41 @@ import qmoments
 from qmoments import Partition, ResourceBoundError, UniRat
 from qmoments.errors import InvariantError
 from qmoments.hall_littlewood import HLValue, b_lambda, hl_p, principal_spec
-from qmoments.mpoly import MPoly
+from qmoments.mpoly import MPoly, _unit
 from qmoments.partitions import partitions_of
 from qmoments.qrat import ZERO
 from qmoments.qseries import qq
 
 # ---------------------------------------------------------------------------
-# oracle 1: branching rule
-#   P_lam(x_1..x_n) = sum over mu interlacing lam of
-#       psi_{lam/mu}(q) * P_mu(x_1..x_{n-1}) * x_n^{|lam|-|mu|}
-#   psi_{lam/mu}(q) = prod over i with m_i(mu) = m_i(lam)+1 of (1 - q^{m_i(mu)})
+# oracle 1: symmetrize and divide (Macdonald III (2.2))
+#   sum over the distinct fillings f of the n positions by value classes of
+#   sign(f) x^f * prod over a < b of (x_i - q x_j), i, j ordered by class
+#   (x_a - x_b within one class), divided by the Vandermonde product
 
 
-def _interlacing_subs(lam):
-    """mu with lam_i >= mu_i >= lam_{i+1} (horizontal strips)."""
-    lam = list(lam)
-    if not lam:
-        yield Partition([])
-        return
-    ranges = []
-    for i, a in enumerate(lam):
-        lo = lam[i + 1] if i + 1 < len(lam) else 0
-        ranges.append((lo, a))
-
-    def rec(i, prev, acc):
-        if i == len(ranges):
-            yield Partition(acc)
-            return
-        lo, hi = ranges[i]
-        for v in range(min(hi, prev), lo - 1, -1):
-            yield from rec(i + 1, v, acc + [v])
-
-    yield from rec(0, lam[0], [])
-
-
-def _psi(lam, mu, param="q"):
-    out = UniRat.one()
-    top = max([1] + list(lam))
-    for i in range(1, top + 1):
-        if mu.mult(i) == lam.mult(i) + 1:
-            out = out * (1 - UniRat.mono(param, mu.mult(i)))
-    return out
-
-
-_branch_memo = {}
-
-
-def hl_branching(lam, n, param="q"):
+def hl_symmetrized(lam, n, param="q"):
     lam = Partition(lam)
-    key = (lam, n)
-    if key in _branch_memo:
-        return _branch_memo[key]
-    if n == 0:
-        out = MPoly.one(0, param) if lam.size == 0 else MPoly.zero(0, param)
-    elif lam.length > n:
-        out = MPoly.zero(n, param)
-    else:
-        out = MPoly.zero(n, param)
-        for mu in _interlacing_subs(lam):
-            sub = hl_branching(mu, n - 1, param).embed(n, 0)
-            xn_pow = MPoly.mono(
-                tuple(0 if k < n - 1 else lam.size - mu.size for k in range(n)),
-                1,
-                param,
-            )
-            out = out + sub * xn_pow.scale(_psi(lam, mu, param))
-    _branch_memo[key] = out
-    return out
+    if lam.length > n:
+        return MPoly.zero(n, param)
+    vals = sorted(set(lam), reverse=True)
+    if len(lam) < n:
+        vals.append(0)
+    mults = [(lam.mult(v) if v else n - len(lam)) for v in vals]
+    base = [ci for ci, m in enumerate(mults) for _ in range(m)]
+    total = MPoly.zero(n, param)
+    for f in set(permutations(base)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if f[a] > f[b])
+        term = MPoly.mono(tuple(vals[c] for c in f), -1 if inv % 2 else 1, param)
+        for a in range(n):
+            for b in range(a + 1, n):
+                i, j = (b, a) if f[a] > f[b] else (a, b)
+                s = 0 if f[a] == f[b] else 1
+                term = term * MPoly.two_term(_unit(n, i), _unit(n, j), s, param)
+        total = total + term
+    for a in range(n):
+        for b in range(a + 1, n):
+            total = total.divexact(MPoly.two_term(_unit(n, a), _unit(n, b), 0, param))
+    return total
 
 
 # oracle 2: Schur polynomial via the bialternant ratio
@@ -156,16 +125,16 @@ def test_hl_elementary():
             assert p == expect
 
 
-def test_hl_matches_branching_rule():
+def test_hl_matches_symmetrize_and_divide():
     for size in range(6):
         for lam in partitions_of(size):
             for n in range(5):
-                assert hl_p(lam, n).poly == hl_branching(lam, n), (lam, n)
+                assert hl_p(lam, n).poly == hl_symmetrized(lam, n), (lam, n)
 
 
 def test_hl_one_case_n5():
     lam = Partition([2, 1])
-    assert hl_p(lam, 5).poly == hl_branching(lam, 5)
+    assert hl_p(lam, 5).poly == hl_symmetrized(lam, 5)
 
 
 def test_hl_schur_at_q0():
@@ -256,7 +225,7 @@ _UNDER_O = """
 from qmoments.errors import InvariantError
 from qmoments.hall_littlewood import HLValue, hl_p
 from qmoments.identities import IdentityCase, verify
-from qmoments.mpoly import MPoly
+from qmoments.mpoly import MPoly, _unit
 assert False  # stripped by -O
 v = hl_p((2, 1), 3)
 try:

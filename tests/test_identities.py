@@ -185,8 +185,8 @@ def test_truncated_rhs_degrees_stay_at_the_caps():
 
 
 def test_finite_box_hl_p_bounds_are_the_largest_slots():
-    # the Vandermonde divisions of hl_p measure their quotient, so a cached
-    # P_lam carries its exact largest |slot|, not a product of term counts,
+    # hl_p measures each branching-rule sum before caching it, so a cached
+    # P_lam carries its exact largest |slot|, not a sum of product bounds,
     # and its exact slot count, one past the top nonzero slot
     _hl_cached.cache_clear()
     for lam, poly in _finite_lhs_terms(4, 3):

@@ -223,3 +223,28 @@ def test_moment_size_bound_counts_c_degree():
     ) == 25
     with pytest.raises(ResourceBoundError):
         m_u(MomentQuery(Partition([1] * 300), 3, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: conjecture_table("OTHER", lam=(1,), p=5, u=0),
+        lambda: conjecture_table(SHA, lam=(1,), u=0),
+        lambda: conjecture_table(SHA, lam=(1,), p=5),
+        lambda: conjecture_table(SELMER, p=2),
+        lambda: fouvry_klueners_numbers(-1, 3),
+        lambda: MomentQuery(Partition((1,)), 1, 0),
+        lambda: MomentQuery(Partition((1,)), 2, 0, "OTHER"),
+        lambda: m_u(MomentQuery(Partition((1,)), 2, 0, TYPE_S)),
+        lambda: RankProfile(Partition((2, 1)), 1, 2, 0),
+        lambda: RankProfile(Partition((1,)), 1, 2, 0, trunc=0),
+        lambda: pj_rank_prob(RankProfile(Partition((1,)), 1, 2, 0), "OTHER"),
+    ],
+    ids=[
+        "table-kind", "table-p", "table-u", "table-lm", "fk-n", "query-p", "query-flavor",
+        "entry-flavor", "profile-ell", "profile-trunc", "rank-flavor",
+    ],
+)
+def test_bad_moments_input_is_a_usage_error(call):
+    with pytest.raises(UsageError):
+        call()
