@@ -169,35 +169,43 @@ def _mpoly_sum(terms, table):
     being a list of hashable names and table[name] its MPoly or scalar.
 
     A term alone is multiplied left to right in the order of its names.
-    Terms that share factors are split greedily, as a multivariate Horner
-    scheme (Ceberio and Kreinovich, ACM SIGSAM Bulletin 38(1), 2004): with
-    f the name in the most terms, the sum is (the terms with f, one f taken
-    out) * f plus the terms without f.  Ties go to the name seen first, so
-    the split, and the order of the products, is the same in every process.
-    The terms with f recurse and the terms without f loop, so the depth is
-    at most the length of a term and one partial sum is held per level."""
+    Terms that share factors are split as a multivariate Horner scheme
+    (Ceberio and Kreinovich, ACM SIGSAM Bulletin 38(1), 2004).  When some
+    names are in all n terms, the sum is the inner sum (each term with one
+    of each taken out) times all of them at once, in the order of the first
+    term.  Otherwise, with f the name whose count c maximises min(c, n - c),
+    the sum is (the terms with f, one f taken out) * f plus the terms
+    without f: the split halves the terms where it can, so no name that
+    sits in nearly every term peels one term at a time.  Ties go to the
+    name seen first, so the split, and the order of the products, is the
+    same in every process.  The terms with f recurse and the terms without
+    f loop, so the depth is at most the length of a term and one partial
+    sum is held per level."""
     total = None
     while terms:
-        counts = {}
+        n, counts = len(terms), {}
         for term in terms:
             for name in dict.fromkeys(term):
                 counts[name] = counts.get(name, 0) + 1
-        if len(terms) == 1:
+        if n == 1:
             piece, terms = _mpoly_product([table[name] for name in terms[0]]), []
         elif not counts:
             # every term is the empty product 1
-            piece, terms = UniRat.const(len(terms)), []
+            piece, terms = UniRat.const(n), []
         else:
-            best = max(counts, key=counts.get)
+            shared = [name for name in dict.fromkeys(terms[0]) if counts[name] == n]
+            if not shared:
+                shared = [max(counts, key=lambda name: min(counts[name], n - counts[name]))]
             inside, outside = [], []
             for term in terms:
-                if best in term:
+                if shared[0] in term:
                     term = list(term)
-                    term.remove(best)
+                    for name in shared:
+                        term.remove(name)
                     inside.append(term)
                 else:
                     outside.append(term)
-            piece = _mpoly_product([_mpoly_sum(inside, table), table[best]])
+            piece = _mpoly_product([_mpoly_sum(inside, table)] + [table[name] for name in shared])
             terms = outside
         total = piece if total is None else total + piece
     return ZERO if total is None else total
@@ -749,10 +757,10 @@ def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
     A missing, malformed or too small param (`_LEAST`, else 0; an int param
-    or a part of `lam` must be an int and not a bool), a composite `p`, a
-    `seed` that is not an int (a bool included), or `samples` for an
-    identity with no random-point check, raises UsageError and a param over
-    its bound raises ResourceBoundError, before any work."""
+    must be an int and not a bool, and `lam` a list that `Partition` takes),
+    a composite `p`, a `seed` that is not an int (a bool included), or
+    `samples` for an identity with no random-point check, raises UsageError
+    and a param over its bound raises ResourceBoundError, before any work."""
     identity = REGISTRY.get(case.case_id)
     if identity is None:
         raise UsageError("unknown identity id: %r" % (case.case_id,))
@@ -766,13 +774,14 @@ def verify(case, mutate=False):
         bounds["samples"] = ("random sample points", MAX_SAMPLES)
     for name, bound in bounds.items():
         value = case.params[name]
-        # a float, bool or string would run as another case (bool is an int)
-        for a in value if name == "lam" and isinstance(value, (list, tuple)) else (value,):
-            if type(a) is not int:
-                raise UsageError("%s has a malformed %s: %r is not an int" % (case.case_id, name, a))
         if name == "lam":
-            Partition(value)  # raises ParseError, a UsageError, unless weakly decreasing
+            if not isinstance(value, (list, tuple)):
+                raise UsageError("%s has a malformed lam: %r is not a list" % (case.case_id, value))
+            Partition(value)  # raises ParseError, a UsageError, unless ints weakly decreasing
             continue
+        # a float, bool or string would run as another case (bool is an int)
+        if type(value) is not int:
+            raise UsageError("%s has a malformed %s: %r is not an int" % (case.case_id, name, value))
         least = _LEAST.get(name, 0)
         if value < least:
             raise UsageError("%s needs %s >= %d, got %d" % (case.case_id, name, least, value))

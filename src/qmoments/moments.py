@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantError, ModeError, ResourceBoundError, UsageError
+from .groups import _is_prime
 from .partitions import Partition, subpartitions
 from .qseries import qbinomial
 from .rbasis import _c_degree, c_coeff
@@ -62,8 +63,9 @@ class MomentQuery(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Partition(self.lam))
-        if self.p < 2:
-            raise UsageError("p must be at least 2")
+        # a float, bool or composite p would give a value with no meaning
+        if type(self.p) is not int or not _is_prime(self.p):
+            raise UsageError("p must be a prime int, got %r" % (self.p,))
         if self.flavor not in (ABELIAN, TYPE_S):
             raise UsageError("unknown flavor %r" % (self.flavor,))
 

@@ -24,7 +24,10 @@ FIELD = 16 bits, x_1 most significant, so one int keys each coefficient,
 the int order is the lex order of the tuples and an exponent sum is one int
 addition.  The form keeps a bound `deg` on each variable's exponent.  A
 product by a two-term poly (x_i - q^s, 1 - x_j q^s, x_i - x_j, ...) is two
-shifted copies of the other operand, merged.
+shifted copies of the other operand, merged.  Both packed coefficients of
+a `two_term` factor are +-2^m (q^s is slot s, and a negative s moves 1 to
+slot -s), so they multiply as bit shifts, a coefficient 1 not at all, and
+the second copy is subtracted when its coefficient is negative.
 
 A truncated product keeps only the terms whose exponents of x_lo..x_{hi-1}
 sum to at most cap, for each block (lo, hi, cap) it is given.  Each operand
@@ -52,8 +55,9 @@ and span.  The substitutions and views work on the decoded UniRats.
 
 import sys
 from fractions import Fraction
+from itertools import compress, repeat
 from math import lcm, prod
-from operator import add, mul
+from operator import add, lshift, mul, neg, not_, sub
 
 from .errors import ResourceBoundError
 from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
@@ -94,6 +98,18 @@ def _eq_bound(a, b):
     # each side's slots, brought to the common L, on their own
     L = lcm(a._L, b._L)
     return max(a._mag * (L // a._L), b._mag * (L // b._L))
+
+
+def _times(cs, c):
+    """The ints cs each times the nonzero int c, lazily: by a shift when c
+    is +-2^m (as both coefficients of a `two_term` factor are), and cs
+    itself when c is 1."""
+    m = abs(c).bit_length() - 1
+    if abs(c) != 1 << m:
+        return map(mul, cs, repeat(c))
+    if m:
+        cs = map(lshift, cs, repeat(m))
+    return map(neg, cs) if c < 0 else cs
 
 
 def _unit(nvars, *slots):
@@ -147,9 +163,11 @@ def _exponents(keys, nvars):
 
 
 def _nonzero(out):
-    """out without its zero values; the C-level scan first finds most
-    products and sums have none."""
-    return {k: c for k, c in out.items() if c} if 0 in out.values() else out
+    """out, a fresh dict, with its zero values deleted in place: a C-level
+    scan finds their keys, since most products and sums have few or none."""
+    for k in [*compress(out, map(not_, out.values()))]:
+        del out[k]
+    return out
 
 
 def _guards(keys, blocks, deg, biased):
@@ -459,11 +477,13 @@ class MPoly:
         elif len(small) == 2:
             # two shifted copies of the larger operand, merged
             (u, cu), (v, cv) = small.items()
-            out = {k + u: c * cu for k, c in big.items()}
+            out = dict(zip([k + u for k in big], _times(big.values(), cu)))
             get = out.get
-            for k, c in big.items():
+            # a negative cv is subtracted, so no copy is negated first
+            merge = sub if cv < 0 else add
+            for k, c in zip(big, _times(big.values(), abs(cv))):
                 k += v
-                out[k] = get(k, 0) + c * cv
+                out[k] = merge(get(k, 0), c)
         else:
             out = {}
             get = out.get

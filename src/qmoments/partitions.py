@@ -17,12 +17,17 @@ def _conjugate(parts):
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers (empty allowed).
 
-    Trailing zeros in the input are stripped; anything non-monotone or
-    negative is rejected.
+    Trailing zeros in the input are stripped; a part that is not an int (a
+    bool, float or string included), and anything non-monotone or negative,
+    is rejected.
     """
 
     def __new__(cls, parts=()):
-        parts = tuple(int(a) for a in parts)
+        parts = tuple(parts)
+        for a in parts:
+            # a float, bool or string would stand for another partition
+            if type(a) is not int:
+                raise ParseError("parts must be ints, got %r" % (a,))
         n = len(parts)
         while n and parts[n - 1] == 0:
             n -= 1

@@ -582,12 +582,16 @@ _MANIFESTS = {
                 ' "params": {"n": "4"}}]}',
     "float-part": '{"version": 1, "cases": [{"id": "MIRROR_SWAP", "strategy": "symbolic-exact",'
                   ' "params": {"lam": [2.5]}}]}',
+    "int-lam": '{"version": 1, "cases": [{"id": "MIRROR_SWAP", "strategy": "symbolic-exact",'
+               ' "params": {"lam": 3}}]}',
+    "string-lam": '{"version": 1, "cases": [{"id": "MIRROR_SWAP", "strategy": "symbolic-exact",'
+                  ' "params": {"lam": "21"}}]}',
 }
 
 # every usage-error and resource-bound call of this file, and the refusals
 # of k = 0, ell = 0, too few samples, lam_1 > ell, an unreadable manifest, a
-# seed, an int param or a part of lam that is not an int, --all with a
-# single-case option and an out-of-range selmer row
+# seed, an int param or a part of lam that is not an int, a lam that is not
+# a list, --all with a single-case option and an out-of-range selmer row
 _REFUSED = [
     (2, ["coeff", "--lambda", "1,2", "--mu", "1"]),
     (2, ["coeff", "--lambda", "1,1", "--mu", "1", "--eval-at", "x"]),
@@ -623,6 +627,8 @@ _REFUSED = [
     (2, ["verify", "--all", "--manifest", "{bool-n}"]),
     (2, ["verify", "--all", "--manifest", "{string-n}"]),
     (2, ["verify", "--all", "--manifest", "{float-part}"]),
+    (2, ["verify", "--all", "--manifest", "{int-lam}"]),
+    (2, ["verify", "--all", "--manifest", "{string-lam}"]),
     (2, ["verify", "--all", "--id", "QBIN"]),
     (2, ["verify", "--all", "--n", "3"]),
     (2, ["table", "--conjecture", "selmer", "--ell", "0", "--m", "1", "--p", "2"]),

@@ -626,6 +626,51 @@ def test_horner_sum_of_many_distinct_terms_does_not_recurse_deeply():
     assert len(total.terms) == 2000
 
 
+def test_horner_split_takes_fewer_products_than_the_greedy_split(monkeypatch):
+    # the greedy split (the name in the most terms) made 161 products of the
+    # n=3, k=2 rhs: a name in 7 of its 8 terms peeled one term at a time
+    (_, _, rhs_terms), table = symbolic_table(3, 2)
+    calls = []
+    mul = MPoly.mul
+
+    def counted(self, other, keep=None):
+        calls.append(None)
+        return mul(self, other, keep)
+
+    monkeypatch.setattr(MPoly, "mul", counted)
+    total = _mpoly_sum(rhs_terms, table)
+    monkeypatch.undo()
+    assert len(calls) < 161
+    assert total == chain_sum(rhs_terms, table)
+
+
+@pytest.mark.parametrize(
+    "terms,factors",
+    [
+        # "e" and "a" sit in every term: both come out at once, in the
+        # first term's order, and the inner sum b + c + 1 takes no product
+        ([["e", "a", "b"], ["a", "c", "e"], ["e", "a"]], ["e", "a"]),
+        # "a" and "b" sit in 3 of 4 terms and "c" in 2: the split is at "c",
+        # (a*(b + 1))*c + (a + 1)*b, where the greedy split took "a" first
+        ([["a", "c"], ["a", "c", "b"], ["a", "b"], ["b"]], ["a", "c", "b"]),
+    ],
+)
+def test_horner_split_takes_shared_names_then_halves(terms, factors, monkeypatch):
+    names = {id(v): k for k, v in SUM_TABLE.items()}
+    log = []
+    mul = MPoly.mul
+
+    def logged(self, other, keep=None):
+        log.append(names[id(other)])
+        return mul(self, other, keep)
+
+    monkeypatch.setattr(MPoly, "mul", logged)
+    total = _mpoly_sum(terms, SUM_TABLE)
+    monkeypatch.undo()
+    assert log == factors
+    assert total == chain_sum(terms, SUM_TABLE)
+
+
 # the operand and result sizes of every product of the n=3, k=2 Horner rhs
 MUL_LOG = """
 import hashlib

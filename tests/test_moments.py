@@ -234,6 +234,10 @@ def test_moment_size_bound_counts_c_degree():
         lambda: conjecture_table(SELMER, p=2),
         lambda: fouvry_klueners_numbers(-1, 3),
         lambda: MomentQuery(Partition((1,)), 1, 0),
+        lambda: m_u(MomentQuery((1,), 2.5, 0)),
+        lambda: m_u(MomentQuery((1,), 4, 0)),
+        lambda: m_u(MomentQuery((1,), True, 0)),
+        lambda: m_u_s(MomentQuery((1,), Fraction(3), 0, TYPE_S)),
         lambda: MomentQuery(Partition((1,)), 2, 0, "OTHER"),
         lambda: m_u(MomentQuery(Partition((1,)), 2, 0, TYPE_S)),
         lambda: RankProfile(Partition((2, 1)), 1, 2, 0),
@@ -241,7 +245,8 @@ def test_moment_size_bound_counts_c_degree():
         lambda: pj_rank_prob(RankProfile(Partition((1,)), 1, 2, 0), "OTHER"),
     ],
     ids=[
-        "table-kind", "table-p", "table-u", "table-lm", "fk-n", "query-p", "query-flavor",
+        "table-kind", "table-p", "table-u", "table-lm", "fk-n", "query-p", "query-float-p",
+        "query-composite-p", "query-bool-p", "query-fraction-p", "query-flavor",
         "entry-flavor", "profile-ell", "profile-trunc", "rank-flavor",
     ],
 )

@@ -558,6 +558,48 @@ def test_two_term_product_matches_unirat(a, b, left):
     assert canon(kept.terms) == canon(ref_mul(x.terms, y.terms, low_degree))
 
 
+def shift_factor():
+    """sign * (q^s x^u - q^t x^v), u != v, s and t each below, at or above 0:
+    both packed coefficients are +-2^m, so `mul` applies them as shifts."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.builds(
+        lambda u, v, s, t, sign: MPoly(
+            {u: UniRat.mono("q", s, sign), v: UniRat.mono("q", t, -sign)}, 2, "q"
+        ),
+        exps,
+        exps,
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.sampled_from([1, -1]),
+    ).filter(lambda f: len(f.terms) == 2)
+
+
+def is_power_of_two(c):
+    return abs(c) & (abs(c) - 1) == 0
+
+
+@PROPS
+@given(laurent_poly(max_terms=8), shift_factor(), st.booleans())
+def test_shift_factor_product_matches_unirat(a, f, left):
+    # an operand over L * q^V with L > 1 and V > 0
+    a = a + MPoly.mono((2, 1), UniRat.mono("q", -2, Fraction(1, 6)), "q")
+    assert a._L > 1 and a._V > 0
+    assert all(map(is_power_of_two, f._coeffs.values()))
+    x, y = (f, a) if left else (a, f)
+    assert canon(x.mul(y).terms) == canon(ref_mul(x.terms, y.terms))
+    kept = x.mul(y, keep=LOW_DEGREE)
+    assert canon(kept.terms) == canon(ref_mul(x.terms, y.terms, low_degree))
+
+
+@PROPS
+@given(laurent_poly(max_terms=8))
+def test_two_term_factor_off_the_powers_of_two_matches_unirat(a):
+    x, y = xvars(2)
+    f = 2 * x - 3 * y  # 2 is a shift, -3 a multiply
+    assert not all(map(is_power_of_two, f._coeffs.values()))
+    assert canon(a.mul(f).terms) == canon(ref_mul(a.terms, f.terms))
+
+
 NEAR_TOP = st.sampled_from([0, 1, 2, TOP // 2, TOP - 1, TOP])
 
 

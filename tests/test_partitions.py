@@ -1,10 +1,12 @@
 """Partition parsing, statistics, containment, enumeration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from qmoments import ParseError, Partition, parse_partition, partitions_of, render, subpartitions
+from qmoments.hall_littlewood import hl_p
 
 
 def test_construction_and_normalization():
@@ -20,6 +22,15 @@ def test_construction_rejects_bad_input():
         Partition([1, 2])
     with pytest.raises(ParseError):
         Partition([2, -1])
+
+
+@pytest.mark.parametrize("parts", [[2.5], [2.0], [True], [2, False], "21", ["2", "1"], [Fraction(2)]])
+def test_construction_refuses_parts_that_are_not_ints(parts):
+    # int(a) would build another partition: [2.5] -> (2,), "21" -> (2, 1)
+    with pytest.raises(ParseError):
+        Partition(parts)
+    with pytest.raises(ParseError):
+        hl_p(parts, 2)
 
 
 def test_part_and_conj_padding():
