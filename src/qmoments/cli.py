@@ -13,6 +13,7 @@ from . import __version__
 from .errors import ResourceBoundError, UsageError
 from .groups import (
     DEFAULT_ORDER_LIMIT,
+    MAX_ORACLE_WORK,
     MAX_PRIME,
     PGroup,
     _is_prime,
@@ -116,6 +117,7 @@ def _json_safe(value):
 _BOUNDS = (
     ("max_group_order", DEFAULT_ORDER_LIMIT,
      "group order <= %d (override with QMOMENTS_MAX_GROUP_ORDER)"),
+    ("max_oracle_work", MAX_ORACLE_WORK, "oracle search steps <= %d"),
     ("max_alphabet", MAX_ALPHABET, "alphabets <= %d"),
     ("max_z_truncation", MAX_ZTRUNC, "truncation <= %d"),
     ("max_finite_alphabet", MAX_FINITE_N, "finite alphabets <= %d"),

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantError, ModeError, ResourceBoundError, UsageError
-from .groups import _is_prime
+from .groups import _check_prime
 from .partitions import Partition, subpartitions
 from .qseries import qbinomial
 from .rbasis import _c_degree, c_coeff
@@ -63,9 +63,7 @@ class MomentQuery(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Partition(self.lam))
-        # a float, bool or composite p would give a value with no meaning
-        if type(self.p) is not int or not _is_prime(self.p):
-            raise UsageError("p must be a prime int, got %r" % (self.p,))
+        _check_prime(self.p)
         if self.flavor not in (ABELIAN, TYPE_S):
             raise UsageError("unknown flavor %r" % (self.flavor,))
 
@@ -83,6 +81,7 @@ def _moment(lam, p, u, flavor, dps):
     (p, u) for the abelian flavor and (p^2, 2u - 1) for type S: exact for
     dps None, else an mpmath float at dps decimal digits.  Every query is
     size-checked first, since both modes build each C_{lam,mu}(b) exactly."""
+    _check_prime(p)
     lam = Partition(lam)
     b, e = (p * p, 2 * u - 1) if flavor == TYPE_S else (p, u)
     _check_size(lam, p, e, b)

@@ -163,6 +163,26 @@ def test_oracle_usage_and_bounds():
     assert code == 3
 
 
+def test_oracle_work_is_bounded():
+    # within the order bound, on 2^10 and 3^6: an answer or exit 3 in seconds
+    calls = [
+        (3, ["--check", "aut", "--lambda", "1^10", "--p", "2"]),
+        (3, ["--check", "subgroups", "--lambda", "1^10", "--mu", "1^5", "--p", "2"]),
+        (0, ["--check", "subgroups", "--lambda", "1^10", "--mu", "1", "--p", "2"]),
+        (3, ["--check", "aut", "--lambda", "1^6", "--p", "3"]),
+        (3, ["--check", "injections", "--lambda", "1,1", "--mu", "1^6", "--p", "3"]),
+        (0, ["--check", "injections", "--lambda", "1", "--mu", "1^6", "--p", "3"]),
+        (0, ["--check", "subgroups", "--lambda", "1^6", "--mu", "1^3", "--p", "3"]),
+    ]
+    for code, argv in calls:
+        start = time.perf_counter()
+        assert run(["oracle"] + argv)[0] == code, argv
+        assert time.perf_counter() - start < 5.0, argv
+    code, data = run_json(["oracle", "--check", "subgroups", "--lambda", "1^7", "--mu", "1^7", "--p", "2"])
+    assert code == 0 and data["rows"][0]["oracle"] == 1
+    assert data["meta"]["bounds"]["max_oracle_work"] == cli.MAX_ORACLE_WORK
+
+
 def test_verify_single_case():
     code, data = run_json(["verify", "--id", "QBIN", "--n", "6"])
     assert code == 0
@@ -634,6 +654,9 @@ _REFUSED = [
     (2, ["table", "--conjecture", "selmer", "--ell", "0", "--m", "1", "--p", "2"]),
     (2, ["table", "--conjecture", "selmer", "--ell", "1", "--m", "-1", "--p", "2"]),
     (3, ["oracle", "--check", "aut", "--lambda", "13", "--p", "2"]),
+    (3, ["oracle", "--check", "aut", "--lambda", "1^10", "--p", "2"]),
+    (3, ["oracle", "--check", "subgroups", "--lambda", "1^10", "--mu", "1^5", "--p", "2"]),
+    (3, ["oracle", "--check", "injections", "--lambda", "1^3", "--mu", "1^6", "--p", "3"]),
     (3, ["verify", "--id", "QBINHL", "--nx", "5", "--d", "3"]),
     (3, ["verify", "--id", "QBIN", "--n", "1000"]),
     (3, ["verify", "--id", "QBINHL", "--nx", "4", "--d", _OVER]),

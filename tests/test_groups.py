@@ -1,10 +1,12 @@
 """Group oracles: brute-force recounts, classical values, and formula cross-checks."""
+import time
 from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
 
-from qmoments.errors import ModeError, ResourceBoundError
+from qmoments import groups
+from qmoments.errors import ModeError, ResourceBoundError, UsageError
 from qmoments.groups import (
     PGroup,
     aut_order,
@@ -68,6 +70,13 @@ def test_pgroup_arithmetic():
     assert H.order_log((2, 0)) == 1
     assert H.order_log((0, 1)) == 1
     assert H.order_log((1, 1)) == 2
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 2.0, 2.5, True, "2"])
+def test_pgroup_refuses_a_p_that_is_not_a_prime_int(p):
+    # a composite p would count 6 subgroups of type (1,) in "Z/4 x Z/4"
+    with pytest.raises(UsageError):
+        PGroup(p, (1, 1))
 
 
 def test_torsion_order_examples():
@@ -163,6 +172,65 @@ def test_subgroup_counts_outside_containment_and_elementary_64():
     counts = enumerate_subgroups(PGroup(2, Partition((1,) * 6)))
     assert counts[Partition((1, 1, 1))] == 1395
     assert sum(counts.values()) == 2825
+
+
+def _elementary(p, r):
+    return PGroup(p, Partition((1,) * r))
+
+
+def test_row_echelon_count_equals_span_search():
+    for p, rmax in ((2, 6), (3, 4), (5, 3), (7, 2)):
+        for r in range(rmax + 1):
+            H = _elementary(p, r)
+            for k in range(r + 2):
+                mu = Partition((1,) * k)
+                assert count_subgroups_of_type(H, mu) == len(groups._spans(mu, H)), (p, r, k)
+
+
+def test_row_echelon_bases_span_each_subspace_once():
+    for p, r in ((2, 4), (3, 3)):
+        H = _elementary(p, r)
+        # naive recount: grow the whole lattice from {0}, one element at a time
+        lattice = {frozenset((H.zero(),))}
+        todo = list(lattice)
+        while todo:
+            sub = todo.pop()
+            for g in H.elements():
+                cyclic = _span(H, [g])
+                bigger = frozenset(H.add(s, c) for s in sub for c in cyclic)
+                if bigger not in lattice:
+                    lattice.add(bigger)
+                    todo.append(bigger)
+        for k in range(r + 1):
+            spans = [_span(H, list(basis)) for basis in groups._bases(p, r, k)]
+            assert len(set(spans)) == len(spans)
+            assert all(len(span) == p**k for span in spans)
+            assert len(spans) == sum(1 for sub in lattice if len(sub) == p**k)
+            assert count_subgroups_of_type(H, (1,) * k) == len(spans)
+
+
+def test_row_echelon_count_is_fast_and_bounded():
+    start = time.perf_counter()
+    assert count_subgroups_of_type(_elementary(2, 7), (1,) * 7) == 1
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError) as info:
+        count_subgroups_of_type(_elementary(2, 10), (1,) * 5)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.limit == groups.MAX_ORACLE_WORK
+
+
+def test_span_search_work_is_bounded_per_level():
+    # aut 1^10 at p = 2: 1,023 lines times 1,023 candidates, each building
+    # a span of order 4, at level 2
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError) as info:
+        count_injective_homs((1,) * 10, _elementary(2, 10))
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.limit, info.value.requested) == (groups.MAX_ORACLE_WORK, 1023 * 1023 * 4)
+    # aut (6,1^6) at p = 2: its third level would build 65,544,192 elements
+    with pytest.raises(ResourceBoundError):
+        count_injective_homs((6,) + (1,) * 6, PGroup(2, (6,) + (1,) * 6))
 
 
 def test_count_subgroups_matches_inversion_coefficients():

@@ -238,6 +238,11 @@ def test_moment_size_bound_counts_c_degree():
         lambda: m_u(MomentQuery((1,), 4, 0)),
         lambda: m_u(MomentQuery((1,), True, 0)),
         lambda: m_u_s(MomentQuery((1,), Fraction(3), 0, TYPE_S)),
+        lambda: m_u_float((1,), 4, 0.5),
+        lambda: m_u_float((1,), 2.5, 0.5),
+        lambda: m_u_float((1,), 1, 0.5),
+        lambda: m_u_s_float((1,), True, 0.5),
+        lambda: m_u_s_float((1,), 9, 0.5),
         lambda: MomentQuery(Partition((1,)), 2, 0, "OTHER"),
         lambda: m_u(MomentQuery(Partition((1,)), 2, 0, TYPE_S)),
         lambda: RankProfile(Partition((2, 1)), 1, 2, 0),
@@ -246,7 +251,8 @@ def test_moment_size_bound_counts_c_degree():
     ],
     ids=[
         "table-kind", "table-p", "table-u", "table-lm", "fk-n", "query-p", "query-float-p",
-        "query-composite-p", "query-bool-p", "query-fraction-p", "query-flavor",
+        "query-composite-p", "query-bool-p", "query-fraction-p", "float-composite-p",
+        "float-float-p", "float-p-1", "float-s-bool-p", "float-s-composite-p", "query-flavor",
         "entry-flavor", "profile-ell", "profile-trunc", "rank-flavor",
     ],
 )
