@@ -12,16 +12,14 @@ from fractions import Fraction
 from . import __version__
 from .errors import ResourceBoundError, UsageError
 from .groups import (
-    DEFAULT_ORDER_LIMIT,
+    MAX_GROUP_ORDER,
     MAX_ORACLE_WORK,
     MAX_PRIME,
     PGroup,
-    _is_prime,
     aut_order,
     count_injective_homs,
     count_subgroups_of_type,
     eval_on_group,
-    order_limit,
 )
 from .identities import (
     IDENTITY_IDS,
@@ -33,7 +31,6 @@ from .identities import (
     MAX_SERIES_DEGREE,
     MAX_SYMBOLIC_FINITE_N,
     MAX_ZTRUNC,
-    RANDOM_POINT,
     REGISTRY,
     IdentityCase,
     load_manifest,
@@ -113,10 +110,9 @@ def _json_safe(value):
     return value
 
 
-# (meta.bounds key, default value, --help wording) of every resource bound
+# (meta.bounds key, value, --help wording) of every resource bound
 _BOUNDS = (
-    ("max_group_order", DEFAULT_ORDER_LIMIT,
-     "group order <= %d (override with QMOMENTS_MAX_GROUP_ORDER)"),
+    ("max_group_order", MAX_GROUP_ORDER, "group order <= %d"),
     ("max_oracle_work", MAX_ORACLE_WORK, "oracle search steps <= %d"),
     ("max_alphabet", MAX_ALPHABET, "alphabets <= %d"),
     ("max_z_truncation", MAX_ZTRUNC, "truncation <= %d"),
@@ -133,13 +129,11 @@ _BOUNDS = (
 
 
 def _metadata(argv, seed):
-    bounds = {key: value for key, value, _ in _BOUNDS}
-    bounds["max_group_order"] = order_limit()  # read per call: the environment may override it
     return {
         "command": "qmoments " + " ".join(argv),
         "version": __version__,
         "seed": seed,
-        "bounds": bounds,
+        "bounds": {key: value for key, value, _ in _BOUNDS},
     }
 
 
@@ -188,33 +182,26 @@ def _cmd_coeff(args):
 
 
 def _cmd_moments(args):
-    if not _is_prime(args.p):
-        raise UsageError("p must be prime, got %d" % args.p)
     u = _frac(args.u)
-    if u < 0:
-        raise UsageError("u must be nonnegative, got %s" % args.u)
     lam = parse_partition(args.lam)
     flavor = TYPE_S if args.type_s else ABELIAN
-    integral = u.denominator == 1
-    if not integral and not args.as_float:
-        raise UsageError("non-integral u %s needs --float" % args.u)
     row = {
         "lambda": str(lam),
         "p": args.p,
         "u": u,
         "flavor": "type-s" if args.type_s else "abelian",
     }
-    if integral:
-        query = MomentQuery(lam, args.p, int(u), flavor)
-        exact = m_u_s(query) if args.type_s else m_u(query)
-        row["value"] = exact
-        _set_float(row, exact)
-    else:
+    if args.as_float and u.denominator != 1:
         approx = (
             m_u_s_float(lam, args.p, u) if args.type_s else m_u_float(lam, args.p, u)
         )
         row["value"] = None
         _set_float(row, approx)
+    else:
+        query = MomentQuery(lam, args.p, u, flavor)
+        exact = m_u_s(query) if args.type_s else m_u(query)
+        row["value"] = exact
+        _set_float(row, exact)
     if args.conjecture:
         row["conjecture"] = args.conjecture
         row["label"] = _TABLES[args.conjecture][1]
@@ -233,20 +220,16 @@ def _cmd_moments(args):
 
 
 def _cmd_oracle(args):
-    if not _is_prime(args.p):
-        raise UsageError("p must be prime, got %d" % args.p)
     lam = parse_partition(args.lam)
     p = args.p
+    if args.check != "aut" and args.mu is None:
+        raise UsageError("--check %s needs --mu" % args.check)
     if args.check == "subgroups":
-        if args.mu is None:
-            raise UsageError("--check subgroups needs --mu")
         mu = parse_partition(args.mu)
         group = PGroup(p, lam)
         counted = count_subgroups_of_type(group, mu)
         predicted = c_coeff(lam, mu).eval_at(Fraction(p))
     elif args.check == "injections":
-        if args.mu is None:
-            raise UsageError("--check injections needs --mu")
         mu = parse_partition(args.mu)
         group = PGroup(p, mu)
         counted = count_injective_homs(lam, group)
@@ -317,13 +300,8 @@ def _cmd_verify(args):
         raise UsageError("need --id NAME or --all")
     else:
         cid = args.id.upper()
-        if cid not in IDENTITY_IDS:
-            raise UsageError(
-                "unknown identity id %r (known: %s)" % (args.id, ", ".join(IDENTITY_IDS))
-            )
         if params:
-            strategy = RANDOM_POINT if "samples" in params else REGISTRY[cid].strategies[0]
-            reports = [verify(IdentityCase(cid, params, strategy), mutate=args.mutate)]
+            reports = [verify(IdentityCase(cid, params), mutate=args.mutate)]
         else:
             reports = run_suite([cid], args.manifest, mutate=args.mutate)
     rows = []
@@ -356,8 +334,6 @@ def _cmd_verify(args):
 
 def _cmd_table(args):
     kind, label = _TABLES[args.conjecture]
-    if not _is_prime(args.p):
-        raise UsageError("p must be prime, got %d" % args.p)
     wants_partition = args.conjecture in ("class-imaginary", "class-real", "sha")
     if wants_partition and args.lam is None:
         raise UsageError("--conjecture %s needs --lambda" % args.conjecture)
@@ -366,10 +342,8 @@ def _cmd_table(args):
         if args.u is None:
             raise UsageError("--conjecture sha needs --u")
         u = _frac(args.u)
-        if u.denominator != 1 or u < 0:
-            raise UsageError("sha table needs a nonnegative integer u")
         lam = parse_partition(args.lam)
-        value = conjecture_table(kind, lam=lam, p=args.p, u=int(u))
+        value = conjecture_table(kind, lam=lam, p=args.p, u=u)
         row.update({"lambda": str(lam), "u": int(u)})
     elif args.conjecture == "selmer":
         if args.ell is None or args.m is None:
@@ -398,7 +372,7 @@ def build_parser():
         "finite abelian p-groups, brute-force group oracles, and an exact "
         "identity verification suite.",
         epilog="Exit codes: 0 pass, 1 verification failure, 2 usage error, "
-        "3 resource bound exceeded. Default resource bounds: %s. Default "
+        "3 resource bound exceeded. Resource bounds: %s. Default "
         "seed: taken from the case manifest."
         % ", ".join(label % value for _, value, label in _BOUNDS),
     )
@@ -443,7 +417,7 @@ def build_parser():
     p_orc.set_defaults(func=_cmd_oracle)
 
     p_ver = sub.add_parser("verify", help="run identity verification cases", parents=[common])
-    p_ver.add_argument("--id", default=None, help="identity id, e.g. QBIN")
+    p_ver.add_argument("--id", default=None, help="identity id: " + ", ".join(IDENTITY_IDS))
     p_ver.add_argument("--all", action="store_true", help="run the full manifest grid")
     p_ver.add_argument("--manifest", default=None, help="alternate manifest path")
     p_ver.add_argument("--lambda", dest="lam", default=None)

@@ -1,6 +1,8 @@
 """Finite abelian p-groups: the primality test of p, torsion counts,
 automorphism orders, and brute-force subgroup/injection oracles that are
 independent of the polynomial formulas they are used to validate.
+`_check_prime` is the package's one test of p: every entry point that
+takes p runs it.
 
 A subgroup count in an elementary group lists each subspace of F_p^r once,
 by its reduced row-echelon basis (`_bases`).  Every other count, and the
@@ -8,25 +10,27 @@ injection counts, which need the generator tuples, go through one search,
 `_spans`: it grows the subgroups of one asked type level by level from
 generator tuples of explicit elements, so a count touches only the spans
 of that type's prefixes, never the whole subgroup lattice.  Both refuse
-(ResourceBoundError) work past MAX_ORACLE_WORK before doing it."""
+(ResourceBoundError) a group past MAX_GROUP_ORDER, or work past
+MAX_ORACLE_WORK, before doing it."""
 from __future__ import annotations
 
-import os
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product as cartesian
-from math import comb
 from operator import add as _add, mod as _mod
 
-from .errors import ModeError, ParseError, ResourceBoundError, UsageError
+from .errors import ModeError, ResourceBoundError, UsageError
 from .partitions import Partition, subpartitions
 from .record import Record
 
-DEFAULT_ORDER_LIMIT = 4096
+# the largest group order the brute-force oracles touch
+MAX_GROUP_ORDER = 4096
 # the most work one oracle call may take: the reduced row-echelon bases of
-# one elementary count, bounded by comb(r, k) * p^(k(r-k)), or, at one level
-# of `_spans`, spans times candidate generators times the order of the spans
-# the level builds, which bounds its element additions.  Tier-1, the
+# one elementary count, estimated as 4 * p^(k(r-k)), an upper bound but not
+# the Gaussian binomial the oracle checks, since [r, k]_p <= p^(k(r-k)) /
+# prod_{j>=1} (1 - p^-j) < 3.47 p^(k(r-k)); or, at one level of `_spans`,
+# spans times candidate generators times the order of the spans the level
+# builds, which bounds its element additions.  Tier-1, the
 # acceptance criteria and the benchmark need at most 629,856 (injections
 # (2,2) -> (2,2,1) at p = 3).  Over every subgroup, injection and aut query
 # with mu inside lam and order at most 4096, the slowest call took 2.2 s on
@@ -69,32 +73,12 @@ def _check_prime(p):
     """Refuse (UsageError) a p that is not a prime int: a float, bool or
     composite p would give a count or a value with no meaning."""
     if type(p) is not int or not _is_prime(p):
-        raise UsageError("p must be a prime int, got %r" % (p,))
+        raise UsageError("p must be prime, got %r" % (p,))
 
 
 def _check(bound, limit, requested):
     if requested > limit:
         raise ResourceBoundError(bound, limit, requested)
-
-
-def order_limit():
-    """Largest group order the brute-force oracles touch (env-overridable).
-
-    A QMOMENTS_MAX_GROUP_ORDER that is not a positive integer raises
-    ParseError.
-    """
-    raw = os.environ.get("QMOMENTS_MAX_GROUP_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ParseError(
-            "QMOMENTS_MAX_GROUP_ORDER must be a positive integer, got %r" % (raw,)
-        )
-    return limit
 
 
 class PGroup(Record):
@@ -165,6 +149,7 @@ def _unit_factors(lam, p, step):
 
 def aut_order(lam, p):
     """|Aut(H_lam)| = p^{sum lam'_i^2} * prod_v prod_{i=1}^{m_v} (1 - p^-i)."""
+    _check_prime(p)
     lam = Partition(lam)
     power, prod = _unit_factors(lam, p, 1)
     return p ** (sum(c * c for c in lam.conjugate()) - power) * prod
@@ -173,6 +158,7 @@ def aut_order(lam, p):
 def auts_order(lam, p):
     """Order of the symplectic-type automorphism group of H_lam x H_lam:
     p^{2*sum lam'_i^2 + |lam|} * prod_v prod_{i=1}^{m_v} (1 - p^-2i)."""
+    _check_prime(p)
     lam = Partition(lam)
     power, prod = _unit_factors(lam, p, 2)
     return p ** (2 * sum(c * c for c in lam.conjugate()) + lam.size - power) * prod
@@ -252,13 +238,13 @@ def count_subgroups_of_type(H, mu):
     """Number of subgroups of H isomorphic to H_mu: in an elementary group
     the reduced row-echelon bases of `_bases`, counted one by one, else the
     spans of `_spans`."""
-    _check("group order", order_limit(), H.order)
+    _check("group order", MAX_GROUP_ORDER, H.order)
     mu = Partition(mu)
     if any(a != 1 for a in H.lam + mu):
         return len(_spans(mu, H))
     r, k = H.lam.length, mu.length
     if k <= r:
-        _check("oracle search work", MAX_ORACLE_WORK, comb(r, k) * H.p ** (k * (r - k)))
+        _check("oracle search work", MAX_ORACLE_WORK, 4 * H.p ** (k * (r - k)))
     return sum(1 for _ in _bases(H.p, r, k))
 
 
@@ -266,9 +252,8 @@ def count_injective_homs(lam, H):
     """Number of injective homomorphisms H_lam -> H: the generator tuples
     of every subgroup of type lam, summed."""
     lam = Partition(lam)
-    lim = order_limit()
     for order in (H.order, H.p**lam.size):
-        _check("group order", lim, order)
+        _check("group order", MAX_GROUP_ORDER, order)
     if lam.size == 0:
         return 1
     return sum(_spans(lam, H).values())

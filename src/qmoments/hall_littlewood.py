@@ -73,7 +73,7 @@ def _hl_cached(lam, n, param):
 def hl_p(lam, n, param="q"):
     """P_lam(x_1..x_n; q), exactly; the zero value when lam has more than n
     parts.  Alphabets are capped at HL_MAX_ALPHABET."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     if n > HL_MAX_ALPHABET:
         raise ResourceBoundError("alphabet size", HL_MAX_ALPHABET, n)
     if n < 0:
@@ -85,7 +85,7 @@ def hl_p(lam, n, param="q"):
 
 def b_lambda(lam, param="q"):
     """b_lam(q) = prod_i (q;q)_{m_i(lam)}."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     out = UniRat.one()
     for v in set(lam):
         out = out * qq(lam.mult(v), param)
@@ -123,5 +123,5 @@ def principal_spec(lam, n, param="q"):
     closed form is checked against direct substitution into hl_p once per
     (lam, n).
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     return _principal_value(lam, n, param)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ResourceBoundError, UsageError
-from .groups import PGroup, _is_prime, aut_order, torsion_order
+from .groups import PGroup, _check_prime, aut_order, torsion_order
 from .hall_littlewood import b_lambda, hl_p, principal_spec
 from .mpoly import MPoly, _unit
 from .partitions import Partition, partitions_of, subpartitions
@@ -38,11 +38,12 @@ _MANIFEST_PATH = Path(__file__).parent / "data" / "manifest.json"
 
 
 class IdentityCase(Record):
-    """One verification case: an identity id plus its concrete parameters."""
+    """One verification case: an identity id plus its concrete parameters,
+    and optionally the strategy they run, which `verify` checks."""
 
     case_id: str
     params: dict
-    strategy: str
+    strategy: str | None = None
 
 
 class Mismatch(Record):
@@ -757,10 +758,12 @@ def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
     A missing, malformed or too small param (`_LEAST`, else 0; an int param
-    must be an int and not a bool, and `lam` a list that `Partition` takes),
-    a composite `p`, a `seed` that is not an int (a bool included), or
-    `samples` for an identity with no random-point check, raises UsageError
-    and a param over its bound raises ResourceBoundError, before any work."""
+    must be an int and not a bool, and `lam` one that `Partition` takes),
+    a composite `p`, a `seed` that is not an int (a bool included),
+    `samples` for an identity with no random-point check, or a
+    `case.strategy` other than the one the params run (random-point with
+    `samples`, else the identity's first), raises UsageError and a param
+    over its bound raises ResourceBoundError, before any work."""
     identity = REGISTRY.get(case.case_id)
     if identity is None:
         raise UsageError("unknown identity id: %r" % (case.case_id,))
@@ -772,11 +775,13 @@ def verify(case, mutate=False):
         if RANDOM_POINT not in identity.strategies:
             raise UsageError("%s has no random-point check, so no samples" % case.case_id)
         bounds["samples"] = ("random sample points", MAX_SAMPLES)
+    strategy = RANDOM_POINT if "samples" in case.params else identity.strategies[0]
+    if case.strategy not in (None, strategy):
+        raise UsageError("%s with these params runs the %s check, not %r"
+                         % (case.case_id, strategy, case.strategy))
     for name, bound in bounds.items():
         value = case.params[name]
         if name == "lam":
-            if not isinstance(value, (list, tuple)):
-                raise UsageError("%s has a malformed lam: %r is not a list" % (case.case_id, value))
             Partition(value)  # raises ParseError, a UsageError, unless ints weakly decreasing
             continue
         # a float, bool or string would run as another case (bool is an int)
@@ -787,8 +792,8 @@ def verify(case, mutate=False):
             raise UsageError("%s needs %s >= %d, got %d" % (case.case_id, name, least, value))
         if bound is not None and value > bound[1]:
             raise ResourceBoundError(bound[0], bound[1], value)
-    if "p" in identity.params and not _is_prime(case.params["p"]):
-        raise UsageError("p must be prime, got %d" % case.params["p"])
+    if "p" in identity.params:
+        _check_prime(case.params["p"])
     seed = case.params.get("seed")
     if seed is not None and type(seed) is not int:  # bool is an int subclass
         raise UsageError("%s has a malformed seed: %r is not an int" % (case.case_id, seed))
@@ -800,7 +805,7 @@ def verify(case, mutate=False):
     return VerificationReport(
         case_id=case.case_id,
         params=dict(case.params),
-        strategy=case.strategy,
+        strategy=strategy,
         passed=passed,
         mismatch=mismatch,
         compared=compared,

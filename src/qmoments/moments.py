@@ -34,9 +34,18 @@ SELMER = "SELMER"
 MAX_MOMENT_BITS = 8192
 
 
+def _real_u(u):
+    """u, unless it is a bool, not an int, Fraction or float, or not finite
+    (UsageError)."""
+    number = isinstance(u, (int, Fraction, float)) and not isinstance(u, bool)
+    if not (number and -math.inf < u < math.inf):
+        raise UsageError("u must be a finite number, got %r" % (u,))
+    return u
+
+
 def _check_u(u):
     """Exact mode needs an integral u; reject anything else loudly."""
-    f = Fraction(u)
+    f = Fraction(_real_u(u))
     if f.denominator != 1 or f < 0:
         raise ModeError(
             "exact mode needs a nonnegative integral u, got %s; "
@@ -79,9 +88,14 @@ def _c_values(lam, p):
 def _moment(lam, p, u, flavor, dps):
     """sum over mu inside lam of C_{lam,mu}(b) p^{-|mu| e}, where (b, e) is
     (p, u) for the abelian flavor and (p^2, 2u - 1) for type S: exact for
-    dps None, else an mpmath float at dps decimal digits.  Every query is
-    size-checked first, since both modes build each C_{lam,mu}(b) exactly."""
+    dps None, else an mpmath float at dps decimal digits.  Both modes refuse
+    a bad p or u and size-check every query first, since both build each
+    C_{lam,mu}(b) exactly."""
     _check_prime(p)
+    if dps is None:
+        u = _check_u(u)
+    elif _real_u(u) < 0:
+        raise UsageError("u must be >= 0, got %r" % (u,))
     lam = Partition(lam)
     b, e = (p * p, 2 * u - 1) if flavor == TYPE_S else (p, u)
     _check_size(lam, p, e, b)
@@ -107,7 +121,7 @@ def _exact(query, flavor):
     """The exact moment of a query, which must be of the given flavor."""
     if query.flavor != flavor:
         raise UsageError("this entry point computes the %s flavor, not %s" % (flavor, query.flavor))
-    return _moment(query.lam, query.p, _check_u(query.u), flavor, None)
+    return _moment(query.lam, query.p, query.u, flavor, None)
 
 
 def m_u(query):
@@ -160,6 +174,7 @@ class RankProfile(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "mu", Partition(self.mu))
+        _check_prime(self.p)
         if self.ell < max(1, self.mu.length):
             raise UsageError("ell must cover every nonzero rank")
         if self.trunc < 1:
@@ -241,24 +256,20 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
     CLASS_GROUP_IMAGINARY / CLASS_GROUP_REAL take lam and p (u fixed to 0
     resp. 1); SHA takes lam, p, and u; SELMER takes lm = (ell, m) and p,
     with lam = the rectangle ell^m, and raises UsageError unless ell >= 1
-    and m >= 0.
+    and m >= 0 are ints.  `MomentQuery` and `m_u`/`m_u_s` check lam, p and u.
     """
-    if p is None or p < 2:
-        raise UsageError("a prime p is required")
     if kind == CLASS_GROUP_IMAGINARY:
-        return m_u(MomentQuery(Partition(lam), p, 0))
+        return m_u(MomentQuery(lam, p, 0))
     if kind == CLASS_GROUP_REAL:
-        return m_u(MomentQuery(Partition(lam), p, 1))
+        return m_u(MomentQuery(lam, p, 1))
     if kind == SHA:
         if u is None:
             raise UsageError("SHA needs u")
-        return m_u_s(MomentQuery(Partition(lam), p, u, TYPE_S))
+        return m_u_s(MomentQuery(lam, p, u, TYPE_S))
     if kind == SELMER:
         ell, m = lm if lm is not None else (None, None)
-        if ell is None:
-            raise UsageError("SELMER needs lm=(ell, m)")
-        if ell < 1 or m < 0:
-            raise UsageError("SELMER needs ell >= 1 and m >= 0, got ell=%d, m=%d" % (ell, m))
+        if type(ell) is not int or type(m) is not int or ell < 1 or m < 0:
+            raise UsageError("SELMER needs lm = (ell, m), ints with ell >= 1 and m >= 0, got %r" % (lm,))
         lam = Partition([ell] * m)
         val = m_u_s(MomentQuery(lam, p, 0, TYPE_S))
         if ell == 1:

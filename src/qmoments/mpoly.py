@@ -280,8 +280,7 @@ class MPoly:
     def __init__(self, terms, nvars, param=None):
         clean = {}
         for e, c in terms.items():
-            if not isinstance(c, UniRat):
-                c = UniRat.const(c)
+            c = UniRat.const(c)
             if c.is_zero():
                 continue
             e = tuple(e)
@@ -503,8 +502,7 @@ class MPoly:
 
     def scale(self, c):
         """Every coefficient times the scalar c, packed as a 0-variable poly."""
-        if not isinstance(c, UniRat):
-            c = UniRat.const(c)
+        c = UniRat.const(c)
         if c.is_zero():
             return MPoly.zero(self.nvars, self.param)
         param = _unify(self.param, c.param)
@@ -602,8 +600,7 @@ class MPoly:
 
     def subs_scalar(self, i, value):
         """Substitute x_i -> value (a UniRat scalar); arity is preserved."""
-        if not isinstance(value, UniRat):
-            value = UniRat.const(value)
+        value = UniRat.const(value)
         out = {}
         for e, c in self.terms.items():
             ne = e[:i] + (0,) + e[i + 1 :]
@@ -624,7 +621,7 @@ class MPoly:
         runs on the packed ints and decodes once; a slot of it is at most
         #terms * mag * max|multiplier|.
         """
-        vals = [v if isinstance(v, UniRat) else UniRat.const(v) for v in values]
+        vals = [UniRat.const(v) for v in values]
         if len(vals) != self.nvars:
             raise ValueError("need %d values" % self.nvars)
         xs = [v.constant() for v in vals]

@@ -17,13 +17,19 @@ def _conjugate(parts):
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers (empty allowed).
 
-    Trailing zeros in the input are stripped; a part that is not an int (a
-    bool, float or string included), and anything non-monotone or negative,
-    is rejected.
+    The one coercion to a partition: a Partition is returned as it is.
+    Trailing zeros in the input are stripped; input that is not iterable, a
+    part that is not an int (a bool, float or string included), and
+    anything non-monotone or negative, is rejected.
     """
 
     def __new__(cls, parts=()):
-        parts = tuple(parts)
+        if isinstance(parts, Partition):
+            return parts
+        try:
+            parts = tuple(parts)
+        except TypeError:
+            raise ParseError("a partition is an iterable of ints, got %r" % (parts,)) from None
         for a in parts:
             # a float, bool or string would stand for another partition
             if type(a) is not int:
@@ -77,7 +83,7 @@ class Partition(tuple):
 
     def contains(self, mu):
         """True iff mu_i <= lam_i for every i (missing parts read as 0)."""
-        mu = mu if isinstance(mu, Partition) else Partition(mu)
+        mu = Partition(mu)
         return len(mu) <= len(self) and all(m <= a for m, a in zip(mu, self))
 
     def mult_form(self):
@@ -88,7 +94,7 @@ class Partition(tuple):
 
 def render(lam, style="parts"):
     """Canonical text for a partition: "parts" (comma form) or "mults"."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     if style == "parts":
         return str(lam)
     if style == "mults":
@@ -134,9 +140,6 @@ def parse_partition(text):
         if a <= 0:
             raise ParseError("zero or negative part %r" % (tok,))
         parts.append(a)
-    for x, y in zip(parts, parts[1:]):
-        if x < y:
-            raise ParseError("comma form must be weakly decreasing, got %r" % (text,))
     return Partition(parts)
 
 
@@ -165,7 +168,7 @@ def partitions_of(n, max_part=None, max_length=None):
 
 def subpartitions(lam):
     """Yield every mu with mu_i <= lam_i, each exactly once."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
 
     def rec(i, cap):
         if i == len(lam):

@@ -253,7 +253,7 @@ class UniRat:
 
     @staticmethod
     def const(c):
-        """A constant (int or Fraction)."""
+        """A constant (int or Fraction); a UniRat is returned as it is."""
         if isinstance(c, UniRat):
             return c
         f = Fraction(c)

@@ -48,7 +48,7 @@ def qpochhammer(a, k, trunc=None, base=1, zpow=1, param=None):
     requires a truncation order.
     """
     coeff, spow = a
-    c = UniRat.const(coeff) if not isinstance(coeff, UniRat) else coeff
+    c = UniRat.const(coeff)
     param = _unify(param, c.param) or "q"
     if k == inf:
         if trunc is None:
@@ -120,7 +120,7 @@ class ZSeries:
     __slots__ = ("trunc", "coeffs", "param")
 
     def __init__(self, coeffs, trunc, param=None):
-        cs = [UniRat.const(c) if not isinstance(c, UniRat) else c for c in coeffs]
+        cs = [UniRat.const(c) for c in coeffs]
         if len(cs) > trunc + 1:
             cs = cs[: trunc + 1]
         while len(cs) < trunc + 1:
@@ -209,7 +209,7 @@ class ZSeries:
         return out
 
     def scale(self, u):
-        u = UniRat.const(u) if not isinstance(u, UniRat) else u
+        u = UniRat.const(u)
         return ZSeries([c * u for c in self.coeffs], self.trunc, self.param)
 
     def subs_z(self, qpow=0, zpow=1):

@@ -60,7 +60,7 @@ def rlambda_poly(lam, ell=None, param="t"):
 
     Built as prod_{i=1..ell} prod_{j=conj(i+1)}^{conj(i)-1} (x_i - t^j x_{i-1}).
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     if ell is None:
         ell = lam.part(1)
     if lam.part(1) > ell:
@@ -98,7 +98,7 @@ def rlambda_expand(lam, param="t", validate=True):
 
     With validate, R_lam is multiplied out and collected as a cross-check.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     width = lam.part(1)
     coeffs = {}
     for mu in subpartitions(lam):
@@ -153,8 +153,8 @@ def c_coeff(lam, mu, param="q"):
     """Inversion coefficient C_{lam,mu}: q^{sum conj_mu(i+1)(conj_lam(i)-conj_mu(i))}
     prod_i [conj_lam(i)-conj_mu(i+1) choose conj_lam(i)-conj_mu(i)]_q; 0 if mu is
     not contained in lam."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
+    lam = Partition(lam)
+    mu = Partition(mu)
     return _c_coeff_cached(lam, mu, param)
 
 
@@ -164,7 +164,7 @@ def monomial_in_R_basis(lam, param="q", validate=True):
     With validate, the R_mu are themselves expanded into monomials and the
     whole sum is required to collapse to the single monomial x^lam.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     coeffs = {mu: c_coeff(lam, mu, param) for mu in subpartitions(lam)}
     if validate:
         total = {}
@@ -184,7 +184,7 @@ def monomial_in_R_basis(lam, param="q", validate=True):
 def mirror_poly(lam, param="q"):
     """Coefficients in T of sum_{mu within lam} C_{lam,mu}(q) T^{|mu|};
     the sequence is checked to be palindromic (mirror symmetry)."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     out = [ZERO] * (lam.size + 1)
     for mu in subpartitions(lam):
         out[mu.size] = out[mu.size] + c_coeff(lam, mu, param)
@@ -195,8 +195,8 @@ def mirror_poly(lam, param="q"):
 
 def dot_product_conjugates(lam, mu):
     """(conj(lam) | conj(mu)) = sum_i conj_lam(i) * conj_mu(i)."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
+    lam = Partition(lam)
+    mu = Partition(mu)
     width = min(lam.part(1), mu.part(1))
     return sum(lam.conj(i) * mu.conj(i) for i in range(1, width + 1))
 
@@ -206,8 +206,8 @@ def qprime_skew(lam, mu, param="q"):
     [conj_lam(i)-conj_mu(i+1) choose conj_lam(i)-conj_mu(i)]_q; 0 if mu is not
     contained in lam.  Related to c_coeff by C_{lam,mu}(1/q) =
     q^{n(mu)-n(lam)} * this (checked in tests/test_rbasis.py)."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
+    lam = Partition(lam)
+    mu = Partition(mu)
     if not lam.contains(mu):
         return ZERO
     width = lam.part(1)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qmoments
-from qmoments import cli, identities, rbasis
+from qmoments import cli, groups, identities, rbasis
 from qmoments.errors import ResourceBoundError
 from qmoments.cli import main
 from qmoments.identities import IDENTITY_IDS, load_manifest
@@ -173,6 +173,7 @@ def test_oracle_work_is_bounded():
         (3, ["--check", "injections", "--lambda", "1,1", "--mu", "1^6", "--p", "3"]),
         (0, ["--check", "injections", "--lambda", "1", "--mu", "1^6", "--p", "3"]),
         (0, ["--check", "subgroups", "--lambda", "1^6", "--mu", "1^3", "--p", "3"]),
+        (0, ["--check", "subgroups", "--lambda", "1^9", "--mu", "1^3", "--p", "2"]),
     ]
     for code, argv in calls:
         start = time.perf_counter()
@@ -180,6 +181,10 @@ def test_oracle_work_is_bounded():
         assert time.perf_counter() - start < 5.0, argv
     code, data = run_json(["oracle", "--check", "subgroups", "--lambda", "1^7", "--mu", "1^7", "--p", "2"])
     assert code == 0 and data["rows"][0]["oracle"] == 1
+    # the elementary estimate 4 * p^(k(r-k)) admits 1^3 in 2^9 (bound 1,048,576)
+    code, data = run_json(["oracle", "--check", "subgroups", "--lambda", "1^9", "--mu", "1^3", "--p", "2"])
+    assert code == 0
+    assert (data["rows"][0]["oracle"], data["rows"][0]["status"]) == (788035, "PASS")
     assert data["meta"]["bounds"]["max_oracle_work"] == cli.MAX_ORACLE_WORK
 
 
@@ -335,10 +340,9 @@ def test_float_moment_size_is_bounded():
 _PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 
 
-def test_pinned_cli_rows_replay_in_process(monkeypatch):
+def test_pinned_cli_rows_replay_in_process():
     # every CLI call the benchmark can draw, with its pinned exit code and
     # JSON rows (per-run timings left out)
-    monkeypatch.delenv("QMOMENTS_MAX_GROUP_ORDER", raising=False)
     pinned = json.loads(_PINNED.read_text())["cli"]
     assert pinned
     mismatched = []
@@ -400,17 +404,17 @@ def test_is_prime_is_exact_below_its_bound():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
-    assert [n for n in range(-3, 5000) if cli._is_prime(n)] == [
+    assert [n for n in range(-3, 5000) if groups._is_prime(n)] == [
         n for n in range(-3, 5000) if trial(n)
     ]
     # strong pseudoprimes to the first 4, 9 and 12 prime bases
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not cli._is_prime(n)
+        assert not groups._is_prime(n)
     for n in (4999, 2**31 - 1, 2**61 - 1, 10**18 + 3):
-        assert cli._is_prime(n)
-    assert not cli._is_prime(cli.MAX_PRIME)  # even
+        assert groups._is_prime(n)
+    assert not groups._is_prime(groups.MAX_PRIME)  # even
     with pytest.raises(ResourceBoundError):
-        cli._is_prime(cli.MAX_PRIME + 1)
+        groups._is_prime(groups.MAX_PRIME + 1)
 
 
 def test_huge_prime_p_answers_fast():
@@ -484,24 +488,6 @@ def test_value_too_large_for_a_float_has_null_float():
     assert code == 0
     row = data["rows"][0]
     assert row["float"] == float(Fraction(row["value"])) and "float_overflow" not in row
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["coeff", "--lambda", "1,1", "--mu", "1"],
-        ["oracle", "--check", "aut", "--lambda", "1", "--p", "2"],
-    ],
-)
-def test_malformed_order_limit_is_usage_error(monkeypatch, capsys, value, argv):
-    monkeypatch.setenv("QMOMENTS_MAX_GROUP_ORDER", value)
-    code, out = run(argv)
-    assert code == 2
-    assert out == ""
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: QMOMENTS_MAX_GROUP_ORDER")
 
 
 def test_verify_mutation_fails_with_localized_mismatch():
@@ -606,18 +592,23 @@ _MANIFESTS = {
                ' "params": {"lam": 3}}]}',
     "string-lam": '{"version": 1, "cases": [{"id": "MIRROR_SWAP", "strategy": "symbolic-exact",'
                   ' "params": {"lam": "21"}}]}',
+    "wrong-strategy": '{"version": 1, "cases": [{"id": "FINITE_QBINHL", "strategy": "random-point",'
+                      ' "params": {"n": 2, "k": 1}}]}',
 }
 
 # every usage-error and resource-bound call of this file, and the refusals
 # of k = 0, ell = 0, too few samples, lam_1 > ell, an unreadable manifest, a
 # seed, an int param or a part of lam that is not an int, a lam that is not
-# a list, --all with a single-case option and an out-of-range selmer row
+# a list, a case whose strategy is not the one its params run, --all with a
+# single-case option, an out-of-range selmer row, and a negative or
+# non-integral u where the path needs one
 _REFUSED = [
     (2, ["coeff", "--lambda", "1,2", "--mu", "1"]),
     (2, ["coeff", "--lambda", "1,1", "--mu", "1", "--eval-at", "x"]),
     (2, ["moments", "--lambda", "1", "--p", "4", "--u", "0"]),
     (2, ["moments", "--lambda", "1", "--p", "3", "--u", "1/2"]),
     (2, ["moments", "--lambda", "1", "--p", "3", "--u", "-1"]),
+    (2, ["moments", "--lambda", "1", "--p", "3", "--u=-1/2", "--float"]),
     (2, ["oracle", "--check", "subgroups", "--lambda", "1,1", "--p", "2"]),
     (2, ["verify", "--id", "NOPE"]),
     (2, ["verify"]),
@@ -627,6 +618,7 @@ _REFUSED = [
     (2, ["verify", "--id", "GENFUN", "--lambda", "1", "--zmax", "4", "--p", "1000000"]),
     (2, ["table", "--conjecture", "selmer", "--p", "2"]),
     (2, ["table", "--conjecture", "sha", "--lambda", "1", "--p", "3"]),
+    (2, ["table", "--conjecture", "sha", "--lambda", "1", "--p", "3", "--u", "1/2"]),
     (2, ["table", "--conjecture", "class-real", "--lambda", "1", "--p", "6"]),
     (2, ["verify", "--id", "CSQ", "--n", "1", "--k", "0"]),
     (2, ["verify", "--id", "FINITE_QBINHL", "--n", "1", "--k", "0"]),
@@ -649,6 +641,7 @@ _REFUSED = [
     (2, ["verify", "--all", "--manifest", "{float-part}"]),
     (2, ["verify", "--all", "--manifest", "{int-lam}"]),
     (2, ["verify", "--all", "--manifest", "{string-lam}"]),
+    (2, ["verify", "--all", "--manifest", "{wrong-strategy}"]),
     (2, ["verify", "--all", "--id", "QBIN"]),
     (2, ["verify", "--all", "--n", "3"]),
     (2, ["table", "--conjecture", "selmer", "--ell", "0", "--m", "1", "--p", "2"]),
@@ -680,8 +673,7 @@ _REFUSED = [
 
 
 @pytest.mark.parametrize("code, argv", _REFUSED, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-def test_refused_call_prints_one_line_and_no_rows(code, argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("QMOMENTS_MAX_GROUP_ORDER", raising=False)
+def test_refused_call_prints_one_line_and_no_rows(code, argv, tmp_path, capsys):
     for name, text in _MANIFESTS.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]

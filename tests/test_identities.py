@@ -62,7 +62,7 @@ FAST_POINTS = {
 
 def test_every_identity_passes_at_a_representative_point():
     for cid in IDENTITY_IDS:
-        rep = verify(IdentityCase(cid, FAST_POINTS[cid], "symbolic-exact"))
+        rep = verify(IdentityCase(cid, FAST_POINTS[cid]))
         assert rep.passed, (cid, rep.mismatch)
         assert rep.mismatch is None
         assert rep.compared > 0
@@ -89,7 +89,7 @@ def test_mutation_guard_localizes_a_coefficient():
         ("UMOY_ABELIAN", {"ell": 1, "lam": [1], "zmax": 6}),
         ("QBINHL", {"nx": 2, "d": 3}),
     ):
-        case = IdentityCase(cid, params, "symbolic-exact")
+        case = IdentityCase(cid, params)
         assert verify(case).passed
         rep = verify(case, mutate=True)
         assert not rep.passed

@@ -248,12 +248,22 @@ def test_moment_size_bound_counts_c_degree():
         lambda: RankProfile(Partition((2, 1)), 1, 2, 0),
         lambda: RankProfile(Partition((1,)), 1, 2, 0, trunc=0),
         lambda: pj_rank_prob(RankProfile(Partition((1,)), 1, 2, 0), "OTHER"),
+        lambda: m_u_float((1,), 2, -1),
+        lambda: m_u_float((1,), 2, float("nan")),
+        lambda: m_u_float((1,), 2, "x"),
+        lambda: m_u_s_float((1,), 2, -1 / 2),
+        lambda: RankProfile(Partition((1,)), 1, 4, 0),
+        lambda: RankProfile(Partition((1,)), 1, 1, 0),
+        lambda: conjecture_table(CLASS_GROUP_IMAGINARY, lam=None, p=3),
+        lambda: conjecture_table(SELMER, p=3, lm=(1, None)),
     ],
     ids=[
         "table-kind", "table-p", "table-u", "table-lm", "fk-n", "query-p", "query-float-p",
         "query-composite-p", "query-bool-p", "query-fraction-p", "float-composite-p",
         "float-float-p", "float-p-1", "float-s-bool-p", "float-s-composite-p", "query-flavor",
-        "entry-flavor", "profile-ell", "profile-trunc", "rank-flavor",
+        "entry-flavor", "profile-ell", "profile-trunc", "rank-flavor", "float-negative-u",
+        "float-nan-u", "float-string-u", "float-s-negative-u", "profile-composite-p",
+        "profile-p-1", "table-no-lam", "table-lm-none",
     ],
 )
 def test_bad_moments_input_is_a_usage_error(call):

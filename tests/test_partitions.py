@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmoments import ParseError, Partition, parse_partition, partitions_of, render, subpartitions
+from qmoments.groups import PGroup, count_subgroups_of_type
 from qmoments.hall_littlewood import hl_p
 
 
@@ -24,13 +25,18 @@ def test_construction_rejects_bad_input():
         Partition([2, -1])
 
 
-@pytest.mark.parametrize("parts", [[2.5], [2.0], [True], [2, False], "21", ["2", "1"], [Fraction(2)]])
+@pytest.mark.parametrize(
+    "parts", [[2.5], [2.0], [True], [2, False], "21", ["2", "1"], [Fraction(2)], None, 5]
+)
 def test_construction_refuses_parts_that_are_not_ints(parts):
-    # int(a) would build another partition: [2.5] -> (2,), "21" -> (2, 1)
+    # int(a) would build another partition: [2.5] -> (2,), "21" -> (2, 1);
+    # input that is not iterable is no partition either
     with pytest.raises(ParseError):
         Partition(parts)
     with pytest.raises(ParseError):
         hl_p(parts, 2)
+    with pytest.raises(ParseError):
+        count_subgroups_of_type(PGroup(2, (1, 1)), parts)
 
 
 def test_part_and_conj_padding():
