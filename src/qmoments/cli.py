@@ -29,6 +29,7 @@ from .identities import (
     MAX_QBIN_N,
     MAX_SAMPLES,
     MAX_SERIES_DEGREE,
+    MAX_SUBPARTITIONS,
     MAX_SYMBOLIC_FINITE_N,
     MAX_ZTRUNC,
     REGISTRY,
@@ -122,6 +123,7 @@ _BOUNDS = (
     ("max_qbin_n", MAX_QBIN_N, "QBIN n <= %d"),
     ("max_series_degree", MAX_SERIES_DEGREE, "series degree d, dx, dy <= %d"),
     ("max_samples", MAX_SAMPLES, "random sample points <= %d"),
+    ("max_subpartitions", MAX_SUBPARTITIONS, "subpartitions of lambda <= %d"),
     ("max_moment_bits", MAX_MOMENT_BITS, "exact moments <= %d bits"),
     ("max_c_degree", MAX_C_DEGREE, "degree of C(lambda; mu) <= %d"),
     ("max_prime", MAX_PRIME, "p <= %d"),

@@ -14,7 +14,7 @@ from .errors import ResourceBoundError, UsageError
 from .groups import PGroup, _check_prime, aut_order, torsion_order
 from .hall_littlewood import b_lambda, hl_p, principal_spec
 from .mpoly import MPoly, _unit
-from .partitions import Partition, partitions_of, subpartitions
+from .partitions import Partition, partitions_of, subpartition_count, subpartitions
 from .qrat import ONE, UniRat, ZERO, laurent_sum_of_products
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
 from .rbasis import c_coeff, dot_product_conjugates, mirror_poly, qprime_skew
@@ -33,6 +33,10 @@ MAX_QBIN_N = 48
 MAX_SERIES_DEGREE = 5
 MIN_SAMPLES = 20
 MAX_SAMPLES = 500
+# the lam identities build a value per subpartition of lam: GENFUN at
+# lam = 30^4 (46,376 of them) takes 14 s.  The cost of each value grows
+# with lam too (the degree of C_{lam,mu}), which this count does not see.
+MAX_SUBPARTITIONS = 10_000
 
 _MANIFEST_PATH = Path(__file__).parent / "data" / "manifest.json"
 
@@ -153,7 +157,9 @@ def _mpoly_product(factors, keep=None):
     `mul(f, keep)` and a scalar one by `scale`.  Scalars before the first
     MPoly multiply as scalars, so a product with no MPoly factor is a
     scalar (ONE for no factors).  `keep` truncates products only, so every
-    factor must lie inside it."""
+    factor must lie inside it.  The order sets only the cost: put first the
+    factors whose products stay small (the cross factors in x_i y_j of two
+    alphabets), last those that fill every kept degree."""
     acc = ONE
     for f in factors:
         if isinstance(acc, MPoly):
@@ -212,10 +218,14 @@ def _mpoly_sum(terms, table):
     return ZERO if total is None else total
 
 
-def _geom(v, cap, e):
+def _geom(v, cap, e, ratio=False):
     """Truncated expansion of 1/(1 - q^e x^v) up to (x^v)^cap, for the
-    exponent tuple v of a monomial."""
+    exponent tuple v of a monomial; with `ratio`, of (1 - x^v)/(1 - q^e x^v),
+    which is 1, then q^(e*t) - q^(e*(t-1)) at (x^v)^t."""
     terms = {tuple(t * a for a in v): UniRat.mono("q", e * t) for t in range(cap + 1)}
+    if ratio:  # times 1 - x^v
+        for t, k in enumerate(terms):
+            terms[k] = terms[k] - UniRat.mono("q", e * t - e) if t else ONE
     return MPoly(terms, len(v), "q")
 
 
@@ -432,13 +442,12 @@ def _run_warnaar_a2(params, rng):
     table.update((("x", lam), hl_p(lam, nx).poly.embed(nv, 0)) for lam in lams)
     table.update((("y", mu), hl_p(mu, ny).poly.embed(nv, nx)) for mu in mus)
     lhs = _mpoly_sum(terms, table)
-    factors = [MPoly.one(nv, "q")]
+    # cross factors first: their product has only terms of equal degree in
+    # x and y; the one-alphabet series, which fill every kept degree, last
+    cross = [_unit(nv, i, j) for i in range(nx) for j in range(nx, nv)]
+    factors = [MPoly.one(nv, "q")] + [_geom(t, min(dx, dy), -1, ratio=True) for t in cross]
     factors += [_geom(_unit(nv, i), dx, 0) for i in range(nx)]
     factors += [_geom(_unit(nv, j), dy, 0) for j in range(nx, nv)]
-    for i in range(nx):
-        for j in range(nx, nv):
-            factors.append(_geom(_unit(nv, i, j), min(dx, dy), -1))
-            factors.append(MPoly.two_term(_unit(nv), _unit(nv, i, j), 0, "q"))
     return [("xy-coefficients", lhs, _mpoly_product(factors, keep))]
 
 
@@ -457,11 +466,12 @@ def _run_lascoux(params, rng):
             table["y", mu] = hl_p(mu, ny).poly.embed(nv, nx)
             table["c", lam, mu] = b_lambda(mu) * qprime_skew(lam, mu)
             terms.append([("x", lam), ("y", mu), ("c", lam, mu)])
-    factors = [MPoly.one(nv, "q")] + [_geom(_unit(nv, i), dx, 0) for i in range(nx)]
+    factors = [MPoly.one(nv, "q")]
     for i in range(nx):
         for j in range(nx, nv):
             factors.append(_geom(_unit(nv, i, j), min(dx, dy), 0))
             factors.append(MPoly.two_term(_unit(nv), _unit(nv, i, j), 1, "q"))
+    factors += [_geom(_unit(nv, i), dx, 0) for i in range(nx)]
     pairs = [("xy-coefficients", _mpoly_sum(terms, table), _mpoly_product(factors, keep))]
 
     # principal one-variable y specialization: marker z at y -> z
@@ -476,8 +486,8 @@ def _run_lascoux(params, rng):
             table["c", lam, mu] = c_coeff(lam, mu).recip_param()
             terms.append([("x", lam), ("z", mu.size), ("c", lam, mu), ("q", lam.nstat())])
     table.update(_q_powers(terms))
-    factors = [MPoly.one(nvz, "q")] + [_geom(_unit(nvz, i), dx, 0) for i in range(nx)]
-    factors += [_geom(_unit(nvz, i, z_slot), dx, 0) for i in range(nx)]
+    factors = [MPoly.one(nvz, "q")] + [_geom(_unit(nvz, i, z_slot), dx, 0) for i in range(nx)]
+    factors += [_geom(_unit(nvz, i), dx, 0) for i in range(nx)]
     pairs.append(("principal-y", _mpoly_sum(terms, table), _mpoly_product(factors, keepz)))
 
     mirr_lhs, mirr_rhs = {}, {}
@@ -640,12 +650,14 @@ def _finite_qbinhl_random(n, k, samples, rng):
     p_lams = _finite_lhs_terms(n, k)
     lhs_terms, dfac, rhs_terms, shapes = _finite_qbinhl_cleared(n, k)
     q_powers = {name: [((1,), name[1], 1)] for name in _q_powers(lhs_terms + rhs_terms)}
+    points = _sample_points(n, samples, rng)
+    p_values = [(("P", lam), pl.eval_points([xs for xs, _ in points])) for lam, pl in p_lams]
     lhs_map, rhs_map = {}, {}
-    for idx, (xs, a) in enumerate(_sample_points(n, samples, rng)):
+    for idx, (xs, a) in enumerate(points):
         point = [(v.numerator, v.denominator) for v in xs + [a]]
         table = {name: _laurent_shapes(s, point) for name, s in shapes.items()}
         table.update(q_powers)
-        table.update((("P", lam), [_laurent_factor(pl.eval_scalars(xs))]) for lam, pl in p_lams)
+        table.update((name, [values[idx]]) for name, values in p_values)
         factors = lambda term: [f for name in term for f in table[name]]
         inner = laurent_sum_of_products([factors(t) for t in lhs_terms], "q")
         lhs_map[idx] = laurent_sum_of_products([[_laurent_factor(inner)] + factors(dfac)], "q")
@@ -727,15 +739,16 @@ _EXACT = (SYMBOLIC_EXACT,)
 _Z = ("z truncation", MAX_ZTRUNC)
 _ALPHABET = ("alphabet size", MAX_ALPHABET)
 _DEGREE = ("series degree", MAX_SERIES_DEGREE)
-_LAM_ELL_Z = {"lam": None, "ell": None, "zmax": _Z}
+_LAM = ("subpartitions of lam", MAX_SUBPARTITIONS)
+_LAM_ELL_Z = {"lam": _LAM, "ell": None, "zmax": _Z}
 _TWO_ALPHABETS = {"nx": _ALPHABET, "ny": _ALPHABET, "dx": _DEGREE, "dy": _DEGREE}
 _FINITE = {"n": ("alphabet size", MAX_FINITE_N), "k": ("column bound", MAX_FINITE_K)}
 
 REGISTRY = {
     "QBIN": Identity(_run_qbin, _EXACT, {"n": ("QBIN degree", MAX_QBIN_N)}),
     "EULER": Identity(_run_euler, _SERIES, {"zmax": _Z}),
-    "GENFUN": Identity(_run_genfun, _SERIES, {"lam": None, "p": None, "zmax": _Z}),
-    "COMBINAT": Identity(_run_combinat, _SERIES, {"lam": None, "zmax": _Z}),
+    "GENFUN": Identity(_run_genfun, _SERIES, {"lam": _LAM, "p": None, "zmax": _Z}),
+    "COMBINAT": Identity(_run_combinat, _SERIES, {"lam": _LAM, "zmax": _Z}),
     "UMOY_ABELIAN": Identity(lambda params, rng: _run_umoy(params, 1), _SERIES, _LAM_ELL_Z),
     "UMOY_TYPE_S": Identity(lambda params, rng: _run_umoy(params, 2), _SERIES, _LAM_ELL_Z),
     "DELAUNAY": Identity(_run_delaunay, _SERIES, {"ell": None, "zmax": _Z}),
@@ -744,7 +757,7 @@ REGISTRY = {
     "LASCOUX": Identity(_run_lascoux, _SERIES, _TWO_ALPHABETS),
     "FINITE_QBINHL": Identity(_run_finite_qbinhl, (SYMBOLIC_EXACT, RANDOM_POINT), _FINITE),
     "CSQ": Identity(_run_csq, _EXACT, _FINITE),
-    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, {"lam": None}),
+    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, {"lam": _LAM}),
 }
 
 IDENTITY_IDS = tuple(sorted(REGISTRY))
@@ -758,7 +771,8 @@ def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
     A missing, malformed or too small param (`_LEAST`, else 0; an int param
-    must be an int and not a bool, and `lam` one that `Partition` takes),
+    must be an int and not a bool, and `lam` one that `Partition` takes, its
+    bound being on `subpartition_count`),
     a composite `p`, a `seed` that is not an int (a bool included),
     `samples` for an identity with no random-point check, or a
     `case.strategy` other than the one the params run (random-point with
@@ -782,10 +796,11 @@ def verify(case, mutate=False):
     for name, bound in bounds.items():
         value = case.params[name]
         if name == "lam":
-            Partition(value)  # raises ParseError, a UsageError, unless ints weakly decreasing
-            continue
-        # a float, bool or string would run as another case (bool is an int)
-        if type(value) is not int:
+            # Partition raises ParseError, a UsageError, unless ints weakly
+            # decreasing; the bound is on the number of subpartitions
+            value = subpartition_count(Partition(value), bound[1])
+        elif type(value) is not int:
+            # a float, bool or string would run as another case (bool is an int)
             raise UsageError("%s has a malformed %s: %r is not an int" % (case.case_id, name, value))
         least = _LEAST.get(name, 0)
         if value < least:

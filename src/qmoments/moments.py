@@ -175,6 +175,9 @@ class RankProfile(Record):
     def __post_init__(self):
         object.__setattr__(self, "mu", Partition(self.mu))
         _check_prime(self.p)
+        for name in ("ell", "trunc"):
+            if type(getattr(self, name)) is not int:  # bool is an int subclass
+                raise UsageError("%s must be an int, got %r" % (name, getattr(self, name)))
         if self.ell < max(1, self.mu.length):
             raise UsageError("ell must cover every nonzero rank")
         if self.trunc < 1:
@@ -288,15 +291,17 @@ def fouvry_klueners_numbers(n, p, real=False):
 
     Both values are checked to agree with m_u at lam = 1^n (u = 0 and 1),
     so the real flavor also equals p^{-n} * sum_k qbin(n,k; p) p^k by the
-    palindromic symmetry of the summands.
+    palindromic symmetry of the summands.  A bad n or p (UsageError) or an
+    over-large n (ResourceBoundError, from m_u) is refused before any
+    q-binomial is built.
     """
-    if n < 0:
-        raise UsageError("n must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise UsageError("n must be a nonnegative int, got %r" % (n,))
+    moment = m_u(MomentQuery(Partition([1] * n), p, 1 if real else 0))
     val = Fraction(0)
     for k in range(n + 1):
         term = qbinomial(n, k).eval_at(p)
         val += term * Fraction(p) ** (-k) if real else term
-    lam = Partition([1] * n)
-    if val != m_u(MomentQuery(lam, p, 1 if real else 0)):
+    if val != moment:
         raise InvariantError("the q-binomial sum for 1^%d disagrees with m_u" % n)
     return val

@@ -9,7 +9,7 @@ Every coefficient is a Laurent polynomial in q over an integer (c*q^v in
 the denominator): R_lambda, the Hall-Littlewood P_lambda and both cleared
 sides of every identity are; 1/(q;q)_k and the like stay in scalar UniRat
 and ZSeries values.  So an MPoly is one packed form, on which `mul`, `+`,
-`scale`, `divexact` and `eval_scalars` run: all coefficients over one common
+`scale`, `divexact` and `eval_points` run: all coefficients over one common
 denominator L*q^V, each numerator one Python int holding its
 q-coefficients in signed slots of s bits (Kronecker substitution
 q -> 2^s).  The form keeps a bound `mag` on every |slot| and a bound `span`
@@ -44,23 +44,26 @@ parameter name or a negative exponent; an exponent bound (of a poly, a
 product or a division's remainder) past 2^FIELD - 1 raises
 ResourceBoundError.
 
-`eval_scalars` at rational constants sums the packed ints times integer
-multipliers and decodes once.  `==`, `is_zero`, negation and `swap_vars`
-work on the packed form too, so they decode nothing: two packed polys are
-compared at one width, L and V.  `terms` decodes to canonical UniRats afresh
-and keeps nothing.  `embed` shifts every key.  `divexact` by +-(x_i - x_j)
-runs on slots widened to #terms * mag and then measures the quotient's mag
-and span.  The substitutions and views work on the decoded UniRats.
+`eval_points` at points of rational constants decodes the keys and widens
+once, then per point sums the packed ints times integer multipliers and
+decodes once; `eval_scalars` is its one-point case.  `==`, `is_zero`,
+negation and `swap_vars` work on the packed form too, so they decode
+nothing: two packed polys are compared at one width, L and V.  `terms`
+decodes to canonical UniRats afresh and keeps nothing.  `embed` shifts
+every key.  `divexact` by +-(x_i - x_j) runs on slots widened to
+#terms * mag and then measures the quotient's mag and span.  The
+substitutions and views work on the decoded UniRats.
 """
 
 import sys
 from fractions import Fraction
 from itertools import compress, repeat
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, lshift, mul, neg, not_, sub
 
 from .errors import ResourceBoundError
-from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
+from .qrat import UniRat, ZERO, _pack_signed, _pval, _trim, _unify, _unpack_signed
+from .qrat import laurent_sum_of_products
 
 FIELD = 16  # bits per variable in a packed exponent key (`_exponents` reads "H" items)
 _TOP = (1 << FIELD) - 1  # the largest exponent a field holds
@@ -610,34 +613,43 @@ class MPoly:
             out[ne] = t
         return MPoly(out, self.nvars, _unify(self.param, value.param))
 
-    def eval_scalars(self, values):
-        """Full substitution x_i -> values[i] at rational constants (int,
-        Fraction or a constant UniRat); returns a UniRat.  A non-constant
-        value raises ValueError: substitute it with `subs_scalar`.
+    def eval_points(self, points):
+        """The value at each point (a list of rational constants: int,
+        Fraction or constant UniRat) as a Laurent factor (c, low, d) of
+        `laurent_sum_of_products`, reduced by the content gcd of d and c, with
+        c[0] and c[-1] nonzero (((), 0, 1) for 0).  A non-constant value
+        raises ValueError: substitute it with `subs_scalar`.
 
-        With D the lcm of the denominators, x_i = n_i / D for integers n_i,
-        so the value is sum_e c_e * prod(n_i^e_i) * D^(top-|e|) / D^top with
-        top the largest total degree.  Every factor is an integer, so the sum
-        runs on the packed ints and decodes once; a slot of it is at most
-        #terms * mag * max|multiplier|.
+        With D the lcm of a point's denominators, x_i = n_i / D for integers
+        n_i, so the value is sum_e c_e * prod(n_i^e_i) * D^(top-|e|) / D^top
+        with top the largest total degree: the sum runs on the packed ints,
+        whose slots widen once to #terms * mag * max|multiplier| over all
+        the points, and decodes once per point.
         """
-        vals = [UniRat.const(v) for v in values]
-        if len(vals) != self.nvars:
-            raise ValueError("need %d values" % self.nvars)
-        xs = [v.constant() for v in vals]
-        if None in xs:
-            raise ValueError("eval_scalars takes rational constants, not %r" % (values,))
-        D = lcm(*(x.denominator for x in xs))
-        ns = [x.numerator * (D // x.denominator) for x in xs]
         exps = _exponents(list(self._coeffs), len(self._deg))
         top = max(map(sum, exps), default=0)
-        mult = [prod(map(pow, ns, e)) * D ** (top - sum(e)) for e in exps]
-        mag = len(mult) * self._mag * max(map(abs, mult), default=0)
-        a = self.widen(_slot_width(mag, self._w))
-        total = sum(map(mul, a._coeffs.values(), mult))
-        if not total:
-            return ZERO
-        return _unirat(total, a._w, self._span, self._L * D**top, self._V, self.param)
+        mults, dens = [], []
+        for values in points:
+            xs = [UniRat.const(v).constant() for v in values]
+            if len(xs) != self.nvars or None in xs:
+                raise ValueError("need %d rational constants, not %r" % (self.nvars, values))
+            D = lcm(*(x.denominator for x in xs))
+            ns = [x.numerator * (D // x.denominator) for x in xs]
+            mults.append([prod(map(pow, ns, e)) * D ** (top - sum(e)) for e in exps])
+            dens.append(self._L * D**top)
+        big = max((max(map(abs, m), default=0) for m in mults), default=0)
+        a = self.widen(_slot_width(len(exps) * self._mag * big, self._w))
+        out = []
+        for m, d in zip(mults, dens):
+            c = _trim(_unpack_signed(sum(map(mul, a._coeffs.values(), m)), a._w, self._span))
+            low = _pval(c) if c else self._V  # 0 is ((), 0, 1)
+            g = gcd(d, *c)
+            out.append((tuple(x // g for x in c[low:]), low - self._V, d // g))
+        return out
+
+    def eval_scalars(self, values):
+        """The value at one point (`eval_points`) as a UniRat."""
+        return laurent_sum_of_products([self.eval_points([values])], self.param)
 
     def specialize_param(self, x):
         """Evaluate every coefficient at the rational point x."""

@@ -1,6 +1,7 @@
 """Integer partitions: parsing, statistics, containment, enumeration."""
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import ParseError
 
@@ -181,3 +182,21 @@ def subpartitions(lam):
 
     for parts in rec(0, lam[0] if lam else 0):
         yield Partition(parts)
+
+
+def subpartition_count(lam, limit):
+    """The number of partitions inside lam (`subpartitions`), counted row by
+    row from the last without listing them: ways[v] counts the fillings of
+    the rows below a row of length v.  The count is at least
+    lam_1 * length + 1 (the partitions inside the hook of lam), and that
+    lower bound is returned when it passes `limit`, so the count, about
+    lam_1 * length steps, runs only below `limit`."""
+    lam = Partition(lam)
+    top = lam.part(1)
+    if top * len(lam) + 1 > limit:
+        return top * len(lam) + 1
+    ways = [1] * (top + 1)
+    for part in reversed(lam):
+        prefix = list(accumulate(ways))
+        ways = [prefix[min(v, part)] for v in range(top + 1)]
+    return ways[top]

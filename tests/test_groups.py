@@ -2,6 +2,7 @@
 import time
 from fractions import Fraction
 from itertools import product as cartesian
+from math import prod
 
 import pytest
 
@@ -350,6 +351,22 @@ def test_sum_over_groups_generating_value():
                     Fraction(p) ** d * qq(d).eval_at(Fraction(1, p))
                 )
                 assert lhs == rhs
+
+
+def test_eval_on_group_matches_a_fraction_evaluation():
+    # eval_on_group, the one-point case of MPoly.eval_points, against the
+    # terms summed in Fractions at x_k = |H[p^k]|
+    for p in (2, 3):
+        for lam in ((1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)):
+            T = rlambda_poly(Partition(lam)).specialize_param(p)
+            for n in range(5):
+                for mu in partitions_of(n):
+                    H = PGroup(p, mu)
+                    xs = [torsion_order(H, k) for k in range(1, T.nvars + 1)]
+                    want = Fraction(0)
+                    for e, c in T.terms.items():
+                        want += c.constant() * prod(x**a for x, a in zip(xs, e))
+                    assert eval_on_group(T, H) == want, (p, lam, mu)
 
 
 def test_eval_on_group():

@@ -31,12 +31,13 @@ from qmoments.identities import (
     MAX_SYMBOLIC_FINITE_N,
     _finite_lhs_terms,
     _finite_qbinhl_cleared,
+    _geom,
     _mpoly_product,
     _mpoly_shapes,
     _mpoly_sum,
     _q_powers,
 )
-from qmoments.mpoly import MPoly
+from qmoments.mpoly import MPoly, _unit
 from qmoments.hall_littlewood import _hl_cached, hl_p
 from qmoments.partitions import Partition, partitions_of, subpartitions
 from qmoments.qrat import ONE, UniRat, ZERO, _unpack_signed
@@ -151,16 +152,22 @@ def test_random_point_case_needs_an_int_seed(seed):
         verify(IdentityCase("FINITE_QBINHL", params, "random-point"))
 
 
+# lams whose subpartitions pass MAX_SUBPARTITIONS: 30^5 (324,632), the
+# staircase 12..1 (742,900, a Catalan number), a long row and a long column
+_HUGE_LAMS = ([30] * 5, list(range(12, 0, -1)), [10**6], [1] * 10**5)
+
+
 def test_unbounded_params_end_within_seconds():
     # every int param without a bound, and `samples` of an id with a
     # random-point check, at 10**6 and the rest at the id's first manifest
-    # case: each call answers or is refused within 5 s, never hangs
+    # case: each call answers or is refused within 5 s, never hangs; every
+    # id that takes a `lam` refuses each of _HUGE_LAMS within 1 s
     first = {}
     for case in load_manifest()[2]:
         first.setdefault(case.case_id, case.params)
     walked = []
     for cid, identity in REGISTRY.items():
-        names = [n for n, bound in identity.params.items() if bound is None and n != "lam"]
+        names = [n for n, bound in identity.params.items() if bound is None]
         if RANDOM_POINT in identity.strategies:
             names.append("samples")
         for name in names:
@@ -174,7 +181,69 @@ def test_unbounded_params_end_within_seconds():
                     pass
             assert time.perf_counter() - start < 5, (cid, name)
             walked.append((cid, name))
+        if "lam" in identity.params:
+            for lam in _HUGE_LAMS:
+                start = time.perf_counter()
+                with time_limit(1), pytest.raises(ResourceBoundError, match="subpartitions"):
+                    verify(IdentityCase(cid, dict(first[cid], lam=lam)))
+                assert time.perf_counter() - start < 1, (cid, lam[:3])
+            walked.append((cid, "lam"))
     assert ("FINITE_QBINHL", "samples") in walked and ("GENFUN", "p") in walked
+    lam_ids = {"GENFUN", "COMBINAT", "UMOY_ABELIAN", "UMOY_TYPE_S", "MIRROR_SWAP"}
+    assert {cid for cid, name in walked if name == "lam"} == lam_ids
+
+
+def _left_to_right_rhs(cid, params):
+    """The WARNAAR_A2 and LASCOUX truncated rhs products with their factors
+    in the order of the written product: the one-alphabet series first, then
+    each cross pair 1/(1 - q^e x_i y_j) and its numerator, unmerged."""
+    nx, ny, dx, dy = (params[k] for k in ("nx", "ny", "dx", "dy"))
+    nv = nx + ny
+    keep = ((0, nx, dx), (nx, nv, dy))
+    factors = [MPoly.one(nv, "q")] + [_geom(_unit(nv, i), dx, 0) for i in range(nx)]
+    if cid == "WARNAAR_A2":
+        factors += [_geom(_unit(nv, j), dy, 0) for j in range(nx, nv)]
+    e, s = (-1, 0) if cid == "WARNAAR_A2" else (0, 1)
+    for i in range(nx):
+        for j in range(nx, nv):
+            factors.append(_geom(_unit(nv, i, j), min(dx, dy), e))
+            factors.append(MPoly.two_term(_unit(nv), _unit(nv, i, j), s, "q"))
+    out = [_mpoly_product(factors, keep)]
+    if cid == "LASCOUX":
+        nz = nx + 1
+        factors = [MPoly.one(nz, "q")] + [_geom(_unit(nz, i), dx, 0) for i in range(nx)]
+        factors += [_geom(_unit(nz, i, nx), dx, 0) for i in range(nx)]
+        out.append(_mpoly_product(factors, ((0, nx, dx), (nx, nz, dx))))
+    return out
+
+
+def test_reordered_truncated_rhs_equals_the_left_to_right_chain():
+    # the cross factors go first, and WARNAAR_A2 merges each pair; a
+    # truncated product keeps a downward-closed set of exponents, so any
+    # order gives the same rhs
+    cases = [c for c in load_manifest()[2] if c.case_id in ("WARNAAR_A2", "LASCOUX")]
+    assert len(cases) == 6
+    for case in cases:
+        pairs = REGISTRY[case.case_id].run(case.params, None)
+        rhs = [rhs for label, _, rhs in pairs if label in ("xy-coefficients", "principal-y")]
+        assert rhs == _left_to_right_rhs(case.case_id, case.params), case.params
+
+
+def test_merged_cross_factor_equals_its_two_factors_under_keep():
+    # (1 - t)/(1 - q^-1 t) for t = x_i y_j, against 1/(1 - q^-1 t) times
+    # (1 - t): the t^(cap + 1) term of that product passes a block's cap
+    for nx, ny, dx, dy in ((1, 1, 3, 3), (2, 1, 4, 2), (3, 3, 5, 5), (1, 2, 0, 2)):
+        nv = nx + ny
+        keep = ((0, nx, dx), (nx, nv, dy))
+        for i in range(nx):
+            for j in range(nx, nv):
+                t, cap = _unit(nv, i, j), min(dx, dy)
+                pair = _geom(t, cap, -1).mul(MPoly.two_term(_unit(nv), t, 0, "q"), keep)
+                merged = _geom(t, cap, -1, ratio=True)
+                assert merged == pair
+                # 1, then q^-m - q^(1-m) at t^m
+                coeff = lambda m: UniRat.mono("q", -m) - UniRat.mono("q", 1 - m) if m else ONE
+                assert merged.terms == {tuple(m * a for a in t): coeff(m) for m in range(cap + 1)}
 
 
 def test_truncated_rhs_degrees_stay_at_the_caps():

@@ -256,6 +256,13 @@ def test_moment_size_bound_counts_c_degree():
         lambda: RankProfile(Partition((1,)), 1, 1, 0),
         lambda: conjecture_table(CLASS_GROUP_IMAGINARY, lam=None, p=3),
         lambda: conjecture_table(SELMER, p=3, lm=(1, None)),
+        lambda: fouvry_klueners_numbers(None, 3),
+        lambda: fouvry_klueners_numbers(2.5, 3),
+        lambda: fouvry_klueners_numbers(True, 3),
+        lambda: fouvry_klueners_numbers(2, 4),
+        lambda: RankProfile((1,), None, 2, 0),
+        lambda: RankProfile((1,), 1, 2, 0, trunc=None),
+        lambda: RankProfile((1,), 1.0, 2, 0),
     ],
     ids=[
         "table-kind", "table-p", "table-u", "table-lm", "fk-n", "query-p", "query-float-p",
@@ -263,9 +270,22 @@ def test_moment_size_bound_counts_c_degree():
         "float-float-p", "float-p-1", "float-s-bool-p", "float-s-composite-p", "query-flavor",
         "entry-flavor", "profile-ell", "profile-trunc", "rank-flavor", "float-negative-u",
         "float-nan-u", "float-string-u", "float-s-negative-u", "profile-composite-p",
-        "profile-p-1", "table-no-lam", "table-lm-none",
+        "profile-p-1", "table-no-lam", "table-lm-none", "fk-none-n", "fk-float-n",
+        "fk-bool-n", "fk-composite-p", "profile-none-ell", "profile-none-trunc",
+        "profile-float-ell",
     ],
 )
 def test_bad_moments_input_is_a_usage_error(call):
     with pytest.raises(UsageError):
         call()
+
+
+def test_fouvry_klueners_refuses_a_composite_p_before_any_qbinomial(monkeypatch):
+    def no_qbinomial(*args):
+        raise AssertionError("a q-binomial was built")
+
+    monkeypatch.setattr(moments, "qbinomial", no_qbinomial)
+    with pytest.raises(UsageError):
+        fouvry_klueners_numbers(3, 4)
+    with pytest.raises(ResourceBoundError):
+        fouvry_klueners_numbers(10**6, 2)

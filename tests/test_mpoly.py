@@ -4,6 +4,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -438,6 +439,57 @@ def test_eval_digit_at_slot_boundary():
         p = MPoly({(1,): UniRat.mono("q", -1, total - 1), (0,): UniRat.mono("q", -1)}, 1, "q")
         assert p.eval_scalars([1]) == UniRat.mono("q", -1, total)
         assert p.eval_scalars([Fraction(1, 3)]) == ref_eval(p.terms, [Fraction(1, 3)])
+
+
+def laurent_value(c, low, d):
+    """{q-exponent: Fraction} of the Laurent factor (c, low, d)."""
+    return {low + i: Fraction(x, d) for i, x in enumerate(c) if x}
+
+
+def fraction_eval(terms, xs):
+    """{q-exponent: Fraction} of the decoded terms at xs, in Fractions only."""
+    out = {}
+    for e, c in terms.items():
+        m = Fraction(1)
+        for x, a in zip(xs, e):
+            m *= Fraction(x) ** a
+        v = len(c.den) - 1
+        for i, x in enumerate(c.num):
+            out[i - v] = out.get(i - v, 0) + Fraction(x, c.den[-1]) * m
+    return {k: x for k, x in out.items() if x}
+
+
+def check_eval_points(poly, points):
+    got = poly.eval_points(points)
+    assert len(got) == len(points)
+    for (c, low, d), xs in zip(got, points):
+        assert laurent_value(c, low, d) == fraction_eval(poly.terms, xs)
+        # reduced by the content gcd, with no zero end slot
+        assert d > 0 and gcd(d, *c) == 1
+        assert not c or (c[0] and c[-1])
+        assert canon1(poly.eval_scalars(xs)) == canon1(ref_eval(poly.terms, xs))
+
+
+@PROPS
+@given(
+    laurent_poly(max_terms=6, max_exp=3),
+    st.lists(st.lists(POINT, min_size=2, max_size=2), min_size=1, max_size=4),
+)
+def test_eval_points_matches_fraction_evaluation(a, points):
+    check_eval_points(a, points)
+
+
+def test_eval_points_widens_once_for_the_largest_point():
+    # the 8-byte slots hold the value at x = 1, but at x = 7 a slot of the
+    # sum reaches 7 * (2^61 + 1) > 2^63: the slots widen to the largest
+    # point's bound, and every point runs at that width
+    p = MPoly({(1,): UniRat.mono("q", -1, SLOT // 4 + 1), (0,): UniRat.mono("q", 2, 5)}, 1, "q")
+    check_eval_points(p, [[1], [7], [Fraction(1, 3)], [0], [-SLOT]])
+    x, y = xvars(2)
+    assert (x - y).eval_points([[3, 3], [1, 2]]) == [((), 0, 1), ((-1,), 0, 1)]
+    assert x.eval_points([]) == []
+    with pytest.raises(ValueError):
+        x.eval_points([[1, 2], [1]])
 
 
 def test_eval_zero_and_empty_polys():

@@ -8,6 +8,7 @@ import pytest
 from qmoments import ParseError, Partition, parse_partition, partitions_of, render, subpartitions
 from qmoments.groups import PGroup, count_subgroups_of_type
 from qmoments.hall_littlewood import hl_p
+from qmoments.partitions import subpartition_count
 
 
 def test_construction_and_normalization():
@@ -184,3 +185,13 @@ def test_subpartitions_match_containment_filter():
 def test_mult_form():
     assert Partition([2, 2, 2, 1, 1]).mult_form() == "1^2 2^3"
     assert Partition([]).mult_form() == ""
+
+
+def test_subpartition_count_matches_the_listing():
+    for lam in [(), (1,), (2, 1), (3, 3, 1), (4, 2, 2, 1), (5, 5, 5), (6, 4, 3, 1, 1)]:
+        assert subpartition_count(lam, 10**6) == sum(1 for _ in subpartitions(lam)), lam
+    assert subpartition_count([30] * 5, 10**6) == 324_632
+    assert subpartition_count(range(12, 0, -1), 10**6) == 742_900
+    # past the limit the hook's count lam_1 * length + 1 stands for it
+    assert subpartition_count([10**9] * 3, limit=100) == 3 * 10**9 + 1
+    assert subpartition_count([3, 3], limit=100) == 10
