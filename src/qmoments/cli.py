@@ -23,15 +23,7 @@ from .groups import (
 )
 from .identities import (
     IDENTITY_IDS,
-    MAX_ALPHABET,
-    MAX_FINITE_K,
-    MAX_FINITE_N,
-    MAX_QBIN_N,
-    MAX_SAMPLES,
-    MAX_SERIES_DEGREE,
-    MAX_SUBPARTITIONS,
-    MAX_SYMBOLIC_FINITE_N,
-    MAX_ZTRUNC,
+    MAX_VERIFY_WORK,
     REGISTRY,
     IdentityCase,
     load_manifest,
@@ -115,15 +107,7 @@ def _json_safe(value):
 _BOUNDS = (
     ("max_group_order", MAX_GROUP_ORDER, "group order <= %d"),
     ("max_oracle_work", MAX_ORACLE_WORK, "oracle search steps <= %d"),
-    ("max_alphabet", MAX_ALPHABET, "alphabets <= %d"),
-    ("max_z_truncation", MAX_ZTRUNC, "truncation <= %d"),
-    ("max_finite_alphabet", MAX_FINITE_N, "finite alphabets <= %d"),
-    ("max_symbolic_finite_alphabet", MAX_SYMBOLIC_FINITE_N, "symbolic finite alphabets <= %d"),
-    ("max_column_bound", MAX_FINITE_K, "column bound <= %d"),
-    ("max_qbin_n", MAX_QBIN_N, "QBIN n <= %d"),
-    ("max_series_degree", MAX_SERIES_DEGREE, "series degree d, dx, dy <= %d"),
-    ("max_samples", MAX_SAMPLES, "random sample points <= %d"),
-    ("max_subpartitions", MAX_SUBPARTITIONS, "subpartitions of lambda <= %d"),
+    ("max_verify_work", MAX_VERIFY_WORK, "estimated verify work <= %d units (about 1 us each)"),
     ("max_moment_bits", MAX_MOMENT_BITS, "exact moments <= %d bits"),
     ("max_c_degree", MAX_C_DEGREE, "degree of C(lambda; mu) <= %d"),
     ("max_prime", MAX_PRIME, "p <= %d"),

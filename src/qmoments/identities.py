@@ -8,6 +8,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from .errors import ResourceBoundError, UsageError
@@ -17,26 +18,21 @@ from .mpoly import MPoly, _unit
 from .partitions import Partition, partitions_of, subpartition_count, subpartitions
 from .qrat import ONE, UniRat, ZERO, laurent_sum_of_products
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
-from .rbasis import c_coeff, dot_product_conjugates, mirror_poly, qprime_skew
+from .rbasis import _c_degree, c_coeff, dot_product_conjugates, mirror_poly, qprime_skew
 from .record import Record
 
 SYMBOLIC_EXACT = "symbolic-exact"
 TRUNCATED_SERIES = "truncated-series"
 RANDOM_POINT = "random-point"
 
-MAX_ALPHABET = 4
-MAX_ZTRUNC = 12
-MAX_FINITE_N = 4
-MAX_SYMBOLIC_FINITE_N = 3
-MAX_FINITE_K = 3
-MAX_QBIN_N = 48
-MAX_SERIES_DEGREE = 5
 MIN_SAMPLES = 20
-MAX_SAMPLES = 500
-# the lam identities build a value per subpartition of lam: GENFUN at
-# lam = 30^4 (46,376 of them) takes 14 s.  The cost of each value grows
-# with lam too (the degree of C_{lam,mu}), which this count does not see.
-MAX_SUBPARTITIONS = 10_000
+# The one cost cap of `verify`: `Identity.work(params)` counts the steps of a
+# runner's inner loops in units of about 1 us, each count weighted by the
+# row of BENCH_work_budget.json its comment names, and a case past this many
+# units, about 4 s, is refused before any work.  A binomial C(n + d, d) with
+# min(n, d) > 40, or a power with an exponent past 40, is past any budget,
+# so the estimates take each at 40 and refuse a huge param at no cost.
+MAX_VERIFY_WORK = 4_000_000
 
 _MANIFEST_PATH = Path(__file__).parent / "data" / "manifest.json"
 
@@ -245,6 +241,28 @@ def _mpoly_shapes(shapes):
     )
 
 
+def _c_by_size(lam):
+    """{m: the sum over the nu inside lam with |nu| = m of C_{lam,nu}(1/q)}."""
+    out = {}
+    for nu in subpartitions(lam):
+        out[nu.size] = out.get(nu.size, ZERO) + c_coeff(lam, nu).recip_param()
+    return out
+
+
+def _sums_by_size(n, term, zero=ZERO):
+    """{m: the sum over the partitions mu of m of term(mu)} for m <= n."""
+    return {m: sum(map(term, partitions_of(m)), zero) for m in range(n + 1)}
+
+
+def _euler_convolution(cvals, n, euler, zero):
+    """{m: the sum over j <= m of euler(j) * cvals[m - j]} for m <= n, a
+    size missing from `cvals` adding nothing."""
+    return {
+        m: sum((euler(j) * cvals[m - j] for j in range(m + 1) if m - j in cvals), zero)
+        for m in range(n + 1)
+    }
+
+
 def _partitions_upto(d, n, k=None):
     """Every lam of size <= d with at most n parts (so P_lam(x_1..x_n) is
     nonzero, being monic in x^lam), each part <= k when k is given."""
@@ -259,9 +277,7 @@ def _partitions_upto(d, n, k=None):
 
 def _run_qbin(params, rng):
     n = int(params["n"])
-    lhs = {}
-    for k in range(n + 1):
-        lhs[k] = qbinomial(n, k) * UniRat.mono("q", math.comb(k, 2), (-1) ** k)
+    lhs = {k: qbinomial(n, k) * UniRat.mono("q", math.comb(k, 2), (-1) ** k) for k in range(n + 1)}
     coeffs = [ONE]
     for j in range(n):
         nxt = [ZERO] * (len(coeffs) + 1)
@@ -285,31 +301,15 @@ def _run_genfun(params, rng):
     lam = Partition(tuple(params["lam"]))
     p = int(params["p"])
     n = int(params["zmax"])
-    lhs = {}
-    for m in range(n + 1):
-        acc = Fraction(0)
-        for mu in partitions_of(m):
-            group = PGroup(p, mu)
-            value = 1
-            for part in lam:
-                value *= torsion_order(group, part)
-            acc += Fraction(value, aut_order(mu, p))
-        lhs[m] = acc
-    cvals = {}
-    for nu in subpartitions(lam):
-        cvals[nu.size] = cvals.get(nu.size, Fraction(0)) + c_coeff(lam, nu).eval_at(
-            Fraction(p)
-        )
-    rhs = {}
+
+    def term(mu):
+        group = PGroup(p, mu)
+        return Fraction(math.prod(torsion_order(group, part) for part in lam), aut_order(mu, p))
+
+    lhs = _sums_by_size(n, term, Fraction(0))
     invp = Fraction(1, p)
-    for m in range(n + 1):
-        acc = Fraction(0)
-        for j in range(m + 1):
-            inner = cvals.get(m - j)
-            if inner is None:
-                continue
-            acc += euler_coeff_recip(j, 1).eval_at(invp) * inner
-        rhs[m] = acc
+    cvals = {m: v.eval_at(invp) for m, v in _c_by_size(lam).items()}
+    rhs = _euler_convolution(cvals, n, lambda j: euler_coeff_recip(j, 1).eval_at(invp), Fraction(0))
     return [("z-coefficients", lhs, rhs)]
 
 
@@ -317,36 +317,11 @@ def _run_combinat(params, rng):
     lam = Partition(tuple(params["lam"]))
     n = int(params["zmax"])
     lamc = lam.conjugate()
-    route_a = {}
-    for m in range(n + 1):
-        acc = ZERO
-        for mu in partitions_of(m):
-            expo = sum(v * v for v in mu) - sum(
-                lamc[i] * mu[i] for i in range(min(len(lamc), len(mu)))
-            )
-            acc = acc + UniRat.mono("q", expo) / b_lambda(mu.conjugate())
-        route_a[m] = acc
-    cvals = {}
-    for nu in subpartitions(lam):
-        cvals[nu.size] = cvals.get(nu.size, ZERO) + c_coeff(lam, nu).recip_param()
-    route_b = {}
-    for m in range(n + 1):
-        acc = ZERO
-        for j in range(m + 1):
-            inner = cvals.get(m - j)
-            if inner is None:
-                continue
-            acc = acc + euler_coeff_recip(j, 1) * inner
-        route_b[m] = acc
-    route_c = {}
-    for m in range(n + 1):
-        acc = ZERO
-        for mu in partitions_of(m):
-            ip = dot_product_conjugates(lam, mu)
-            weight = UniRat.mono("q", mu.size + mu.nstat() - ip)
-            principal = principal_spec(mu, math.inf)
-            acc = acc + weight * principal
-        route_c[m] = acc
+    route_a = _sums_by_size(n, lambda mu: UniRat.mono("q", sum(v * v for v in mu) - sum(map(mul, lamc, mu)))
+                            / b_lambda(mu.conjugate()))
+    route_b = _euler_convolution(_c_by_size(lam), n, lambda j: euler_coeff_recip(j, 1), ZERO)
+    route_c = _sums_by_size(n, lambda mu: UniRat.mono("q", mu.size + mu.nstat() - dot_product_conjugates(lam, mu))
+                            * principal_spec(mu, math.inf))
     return [
         ("combinatorial-vs-inversion", route_a, route_b),
         ("principal-vs-inversion", route_c, route_b),
@@ -366,9 +341,7 @@ def _column_bounded_lhs(lam, ell, n, b, c):
     for m in range(n // b + 1):
         for mu in partitions_of(m, max_part=ell):
             ip = dot_product_conjugates(lam, mu)
-            bmu = ONE
-            for v in set(mu):
-                bmu = bmu * qq(mu.mult(v), base=b)
+            bmu = math.prod((qq(mu.mult(v), base=b) for v in set(mu)), start=ONE)
             weight = UniRat.mono("q", b * (2 * mu.nstat() - ip) + c * m) / bmu
             spow = b * mu.conj(ell) + 1
             for j in range((n - b * m) // b + 1):
@@ -384,11 +357,9 @@ def _run_umoy(params, b):
     n = int(params["zmax"])
     lhs = _column_bounded_lhs(lam, int(params["ell"]), n, b, 1)
     rhs = {m: ZERO for m in range(n + 1)}
-    for nu in subpartitions(lam):
-        key = b * nu.size
-        if key <= n:
-            v = c_coeff(lam, nu).recip_param().pow_param(b)
-            rhs[key] = rhs[key] + v * UniRat.mono("q", (1 - b) * nu.size)
+    for m, v in _c_by_size(lam).items():
+        if b * m <= n:
+            rhs[b * m] = v.pow_param(b) * UniRat.mono("q", (1 - b) * m)
     return [("z-coefficients", lhs, rhs)]
 
 
@@ -492,13 +463,8 @@ def _run_lascoux(params, rng):
 
     mirr_lhs, mirr_rhs = {}, {}
     for lam in lams:
-        by_size = {}
-        for mu in subpartitions(lam):
-            by_size[mu.size] = by_size.get(mu.size, ZERO) + c_coeff(
-                lam, mu
-            ).recip_param()
         ladder = mirror_poly(lam)
-        for k, v in by_size.items():
+        for k, v in _c_by_size(lam).items():
             mirr_lhs[(str(tuple(lam)), k)] = v
             mirr_rhs[(str(tuple(lam)), k)] = ladder[k].recip_param()
     pairs.append(("mirror-consistency", mirr_lhs, mirr_rhs))
@@ -514,9 +480,6 @@ def _run_finite_qbinhl(params, rng):
     n, k = int(params["n"]), int(params["k"])
     if "samples" in params:
         return _finite_qbinhl_random(n, k, int(params["samples"]), rng)
-    if n > MAX_SYMBOLIC_FINITE_N:
-        # n = 4, k = 1 compares 276,300 coefficients in about 47 s
-        raise ResourceBoundError("symbolic finite alphabet size", MAX_SYMBOLIC_FINITE_N, n)
     return _finite_qbinhl_symbolic(n, k)
 
 
@@ -686,11 +649,9 @@ def _run_csq(params, rng):
 
     rhs_terms = []
     for r in range(n + 1):
+        # times the finite factor (q^{n-r+1}; q)_r
         scal = UniRat.mono("q", (2 * k + 3) * math.comb(r, 2), (-1) ** r) / qq(r)
-        # finite factor (q^{n-r+1}; q)_r
-        for t in range(r):
-            scal = scal * (ONE - UniRat.mono("q", n - r + 1 + t))
-        table["r", r] = scal
+        table["r", r] = scal * qpochhammer((1, n - r + 1), r)
         term = [("z", k * r), ("r", r), ("dz", 2 * r - 1)]
         term += [("dza", r + t) for t in range(n - r)]
         term.append(("afac", r))
@@ -703,61 +664,117 @@ def _run_csq(params, rng):
 
 def _run_mirror_swap(params, rng):
     lam = Partition(tuple(params["lam"]))
-    by_size = {}
-    for nu in subpartitions(lam):
-        by_size[nu.size] = by_size.get(nu.size, ZERO) + c_coeff(lam, nu).recip_param()
+    by_size = _c_by_size(lam)
     m = lam.size
     pal_lhs = {j: by_size.get(j, ZERO) for j in range(m + 1)}
     pal_rhs = {j: by_size.get(m - j, ZERO) for j in range(m + 1)}
     pairs = [("palindrome", pal_lhs, pal_rhs)]
-    sw_lhs, sw_rhs = {}, {}
-    for u in (1, 2):
-        left = ZERO
-        right = ZERO
-        for j, v in by_size.items():
-            left = left + v * UniRat.mono("q", -j * u)
-            right = right + v * UniRat.mono("q", j * u)
-        sw_lhs[u] = left
-        sw_rhs[u] = UniRat.mono("q", -m * u) * right
+    # sum_j v_j q^{-ju} against q^{-mu} sum_j v_j q^{ju}, for u = 1, 2
+    swap = lambda u: sum((v * UniRat.mono("q", j * u) for j, v in by_size.items()), ZERO)
+    sw_lhs = {u: swap(-u) for u in (1, 2)}
+    sw_rhs = {u: UniRat.mono("q", -m * u) * swap(u) for u in (1, 2)}
     pairs.append(("swap", sw_lhs, sw_rhs))
     return pairs
+
+
+def _lam_work(lam, pairs=0):
+    """4 units per subpartition nu of lam per column and degree of C_{lam,nu}
+    (`_c_by_size`; MIRROR_SWAP 2^40 counts 861 * 803 in 3.8 s), and a tenth
+    of a unit per square degree per (m, j) product of COMBINAT's
+    `_euler_convolution` (its 2^30, zmax = 12 row).  As lam_1 * len + 1 and
+    len^2 / 4 bound the two factors from below, a long lam stops there."""
+    low = 4 * (lam.part(1) * len(lam) + 1) * (len(lam) ** 2 // 4 + lam.part(1) + 1)
+    if low > MAX_VERIFY_WORK:
+        return low
+    deg = _c_degree(lam) + 1
+    per = 4 * (deg + lam.part(1))
+    return per * subpartition_count(lam, MAX_VERIFY_WORK // per) + pairs * deg * deg // 10
+
+
+def _series_work(n, ell=None, b=1):
+    """(n + 1)^3 / 4 units, for a q-degree growing with n, per (mu, j) pair
+    that `_column_bounded_lhs` visits (parts of mu <= ell, if given, and
+    b(|mu| + j) <= n): DELAUNAY ell = 3, zmax = 16 counts 1,089 pairs in
+    1.33 s.  Past n/b = 40 the pairs up to 40 alone are past any budget.
+    ways[m] counts the mu of size m."""
+    top = min(n // b, 40)
+    ways = [1] + [0] * top
+    for part in range(1, min(ell or top, top) + 1):
+        for m in range(part, top + 1):
+            ways[m] += ways[m - part]
+    return (n + 1) ** 3 // 4 * sum(w * (top + 1 - m) for m, w in enumerate(ways))
+
+
+def _keys_work(nx, d, factors, ny=0, dy=0):
+    """A twentieth of a unit per kept key of a truncated chain (degree <= d in
+    nx variables, <= dy in ny more) per factor and per lhs P_lam or P_mu,
+    bounded by the monomials of its alphabet, per q-degree d + dy: WARNAAR_A2
+    4,4,5,5 counts 126 * 126 * (25 + 126 + 126) * 11 in 0.79 s."""
+    kx, ky = math.comb(nx + d, min(nx, d, 40)), math.comb(ny + dy, min(ny, dy, 40))
+    return kx * ky * (factors + kx + ky) * (d + dy + 1) // 20
+
+
+def _finite_work(p):
+    """2 units per P_lam of the n x k box per C(nk + n - 1, n - 1) monomials
+    per part size k + 1 (n = 1, k = 1400: 1401^2 in 3.0 s); then symbolic,
+    the degree box (4n - 1 + k)^n (2n + 1) of the cleared sides times their
+    2^n rhs terms of 3n^2 - n factors, at 14 per unit (n = 3, k = 6: 6.6M
+    in 0.55 s), or per sample the 2^n rhs terms times the square of their
+    factors, at 3 per unit (n = 4, k = 3, 500 samples: 15.5M in 3.78 s)."""
+    n, k, e, m = p["n"], p["k"], min(p["n"], 40), max(p["n"] - 1, 0)
+    lams = 2 * math.comb(n + k, min(n, k, 40)) * math.comb(n * k + m, min(m, 40)) * (k + 1)
+    factors = 3 * n * n - n
+    if "samples" in p:
+        return lams + p["samples"] * 2 ** e * factors * factors // 3
+    return lams + (4 * n - 1 + k) ** e * (2 * n + 1) * 2 ** e * factors // 14
 
 
 class Identity(Record):
     """A registered identity: `run(params, rng)` returns its (label, lhs,
     rhs) triples; `strategies` are the checks it has, the first one the
-    default (a random-point check reads `samples` too); `params` maps each
-    param the runner reads to its (error label, limit) bound, or to None."""
+    default (a random-point check reads `samples` too); `params` names the
+    params the runner reads; `work(params)` estimates its cost in the units
+    of MAX_VERIFY_WORK from params `verify` has checked (`lam` a Partition)."""
 
     run: object
     strategies: tuple
-    params: dict
+    params: tuple
+    work: object
 
 
 _SERIES = (TRUNCATED_SERIES,)
 _EXACT = (SYMBOLIC_EXACT,)
-_Z = ("z truncation", MAX_ZTRUNC)
-_ALPHABET = ("alphabet size", MAX_ALPHABET)
-_DEGREE = ("series degree", MAX_SERIES_DEGREE)
-_LAM = ("subpartitions of lam", MAX_SUBPARTITIONS)
-_LAM_ELL_Z = {"lam": _LAM, "ell": None, "zmax": _Z}
-_TWO_ALPHABETS = {"nx": _ALPHABET, "ny": _ALPHABET, "dx": _DEGREE, "dy": _DEGREE}
-_FINITE = {"n": ("alphabet size", MAX_FINITE_N), "k": ("column bound", MAX_FINITE_K)}
+_LAM_ELL_Z = ("lam", "ell", "zmax")
+_TWO_ALPHABETS = ("nx", "ny", "dx", "dy")
+_FINITE = ("n", "k")
 
 REGISTRY = {
-    "QBIN": Identity(_run_qbin, _EXACT, {"n": ("QBIN degree", MAX_QBIN_N)}),
-    "EULER": Identity(_run_euler, _SERIES, {"zmax": _Z}),
-    "GENFUN": Identity(_run_genfun, _SERIES, {"lam": _LAM, "p": None, "zmax": _Z}),
-    "COMBINAT": Identity(_run_combinat, _SERIES, {"lam": _LAM, "zmax": _Z}),
-    "UMOY_ABELIAN": Identity(lambda params, rng: _run_umoy(params, 1), _SERIES, _LAM_ELL_Z),
-    "UMOY_TYPE_S": Identity(lambda params, rng: _run_umoy(params, 2), _SERIES, _LAM_ELL_Z),
-    "DELAUNAY": Identity(_run_delaunay, _SERIES, {"ell": None, "zmax": _Z}),
-    "QBINHL": Identity(_run_qbinhl, _SERIES, {"nx": _ALPHABET, "d": _DEGREE}),
-    "WARNAAR_A2": Identity(_run_warnaar_a2, _SERIES, _TWO_ALPHABETS),
-    "LASCOUX": Identity(_run_lascoux, _SERIES, _TWO_ALPHABETS),
-    "FINITE_QBINHL": Identity(_run_finite_qbinhl, (SYMBOLIC_EXACT, RANDOM_POINT), _FINITE),
-    "CSQ": Identity(_run_csq, _EXACT, _FINITE),
-    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, {"lam": _LAM}),
+    # n = 48: 49^5 / 200 units in 1.24 s
+    "QBIN": Identity(_run_qbin, _EXACT, ("n",), lambda p: (p["n"] + 1) ** 5 // 200),
+    # zmax = 20: 21^6 / 200 units in 0.40 s
+    "EULER": Identity(_run_euler, _SERIES, ("zmax",), lambda p: (p["zmax"] + 1) ** 6 // 200),
+    "GENFUN": Identity(_run_genfun, _SERIES, ("lam", "p", "zmax"),
+                       lambda p: _lam_work(p["lam"]) + _series_work(p["zmax"])),
+    "COMBINAT": Identity(_run_combinat, _SERIES, ("lam", "zmax"), lambda p: _series_work(p["zmax"])
+                         + _lam_work(p["lam"], (p["zmax"] + 1) * (p["zmax"] + 2) // 2)),
+    "UMOY_ABELIAN": Identity(lambda params, rng: _run_umoy(params, 1), _SERIES, _LAM_ELL_Z,
+                             lambda p: _lam_work(p["lam"]) + _series_work(p["zmax"], p["ell"], 1)),
+    "UMOY_TYPE_S": Identity(lambda params, rng: _run_umoy(params, 2), _SERIES, _LAM_ELL_Z,
+                            lambda p: _lam_work(p["lam"]) + _series_work(p["zmax"], p["ell"], 2)),
+    "DELAUNAY": Identity(_run_delaunay, _SERIES, ("ell", "zmax"), lambda p: _series_work(p["zmax"], p["ell"])),
+    # the kept keys carry a degree <= nx in a, a one-variable second alphabet
+    "QBINHL": Identity(_run_qbinhl, _SERIES, ("nx", "d"),
+                       lambda p: _keys_work(p["nx"], p["d"], 2 * p["nx"] + 1, 1, p["nx"])),
+    "WARNAAR_A2": Identity(_run_warnaar_a2, _SERIES, _TWO_ALPHABETS, lambda p: _keys_work(
+        p["nx"], p["dx"], p["nx"] * p["ny"] + p["nx"] + p["ny"] + 1, p["ny"], p["dy"])),
+    "LASCOUX": Identity(_run_lascoux, _SERIES, _TWO_ALPHABETS, lambda p: _keys_work(
+        p["nx"], p["dx"], 2 * p["nx"] * p["ny"] + p["nx"] + 1, p["ny"], p["dy"])),
+    "FINITE_QBINHL": Identity(_run_finite_qbinhl, (SYMBOLIC_EXACT, RANDOM_POINT), _FINITE, _finite_work),
+    # the degree box (nk + 2n + 2)(2n + 1) in z and a times the C(n + k, k) lhs
+    # terms plus n^3 / 2 for the rhs terms' factors: n = 12, k = 3 counts 2.04M in 2.37 s
+    "CSQ": Identity(_run_csq, _EXACT, _FINITE, lambda p: (p["n"] * p["k"] + 2 * p["n"] + 2)
+                    * (2 * p["n"] + 1) * (math.comb(p["n"] + p["k"], min(p["n"], p["k"], 40)) + p["n"] ** 3 // 2)),
+    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, ("lam",), lambda p: _lam_work(p["lam"])),
 }
 
 IDENTITY_IDS = tuple(sorted(REGISTRY))
@@ -771,47 +788,46 @@ def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
     A missing, malformed or too small param (`_LEAST`, else 0; an int param
-    must be an int and not a bool, and `lam` one that `Partition` takes, its
-    bound being on `subpartition_count`),
+    must be an int and not a bool, and `lam` one that `Partition` takes),
     a composite `p`, a `seed` that is not an int (a bool included),
     `samples` for an identity with no random-point check, or a
     `case.strategy` other than the one the params run (random-point with
-    `samples`, else the identity's first), raises UsageError and a param
-    over its bound raises ResourceBoundError, before any work."""
+    `samples`, else the identity's first), raises UsageError, and a case
+    whose `work` estimate passes MAX_VERIFY_WORK raises ResourceBoundError,
+    before any work."""
     identity = REGISTRY.get(case.case_id)
     if identity is None:
         raise UsageError("unknown identity id: %r" % (case.case_id,))
-    missing = [name for name in identity.params if name not in case.params]
+    names = identity.params + (("samples",) if "samples" in case.params else ())
+    missing = [name for name in names if name not in case.params]
     if missing:
         raise UsageError("%s needs %s" % (case.case_id, ", ".join(missing)))
-    bounds = dict(identity.params)
-    if "samples" in case.params:
-        if RANDOM_POINT not in identity.strategies:
-            raise UsageError("%s has no random-point check, so no samples" % case.case_id)
-        bounds["samples"] = ("random sample points", MAX_SAMPLES)
+    if "samples" in case.params and RANDOM_POINT not in identity.strategies:
+        raise UsageError("%s has no random-point check, so no samples" % case.case_id)
     strategy = RANDOM_POINT if "samples" in case.params else identity.strategies[0]
     if case.strategy not in (None, strategy):
         raise UsageError("%s with these params runs the %s check, not %r"
                          % (case.case_id, strategy, case.strategy))
-    for name, bound in bounds.items():
+    checked = dict(case.params)
+    for name in names:
         value = case.params[name]
         if name == "lam":
-            # Partition raises ParseError, a UsageError, unless ints weakly
-            # decreasing; the bound is on the number of subpartitions
-            value = subpartition_count(Partition(value), bound[1])
-        elif type(value) is not int:
+            checked[name] = Partition(value)  # else ParseError, a UsageError
+            continue
+        if type(value) is not int:
             # a float, bool or string would run as another case (bool is an int)
             raise UsageError("%s has a malformed %s: %r is not an int" % (case.case_id, name, value))
         least = _LEAST.get(name, 0)
         if value < least:
             raise UsageError("%s needs %s >= %d, got %d" % (case.case_id, name, least, value))
-        if bound is not None and value > bound[1]:
-            raise ResourceBoundError(bound[0], bound[1], value)
     if "p" in identity.params:
         _check_prime(case.params["p"])
     seed = case.params.get("seed")
     if seed is not None and type(seed) is not int:  # bool is an int subclass
         raise UsageError("%s has a malformed seed: %r is not an int" % (case.case_id, seed))
+    work = identity.work(checked)
+    if work > MAX_VERIFY_WORK:
+        raise ResourceBoundError("%s work" % case.case_id, MAX_VERIFY_WORK, work)
     rng = random.Random(seed if seed is not None else 0)
     start = time.perf_counter()
     pairs = identity.run(case.params, rng)

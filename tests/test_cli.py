@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import io
 import json
 import os
@@ -16,6 +17,8 @@ from qmoments import cli, groups, identities, rbasis
 from qmoments.errors import ResourceBoundError
 from qmoments.cli import main
 from qmoments.identities import IDENTITY_IDS, load_manifest
+from qmoments.partitions import Partition
+from test_mpoly import time_limit
 
 
 def run(argv):
@@ -204,7 +207,7 @@ def test_verify_exit_codes():
     assert code == 2
     code, _ = run(["verify"])
     assert code == 2
-    code, _ = run(["verify", "--id", "QBINHL", "--nx", "5", "--d", "3"])
+    code, _ = run(["verify", "--id", "QBINHL", "--nx", "5", "--d", "10"])
     assert code == 3
 
 
@@ -221,15 +224,19 @@ def test_verify_qbin_size_is_bounded():
     assert code == 3
     assert out == ""
     code, data = run_json(["verify", "--id", "QBIN", "--n", "2"])
-    assert data["meta"]["bounds"]["max_qbin_n"] == cli.MAX_QBIN_N
+    assert data["meta"]["bounds"]["max_verify_work"] == identities.MAX_VERIFY_WORK
+    # n = 59 is the last QBIN the work budget admits
+    assert identities.REGISTRY["QBIN"].work({"n": 59}) <= identities.MAX_VERIFY_WORK
+    assert identities.REGISTRY["QBIN"].work({"n": 60}) > identities.MAX_VERIFY_WORK
 
 
 def test_verify_series_degree_and_samples_are_bounded(capsys):
-    over = identities.MAX_SERIES_DEGREE + 1
+    # each refused on its work estimate: series degree 12 in four
+    # variables, and 501 random points of n = 4, k = 3 (500 take 3.8 s)
+    over = 12
     bad = [
         ["verify", "--id", "QBINHL", "--nx", "4", "--d", str(over)],
-        ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3",
-         "--samples", str(identities.MAX_SAMPLES + 1)],
+        ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3", "--samples", "501"],
     ]
     for cid in ("WARNAAR_A2", "LASCOUX"):
         for dx, dy in ((over, 1), (1, over)):
@@ -241,32 +248,29 @@ def test_verify_series_degree_and_samples_are_bounded(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == len(bad) and all(line.startswith("resource bound: ") for line in err)
+    assert all("work exceeded" in line for line in err)
     code, data = run_json(["verify", "--id", "QBINHL", "--nx", "2", "--d", "4"])
     assert code == 0
-    assert data["meta"]["bounds"]["max_series_degree"] == identities.MAX_SERIES_DEGREE
-    assert data["meta"]["bounds"]["max_samples"] == identities.MAX_SAMPLES
+    assert data["meta"]["bounds"]["max_verify_work"] == identities.MAX_VERIFY_WORK
     epilog = cli.build_parser().epilog
-    assert "series degree d, dx, dy <= %d" % identities.MAX_SERIES_DEGREE in epilog
-    assert "random sample points <= %d" % identities.MAX_SAMPLES in epilog
+    assert "estimated verify work <= %d units" % identities.MAX_VERIFY_WORK in epilog
 
 
 def test_symbolic_finite_alphabet_is_bounded_but_sampled_runs(capsys):
     # symbolic n = 4, k = 1 compares 276,300 coefficients in about 47 s
-    n = str(identities.MAX_SYMBOLIC_FINITE_N + 1)
+    n = "4"
     start = time.perf_counter()
     for k in ("1", "2", "3"):
         assert run(["verify", "--id", "FINITE_QBINHL", "--n", n, "--k", k]) == (3, "")
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3
-    assert all(line.startswith("resource bound: symbolic finite alphabet size") for line in err)
+    assert all(line.startswith("resource bound: FINITE_QBINHL work exceeded") for line in err)
     argv = ["verify", "--id", "FINITE_QBINHL", "--n", n, "--k", "1", "--samples", "20"]
     code, data = run_json(argv)
     row = data["rows"][0]
     assert (code, row["passed"], row["strategy"], row["compared"]) == (0, True, "random-point", 20)
-    bound = identities.MAX_SYMBOLIC_FINITE_N
-    assert data["meta"]["bounds"]["max_symbolic_finite_alphabet"] == bound
-    assert "symbolic finite alphabets <= %d" % bound in cli.build_parser().epilog
+    assert data["meta"]["bounds"]["max_verify_work"] == identities.MAX_VERIFY_WORK
 
 
 def test_every_registry_param_has_a_verify_option():
@@ -337,7 +341,64 @@ def test_float_moment_size_is_bounded():
     assert time.perf_counter() - start < 1.0
 
 
-_PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+# calls that a bound on the number of subpartitions of lam alone admitted,
+# each of which then ran past a 20 s timeout: the work estimate counts the
+# degree and columns of every C_{lam,nu} too, so each exits 3 at once
+_LONG_LAM_CALLS = [
+    ["verify", "--id", "GENFUN", "--lambda", "2^90", "--p", "2", "--zmax", "12"],
+    ["verify", "--id", "COMBINAT", "--lambda", "2^90", "--zmax", "12"],
+    ["verify", "--id", "MIRROR_SWAP", "--lambda", "2^90"],
+    ["verify", "--id", "MIRROR_SWAP", "--lambda", "9999"],
+    ["verify", "--id", "UMOY_ABELIAN", "--lambda", "2^90", "--ell", "9999", "--zmax", "12"],
+]
+
+
+@pytest.mark.parametrize("argv", _LONG_LAM_CALLS, ids=" ".join)
+def test_long_lam_calls_exit_3_within_a_second(argv, capsys):
+    start = time.perf_counter()
+    with time_limit(1):
+        assert run(argv) == (3, "")
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("resource bound: %s work exceeded" % argv[2]), err
+
+
+def _verify_case(argv):
+    """The IdentityCase that `qmoments verify` builds from `argv`, with its
+    params as `verify` checks them (`lam` a Partition)."""
+    args = cli.build_parser().parse_args(argv)
+    params = cli._verify_params(args)
+    case = identities.IdentityCase(args.id.upper(), params)
+    if "lam" in params:
+        params = dict(params, lam=Partition(params["lam"]))
+    return case, params
+
+
+def test_pinned_calls_sit_well_inside_the_work_budget():
+    # every manifest case and every `verify` call of the cli-cold benchmark
+    # estimates at most a tenth of MAX_VERIFY_WORK, so a retune of a weight
+    # or of the budget cannot refuse a pinned call unnoticed
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    checked = []
+    for case in load_manifest()[2]:
+        params = dict(case.params)
+        if "lam" in params:
+            params["lam"] = Partition(params["lam"])
+        checked.append((case.case_id, case.params, params))
+    argvs = [argv for argv in workloads.cli_pool() if argv[0] == "verify"]
+    assert len(argvs) >= 20
+    for argv in argvs:
+        case, params = _verify_case(argv)
+        checked.append((case.case_id, case.params, params))
+    over = [(cid, raw) for cid, raw, params in checked
+            if identities.REGISTRY[cid].work(params) > identities.MAX_VERIFY_WORK // 10]
+    assert over == []
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_PINNED = _PERFBENCH / "pinned.json"
 
 
 def test_pinned_cli_rows_replay_in_process():
@@ -569,7 +630,8 @@ def test_seed_override_is_echoed():
     assert data["meta"]["seed"] == 7
 
 
-_OVER = str(identities.MAX_SERIES_DEGREE + 1)
+# a series degree that puts four-variable alphabets past the work budget
+_OVER = "12"
 _MANIFESTS = {
     "not-json": "not json",
     "no-cases": '{"version": 1}',
@@ -650,11 +712,10 @@ _REFUSED = [
     (3, ["oracle", "--check", "aut", "--lambda", "1^10", "--p", "2"]),
     (3, ["oracle", "--check", "subgroups", "--lambda", "1^10", "--mu", "1^5", "--p", "2"]),
     (3, ["oracle", "--check", "injections", "--lambda", "1^3", "--mu", "1^6", "--p", "3"]),
-    (3, ["verify", "--id", "QBINHL", "--nx", "5", "--d", "3"]),
+    (3, ["verify", "--id", "QBINHL", "--nx", "5", "--d", "10"]),
     (3, ["verify", "--id", "QBIN", "--n", "1000"]),
     (3, ["verify", "--id", "QBINHL", "--nx", "4", "--d", _OVER]),
-    (3, ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3",
-         "--samples", str(identities.MAX_SAMPLES + 1)]),
+    (3, ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3", "--samples", "501"]),
     (3, ["verify", "--id", "WARNAAR_A2", "--nx", "4", "--ny", "4", "--dx", _OVER, "--dy", "1"]),
     (3, ["verify", "--id", "LASCOUX", "--nx", "4", "--ny", "4", "--dx", "1", "--dy", _OVER]),
     (3, ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "1"]),

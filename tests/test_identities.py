@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmoments import identities
 from qmoments.errors import ModeError, ParseError, ResourceBoundError, UsageError
 from qmoments.groups import MAX_PRIME
 from qmoments.identities import (
@@ -27,8 +28,8 @@ from qmoments.identities import (
     load_manifest,
     run_suite,
     verify,
+    MAX_VERIFY_WORK,
     REGISTRY,
-    MAX_SYMBOLIC_FINITE_N,
     _finite_lhs_terms,
     _finite_qbinhl_cleared,
     _geom,
@@ -110,17 +111,22 @@ def test_unknown_identity_id_rejected():
 
 
 def test_resource_bounds_enforced():
-    with pytest.raises(ResourceBoundError):
-        verify(IdentityCase("EULER", {"zmax": 13}, "truncated-series"))
-    with pytest.raises(ResourceBoundError):
-        verify(IdentityCase("QBINHL", {"nx": 5, "d": 3}, "truncated-series"))
-    with pytest.raises(ResourceBoundError):
-        verify(IdentityCase("FINITE_QBINHL", {"n": 5, "k": 2}, "symbolic-exact"))
-    symbolic_n = MAX_SYMBOLIC_FINITE_N + 1
-    with pytest.raises(ResourceBoundError, match="symbolic finite alphabet size"):
-        verify(IdentityCase("FINITE_QBINHL", {"n": symbolic_n, "k": 1}, "symbolic-exact"))
-    with pytest.raises(ResourceBoundError):
-        verify(IdentityCase("CSQ", {"n": 3, "k": 4}, "symbolic-exact"))
+    # each call's work estimate passes MAX_VERIFY_WORK by 2x or more, so it
+    # is refused before any work; symbolic FINITE_QBINHL n = 4, k = 1
+    # compares 276,300 coefficients in about 47 s
+    refused = [
+        ("EULER", {"zmax": 40}, "truncated-series"),
+        ("QBINHL", {"nx": 5, "d": 10}, "truncated-series"),
+        ("FINITE_QBINHL", {"n": 5, "k": 2}, "symbolic-exact"),
+        ("FINITE_QBINHL", {"n": 4, "k": 1}, "symbolic-exact"),
+        ("CSQ", {"n": 3, "k": 40}, "symbolic-exact"),
+    ]
+    for cid, params, strategy in refused:
+        assert REGISTRY[cid].work(params) > 2 * MAX_VERIFY_WORK, (cid, params)
+        start = time.perf_counter()
+        with pytest.raises(ResourceBoundError, match="%s work exceeded" % cid):
+            verify(IdentityCase(cid, params, strategy))
+        assert time.perf_counter() - start < 0.1, (cid, params)
 
 
 def test_umoy_requires_compatible_partition():
@@ -152,27 +158,39 @@ def test_random_point_case_needs_an_int_seed(seed):
         verify(IdentityCase("FINITE_QBINHL", params, "random-point"))
 
 
-# lams whose subpartitions pass MAX_SUBPARTITIONS: 30^5 (324,632), the
+# lams far past the work budget: 30^5 (324,632 subpartitions), the
 # staircase 12..1 (742,900, a Catalan number), a long row and a long column
 _HUGE_LAMS = ([30] * 5, list(range(12, 0, -1)), [10**6], [1] * 10**5)
 
 
+def _timed_work(cid, params):
+    """REGISTRY[cid].work on params as `verify` checks them, asserted to
+    take under 10 ms."""
+    checked = dict(params)
+    if "lam" in checked:
+        checked["lam"] = Partition(checked["lam"])
+    start = time.perf_counter()
+    work = REGISTRY[cid].work(checked)
+    assert time.perf_counter() - start < 0.01, (cid, params)
+    return work
+
+
 def test_unbounded_params_end_within_seconds():
-    # every int param without a bound, and `samples` of an id with a
-    # random-point check, at 10**6 and the rest at the id's first manifest
-    # case: each call answers or is refused within 5 s, never hangs; every
-    # id that takes a `lam` refuses each of _HUGE_LAMS within 1 s
+    # every int param of every id, and `samples` of a random-point case, at
+    # 10**6 and the rest at the first manifest case of the (id, strategy):
+    # each call answers or is refused within 5 s, never hangs; every id that
+    # takes a `lam` refuses each of _HUGE_LAMS on its work estimate within
+    # 1 s; the estimate itself takes under 10 ms on each of these inputs
     first = {}
     for case in load_manifest()[2]:
-        first.setdefault(case.case_id, case.params)
+        first.setdefault((case.case_id, case.strategy), case.params)
     walked = []
-    for cid, identity in REGISTRY.items():
-        names = [n for n, bound in identity.params.items() if bound is None]
-        if RANDOM_POINT in identity.strategies:
-            names.append("samples")
+    for (cid, strategy), case_params in first.items():
+        names = [n for n in REGISTRY[cid].params if n != "lam"]
+        names += ["samples"] if strategy == RANDOM_POINT else []
         for name in names:
-            params = dict(first[cid], **{name: 10**6})
-            strategy = RANDOM_POINT if "samples" in params else identity.strategies[0]
+            params = dict(case_params, **{name: 10**6})
+            _timed_work(cid, params)
             start = time.perf_counter()
             with time_limit(5):
                 try:
@@ -181,14 +199,17 @@ def test_unbounded_params_end_within_seconds():
                     pass
             assert time.perf_counter() - start < 5, (cid, name)
             walked.append((cid, name))
-        if "lam" in identity.params:
+        if "lam" in REGISTRY[cid].params:
             for lam in _HUGE_LAMS:
+                params = dict(case_params, lam=lam)
+                assert _timed_work(cid, params) > MAX_VERIFY_WORK
                 start = time.perf_counter()
-                with time_limit(1), pytest.raises(ResourceBoundError, match="subpartitions"):
-                    verify(IdentityCase(cid, dict(first[cid], lam=lam)))
+                with time_limit(1), pytest.raises(ResourceBoundError, match="work exceeded"):
+                    verify(IdentityCase(cid, params))
                 assert time.perf_counter() - start < 1, (cid, lam[:3])
             walked.append((cid, "lam"))
-    assert ("FINITE_QBINHL", "samples") in walked and ("GENFUN", "p") in walked
+    every = {(cid, n) for cid, identity in REGISTRY.items() for n in identity.params}
+    assert set(walked) == every | {("FINITE_QBINHL", "samples")}
     lam_ids = {"GENFUN", "COMBINAT", "UMOY_ABELIAN", "UMOY_TYPE_S", "MIRROR_SWAP"}
     assert {cid for cid, name in walked if name == "lam"} == lam_ids
 
@@ -272,7 +293,7 @@ def test_genfun_rejects_a_composite_p_before_any_work(monkeypatch):
     def run(params, rng):
         raise AssertionError("the runner ran")
 
-    monkeypatch.setitem(REGISTRY, "GENFUN", Identity(run, genfun.strategies, genfun.params))
+    monkeypatch.setitem(REGISTRY, "GENFUN", Identity(run, genfun.strategies, genfun.params, genfun.work))
     for p in (0, 1, 4, 10**6, 3215031751):
         with pytest.raises(ValueError, match="p must be prime"):
             verify(IdentityCase("GENFUN", {"lam": [1], "p": p, "zmax": 6}, "truncated-series"))
@@ -775,3 +796,56 @@ def test_horner_split_is_the_same_under_any_string_hash():
         assert done.returncode == 0, done.stderr
         out.add(done.stdout)
     assert len(out) == 1
+
+
+# -- the work budget, fuzzed ---------------------------------------------------------
+
+# a param value: mostly a small valid int, else a huge, zero or negative
+# int, a bool, a float or a string
+_ANY_VALUE = st.integers(0, 11).flatmap(lambda kind: [
+    st.integers(1, 5), st.integers(1, 8), st.integers(1, 12), st.integers(1, 30), st.integers(1, 60),
+    st.integers(10**6, 10**30), st.integers(-3, 0), st.just(0), st.booleans(),
+    st.floats(allow_nan=False, width=32), st.text(max_size=3), st.sampled_from([2, 3, 5, 7]),
+][kind])
+_ANY_LAM = st.integers(0, 7).flatmap(lambda kind: [
+    st.lists(st.integers(0, 6), max_size=6).map(lambda xs: sorted(xs, reverse=True)),
+    st.lists(st.integers(0, 3), max_size=4).map(lambda xs: sorted(xs, reverse=True)),
+    st.lists(st.integers(-2, 6), max_size=5),  # often not weakly decreasing
+    st.integers(1, 10**6).map(lambda n: [n]),  # a long row
+    st.integers(1, 10**5).map(lambda n: [1] * n),  # a long column
+    st.integers(1, 40).map(lambda n: list(range(n, 0, -1))),  # a staircase
+    st.lists(st.floats(allow_nan=False, width=32), min_size=1, max_size=3),
+    st.one_of(st.text(max_size=3), st.integers()),
+][kind])
+
+
+@st.composite
+def _any_case(draw):
+    cid = draw(st.sampled_from(IDENTITY_IDS))
+    params = {}
+    for name in REGISTRY[cid].params:
+        if draw(st.integers(0, 19)):  # else a missing param
+            params[name] = draw(_ANY_LAM if name == "lam" else _ANY_VALUE)
+    if draw(st.integers(0, 3)) == 0:
+        params["samples"] = draw(st.one_of(st.integers(20, 40), _ANY_VALUE))
+        params["seed"] = draw(st.one_of(st.integers(0, 10**9), _ANY_VALUE))
+    return IdentityCase(cid, params)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_any_case())
+def test_every_drawn_case_ends_in_a_report_or_a_refusal(case):
+    # with the budget cut to 1/50, every case the gate admits is cheap and
+    # runs; each ends in a report, a UsageError or a ResourceBoundError, and
+    # within 2 s
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "MAX_VERIFY_WORK", MAX_VERIFY_WORK // 50)
+        start = time.perf_counter()
+        with time_limit(2):
+            try:
+                rep = verify(case)
+            except (UsageError, ResourceBoundError):
+                pass
+            else:
+                assert rep.compared > 0 and rep.passed, case
+        assert time.perf_counter() - start < 2, case
