@@ -241,10 +241,16 @@ def _mpoly_shapes(shapes):
     )
 
 
-def _c_by_size(lam):
-    """{m: the sum over the nu inside lam with |nu| = m of C_{lam,nu}(1/q)}."""
+def _c_by_size(lam, most=None):
+    """{m: the sum over the nu inside lam with |nu| = m of C_{lam,nu}(1/q)},
+    for m <= most if given, when only the partitions of m <= most that fit
+    in lam's lam_1 x len box are listed."""
+    nus = subpartitions(lam)
+    if most is not None:
+        box = (partitions_of(m, lam.part(1), len(lam)) for m in range(most + 1))
+        nus = (nu for part in box for nu in part if lam.contains(nu))
     out = {}
-    for nu in subpartitions(lam):
+    for nu in nus:
         out[nu.size] = out.get(nu.size, ZERO) + c_coeff(lam, nu).recip_param()
     return out
 
@@ -277,7 +283,9 @@ def _partitions_upto(d, n, k=None):
 
 def _run_qbin(params, rng):
     n = int(params["n"])
-    lhs = {k: qbinomial(n, k) * UniRat.mono("q", math.comb(k, 2), (-1) ** k) for k in range(n + 1)}
+    lhs = {}
+    for k in range(n + 1):
+        lhs[k] = qbinomial(n, k) * UniRat.mono("q", math.comb(k, 2), (-1) ** k)
     coeffs = [ONE]
     for j in range(n):
         nxt = [ZERO] * (len(coeffs) + 1)
@@ -317,11 +325,19 @@ def _run_combinat(params, rng):
     lam = Partition(tuple(params["lam"]))
     n = int(params["zmax"])
     lamc = lam.conjugate()
-    route_a = _sums_by_size(n, lambda mu: UniRat.mono("q", sum(v * v for v in mu) - sum(map(mul, lamc, mu)))
-                            / b_lambda(mu.conjugate()))
+
+    def combinatorial(mu):
+        expo = sum(v * v for v in mu) - sum(map(mul, lamc, mu))
+        return UniRat.mono("q", expo) / b_lambda(mu.conjugate())
+
+    def principal(mu):
+        ip = dot_product_conjugates(lam, mu)
+        weight = UniRat.mono("q", mu.size + mu.nstat() - ip)
+        return weight * principal_spec(mu, math.inf)
+
+    route_a = _sums_by_size(n, combinatorial)
     route_b = _euler_convolution(_c_by_size(lam), n, lambda j: euler_coeff_recip(j, 1), ZERO)
-    route_c = _sums_by_size(n, lambda mu: UniRat.mono("q", mu.size + mu.nstat() - dot_product_conjugates(lam, mu))
-                            * principal_spec(mu, math.inf))
+    route_c = _sums_by_size(n, principal)
     return [
         ("combinatorial-vs-inversion", route_a, route_b),
         ("principal-vs-inversion", route_c, route_b),
@@ -341,7 +357,9 @@ def _column_bounded_lhs(lam, ell, n, b, c):
     for m in range(n // b + 1):
         for mu in partitions_of(m, max_part=ell):
             ip = dot_product_conjugates(lam, mu)
-            bmu = math.prod((qq(mu.mult(v), base=b) for v in set(mu)), start=ONE)
+            bmu = ONE
+            for v in set(mu):
+                bmu = bmu * qq(mu.mult(v), base=b)
             weight = UniRat.mono("q", b * (2 * mu.nstat() - ip) + c * m) / bmu
             spow = b * mu.conj(ell) + 1
             for j in range((n - b * m) // b + 1):
@@ -357,9 +375,8 @@ def _run_umoy(params, b):
     n = int(params["zmax"])
     lhs = _column_bounded_lhs(lam, int(params["ell"]), n, b, 1)
     rhs = {m: ZERO for m in range(n + 1)}
-    for m, v in _c_by_size(lam).items():
-        if b * m <= n:
-            rhs[b * m] = v.pow_param(b) * UniRat.mono("q", (1 - b) * m)
+    for m, v in _c_by_size(lam, n // b).items():
+        rhs[b * m] = v.pow_param(b) * UniRat.mono("q", (1 - b) * m)
     return [("z-coefficients", lhs, rhs)]
 
 
@@ -669,40 +686,80 @@ def _run_mirror_swap(params, rng):
     pal_lhs = {j: by_size.get(j, ZERO) for j in range(m + 1)}
     pal_rhs = {j: by_size.get(m - j, ZERO) for j in range(m + 1)}
     pairs = [("palindrome", pal_lhs, pal_rhs)]
+
+    def swap(u):
+        return sum((v * UniRat.mono("q", j * u) for j, v in by_size.items()), ZERO)
+
     # sum_j v_j q^{-ju} against q^{-mu} sum_j v_j q^{ju}, for u = 1, 2
-    swap = lambda u: sum((v * UniRat.mono("q", j * u) for j, v in by_size.items()), ZERO)
     sw_lhs = {u: swap(-u) for u in (1, 2)}
     sw_rhs = {u: UniRat.mono("q", -m * u) * swap(u) for u in (1, 2)}
     pairs.append(("swap", sw_lhs, sw_rhs))
     return pairs
 
 
-def _lam_work(lam, pairs=0):
+def _lam_work(lam, pairs=0, most=None):
     """4 units per subpartition nu of lam per column and degree of C_{lam,nu}
     (`_c_by_size`; MIRROR_SWAP 2^40 counts 861 * 803 in 3.8 s), and a tenth
     of a unit per square degree per (m, j) product of COMBINAT's
-    `_euler_convolution` (its 2^30, zmax = 12 row).  As lam_1 * len + 1 and
-    len^2 / 4 bound the two factors from below, a long lam stops there."""
-    low = 4 * (lam.part(1) * len(lam) + 1) * (len(lam) ** 2 // 4 + lam.part(1) + 1)
+    `_euler_convolution` (its 2^30, zmax = 12 row).  With `most`,
+    `_c_by_size` lists the partitions of m <= most in lam's lam_1 x len box,
+    2 units each, and builds the C of those inside lam: both at most the
+    partitions of m <= most with parts <= lam_1, or with parts <= len.  As
+    lam_1 * len + 1 (unless `most`) and len^2 / 4 bound the two factors from
+    below, a long lam stops there."""
+    low = 4 * (len(lam) ** 2 // 4 + lam.part(1) + 1)
+    if most is None:
+        low *= lam.part(1) * len(lam) + 1
     if low > MAX_VERIFY_WORK:
         return low
     deg = _c_degree(lam) + 1
     per = 4 * (deg + lam.part(1))
-    return per * subpartition_count(lam, MAX_VERIFY_WORK // per) + pairs * deg * deg // 10
+    if most is None:
+        return per * subpartition_count(lam, MAX_VERIFY_WORK // per) + pairs * deg * deg // 10
+    box = min(sum(_partition_counts(most, lam.part(1))), sum(_partition_counts(most, len(lam))))
+    return (per + 2) * box
 
 
-def _series_work(n, ell=None, b=1):
+def _partition_counts(top, ell=None):
+    """ways[m] counts the partitions of m <= top with parts <= ell, if given."""
+    ways = [1] + [0] * top
+    for part in range(1, min(top if ell is None else ell, top) + 1):
+        for m in range(part, top + 1):
+            ways[m] += ways[m - part]
+    return ways
+
+
+def _series_work(n, ell=None, b=1, length=0):
     """(n + 1)^3 / 4 units, for a q-degree growing with n, per (mu, j) pair
     that `_column_bounded_lhs` visits (parts of mu <= ell, if given, and
     b(|mu| + j) <= n): DELAUNAY ell = 3, zmax = 16 counts 1,089 pairs in
-    1.33 s.  Past n/b = 40 the pairs up to 40 alone are past any budget.
-    ways[m] counts the mu of size m."""
+    1.33 s.  A lam of `length` parts widens the q-degrees by <lam', mu'>,
+    at (1 + length / 18)^2 times the units: UMOY_ABELIAN at lam = 1^L,
+    ell = 9999 and zmax = 8 or 12 read 0.55-0.7 us per unit at L = 1 and
+    20-35 at L = 90 and 120, where the factor is 36 and 59.  Past n/b = 40
+    the pairs up to 40 alone are past any budget."""
     top = min(n // b, 40)
-    ways = [1] + [0] * top
-    for part in range(1, min(ell or top, top) + 1):
-        for m in range(part, top + 1):
-            ways[m] += ways[m - part]
-    return (n + 1) ** 3 // 4 * sum(w * (top + 1 - m) for m, w in enumerate(ways))
+    pairs = sum(w * (top + 1 - m) for m, w in enumerate(_partition_counts(top, ell)))
+    return (n + 1) ** 3 * (18 + length) ** 2 // 1296 * pairs
+
+
+def _genfun_work(p):
+    """`_lam_work`, and 20 + 2 len(lam) units per mu of size <= zmax for its
+    group orders, times 1 + bits(p)^2 / 250 for their size: at lam = 2,1
+    GENFUN's mu read about 25 us each at p = 2 and 750 at MAX_PRIME (82
+    bits), and at lam = 1^100 about 115-190 at p = 2; lam = 2,1, p = 2,
+    zmax = 32 counts 1.07M units in 1.33 s.  Past zmax = 60 the mu up to
+    60 alone are past any budget."""
+    lam, bits = p["lam"], p["p"].bit_length()
+    mus = sum(_partition_counts(min(p["zmax"], 60)))
+    return _lam_work(lam) + mus * (20 + 2 * len(lam)) * (250 + bits * bits) // 250
+
+
+def _umoy_work(p, b):
+    """The column-bounded lhs, and the C of the nu of size <= zmax / b (past
+    40 the lhs alone is past any budget)."""
+    n, lam = p["zmax"], p["lam"]
+    return _series_work(n, p["ell"], b, len(lam)) + _lam_work(lam, most=min(n // b, 40))
 
 
 def _keys_work(nx, d, factors, ny=0, dy=0):
@@ -753,15 +810,15 @@ REGISTRY = {
     "QBIN": Identity(_run_qbin, _EXACT, ("n",), lambda p: (p["n"] + 1) ** 5 // 200),
     # zmax = 20: 21^6 / 200 units in 0.40 s
     "EULER": Identity(_run_euler, _SERIES, ("zmax",), lambda p: (p["zmax"] + 1) ** 6 // 200),
-    "GENFUN": Identity(_run_genfun, _SERIES, ("lam", "p", "zmax"),
-                       lambda p: _lam_work(p["lam"]) + _series_work(p["zmax"])),
+    "GENFUN": Identity(_run_genfun, _SERIES, ("lam", "p", "zmax"), _genfun_work),
     "COMBINAT": Identity(_run_combinat, _SERIES, ("lam", "zmax"), lambda p: _series_work(p["zmax"])
                          + _lam_work(p["lam"], (p["zmax"] + 1) * (p["zmax"] + 2) // 2)),
     "UMOY_ABELIAN": Identity(lambda params, rng: _run_umoy(params, 1), _SERIES, _LAM_ELL_Z,
-                             lambda p: _lam_work(p["lam"]) + _series_work(p["zmax"], p["ell"], 1)),
+                             lambda p: _umoy_work(p, 1)),
     "UMOY_TYPE_S": Identity(lambda params, rng: _run_umoy(params, 2), _SERIES, _LAM_ELL_Z,
-                            lambda p: _lam_work(p["lam"]) + _series_work(p["zmax"], p["ell"], 2)),
-    "DELAUNAY": Identity(_run_delaunay, _SERIES, ("ell", "zmax"), lambda p: _series_work(p["zmax"], p["ell"])),
+                            lambda p: _umoy_work(p, 2)),
+    "DELAUNAY": Identity(_run_delaunay, _SERIES, ("ell", "zmax"),
+                         lambda p: _series_work(p["zmax"], p["ell"])),
     # the kept keys carry a degree <= nx in a, a one-variable second alphabet
     "QBINHL": Identity(_run_qbinhl, _SERIES, ("nx", "d"),
                        lambda p: _keys_work(p["nx"], p["d"], 2 * p["nx"] + 1, 1, p["nx"])),

@@ -363,6 +363,16 @@ def test_long_lam_calls_exit_3_within_a_second(argv, capsys):
     assert err.startswith("resource bound: %s work exceeded" % argv[2]), err
 
 
+# the same lam in type S, up to z^12, builds only the C of the nu of size
+# at most 6, so it answers, in about 0.3 s
+@pytest.mark.parametrize("ell", ["2", "9999"])
+def test_long_lam_type_s_calls_answer(ell):
+    argv = ["verify", "--id", "UMOY_TYPE_S", "--lambda", "2^90", "--ell", ell, "--zmax", "12"]
+    with time_limit(10):
+        code, out = run(argv)
+    assert code == 0 and json.loads(out)["rows"][0]["passed"]
+
+
 def _verify_case(argv):
     """The IdentityCase that `qmoments verify` builds from `argv`, with its
     params as `verify` checks them (`lam` a Partition)."""

@@ -30,6 +30,7 @@ from qmoments.identities import (
     verify,
     MAX_VERIFY_WORK,
     REGISTRY,
+    _c_by_size,
     _finite_lhs_terms,
     _finite_qbinhl_cleared,
     _geom,
@@ -179,8 +180,10 @@ def test_unbounded_params_end_within_seconds():
     # every int param of every id, and `samples` of a random-point case, at
     # 10**6 and the rest at the first manifest case of the (id, strategy):
     # each call answers or is refused within 5 s, never hangs; every id that
-    # takes a `lam` refuses each of _HUGE_LAMS on its work estimate within
-    # 1 s; the estimate itself takes under 10 ms on each of these inputs
+    # takes a `lam` (with `ell` raised to lam_1) refuses each of _HUGE_LAMS
+    # on its work estimate within 1 s, or, for the UMOY ids, which build
+    # the C of the nu of size <= zmax / b only, passes within 1 s; the
+    # estimate itself takes under 10 ms on each of these inputs
     first = {}
     for case in load_manifest()[2]:
         first.setdefault((case.case_id, case.strategy), case.params)
@@ -202,10 +205,16 @@ def test_unbounded_params_end_within_seconds():
         if "lam" in REGISTRY[cid].params:
             for lam in _HUGE_LAMS:
                 params = dict(case_params, lam=lam)
-                assert _timed_work(cid, params) > MAX_VERIFY_WORK
+                if "ell" in params:
+                    params["ell"] = max(params["ell"], lam[0])
                 start = time.perf_counter()
-                with time_limit(1), pytest.raises(ResourceBoundError, match="work exceeded"):
-                    verify(IdentityCase(cid, params))
+                if _timed_work(cid, params) <= MAX_VERIFY_WORK:
+                    assert cid.startswith("UMOY"), (cid, lam[:3])
+                    with time_limit(1):
+                        assert verify(IdentityCase(cid, params)).passed
+                else:
+                    with time_limit(1), pytest.raises(ResourceBoundError, match="work exceeded"):
+                        verify(IdentityCase(cid, params))
                 assert time.perf_counter() - start < 1, (cid, lam[:3])
             walked.append((cid, "lam"))
     every = {(cid, n) for cid, identity in REGISTRY.items() for n in identity.params}
@@ -533,6 +542,17 @@ def test_umoy_abelian_single_box_subpartition_sum():
         )
     )
     assert rep.passed
+
+
+def test_c_sums_by_size_up_to_a_bound_are_the_full_sums_cut_there():
+    # UMOY lists only the partitions of m <= most in lam's box, so it
+    # builds no C of a larger nu, and keeps every C of a smaller one
+    for lam in [(), (1,), (3, 2), (4, 4, 1), (2,) * 7, (6,), (3, 3, 2, 1, 1)]:
+        lam = Partition(lam)
+        full = _c_by_size(lam)
+        for most in range(lam.size + 2):
+            cut = {m: v for m, v in full.items() if m <= most}
+            assert _c_by_size(lam, most) == cut, (lam, most)
 
 
 def test_csq_small_case_passes():
