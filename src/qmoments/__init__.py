@@ -9,7 +9,6 @@ from .errors import (
     ParseError,
     QmomentsError,
     ResourceBoundError,
-    SingularityError,
     UsageError,
 )
 from .groups import (
@@ -50,7 +49,6 @@ from .partitions import (
     Partition,
     parse_partition,
     partitions_of,
-    render,
     subpartitions,
 )
 from .qrat import UniRat
@@ -74,7 +72,6 @@ __all__ = [
     "ResourceBoundError",
     "SELMER",
     "SHA",
-    "SingularityError",
     "TYPE_S",
     "UniRat",
     "UsageError",
@@ -99,7 +96,6 @@ __all__ = [
     "pj_rank_prob",
     "principal_spec",
     "qprime_skew",
-    "render",
     "rlambda_poly",
     "run_suite",
     "subpartitions",

@@ -17,10 +17,6 @@ class ParamMismatch(QmomentsError, ValueError):
     """Two values carrying different formal parameters were combined."""
 
 
-class SingularityError(QmomentsError, ZeroDivisionError):
-    """A q-shifted factorial with negative index hit a vanishing factor."""
-
-
 class ModeError(UsageError):
     """Exact mode was asked for something only the float mode supports."""
 
@@ -37,6 +33,9 @@ class ResourceBoundError(QmomentsError, RuntimeError):
         self.bound = bound
         self.limit = limit
         self.requested = requested
+        # str() refuses an int of more than 4300 digits (u = 10^5000 in `moments`)
+        if isinstance(requested, int) and requested.bit_length() > 10_000:
+            requested = "an int of %d bits" % requested.bit_length()
         super().__init__(
             "%s exceeded: requested %s, limit %s" % (bound, requested, limit)
         )

@@ -81,6 +81,13 @@ def _check(bound, limit, requested):
         raise ResourceBoundError(bound, limit, requested)
 
 
+def _check_order(p, size):
+    """Refuse p^size past MAX_GROUP_ORDER, without a power that takes seconds
+    (p^(10^6)) to build: p >= 2, so once size reaches the bound's bit length."""
+    if size >= MAX_GROUP_ORDER.bit_length() or p**size > MAX_GROUP_ORDER:
+        raise ResourceBoundError("group order", MAX_GROUP_ORDER, "%d^%d" % (p, size))
+
+
 class PGroup(Record):
     """The group ⊕_i Z/p^{lam_i}, with elements as residue tuples."""
 
@@ -110,9 +117,6 @@ class PGroup(Record):
         # the inner step of the span search: map over operator functions
         # takes about two thirds of the time of a generator expression
         return tuple(map(_mod, map(_add, g, h), self.moduli))
-
-    def neg(self, g):
-        return tuple(-a % m for a, m in zip(g, self.moduli))
 
     def smul(self, k, g):
         return tuple(k * a % m for a, m in zip(g, self.moduli))
@@ -186,6 +190,8 @@ def _spans(mu, H):
         socle = {
             g: H.smul(p ** (need - 1), g) for g, k in order_log.items() if k == need
         }
+        if not socle:
+            return {}  # no element of order p^need, so no span of type mu
         # each (span, candidate) pair builds at most one span of this size
         size *= p**need
         _check("oracle search work", MAX_ORACLE_WORK, len(level) * len(socle) * size)
@@ -238,7 +244,7 @@ def count_subgroups_of_type(H, mu):
     """Number of subgroups of H isomorphic to H_mu: in an elementary group
     the reduced row-echelon bases of `_bases`, counted one by one, else the
     spans of `_spans`."""
-    _check("group order", MAX_GROUP_ORDER, H.order)
+    _check_order(H.p, H.lam.size)
     mu = Partition(mu)
     if any(a != 1 for a in H.lam + mu):
         return len(_spans(mu, H))
@@ -252,8 +258,8 @@ def count_injective_homs(lam, H):
     """Number of injective homomorphisms H_lam -> H: the generator tuples
     of every subgroup of type lam, summed."""
     lam = Partition(lam)
-    for order in (H.order, H.p**lam.size):
-        _check("group order", MAX_GROUP_ORDER, order)
+    for size in (H.lam.size, lam.size):
+        _check_order(H.p, size)
     if lam.size == 0:
         return 1
     return sum(_spans(lam, H).values())

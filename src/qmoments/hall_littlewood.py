@@ -43,34 +43,31 @@ class HLValue(Record):
                 "P_%s on %d letters: %s" % (tuple(self.lam), self.n, what)
             )
 
-    def is_zero(self):
-        return self.poly.is_zero()
-
 
 @lru_cache(maxsize=None)
-def _hl_cached(lam, n, param):
+def _hl_cached(lam, n):
     # the branching rule (Macdonald III (5.11'), (5.8')): the sum over the
     # horizontal strips lam/mu with at most n - 1 parts in mu of
     # psi_{lam/mu}(q) x_n^{|lam|-|mu|} P_mu(x_1..x_{n-1}), where psi is the
     # product of 1 - q^{m_j(mu)} over the j with m_j(mu) = m_j(lam) + 1
     if n == 0:
-        return HLValue(lam, 0, MPoly.one(0, param))
-    total = MPoly.zero(n, param)
+        return HLValue(lam, 0, MPoly.one(0, "q"))
+    total = MPoly.zero(n, "q")
     for mu in subpartitions(lam):
         if len(mu) >= n or any(mu.part(i) < a for i, a in enumerate(lam[1:], 1)):
             continue
         psi = UniRat.one()
         for j in set(mu):
             if mu.mult(j) == lam.mult(j) + 1:
-                psi = psi * (1 - UniRat.mono(param, mu.mult(j)))
-        xn = MPoly.mono((0,) * (n - 1) + (lam.size - mu.size,), psi, param)
-        total = total + _hl_cached(mu, n - 1, param).poly.embed(n, 0) * xn
+                psi = psi * (1 - UniRat.mono("q", mu.mult(j)))
+        xn = MPoly.mono((0,) * (n - 1) + (lam.size - mu.size,), psi, "q")
+        total = total + _hl_cached(mu, n - 1).poly.embed(n, 0) * xn
     # exact bounds, so a cached P_lam carries its largest |slot| and slot count
     total.measure()
     return HLValue(lam, n, total)
 
 
-def hl_p(lam, n, param="q"):
+def hl_p(lam, n):
     """P_lam(x_1..x_n; q), exactly; the zero value when lam has more than n
     parts.  Alphabets are capped at HL_MAX_ALPHABET."""
     lam = Partition(lam)
@@ -79,43 +76,43 @@ def hl_p(lam, n, param="q"):
     if n < 0:
         raise ValueError("alphabet size must be nonnegative")
     if lam.length > n:
-        return HLValue(lam, n, MPoly.zero(n, param))
-    return _hl_cached(lam, n, param)
+        return HLValue(lam, n, MPoly.zero(n, "q"))
+    return _hl_cached(lam, n)
 
 
-def b_lambda(lam, param="q"):
+def b_lambda(lam):
     """b_lam(q) = prod_i (q;q)_{m_i(lam)}."""
     lam = Partition(lam)
     out = UniRat.one()
     for v in set(lam):
-        out = out * qq(lam.mult(v), param)
+        out = out * qq(lam.mult(v))
     return out
 
 
 @lru_cache(maxsize=None)
-def _principal_value(lam, n, param):
+def _principal_value(lam, n):
     ell = lam.length
     if n == inf:
-        val = UniRat.mono(param, lam.nstat()) / b_lambda(lam, param)
+        val = UniRat.mono("q", lam.nstat()) / b_lambda(lam)
     else:
         if ell > n:
             return ZERO
         val = (
-            UniRat.mono(param, lam.nstat())
-            * qq(n, param)
-            / (qq(n - ell, param) * b_lambda(lam, param))
+            UniRat.mono("q", lam.nstat())
+            * qq(n)
+            / (qq(n - ell) * b_lambda(lam))
         )
     if n != inf and n <= HL_MAX_ALPHABET:
         # substitute x_i = q^{i-1}; homogeneity carries the z^{|lam|} factor
-        p = hl_p(lam, n, param).poly
+        p = hl_p(lam, n).poly
         for i in range(n):
-            p = p.subs_scalar(i, UniRat.mono(param, i))
+            p = p.subs_scalar(i, UniRat.mono("q", i))
         if p.coeff_of((0,) * n) != val:
             raise InvariantError("P_%s at x_i = q^(i-1) is not the closed form" % (tuple(lam),))
     return val
 
 
-def principal_spec(lam, n, param="q"):
+def principal_spec(lam, n):
     """P_lam(z, zq, ..., zq^{n-1}; q) = z^{|lam|} q^{n(lam)} (q)_n /
     ((q)_{n-l(lam)} b_lam(q)); n = inf drops the (q)_n ratio.
 
@@ -124,4 +121,4 @@ def principal_spec(lam, n, param="q"):
     (lam, n).
     """
     lam = Partition(lam)
-    return _principal_value(lam, n, param)
+    return _principal_value(lam, n)

@@ -54,10 +54,14 @@ def _check_u(u):
     return int(f)
 
 
-def _check_size(lam, p, e, cbase):
+def _check_size(size, degree, p, e, cbase):
     """Exit with a resource bound before computing a moment of
-    C_{lam,mu}(cbase) times powers of p^-e that is too large."""
-    bits = lam.size * abs(e) * math.log2(p) + _c_degree(lam) * math.log2(cbase)
+    C_{lam,mu}(cbase) times powers of p^-e that is too large, for a lam of
+    the given size and `_c_degree`."""
+    # a lower bound, as p, cbase >= 2, and past 2^900 a float would overflow
+    bits = size * abs(e) + degree
+    if bits < 2**900:
+        bits = size * abs(e) * math.log2(p) + degree * math.log2(cbase)
     if bits > MAX_MOMENT_BITS:
         raise ResourceBoundError("exact moment size (bits)", MAX_MOMENT_BITS, math.ceil(bits))
 
@@ -98,7 +102,7 @@ def _moment(lam, p, u, flavor, dps):
         raise UsageError("u must be >= 0, got %r" % (u,))
     lam = Partition(lam)
     b, e = (p * p, 2 * u - 1) if flavor == TYPE_S else (p, u)
-    _check_size(lam, p, e, b)
+    _check_size(lam.size, _c_degree(lam), p, e, b)
     if dps is not None:
         import mpmath
 
@@ -273,6 +277,9 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
         ell, m = lm if lm is not None else (None, None)
         if type(ell) is not int or type(m) is not int or ell < 1 or m < 0:
             raise UsageError("SELMER needs lm = (ell, m), ints with ell >= 1 and m >= 0, got %r" % (lm,))
+        # size-check ell^m (`_c_degree` ell m^2 / 4) before m = 2^31 parts fill memory
+        _check_prime(p)
+        _check_size(ell * m, ell * m * m // 4, p, -1, p * p)
         lam = Partition([ell] * m)
         val = m_u_s(MomentQuery(lam, p, 0, TYPE_S))
         if ell == 1:

@@ -514,19 +514,6 @@ class MPoly:
         out = {e: v * k for e, v in a._coeffs.items()}
         return _new(param, out, w, a._L * b._L, a._V + b._V, mag, a._span + b._span - 1, a._deg)
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = MPoly.one(self.nvars, self.param)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     def divexact(self, other):
         """Exact division by +-(x_i - x_j), the Vandermonde factors of the
         tests' symmetrize-and-divide oracles (`hl_p` builds P_lam by the
@@ -658,7 +645,7 @@ class MPoly:
             out[e] = UniRat.const(c.eval_at(x))
         return MPoly(out, self.nvars)
 
-    # -- comparison and rendering -------------------------------------------------
+    # -- comparison ----------------------------------------------------------------
 
     def __eq__(self, other):
         """Same arity, compatible parameters and the same coefficients.
@@ -694,16 +681,3 @@ class MPoly:
         either side), on the packed forms: neither side is decoded."""
         a, b = self._coeffs, other._coeffs
         return self == other, len(a) + len(b.keys() - a.keys())
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                "x%d^%d" % (i + 1, a) if a > 1 else "x%d" % (i + 1)
-                for i, a in enumerate(e)
-                if a
-            )
-            bits.append("(%r)%s" % (c, "*" + mono if mono else ""))
-        return " + ".join(bits)

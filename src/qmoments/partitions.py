@@ -87,21 +87,6 @@ class Partition(tuple):
         mu = Partition(mu)
         return len(mu) <= len(self) and all(m <= a for m, a in zip(mu, self))
 
-    def mult_form(self):
-        """Render as multiplicity clauses, e.g. (2,1,1) -> "1^2 2^1"."""
-        vals = sorted(set(self))
-        return " ".join("%d^%d" % (v, self.mult(v)) for v in vals)
-
-
-def render(lam, style="parts"):
-    """Canonical text for a partition: "parts" (comma form) or "mults"."""
-    lam = Partition(lam)
-    if style == "parts":
-        return str(lam)
-    if style == "mults":
-        return lam.mult_form()
-    raise ValueError("unknown style %r" % (style,))
-
 
 def parse_partition(text):
     """Parse "3,1,1" (comma form) or "1^2 3^1" (multiplicity form).

@@ -260,29 +260,12 @@ class UniRat:
         return UniRat((f.numerator,), (f.denominator,))
 
     @staticmethod
-    def poly(coeffs, param):
-        """Polynomial from ascending int/Fraction coefficients."""
-        coeffs = [Fraction(c) for c in coeffs]
-        d = 1
-        for c in coeffs:
-            d = d * c.denominator // gcd(d, c.denominator)
-        return UniRat(tuple(int(c * d) for c in coeffs), (d,), param)
-
-    @staticmethod
-    def var(param):
-        return UniRat((0, 1), (1,), param)
-
-    @staticmethod
     def mono(param, k, coeff=1):
         """coeff * q^k, any integer k."""
         f = Fraction(coeff)
         if k >= 0:
             return UniRat(_pshift((f.numerator,), k), (f.denominator,), param)
         return UniRat((f.numerator,), _pshift((f.denominator,), -k), param)
-
-    @staticmethod
-    def zero():
-        return UniRat((),)
 
     @staticmethod
     def one():
@@ -295,12 +278,6 @@ class UniRat:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_one(self):
-        return self.num == (1,) and self.den == (1,)
-
-    def is_polynomial(self):
-        return self.den == (1,)
 
     def poly_coeffs(self):
         """Ascending coefficients when the value is a polynomial."""
@@ -385,12 +362,6 @@ class UniRat:
             _pmul(self.num, other.den), _pmul(self.den, other.num), param
         )
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
@@ -469,13 +440,6 @@ class UniRat:
 
     # -- rendering -------------------------------------------------------------
 
-    def as_json(self):
-        return {
-            "num": list(self.num),
-            "den": list(self.den),
-            "param": self.param,
-        }
-
     def _pretty_poly(self, c):
         p = self.param or "q"
         bits = []
@@ -502,7 +466,7 @@ class UniRat:
         )
 
 
-ZERO = UniRat.zero()
+ZERO = UniRat(())
 ONE = UniRat.one()
 
 

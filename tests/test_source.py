@@ -53,6 +53,12 @@ def test_benchmark_tracer_patches_and_restores():
     patched = {(getattr(obj, "__name__", ""), key) for obj, key, _ in patches}
     for attr in ("mul", "__add__", "__radd__", "scale", "divexact"):
         assert ("MPoly", attr) in patched
+    # hooked names no workload may enter, so no trim may drop them first
+    for attr in ("__add__", "__radd__", "__mul__", "__rmul__", "__pow__", "inverse", "scale", "subs_z"):
+        assert ("ZSeries", attr) in patched
+    for module, name in (("hall_littlewood", "hl_p"), ("rbasis", "c_coeff"), ("rbasis", "rlambda_poly"),
+                         ("groups", "enumerate_subgroups")):
+        assert ("qmoments." + module, name) in patched
     assert tracer.stats["mpoly.mul"][0] == 1
     assert tracer.counts["mpoly.mul.term_pairs"] == 4
     assert [key for obj, key, value in patches if vars(obj)[key] is not value] == []
