@@ -18,7 +18,7 @@ from .mpoly import MPoly, _unit
 from .partitions import Partition, partitions_of, subpartition_count, subpartitions
 from .qrat import ONE, UniRat, ZERO, laurent_sum_of_products
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
-from .rbasis import _c_degree, c_coeff, dot_product_conjugates, mirror_poly, qprime_skew
+from .rbasis import _c_degree, c_coeff, dot_product_conjugates, qprime_skew
 from .record import Record
 
 SYMBOLIC_EXACT = "symbolic-exact"
@@ -226,19 +226,9 @@ def _geom(v, cap, e, ratio=False):
 
 
 def _afac(r, one, a):
-    """(a; 1/q)_r = prod_{t<r} (1 - a*q^{-t}) as shapes (`_mpoly_shapes`),
+    """(a; 1/q)_r = prod_{t<r} (1 - a*q^{-t}) as an MPoly (ONE for r = 0),
     for the exponent tuples of 1 and of the variable a."""
-    return [(one, -t, a) for t in range(r)]
-
-
-def _mpoly_shapes(shapes):
-    """The product of `shapes` as an MPoly (ONE for no shape), each shape
-    (u, s, v) the binomial x^u - q^s x^v, or the monomial q^s x^u when v is
-    None, for exponent tuples u and v."""
-    return _mpoly_product(
-        MPoly.two_term(u, v, s, "q") if v is not None else MPoly.mono(u, UniRat.mono("q", s), "q")
-        for u, s, v in shapes
-    )
+    return _mpoly_product(MPoly.two_term(one, a, -t, "q") for t in range(r))
 
 
 def _c_by_size(lam, most=None):
@@ -282,7 +272,7 @@ def _partitions_upto(d, n, k=None):
 
 
 def _run_qbin(params, rng):
-    n = int(params["n"])
+    n = params["n"]
     lhs = {}
     for k in range(n + 1):
         lhs[k] = qbinomial(n, k) * UniRat.mono("q", math.comb(k, 2), (-1) ** k)
@@ -298,7 +288,7 @@ def _run_qbin(params, rng):
 
 
 def _run_euler(params, rng):
-    n = int(params["zmax"])
+    n = params["zmax"]
     lhs = {j: UniRat.mono("q", j) / qq(j) for j in range(n + 1)}
     series = qpochhammer((1, 1), math.inf, trunc=n).inverse()
     rhs = {j: series.coeff_at(j) for j in range(n + 1)}
@@ -306,9 +296,9 @@ def _run_euler(params, rng):
 
 
 def _run_genfun(params, rng):
-    lam = Partition(tuple(params["lam"]))
-    p = int(params["p"])
-    n = int(params["zmax"])
+    lam = params["lam"]
+    p = params["p"]
+    n = params["zmax"]
 
     def term(mu):
         group = PGroup(p, mu)
@@ -322,8 +312,8 @@ def _run_genfun(params, rng):
 
 
 def _run_combinat(params, rng):
-    lam = Partition(tuple(params["lam"]))
-    n = int(params["zmax"])
+    lam = params["lam"]
+    n = params["zmax"]
     lamc = lam.conjugate()
 
     def combinatorial(mu):
@@ -371,9 +361,9 @@ def _column_bounded_lhs(lam, ell, n, b, c):
 def _run_umoy(params, b):
     """UMOY_ABELIAN (b = 1) and UMOY_TYPE_S (b = 2): the column-bounded sum
     against sum_nu C_{lam,nu}(q^-b) q^{(1-b)|nu|} z^{b|nu|}."""
-    lam = Partition(tuple(params["lam"]))
-    n = int(params["zmax"])
-    lhs = _column_bounded_lhs(lam, int(params["ell"]), n, b, 1)
+    lam = params["lam"]
+    n = params["zmax"]
+    lhs = _column_bounded_lhs(lam, params["ell"], n, b, 1)
     rhs = {m: ZERO for m in range(n + 1)}
     for m, v in _c_by_size(lam, n // b).items():
         rhs[b * m] = v.pow_param(b) * UniRat.mono("q", (1 - b) * m)
@@ -381,8 +371,8 @@ def _run_umoy(params, b):
 
 
 def _run_delaunay(params, rng):
-    ell = int(params["ell"])
-    n = int(params["zmax"])
+    ell = params["ell"]
+    n = params["zmax"]
     lhs = _column_bounded_lhs(Partition(()), ell, n, 1, 0)
     rhs = {m: (ONE if m <= ell else ZERO) for m in range(n + 1)}
     return [("z-coefficients", lhs, rhs)]
@@ -394,8 +384,8 @@ def _q_powers(terms):
 
 
 def _run_qbinhl(params, rng):
-    nx = int(params["nx"])
-    d = int(params["d"])
+    nx = params["nx"]
+    d = params["d"]
     nv = nx + 1
     a_slot = nx
     keep = ((0, nx, d),)  # the total degree in x is at most d
@@ -404,7 +394,7 @@ def _run_qbinhl(params, rng):
     terms = [[("x", lam), ("afac", len(lam)), ("q", lam.nstat())] for lam in lams]
     table = _q_powers(terms)
     table.update((("x", lam), hl_p(lam, nx).poly.embed(nv, 0)) for lam in lams)
-    table.update((("afac", r), _mpoly_shapes(_afac(r, one, a))) for r in range(nx + 1))
+    table.update((("afac", r), _afac(r, one, a)) for r in range(nx + 1))
     lhs = _mpoly_sum(terms, table)
     cauchy = _mpoly_product(
         [MPoly.one(nv, "q")] + [_geom(_unit(nv, i), d, 0) for i in range(nx)], keep
@@ -416,8 +406,8 @@ def _run_qbinhl(params, rng):
 
 
 def _run_warnaar_a2(params, rng):
-    nx, ny = int(params["nx"]), int(params["ny"])
-    dx, dy = int(params["dx"]), int(params["dy"])
+    nx, ny = params["nx"], params["ny"]
+    dx, dy = params["dx"], params["dy"]
     nv = nx + ny
     keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
     lams, mus = _partitions_upto(dx, nx), _partitions_upto(dy, ny)
@@ -440,19 +430,25 @@ def _run_warnaar_a2(params, rng):
 
 
 def _run_lascoux(params, rng):
-    nx, ny = int(params["nx"]), int(params["ny"])
-    dx, dy = int(params["dx"]), int(params["dy"])
+    nx, ny = params["nx"], params["ny"]
+    dx, dy = params["dx"], params["dy"]
     nv = nx + ny
     keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
     lams = _partitions_upto(dx, nx)
     table, terms = {}, []
+    mirr_lhs, mirr_rhs = {}, {}
     for lam in lams:
         table["x", lam] = hl_p(lam, nx).poly.embed(nv, 0)
         for mu in subpartitions(lam):
+            skew = qprime_skew(lam, mu)
+            # C_{lam,mu}(1/q) = q^{n(mu)-n(lam)} * qprime_skew(lam, mu), summed by |mu|
+            key = (str(tuple(lam)), mu.size)
+            mirr_lhs[key] = mirr_lhs.get(key, ZERO) + c_coeff(lam, mu).recip_param()
+            mirr_rhs[key] = mirr_rhs.get(key, ZERO) + UniRat.mono("q", mu.nstat() - lam.nstat()) * skew
             if len(mu) > ny or mu.size > dy:
                 continue
             table["y", mu] = hl_p(mu, ny).poly.embed(nv, nx)
-            table["c", lam, mu] = b_lambda(mu) * qprime_skew(lam, mu)
+            table["c", lam, mu] = b_lambda(mu) * skew
             terms.append([("x", lam), ("y", mu), ("c", lam, mu)])
     factors = [MPoly.one(nv, "q")]
     for i in range(nx):
@@ -477,47 +473,55 @@ def _run_lascoux(params, rng):
     factors = [MPoly.one(nvz, "q")] + [_geom(_unit(nvz, i, z_slot), dx, 0) for i in range(nx)]
     factors += [_geom(_unit(nvz, i), dx, 0) for i in range(nx)]
     pairs.append(("principal-y", _mpoly_sum(terms, table), _mpoly_product(factors, keepz)))
-
-    mirr_lhs, mirr_rhs = {}, {}
-    for lam in lams:
-        ladder = mirror_poly(lam)
-        for k, v in _c_by_size(lam).items():
-            mirr_lhs[(str(tuple(lam)), k)] = v
-            mirr_rhs[(str(tuple(lam)), k)] = ladder[k].recip_param()
     pairs.append(("mirror-consistency", mirr_lhs, mirr_rhs))
     return pairs
 
 
-def _finite_lhs_terms(n, k):
-    """(lam, P_lam(x_1..x_n)) for every lam in the n x k box."""
-    return [(lam, hl_p(lam, n).poly) for lam in _partitions_upto(n * k, n, k)]
-
-
 def _run_finite_qbinhl(params, rng):
-    n, k = int(params["n"]), int(params["k"])
-    if "samples" in params:
-        return _finite_qbinhl_random(n, k, int(params["samples"]), rng)
-    return _finite_qbinhl_symbolic(n, k)
+    """Both cleared sides (`_finite_qbinhl_cleared`): symbolic, or at
+    `samples` random points, each table entry at all of them by one
+    `eval_points` and each point's sums on one certified slot width."""
+    n = params["n"]
+    lhs_terms, dfac, rhs_terms, table = _finite_qbinhl_cleared(n, params["k"])
+    if "samples" not in params:
+        lhs = _mpoly_product([_mpoly_sum(lhs_terms, table)] + [table[name] for name in dfac])
+        rhs = _mpoly_sum(rhs_terms, table)
+        if not isinstance(rhs, MPoly):  # n = 0: every rhs factor is a scalar
+            rhs = MPoly.const(rhs, n + 1, "q")
+        return [("cleared-coefficients", lhs, rhs)]
+    points = _sample_points(n, params["samples"], rng)
+    values = {
+        name: f.eval_points(points) if isinstance(f, MPoly) else [_laurent_factor(f)] * len(points)
+        for name, f in table.items()
+    }
+    lhs_map, rhs_map = {}, {}
+    for idx in range(len(points)):
+        factors = lambda term: [values[name][idx] for name in term]
+        inner = laurent_sum_of_products([factors(t) for t in lhs_terms], "q")
+        lhs_map[idx] = laurent_sum_of_products([[_laurent_factor(inner)] + factors(dfac)], "q")
+        rhs_map[idx] = laurent_sum_of_products([factors(t) for t in rhs_terms], "q")
+    return [("sample-points (cleared)", lhs_map, rhs_map)]
 
 
 def _finite_qbinhl_cleared(n, k):
     """Both sides of FINITE_QBINHL times the denominator D of its rhs, as
     products of named factors.
 
-    Returns (lhs, dfac, rhs, shapes): lhs * D is the sum over the terms of
+    Returns (lhs, dfac, rhs, table): lhs * D is the sum over the terms of
     `lhs` times the product of `dfac`, and rhs * D is the sum over the
-    terms of `rhs`; a term is a list of factor names and stands for their
-    product.  D is the product of `dfac`: x_i - q^{1-s} ("pole-x"),
+    terms of `rhs`; a term is a list of factor names and stands for the
+    product of their values in `table`, each an MPoly in x_1..x_n, a or a
+    scalar.  D is the product of `dfac`: x_i - q^{1-s} ("pole-x"),
     1 - x_j q^s ("pole-one") and x_i - x_j ("vand").  The rhs term of a
     subset S of the alphabet is N_S over the factors of D that S uses, so
     it enters as N_S times the factors S does not use, and both sides are
-    polynomials in x and a.  ("P", lam) names P_lam(x) and ("q", e) names
-    q^e; `shapes` maps every other name to the shapes whose product it is
-    (`_mpoly_shapes`), with exponent tuples over x_1..x_n, a.
+    polynomials in x and a.  ("P", lam) names P_lam(x) for the lam in the
+    n x k box and ("q", e) names q^e.
     """
+    lams = _partitions_upto(n * k, n, k)
     lhs = [
         [("P", lam), ("afac", len(lam)), ("afac", n - lam.mult(k)), ("q", lam.nstat())]
-        for lam in _partitions_upto(n * k, n, k)
+        for lam in lams
     ]
     dfac = [("pole-x", i, s) for i in range(n) for s in range(1, n + 1)]
     dfac += [("pole-one", j, s) for j in range(n) for s in range(n)]
@@ -545,51 +549,23 @@ def _finite_qbinhl_cleared(n, k):
         rhs.append(term + [key for key in dfac if key not in used])
     nv = n + 1
     one, a = _unit(nv), _unit(nv, n)
-    shapes = {("afac", r): _afac(r, one, a) for r in range(n + 1)}
+    table = _q_powers(lhs + rhs)
+    table.update((("P", lam), hl_p(lam, n).poly.embed(nv, 0)) for lam in lams)
+    table.update((("afac", r), _afac(r, one, a)) for r in range(n + 1))
     for i in range(n):
         x = _unit(nv, i)
-        shapes["num-x", i] = [(x, 1 - n, a)]
-        shapes["xpow", i] = [(_unit(nv, *[i] * k), 0, None)]
-        shapes["num-one", i] = [(one, 0, _unit(nv, i, n))]
+        table["num-x", i] = MPoly.two_term(x, a, 1 - n, "q")
+        table["xpow", i] = MPoly.mono(_unit(nv, *[i] * k), 1, "q")
+        table["num-one", i] = MPoly.two_term(one, _unit(nv, i, n), 0, "q")
         for s in range(1, n + 1):
-            shapes["pole-x", i, s] = [(x, 1 - s, one)]
+            table["pole-x", i, s] = MPoly.two_term(x, one, 1 - s, "q")
         for s in range(n):
-            shapes["pole-one", i, s] = [(one, s, x)]
+            table["pole-one", i, s] = MPoly.two_term(one, x, s, "q")
         for j in range(n):
             if i != j:
-                shapes["vand", i, j] = [(x, 0, _unit(nv, j))]
-                shapes["num-vand", i, j] = [(x, 1, _unit(nv, j))]
-    return lhs, dfac, rhs, shapes
-
-
-def _laurent_shapes(shapes, point):
-    """`shapes` (`_mpoly_shapes`) at a rational point, given as the
-    (numerator, denominator) of each variable, as Laurent factors
-    (c, low, d): x^u - q^s x^v = (N_u D_v - N_v D_u q^s) / (D_u D_v)."""
-    out = []
-    for u, s, v in shapes:
-        nu, du = _power(point, u)
-        if v is None:
-            out.append(((nu,), s, du))
-            continue
-        nv, dv = _power(point, v)
-        c0, c1 = nu * dv, -nv * du
-        if s == 0:
-            out.append(((c0 + c1,), 0, du * dv))
-        elif s > 0:
-            out.append(((c0,) + (0,) * (s - 1) + (c1,), 0, du * dv))
-        else:
-            out.append(((c1,) + (0,) * (-s - 1) + (c0,), s, du * dv))
-    return out
-
-
-def _power(point, u):
-    """(N_u, D_u): x^u at `point` as an unreduced numerator and denominator."""
-    num = den = 1
-    for (p, m), e in zip(point, u):
-        if e:
-            num, den = num * p**e, den * m**e
-    return num, den
+                table["vand", i, j] = MPoly.two_term(x, _unit(nv, j), 0, "q")
+                table["num-vand", i, j] = MPoly.two_term(x, _unit(nv, j), 1, "q")
+    return lhs, dfac, rhs, table
 
 
 def _laurent_factor(v):
@@ -597,20 +573,8 @@ def _laurent_factor(v):
     return (v.num, 1 - len(v.den), v.den[-1])
 
 
-def _finite_qbinhl_symbolic(n, k):
-    lhs_terms, dfac, rhs_terms, shapes = _finite_qbinhl_cleared(n, k)
-    table = {name: _mpoly_shapes(s) for name, s in shapes.items()}
-    table.update(_q_powers(lhs_terms + rhs_terms))
-    table.update((("P", lam), pl.embed(n + 1, 0)) for lam, pl in _finite_lhs_terms(n, k))
-    lhs = _mpoly_product([_mpoly_sum(lhs_terms, table)] + [table[name] for name in dfac])
-    rhs = _mpoly_sum(rhs_terms, table)
-    if not isinstance(rhs, MPoly):  # n = 0: every rhs factor is a scalar
-        rhs = MPoly.const(rhs, n + 1, "q")
-    return [("cleared-coefficients", lhs, rhs)]
-
-
 def _sample_points(n, samples, rng):
-    """`samples` random points (x_1..x_n, a): distinct x_i outside
+    """`samples` random points [x_1, ..., x_n, a]: distinct x_i outside
     {0, 1, -1}, so no factor of the cleared denominator is 0."""
     points = []
     for _ in range(samples):
@@ -620,37 +584,16 @@ def _sample_points(n, samples, rng):
             if v in (0, 1, -1) or v in xs:
                 continue
             xs.append(v)
-        points.append((xs, Fraction(rng.randint(2, 40), rng.randint(1, 17))))
+        points.append(xs + [Fraction(rng.randint(2, 40), rng.randint(1, 17))])
     return points
 
 
-def _finite_qbinhl_random(n, k, samples, rng):
-    """Both cleared sides at `samples` random points (`_sample_points`),
-    each sum on one certified slot width (`laurent_sum_of_products`)."""
-    p_lams = _finite_lhs_terms(n, k)
-    lhs_terms, dfac, rhs_terms, shapes = _finite_qbinhl_cleared(n, k)
-    q_powers = {name: [((1,), name[1], 1)] for name in _q_powers(lhs_terms + rhs_terms)}
-    points = _sample_points(n, samples, rng)
-    p_values = [(("P", lam), pl.eval_points([xs for xs, _ in points])) for lam, pl in p_lams]
-    lhs_map, rhs_map = {}, {}
-    for idx, (xs, a) in enumerate(points):
-        point = [(v.numerator, v.denominator) for v in xs + [a]]
-        table = {name: _laurent_shapes(s, point) for name, s in shapes.items()}
-        table.update(q_powers)
-        table.update((name, [values[idx]]) for name, values in p_values)
-        factors = lambda term: [f for name in term for f in table[name]]
-        inner = laurent_sum_of_products([factors(t) for t in lhs_terms], "q")
-        lhs_map[idx] = laurent_sum_of_products([[_laurent_factor(inner)] + factors(dfac)], "q")
-        rhs_map[idx] = laurent_sum_of_products([factors(t) for t in rhs_terms], "q")
-    return [("sample-points (cleared)", lhs_map, rhs_map)]
-
-
 def _run_csq(params, rng):
-    n, k = int(params["n"]), int(params["k"])
+    n, k = params["n"], params["k"]
     nv = 2  # variables: z, a
     zero, z, a, za = (0, 0), (1, 0), (0, 1), (1, 1)
     qn = qq(n)
-    table = {("afac", r): _mpoly_shapes(_afac(r, zero, a)) for r in range(n + 1)}
+    table = {("afac", r): _afac(r, zero, a) for r in range(n + 1)}
     table.update((("z", e), MPoly.mono((e, 0), 1, "q")) for e in range(n * k + 1))
     table.update((("dz", j), MPoly.two_term(zero, z, j, "q")) for j in range(-1, 2 * n))
     table.update((("dza", s), MPoly.two_term(zero, za, s, "q")) for s in range(n))
@@ -680,7 +623,7 @@ def _run_csq(params, rng):
 
 
 def _run_mirror_swap(params, rng):
-    lam = Partition(tuple(params["lam"]))
+    lam = params["lam"]
     by_size = _c_by_size(lam)
     m = lam.size
     pal_lhs = {j: by_size.get(j, ZERO) for j in range(m + 1)}
@@ -762,26 +705,40 @@ def _umoy_work(p, b):
     return _series_work(n, p["ell"], b, len(lam)) + _lam_work(lam, most=min(n // b, 40))
 
 
+def _hl_builds(n, d):
+    """(the number of lam of size m <= d with at most n parts, 3 units per
+    size listed and per subpartition the `hl_p` build of each lam walks, at
+    most C(m + n, n)); for n >= 1 the sizes past 1500 are not counted, as
+    with the caller's keys those up to 1500 already pass any budget."""
+    ways = _partition_counts(min(d, 1500), n)
+    steps = sum(w * math.comb(m + n, min(m, n, 40)) for m, w in enumerate(ways))
+    return sum(ways), 3 * (d + 1 + steps)
+
+
 def _qbinhl_work(p):
-    """3 units per size m <= d listed and per subpartition the `hl_p` build of
-    each lam of size m with at most nx parts walks (at most C(m + nx, nx)),
-    and a unit per kept key (degree <= d in x, <= nx in a) per lhs term and
-    rhs factor: nx = 1, d = 1000 counts 3.5M in 1.31 s.  For nx >= 1 the
-    2 (d + 1)^2 keys of the lhs terms pass any budget past d = 1500."""
+    """`_hl_builds`, and a unit per kept key (degree <= d in x, <= nx in a)
+    per lhs term and rhs factor: nx = 1, d = 1000 counts 3.5M in 1.31 s."""
     nx, d = p["nx"], p["d"]
-    ways = _partition_counts(min(d, 1500), nx)
-    steps = sum(w * math.comb(m + nx, min(m, nx, 40)) for m, w in enumerate(ways))
+    lams, builds = _hl_builds(nx, d)
     keys = math.comb(nx + d, min(nx, d, 40)) * (nx + 1)
-    return 3 * (d + 1 + steps) + (sum(ways) + 2 * nx + 1) * keys
+    return builds + (lams + 2 * nx + 1) * keys
 
 
-def _keys_work(nx, d, factors, ny, dy):
-    """A twentieth of a unit per kept key of a truncated chain (degree <= d in
-    nx variables, <= dy in ny more) per factor and per lhs P_lam or P_mu,
-    bounded by the monomials of its alphabet, per q-degree d + dy: WARNAAR_A2
-    4,4,5,5 counts 126 * 126 * (25 + 126 + 126) * 11 in 0.79 s."""
+def _keys_work(nx, d, factors, ny, dy, lams=False):
+    """A quarter of a unit per kept key of a truncated chain (degree <= d in
+    nx variables, <= dy in ny more) per factor per q-degree d + dy, the
+    `hl_p` builds (`_hl_builds`) and, with `lams`, 6 `_lam_work` per lam for
+    its C: WARNAAR_A2 4,4,5,5 counts 1.10M in 0.70 s, LASCOUX 1,1,60,60
+    2.65M in 1.09 s."""
     kx, ky = math.comb(nx + d, min(nx, d, 40)), math.comb(ny + dy, min(ny, dy, 40))
-    return kx * ky * (factors + kx + ky) * (d + dy + 1) // 20
+    work = kx * ky * factors * (d + dy + 1) // 4
+    if work <= MAX_VERIFY_WORK:
+        work += _hl_builds(nx, d)[1] + _hl_builds(ny, dy)[1]
+    for lam in _partitions_upto(min(d, 1500), nx) if lams and work <= MAX_VERIFY_WORK else ():
+        work += 6 * _lam_work(lam)
+        if work > MAX_VERIFY_WORK:
+            break
+    return work
 
 
 def _finite_work(p):
@@ -790,12 +747,14 @@ def _finite_work(p):
     the degree box (4n - 1 + k)^n (2n + 1) of the cleared sides times their
     2^n rhs terms of 3n^2 - n factors, at 14 per unit (n = 3, k = 6: 6.6M
     in 0.55 s), or per sample the 2^n rhs terms times the square of their
-    factors, at 3 per unit (n = 4, k = 3, 500 samples: 15.5M in 3.78 s)."""
+    factors, at 3 per unit (n = 4, k = 3, 500 samples: 15.5M in 3.78 s),
+    and 15 per lhs or rhs term and 150 more (n = 1, k = 1: 160 us each)."""
     n, k, e, m = p["n"], p["k"], min(p["n"], 40), max(p["n"] - 1, 0)
-    lams = 2 * math.comb(n + k, min(n, k, 40)) * math.comb(n * k + m, min(m, 40)) * (k + 1)
+    box = math.comb(n + k, min(n, k, 40))
+    lams = 2 * box * math.comb(n * k + m, min(m, 40)) * (k + 1)
     factors = 3 * n * n - n
     if "samples" in p:
-        return lams + p["samples"] * 2 ** e * factors * factors // 3
+        return lams + p["samples"] * (2 ** e * factors * factors // 3 + 15 * (box + 2 ** e) + 150)
     return lams + (4 * n - 1 + k) ** e * (2 * n + 1) * 2 ** e * factors // 14
 
 
@@ -803,8 +762,8 @@ class Identity(Record):
     """A registered identity: `run(params, rng)` returns its (label, lhs,
     rhs) triples; `strategies` are the checks it has, the first one the
     default (a random-point check reads `samples` too); `params` names the
-    params the runner reads; `work(params)` estimates its cost in the units
-    of MAX_VERIFY_WORK from params `verify` has checked (`lam` a Partition)."""
+    params the runner reads; `work(params)` estimates its cost in units of
+    MAX_VERIFY_WORK; both take the params `verify` checked (lam a Partition)."""
 
     run: object
     strategies: tuple
@@ -835,8 +794,10 @@ REGISTRY = {
     "QBINHL": Identity(_run_qbinhl, _SERIES, ("nx", "d"), _qbinhl_work),
     "WARNAAR_A2": Identity(_run_warnaar_a2, _SERIES, _TWO_ALPHABETS, lambda p: _keys_work(
         p["nx"], p["dx"], p["nx"] * p["ny"] + p["nx"] + p["ny"] + 1, p["ny"], p["dy"])),
+    # no LASCOUX factor is in y alone, so its y-degree is at most dx; a cross
+    # factor pair keeps keys of equal x and y degree only, so it counts once
     "LASCOUX": Identity(_run_lascoux, _SERIES, _TWO_ALPHABETS, lambda p: _keys_work(
-        p["nx"], p["dx"], 2 * p["nx"] * p["ny"] + p["nx"] + 1, p["ny"], p["dy"])),
+        p["nx"], p["dx"], p["nx"] * p["ny"] + p["nx"] + 1, p["ny"], min(p["dx"], p["dy"]), True)),
     "FINITE_QBINHL": Identity(_run_finite_qbinhl, (SYMBOLIC_EXACT, RANDOM_POINT), _FINITE, _finite_work),
     # the degree box (nk + 2n + 2)(2n + 1) in z and a times the C(n + k, k) lhs
     # terms plus n^3 / 2 for the rhs terms' factors: n = 12, k = 3 counts 2.04M in 2.37 s
@@ -898,7 +859,7 @@ def verify(case, mutate=False):
         raise ResourceBoundError("%s work" % case.case_id, MAX_VERIFY_WORK, work)
     rng = random.Random(seed if seed is not None else 0)
     start = time.perf_counter()
-    pairs = identity.run(case.params, rng)
+    pairs = identity.run(checked, rng)
     passed, mismatch, compared = _compare_pairs(pairs, mutate=mutate)
     elapsed = time.perf_counter() - start
     return VerificationReport(

@@ -233,9 +233,7 @@ def pj_rank_prob(profile, flavor=ABELIAN):
         + trunc * estart + qstep * (trunc * lo + trunc * (trunc - 1) // 2)
         + tail_top
     )
-    bits = total * math.log2(p)
-    if bits > MAX_MOMENT_BITS:
-        raise ResourceBoundError("exact rank probability size (bits)", MAX_MOMENT_BITS, math.ceil(bits))
+    _check_size(total, 0, p, 1, p)
     denom = Fraction(p) ** expo
     for d in diffs:
         for i in range(1, d + 1):

@@ -607,21 +607,22 @@ class MPoly:
         c[0] and c[-1] nonzero (((), 0, 1) for 0).  A non-constant value
         raises ValueError: substitute it with `subs_scalar`.
 
-        With D the lcm of a point's denominators, x_i = n_i / D for integers
-        n_i, so the value is sum_e c_e * prod(n_i^e_i) * D^(top-|e|) / D^top
-        with top the largest total degree: the sum runs on the packed ints,
-        whose slots widen once to #terms * mag * max|multiplier| over all
-        the points, and decodes once per point.
+        With D the lcm of the denominators of the variables whose degree
+        bound is above 0, x_i = n_i / D for integers n_i, so the value is
+        sum_e c_e * prod(n_i^e_i) * D^(top-|e|) / D^top with top the largest
+        total degree: the sum runs on the packed ints, whose slots widen once
+        to #terms * mag * max|multiplier| over all the points, and decodes
+        once per point.
         """
         exps = _exponents(list(self._coeffs), len(self._deg))
         top = max(map(sum, exps), default=0)
         mults, dens = [], []
         for values in points:
-            xs = [UniRat.const(v).constant() for v in values]
-            if len(xs) != self.nvars or None in xs:
+            xs = [v if isinstance(v, (int, Fraction)) else UniRat.const(v).constant() for v in values]
+            if len(xs) != self.nvars or any(x is None for x in xs):
                 raise ValueError("need %d rational constants, not %r" % (self.nvars, values))
-            D = lcm(*(x.denominator for x in xs))
-            ns = [x.numerator * (D // x.denominator) for x in xs]
+            D = lcm(*(x.denominator for x, d in zip(xs, self._deg) if d))
+            ns = [x.numerator * (D // x.denominator) if d else 0 for x, d in zip(xs, self._deg)]
             mults.append([prod(map(pow, ns, e)) * D ** (top - sum(e)) for e in exps])
             dens.append(self._L * D**top)
         big = max((max(map(abs, m), default=0) for m in mults), default=0)

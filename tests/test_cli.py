@@ -235,16 +235,16 @@ def test_verify_qbin_size_is_bounded():
 
 
 def test_verify_series_degree_and_samples_are_bounded(capsys):
-    # each refused on its work estimate: series degree 12 in four
-    # variables (16 for QBINHL), and 501 random points of n = 4, k = 3
-    # (500 take 3.8 s)
-    over = 12
+    # each refused on its work estimate: series degree 16 in four
+    # variables, and 501 random points of n = 4, k = 3 (500 take 3.8 s);
+    # LASCOUX's y-degree is at most dx, so only a large dx is refused there
+    over = 16
     bad = [
-        ["verify", "--id", "QBINHL", "--nx", "4", "--d", "16"],
+        ["verify", "--id", "QBINHL", "--nx", "4", "--d", str(over)],
         ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3", "--samples", "501"],
     ]
-    for cid in ("WARNAAR_A2", "LASCOUX"):
-        for dx, dy in ((over, 1), (1, over)):
+    for cid, shapes in (("WARNAAR_A2", ((over, 1), (1, over))), ("LASCOUX", ((over, 1),))):
+        for dx, dy in shapes:
             bad.append(["verify", "--id", cid, "--nx", "4", "--ny", "4",
                         "--dx", str(dx), "--dy", str(dy)])
     start = time.perf_counter()
@@ -646,7 +646,8 @@ def test_seed_override_is_echoed():
 
 
 # a series degree that puts four-variable alphabets past the work budget
-_OVER = "12"
+# (in x only for LASCOUX, whose y-degree is at most its x-degree)
+_OVER = "16"
 _MANIFESTS = {
     "not-json": "not json",
     "no-cases": '{"version": 1}',
@@ -732,8 +733,9 @@ _REFUSED = [
     (3, ["verify", "--id", "QBIN", "--n", "1000"]),
     (3, ["verify", "--id", "QBINHL", "--nx", "4", "--d", "16"]),
     (3, ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "3", "--samples", "501"]),
+    (3, ["verify", "--id", "FINITE_QBINHL", "--n", "1", "--k", "1", "--samples", "100000"]),
     (3, ["verify", "--id", "WARNAAR_A2", "--nx", "4", "--ny", "4", "--dx", _OVER, "--dy", "1"]),
-    (3, ["verify", "--id", "LASCOUX", "--nx", "4", "--ny", "4", "--dx", "1", "--dy", _OVER]),
+    (3, ["verify", "--id", "LASCOUX", "--nx", "4", "--ny", "4", "--dx", _OVER, "--dy", "1"]),
     (3, ["verify", "--id", "FINITE_QBINHL", "--n", "4", "--k", "1"]),
     (3, ["coeff", "--lambda", "1^300", "--mu", "1^150"]),
     (3, ["coeff", "--lambda", "1^600", "--mu", "1^300"]),

@@ -31,13 +31,10 @@ from qmoments.identities import (
     MAX_VERIFY_WORK,
     REGISTRY,
     _c_by_size,
-    _finite_lhs_terms,
     _finite_qbinhl_cleared,
     _geom,
     _mpoly_product,
-    _mpoly_shapes,
     _mpoly_sum,
-    _q_powers,
 )
 from qmoments.mpoly import MPoly, _unit
 from qmoments.hall_littlewood import _hl_cached, hl_p
@@ -298,7 +295,8 @@ def test_finite_box_hl_p_bounds_are_the_largest_slots():
     # P_lam carries its exact largest |slot|, not a sum of product bounds,
     # and its exact slot count, one past the top nonzero slot
     _hl_cached.cache_clear()
-    for lam, poly in _finite_lhs_terms(4, 3):
+    table = _finite_qbinhl_cleared(4, 3)[3]
+    for lam, poly in [(name[1], f) for name, f in table.items() if name[0] == "P"]:
         digits = [_unpack_signed(c, poly._w, poly._span) for c in poly._coeffs.values()]
         slots = [abs(x) for d in digits for x in d]
         assert poly._mag == max(slots, default=0), lam
@@ -441,12 +439,9 @@ def test_cleared_random_point_check_matches_uncleared_formula():
 
 def symbolic_table(n, k):
     """The names of the cleared FINITE_QBINHL sides, and the value of every
-    factor name as the symbolic check builds it."""
+    factor name, the one table both checks read."""
     names = _finite_qbinhl_cleared(n, k)
-    table = {name: _mpoly_shapes(shapes) for name, shapes in names[3].items()}
-    table.update(_q_powers(names[0] + names[2]))
-    table.update((("P", lam), pl.embed(n + 1, 0)) for lam, pl in _finite_lhs_terms(n, k))
-    return names[:3], table
+    return names[:3], names[3]
 
 
 def zero_variable_sides(n, k, xs, a):
@@ -578,9 +573,9 @@ def test_labels_cover_the_documented_cross_checks():
     assert "cauchy-at-a-zero" in labels("QBINHL", {"nx": 2, "d": 3})
     lascoux = labels("LASCOUX", {"nx": 2, "ny": 2, "dx": 3, "dy": 3})
     assert "principal-y" in lascoux and "mirror-consistency" in lascoux
-    combinat = labels("COMBINAT", {"lam": [2, 1], "zmax": 5})
+    combinat = labels("COMBINAT", {"lam": Partition([2, 1]), "zmax": 5})
     assert combinat == ["combinatorial-vs-inversion", "principal-vs-inversion"]
-    mirror = labels("MIRROR_SWAP", {"lam": [2, 1]})
+    mirror = labels("MIRROR_SWAP", {"lam": Partition([2, 1])})
     assert mirror == ["palindrome", "swap"]
 
 
@@ -806,9 +801,7 @@ def logged(self, other, keep=None):
     return out
 
 n, k = 3, 2
-_, _, rhs_terms, shapes = I._finite_qbinhl_cleared(n, k)
-table = {name: I._mpoly_shapes(s) for name, s in shapes.items()}
-table.update(I._q_powers(rhs_terms))
+_, _, rhs_terms, table = I._finite_qbinhl_cleared(n, k)
 MPoly.mul = logged
 I._mpoly_sum(rhs_terms, table)
 print(len(sizes), hashlib.sha256(repr(sizes).encode()).hexdigest())

@@ -215,6 +215,14 @@ def test_pj_rank_prob_size_is_bounded():
     assert factor == Fraction(1, 4) / (1 - Fraction(1, 2)) and residual.terms == 120
 
 
+def test_pj_rank_prob_refuses_an_exponent_past_a_float():
+    # u = 10^400 makes the exponent sum an int no float holds: the integer
+    # lower bound refuses it before any log2 of it is taken
+    for flavor in (ABELIAN, TYPE_S):
+        with pytest.raises(ResourceBoundError):
+            pj_rank_prob(RankProfile((1,), 1, 3, 10**400), flavor)
+
+
 def test_moment_size_bound_counts_c_degree():
     # C_{1^n,1^k}(q) = [n choose k]_q reaches degree n^2/4
     assert moments._c_degree(Partition([1] * 10)) == 25

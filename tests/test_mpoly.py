@@ -480,6 +480,21 @@ def test_eval_points_matches_fraction_evaluation(a, points):
     check_eval_points(a, points)
 
 
+@PROPS
+@given(
+    laurent_poly(max_terms=6, max_exp=3),
+    st.lists(st.lists(POINT, min_size=2, max_size=2), min_size=1, max_size=4),
+)
+def test_embedded_poly_ignores_the_extra_coordinate(a, points):
+    # the extra variable's degree bound is 0: its denominator, a prime no
+    # short point uses, changes no factor; a non-constant value still raises
+    extra = [Fraction(3, 10007 + 2 * i) for i in range(len(points))]
+    assert a.embed(3, 0).eval_points([xs + [x] for xs, x in zip(points, extra)]) == a.eval_points(points)
+    assert a.embed(3, 1).eval_points([[x] + xs for xs, x in zip(points, extra)]) == a.eval_points(points)
+    with pytest.raises(ValueError):
+        a.embed(3, 0).eval_points([points[0] + [UniRat.mono("q", 1)]])
+
+
 def test_eval_points_widens_once_for_the_largest_point():
     # the 8-byte slots hold the value at x = 1, but at x = 7 a slot of the
     # sum reaches 7 * (2^61 + 1) > 2^63: the slots widen to the largest
