@@ -277,4 +277,4 @@ def eval_on_group(T, H):
             "evaluating on a group" % T.param
         )
     vals = [Fraction(torsion_order(H, k)) for k in range(1, T.nvars + 1)]
-    return T.eval_scalars(vals).constant()
+    return T.eval_points([vals])[0].constant()

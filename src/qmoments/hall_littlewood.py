@@ -8,7 +8,7 @@ from math import inf
 from .errors import InvariantError, ResourceBoundError
 from .mpoly import MPoly
 from .partitions import Partition, subpartitions
-from .qrat import UniRat, ZERO
+from .qrat import UniRat, ZERO, laurent_sum_of_products
 from .qseries import qq
 from .record import Record
 
@@ -104,10 +104,9 @@ def _principal_value(lam, n):
         )
     if n != inf and n <= HL_MAX_ALPHABET:
         # substitute x_i = q^{i-1}; homogeneity carries the z^{|lam|} factor
-        p = hl_p(lam, n).poly
-        for i in range(n):
-            p = p.subs_scalar(i, UniRat.mono("q", i))
-        if p.coeff_of((0,) * n) != val:
+        poly = hl_p(lam, n).poly
+        at = [[c, UniRat.mono("q", sum(i * k for i, k in enumerate(e)))] for e, c in poly.terms.items()]
+        if laurent_sum_of_products(at) != val:
             raise InvariantError("P_%s at x_i = q^(i-1) is not the closed form" % (tuple(lam),))
     return val
 

@@ -46,24 +46,23 @@ ResourceBoundError.
 
 `eval_points` at points of rational constants decodes the keys and widens
 once, then per point sums the packed ints times integer multipliers and
-decodes once; `eval_scalars` is its one-point case.  `==`, `is_zero`,
-negation and `swap_vars` work on the packed form too, so they decode
-nothing: two packed polys are compared at one width, L and V.  `terms`
-decodes to canonical UniRats afresh and keeps nothing.  `embed` shifts
-every key.  `divexact` by +-(x_i - x_j) runs on slots widened to
-#terms * mag and then measures the quotient's mag and span.  The
-substitutions and views work on the decoded UniRats.
+decodes once, to a UniRat.  `==`, `is_zero`, negation and `swap_vars`
+work on the packed form too, so they decode nothing: two packed polys are
+compared at one width, L and V.  `terms` decodes to canonical UniRats
+afresh and keeps nothing.  `embed` shifts every key.  `divexact` by
++-(x_i - x_j) runs on slots widened to #terms * mag and then measures the
+quotient's mag and span.  `specialize_param` and the views work on the
+decoded UniRats.
 """
 
 import sys
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import add, lshift, mul, neg, not_, sub
 
 from .errors import ResourceBoundError
-from .qrat import UniRat, ZERO, _pack_signed, _pval, _trim, _unify, _unpack_signed
-from .qrat import laurent_sum_of_products
+from .qrat import UniRat, ZERO, _pack_signed, _pval, _unify, _unpack_signed
 
 FIELD = 16  # bits per variable in a packed exponent key (`_exponents` reads "H" items)
 _TOP = (1 << FIELD) - 1  # the largest exponent a field holds
@@ -588,31 +587,17 @@ class MPoly:
         deg = (0,) * offset + self._deg + (0,) * pad
         return _new(self.param, coeffs, self._w, self._L, self._V, self._mag, self._span, deg)
 
-    def subs_scalar(self, i, value):
-        """Substitute x_i -> value (a UniRat scalar); arity is preserved."""
-        value = UniRat.const(value)
-        out = {}
-        for e, c in self.terms.items():
-            ne = e[:i] + (0,) + e[i + 1 :]
-            nc = c * value ** e[i] if e[i] else c
-            s = out.get(ne)
-            t = nc if s is None else s + nc
-            out[ne] = t
-        return MPoly(out, self.nvars, _unify(self.param, value.param))
-
     def eval_points(self, points):
         """The value at each point (a list of rational constants: int,
-        Fraction or constant UniRat) as a Laurent factor (c, low, d) of
-        `laurent_sum_of_products`, reduced by the content gcd of d and c, with
-        c[0] and c[-1] nonzero (((), 0, 1) for 0).  A non-constant value
-        raises ValueError: substitute it with `subs_scalar`.
+        Fraction or constant UniRat) as a canonical UniRat.  A non-constant
+        value raises ValueError.
 
         With D the lcm of the denominators of the variables whose degree
         bound is above 0, x_i = n_i / D for integers n_i, so the value is
         sum_e c_e * prod(n_i^e_i) * D^(top-|e|) / D^top with top the largest
         total degree: the sum runs on the packed ints, whose slots widen once
-        to #terms * mag * max|multiplier| over all the points, and decodes
-        once per point.
+        to #terms * mag * max|multiplier| over all the points, and is decoded
+        once per point, over L * D^top.
         """
         exps = _exponents(list(self._coeffs), len(self._deg))
         top = max(map(sum, exps), default=0)
@@ -627,24 +612,14 @@ class MPoly:
             dens.append(self._L * D**top)
         big = max((max(map(abs, m), default=0) for m in mults), default=0)
         a = self.widen(_slot_width(len(exps) * self._mag * big, self._w))
-        out = []
-        for m, d in zip(mults, dens):
-            c = _trim(_unpack_signed(sum(map(mul, a._coeffs.values(), m)), a._w, self._span))
-            low = _pval(c) if c else self._V  # 0 is ((), 0, 1)
-            g = gcd(d, *c)
-            out.append((tuple(x // g for x in c[low:]), low - self._V, d // g))
-        return out
-
-    def eval_scalars(self, values):
-        """The value at one point (`eval_points`) as a UniRat."""
-        return laurent_sum_of_products([self.eval_points([values])], self.param)
+        return [
+            _unirat(sum(map(mul, a._coeffs.values(), m)), a._w, self._span, d, self._V, self.param)
+            for m, d in zip(mults, dens)
+        ]
 
     def specialize_param(self, x):
         """Evaluate every coefficient at the rational point x."""
-        out = {}
-        for e, c in self.terms.items():
-            out[e] = UniRat.const(c.eval_at(x))
-        return MPoly(out, self.nvars)
+        return MPoly({e: c.eval_at(x) for e, c in self.terms.items()}, self.nvars)
 
     # -- comparison ----------------------------------------------------------------
 

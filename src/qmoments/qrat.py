@@ -474,24 +474,28 @@ ONE = UniRat.one()
 # sums of products of Laurent factors on one certified slot width
 
 
-def laurent_sum_of_products(terms, param=None):
+def laurent_sum_of_products(terms):
     """sum over terms of the product of the term's factors, as a UniRat.
 
-    A factor is a triple (c, low, d): the Laurent polynomial
-    sum_i c[i] q^(low+i) / d, with c a tuple of integers and d > 0.  With
-    d_t the product of term t's denominators and L their lcm, the sum is
-    sum_t (L/d_t) * prod_f c_f(q) * q^(low_t) / L, and no coefficient of that
-    numerator exceeds B = sum_t (L/d_t) * prod_f ||c_f||_1 in absolute value.
-    Kronecker substitution q -> 2^(8w) is a ring map, so with one width w
-    chosen up front with 2^(8w-1) > B the whole sum runs on bare packed ints
-    (each distinct coefficient tuple packed once), and only the final int
-    is read back.
+    Each factor is a UniRat num(q) / (c q^v), a Laurent polynomial; any
+    other denominator raises ValueError.  The parameter name comes from the
+    factors.  With d_t the product of term t's c and L their lcm, the sum is
+    sum_t (L/d_t) * prod_f num_f(q) * q^(-v_t) / L, and no coefficient of
+    that numerator exceeds B = sum_t (L/d_t) * prod_f ||num_f||_1 in
+    absolute value.  Kronecker substitution q -> 2^(8w) is a ring map, so
+    with one width w chosen up front with 2^(8w-1) > B the whole sum runs
+    on bare packed ints (each distinct numerator packed once), and only the
+    final int is read back.
     """
     rows = []
-    L = 1
+    L, param = 1, None
     for t in terms:
-        cs, lows, dens = zip(*t) if t else ((), (), ())
-        d, low = prod(dens), sum(lows)
+        for f in t:
+            if any(f.den[:-1]):
+                raise ValueError("factor %r is not c*q^v over an integer" % (f,))
+            param = _unify(param, f.param)
+        cs = [f.num for f in t]
+        d, low = prod(f.den[-1] for f in t), -sum(len(f.den) - 1 for f in t)
         rows.append((cs, d, low, low + sum(map(len, cs)) - len(cs)))
         L = lcm(L, d)
     distinct = {c for r in rows for c in r[0]}

@@ -210,7 +210,9 @@ def qprime_skew(lam, mu):
     # it against sum_i C(conj_lam(i) - conj_mu(i), 2))
     prod = UniRat.one()
     for i in range(1, width + 1):
-        prod = prod * qbinomial(
-            lam.conj(i) - mu.conj(i + 1), lam.conj(i) - mu.conj(i)
-        )
+        # the factor is 1 when conj_lam(i) = conj_mu(i) or conj_mu(i) = conj_mu(i+1)
+        if lam.conj(i) != mu.conj(i) and mu.conj(i) != mu.conj(i + 1):
+            prod = prod * qbinomial(
+                lam.conj(i) - mu.conj(i + 1), lam.conj(i) - mu.conj(i)
+            )
     return UniRat.mono("q", expo) * prod

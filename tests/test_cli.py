@@ -261,6 +261,20 @@ def test_verify_series_degree_and_samples_are_bounded(capsys):
     assert "estimated verify work <= %d units" % identities.MAX_VERIFY_WORK in epilog
 
 
+def test_lascoux_with_no_x_alphabet_is_admitted():
+    # with nx = 0 every lam and mu is empty, so the constant is the one
+    # kept key and no y alphabet is built: the estimate counts that, not the
+    # 3-variable y-keys of degree <= 26 and their hl_p builds (4.07M units)
+    params = {"nx": 0, "ny": 3, "dx": 26, "dy": 26}
+    assert identities.REGISTRY["LASCOUX"].work(params) < 1000
+    argv = ["verify", "--id", "LASCOUX"] + ["--%s=%d" % kv for kv in params.items()]
+    start = time.perf_counter()
+    code, data = run_json(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert data["rows"][0]["passed"] and data["rows"][0]["compared"] == 3
+
+
 def test_symbolic_finite_alphabet_is_bounded_but_sampled_runs(capsys):
     # symbolic n = 4, k = 1 compares 276,300 coefficients in about 47 s
     n = "4"

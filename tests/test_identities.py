@@ -449,7 +449,7 @@ def zero_variable_sides(n, k, xs, a):
     each symbolic factor evaluated at the point: the sample-point evaluation
     before the Laurent kernel, kept as a reference."""
     (lhs_terms, dfac, rhs_terms), table = symbolic_table(n, k)
-    const = lambda f: MPoly.const(f.eval_scalars(xs + [a]) if isinstance(f, MPoly) else f, 0, "q")
+    const = lambda f: MPoly.const(f.eval_points([xs + [a]])[0] if isinstance(f, MPoly) else f, 0, "q")
     table = {name: const(f) for name, f in table.items()}
     lhs = _mpoly_product([_mpoly_sum(lhs_terms, table)] + [table[name] for name in dfac])
     rhs = _mpoly_sum(rhs_terms, table)

@@ -4,7 +4,6 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -140,14 +139,12 @@ def test_subs_and_eval():
     q = UniRat.mono("q", 1)
     x, y = xvars(2, "q")
     p = x * x + x * y.scale(q)
-    sub = p.subs_scalar(1, q ** 2)
-    assert sub == x * x + x.scale(q ** 3)
-    # eval_scalars takes rational constants; subs_scalar any UniRat
+    # eval_points takes rational constants only
     with pytest.raises(ValueError):
-        p.eval_scalars([q, 1 - q])
-    val = p.subs_scalar(0, q).subs_scalar(1, 1 - q).coeff_of((0, 0))
-    assert val == q ** 2 + q * (1 - q) * q
-    assert p.eval_scalars([Fraction(1, 2), 2]).constant() is None  # still has q
+        p.eval_points([[q, 1 - q]])
+    val = eval1(p, [Fraction(1, 2), 2])
+    assert val == Fraction(1, 4) + q
+    assert val.constant() is None  # still has q
 
 
 def test_specialize_param():
@@ -322,7 +319,7 @@ def test_bound_counts_digit_and_term_sums():
         assert canon(sq.terms) == canon(ref_mul(p.terms, p.terms))
 
 
-# -- packed scale and eval_scalars against the UniRat loops ------------------------
+# -- packed scale and eval_points against the UniRat loops -------------------------
 
 
 def laurent_scalar(digit=BOUNDARY):
@@ -343,6 +340,12 @@ def ref_eval(terms, values):
 
 def canon1(c):
     return (c.num, c.den, c.param)
+
+
+def eval1(p, xs):
+    """The value of p at the one point xs, by `eval_points`."""
+    (value,) = p.eval_points([xs])
+    return value
 
 
 @PROPS
@@ -390,29 +393,30 @@ POINT = st.one_of(
 @PROPS
 @given(laurent_poly(max_terms=6, max_exp=3), st.lists(POINT, min_size=2, max_size=2))
 def test_packed_eval_matches_unirat(a, xs):
-    got = a.eval_scalars(xs)
+    got = eval1(a, xs)
     assert canon1(got) == canon1(ref_eval(a.terms, xs))
     # UniRat constants take the same path
-    assert canon1(a.eval_scalars([UniRat.const(x) for x in xs])) == canon1(got)
+    assert canon1(eval1(a, [UniRat.const(x) for x in xs])) == canon1(got)
 
 
 @PROPS
 @given(laurent_poly(), st.lists(POINT, min_size=2, max_size=2))
 def test_eval_of_non_laurent_poly_raises(a, xs):
     with pytest.raises(ValueError):
-        with_rational_coeff(a).eval_scalars(xs)
+        eval1(with_rational_coeff(a), xs)
 
 
 @PROPS
 @given(laurent_poly(SMALL, max_exp=3), st.integers(-3, 3).filter(bool), st.integers(-3, 3))
-def test_eval_at_non_constant_values_uses_unirat_loop(a, i, j):
-    # eval_scalars refuses a non-constant point; subs_scalar substitutes it
-    # on the UniRat coefficients
+def test_eval_at_non_constant_values_raises(a, i, j):
+    # eval_points refuses a non-constant point; with q specialized first the
+    # point is constant, and the value is the UniRat loop's at that q
     xs = [UniRat.mono("q", i, 2), 1 + UniRat.mono("q", j)]
     with pytest.raises(ValueError):
-        a.eval_scalars(xs)
-    got = a.subs_scalar(0, xs[0]).subs_scalar(1, xs[1]).coeff_of((0, 0))
-    assert canon1(got) == canon1(ref_eval(a.terms, xs))
+        a.eval_points([xs])
+    x = Fraction(1, 3)
+    got = eval1(a.specialize_param(x), [v.eval_at(x) for v in xs])
+    assert got == ref_eval(a.terms, xs).eval_at(x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,7 +433,7 @@ def test_eval_at_integer_points_like_group_orders(coeffs, orders):
     # to a poly with constant coefficients and no parameter
     p = MPoly(coeffs, 3)
     xs = [Fraction(v) for v in orders]
-    got = p.eval_scalars(xs)
+    got = eval1(p, xs)
     assert canon1(got) == canon1(ref_eval(p.terms, xs))
     assert got.constant() is not None
 
@@ -438,13 +442,14 @@ def test_eval_digit_at_slot_boundary():
     # the sum's slot reaches 2^63 - 1 exactly; one unit more widens the slots
     for total in (SLOT - 1, SLOT, -SLOT, -(SLOT + 1)):
         p = MPoly({(1,): UniRat.mono("q", -1, total - 1), (0,): UniRat.mono("q", -1)}, 1, "q")
-        assert p.eval_scalars([1]) == UniRat.mono("q", -1, total)
-        assert p.eval_scalars([Fraction(1, 3)]) == ref_eval(p.terms, [Fraction(1, 3)])
+        assert eval1(p, [1]) == UniRat.mono("q", -1, total)
+        assert eval1(p, [Fraction(1, 3)]) == ref_eval(p.terms, [Fraction(1, 3)])
 
 
-def laurent_value(c, low, d):
-    """{q-exponent: Fraction} of the Laurent factor (c, low, d)."""
-    return {low + i: Fraction(x, d) for i, x in enumerate(c) if x}
+def laurent_value(c):
+    """{q-exponent: Fraction} of the UniRat c over c*q^v."""
+    v = len(c.den) - 1
+    return {i - v: Fraction(x, c.den[-1]) for i, x in enumerate(c.num) if x}
 
 
 def fraction_eval(terms, xs):
@@ -463,12 +468,10 @@ def fraction_eval(terms, xs):
 def check_eval_points(poly, points):
     got = poly.eval_points(points)
     assert len(got) == len(points)
-    for (c, low, d), xs in zip(got, points):
-        assert laurent_value(c, low, d) == fraction_eval(poly.terms, xs)
-        # reduced by the content gcd, with no zero end slot
-        assert d > 0 and gcd(d, *c) == 1
-        assert not c or (c[0] and c[-1])
-        assert canon1(poly.eval_scalars(xs)) == canon1(ref_eval(poly.terms, xs))
+    for c, xs in zip(got, points):
+        assert laurent_value(c) == fraction_eval(poly.terms, xs)
+        # canonical: the UniRat loop's form and parameter name
+        assert canon1(c) == canon1(ref_eval(poly.terms, xs))
 
 
 @PROPS
@@ -502,7 +505,7 @@ def test_eval_points_widens_once_for_the_largest_point():
     p = MPoly({(1,): UniRat.mono("q", -1, SLOT // 4 + 1), (0,): UniRat.mono("q", 2, 5)}, 1, "q")
     check_eval_points(p, [[1], [7], [Fraction(1, 3)], [0], [-SLOT]])
     x, y = xvars(2)
-    assert (x - y).eval_points([[3, 3], [1, 2]]) == [((), 0, 1), ((-1,), 0, 1)]
+    assert [canon1(c) for c in (x - y).eval_points([[3, 3], [1, 2]])] == [((), (1,), None), ((-1,), (1,), None)]
     assert x.eval_points([]) == []
     with pytest.raises(ValueError):
         x.eval_points([[1, 2], [1]])
@@ -510,11 +513,11 @@ def test_eval_points_widens_once_for_the_largest_point():
 
 def test_eval_zero_and_empty_polys():
     x, y = xvars(2)
-    assert (x - y).eval_scalars([3, 3]).is_zero()
-    assert MPoly.zero(2, "q").eval_scalars([1, 2]).is_zero()
-    assert MPoly.const(UniRat.mono("q", -2, 5), 0, "q").eval_scalars([]) == UniRat.mono("q", -2, 5)
+    assert eval1(x - y, [3, 3]).is_zero()
+    assert eval1(MPoly.zero(2, "q"), [1, 2]).is_zero()
+    assert eval1(MPoly.const(UniRat.mono("q", -2, 5), 0, "q"), []) == UniRat.mono("q", -2, 5)
     with pytest.raises(ValueError):
-        x.eval_scalars([1])
+        eval1(x, [1])
 
 
 # -- packed exact division by x_i - x_j against the UniRat loop -------------------
@@ -884,13 +887,13 @@ def test_zero_variable_polys_match_unirat(a, b, c):
     assert canon(prod.terms) == canon(ref_mul(a.terms, b.terms))
     assert canon((a + b).terms) == canon(ref_add(a.terms, b.terms))
     assert canon(a.scale(c).terms) == canon({e: v * c for e, v in a.terms.items()})
-    assert canon1(a.eval_scalars([])) == canon1(ref_eval(a.terms, []))
+    assert canon1(eval1(a, [])) == canon1(ref_eval(a.terms, []))
 
 
 @PROPS
 @given(field_poly(max_terms=4), st.lists(st.sampled_from([-1, 1, Fraction(-1), 0]), min_size=2, max_size=2))
 def test_packed_eval_at_the_field_top(a, xs):
-    assert canon1(a.eval_scalars(xs)) == canon1(ref_eval(a.terms, xs))
+    assert canon1(eval1(a, xs)) == canon1(ref_eval(a.terms, xs))
 
 
 # -- equality, zero test and negation on the packed form ---------------------------

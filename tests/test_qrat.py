@@ -185,8 +185,8 @@ SLOT = 1 << 63  # a signed 8-byte slot holds |x| < SLOT
 NEAR_SLOT = [SLOT - 1, SLOT, SLOT + 1, SLOT // 2, SLOT // 3, 3037000499, 1 << 31]
 
 
-def factor_value(f):
-    c, low, d = f
+def factor_value(c, low, d):
+    """The Laurent factor sum_i c[i] q^(low+i) / d as a UniRat."""
     return sum((UniRat.mono("q", low + i, Fraction(x, d)) for i, x in enumerate(c)), ZERO)
 
 
@@ -195,14 +195,15 @@ def ref_sum_of_products(terms):
     for t in terms:
         v = UniRat.one()
         for f in t:
-            v = v * factor_value(f)
+            v = v * f
         total = total + v
     return total
 
 
 DIGIT = st.one_of(st.integers(-5, 5), st.sampled_from(NEAR_SLOT), st.sampled_from(NEAR_SLOT).map(lambda x: -x))
-FACTOR = st.tuples(
-    st.lists(DIGIT, min_size=0, max_size=4).map(tuple),
+FACTOR = st.builds(
+    factor_value,
+    st.lists(DIGIT, min_size=0, max_size=4),
     st.integers(-4, 3),
     st.sampled_from([1, 1, 2, 3, 6, 35]),
 )
@@ -211,7 +212,7 @@ FACTOR = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(FACTOR, max_size=4), max_size=4))
 def test_laurent_sum_of_products_matches_unirat(terms):
-    got = laurent_sum_of_products(terms, "q")
+    got = laurent_sum_of_products(terms)
     want = ref_sum_of_products(terms)
     assert (got.num, got.den, got.param) == (want.num, want.den, want.param)
 
@@ -219,10 +220,10 @@ def test_laurent_sum_of_products_matches_unirat(terms):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(FACTOR, min_size=1, max_size=3), min_size=1, max_size=3), st.data())
 def test_laurent_sum_shares_factor_objects(terms, data):
-    # the same coefficient tuple in several terms is packed once
+    # the same numerator in several terms is packed once
     shared = data.draw(FACTOR)
     terms = [t + [shared] for t in terms]
-    got = laurent_sum_of_products(terms, "q")
+    got = laurent_sum_of_products(terms)
     assert got == ref_sum_of_products(terms)
 
 
@@ -235,29 +236,49 @@ def test_laurent_sum_final_slot_at_width_boundary():
                 [[((sign * (top // 2),), -2, 1)], [((sign * (top - top // 2),), -2, 1)]],
                 [[((0, sign * (top // 7)), -3, 1), ((7,), 0, 1)], [((sign * (top % 7),), -2, 1)]],
             ):
-                assert laurent_sum_of_products(terms, "q") == UniRat.mono("q", -2, sign * top)
+                terms = [[factor_value(*f) for f in t] for t in terms]
+                assert laurent_sum_of_products(terms) == UniRat.mono("q", -2, sign * top)
 
 
 def test_laurent_sum_bound_counts_denominator_ratio():
     # x/1 + x/3 = 4x/3: the numerator over L = 3 is 3x + x, past 2^63 while
-    # x + x is not
-    x = SLOT // 2 - 1
-    got = laurent_sum_of_products([[((x,), 0, 1)], [((x,), 0, 3)]], "q")
+    # x + x is not (x is prime to 3, so x/3 keeps its denominator)
+    x = SLOT // 2 - 2
+    got = laurent_sum_of_products([[UniRat.const(x)], [UniRat.const(Fraction(x, 3))]])
     assert got == UniRat.const(Fraction(4 * x, 3))
-    assert laurent_sum_of_products([[((x, x), -1, 2)], [((x,), 0, 6)]]) == ref_sum_of_products(
-        [[((x, x), -1, 2)], [((x,), 0, 6)]]
-    )
+    terms = [[factor_value((x, x), -1, 2)], [factor_value((x,), 0, 6)]]
+    assert laurent_sum_of_products(terms) == ref_sum_of_products(terms)
 
 
 def test_laurent_sum_edge_cases():
     assert laurent_sum_of_products([]).is_zero()
-    assert laurent_sum_of_products([[((), 0, 1)], [((0, 0), 3, 5)]]).is_zero()
+    assert laurent_sum_of_products([[ZERO], [factor_value((0, 0), 3, 5)]]).is_zero()
     assert laurent_sum_of_products([[]]) == UniRat.one()  # the empty product
     # the terms cancel: (1 - q) + (q - 1) = 0
-    assert laurent_sum_of_products([[((1, -1), 0, 1)], [((-1, 1), 0, 1)]]).is_zero()
-    one_over = laurent_sum_of_products([[((3,), -2, 6)]], "q")
+    assert laurent_sum_of_products([[1 - q()], [q() - 1]]).is_zero()
+    one_over = laurent_sum_of_products([[UniRat.mono("q", -2, Fraction(3, 6))]])
     assert (one_over.num, one_over.den, one_over.param) == ((1,), (0, 0, 2), "q")
-    assert laurent_sum_of_products([[((4,), 0, 2)]], "q").param is None
+    assert laurent_sum_of_products([[UniRat.const(2)]]).param is None
+
+
+def test_laurent_sum_refuses_a_non_monomial_denominator():
+    # a factor over 1 - q is no Laurent polynomial, in any term or place
+    for terms in ([[ONE / (1 - q())]], [[q()], [q(), ONE / (1 - q())]]):
+        with pytest.raises(ValueError):
+            laurent_sum_of_products(terms)
+
+
+def test_laurent_sum_takes_the_parameter_name_from_its_factors():
+    t = UniRat.mono("t", 1)
+    assert laurent_sum_of_products([[t, UniRat.const(2)], [ONE]]).param == "t"
+    assert laurent_sum_of_products([[q()], [UniRat.mono("q", -1)]]).param == "q"
+    # a sum of constants has no name, nor has a q-sum that comes out constant
+    assert laurent_sum_of_products([[UniRat.const(2), UniRat.const(Fraction(1, 3))]]).param is None
+    assert laurent_sum_of_products([[q()], [-q()]]).param is None
+    with pytest.raises(ParamMismatch):
+        laurent_sum_of_products([[q()], [t]])
+    with pytest.raises(ParamMismatch):
+        laurent_sum_of_products([[q(), t]])
 
 
 # -- ring laws against sympy, an independent oracle ------------------------------

@@ -62,3 +62,24 @@ def test_benchmark_tracer_patches_and_restores():
     assert tracer.stats["mpoly.mul"][0] == 1
     assert tracer.counts["mpoly.mul.term_pairs"] == 4
     assert [key for obj, key, value in patches if vars(obj)[key] is not value] == []
+
+
+def test_every_module_level_name_is_used():
+    # a module-level def or class that nothing names outside its own
+    # definition, in src/, tests/ or perfbench/, is dead code
+    root = Path(__file__).resolve().parents[1]
+    files = SOURCES + sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    texts = {path: path.read_text() for path in files}
+    unused = []
+    for path in SOURCES:
+        lines = texts[path].splitlines(keepends=True)
+        for node in ast.parse(texts[path], str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+            rest = "".join(lines[:start] + lines[node.end_lineno :])
+            name = re.compile(r"\b%s\b" % re.escape(node.name))
+            if not name.search(rest) and not any(name.search(t) for p, t in texts.items() if p != path):
+                unused.append("%s:%s" % (path.name, node.name))
+    assert len(SOURCES) > 10
+    assert unused == []
