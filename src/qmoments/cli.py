@@ -413,7 +413,7 @@ def build_parser():
     p_ver.add_argument(
         "--mutate",
         action="store_true",
-        help="flip one sign in the computed right-hand side to exercise "
+        help="negate the computed right-hand sides to exercise "
         "the failure-localization path (expected exit: 1)",
     )
     p_ver.set_defaults(func=_cmd_verify)

@@ -18,7 +18,7 @@ from .mpoly import MPoly, _unit
 from .partitions import Partition, partitions_of, subpartition_count, subpartitions
 from .qrat import ONE, UniRat, ZERO, laurent_sum_of_products
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
-from .rbasis import _c_degree, c_coeff, dot_product_conjugates, qprime_skew
+from .rbasis import _c_by_size, _c_degree, dot_product_conjugates, qprime_skew
 from .record import Record
 
 SYMBOLIC_EXACT = "symbolic-exact"
@@ -88,14 +88,9 @@ class VerificationReport(Record):
         return out
 
 
-def _is_zero_value(v):
-    return v is None or v == 0
-
-
 def _values_equal(a, b):
-    if a is None or b is None:
-        return _is_zero_value(a) and _is_zero_value(b)
-    return a == b
+    """a == b, a missing value (None) reading as 0."""
+    return (a or 0) == (b or 0)
 
 
 def _key_order(k):
@@ -117,22 +112,13 @@ def _compare_pairs(pairs, mutate=False):
 
     The sides are key -> value maps, or two MPolys: those are compared on
     their packed forms (`MPoly.compare`) and decoded only to locate the
-    first mismatch, or to mutate."""
+    first mismatch.  With `mutate` every rhs is negated, so a passing case
+    fails at its first nonzero coefficient."""
     if mutate:
-        mutated = []
-        flipped = False
-        for label, lhs, rhs in pairs:
-            if isinstance(lhs, MPoly):
-                lhs, rhs = lhs.terms, rhs.terms
-            rhs = dict(rhs)
-            if not flipped:
-                for k in sorted(rhs, key=_key_order):
-                    if not _is_zero_value(rhs[k]):
-                        rhs[k] = -rhs[k]
-                        flipped = True
-                        break
-            mutated.append((label, lhs, rhs))
-        pairs = mutated
+        pairs = [
+            (label, lhs, -rhs if isinstance(rhs, MPoly) else {k: -v for k, v in rhs.items()})
+            for label, lhs, rhs in pairs
+        ]
     compared = 0
     first = None
     for label, lhs, rhs in pairs:
@@ -231,20 +217,6 @@ def _afac(r, one, a):
     return _mpoly_product(MPoly.two_term(one, a, -t, "q") for t in range(r))
 
 
-def _c_by_size(lam, most=None):
-    """{m: the sum over the nu inside lam with |nu| = m of C_{lam,nu}(1/q)},
-    for m <= most if given, when only the partitions of m <= most that fit
-    in lam's lam_1 x len box are listed."""
-    nus = subpartitions(lam)
-    if most is not None:
-        box = (partitions_of(m, lam.part(1), len(lam)) for m in range(most + 1))
-        nus = (nu for part in box for nu in part if lam.contains(nu))
-    out = {}
-    for nu in nus:
-        out[nu.size] = out.get(nu.size, ZERO) + c_coeff(lam, nu).recip_param()
-    return out
-
-
 def _sums_by_size(n, term, zero=ZERO):
     """{m: the sum over the partitions mu of m of term(mu)} for m <= n."""
     return {m: sum(map(term, partitions_of(m)), zero) for m in range(n + 1)}
@@ -252,7 +224,7 @@ def _sums_by_size(n, term, zero=ZERO):
 
 def _euler_convolution(cvals, n, euler, zero):
     """{m: the sum over j <= m of euler(j) * cvals[m - j]} for m <= n, a
-    size missing from `cvals` adding nothing."""
+    size missing from the map `cvals` adding nothing."""
     return {
         m: sum((euler(j) * cvals[m - j] for j in range(m + 1) if m - j in cvals), zero)
         for m in range(n + 1)
@@ -306,8 +278,9 @@ def _run_genfun(params, rng):
 
     lhs = _sums_by_size(n, term, Fraction(0))
     invp = Fraction(1, p)
-    cvals = {m: v.eval_at(invp) for m, v in _c_by_size(lam).items()}
-    rhs = _euler_convolution(cvals, n, lambda j: euler_coeff_recip(j, 1).eval_at(invp), Fraction(0))
+    # S_m(1/q) at 1/p is S_m(q) at p
+    cvals = dict(enumerate(v.eval_at(p) for v in _c_by_size(lam)))
+    rhs = _euler_convolution(cvals, n, lambda j: euler_coeff_recip(j).eval_at(invp), Fraction(0))
     return [("z-coefficients", lhs, rhs)]
 
 
@@ -326,7 +299,8 @@ def _run_combinat(params, rng):
         return weight * principal_spec(mu, math.inf)
 
     route_a = _sums_by_size(n, combinatorial)
-    route_b = _euler_convolution(_c_by_size(lam), n, lambda j: euler_coeff_recip(j, 1), ZERO)
+    cvals = dict(enumerate(v.recip_param() for v in _c_by_size(lam)))
+    route_b = _euler_convolution(cvals, n, euler_coeff_recip, ZERO)
     route_c = _sums_by_size(n, principal)
     return [
         ("combinatorial-vs-inversion", route_a, route_b),
@@ -362,8 +336,8 @@ def _run_umoy(params, b):
     n = params["zmax"]
     lhs = _column_bounded_lhs(lam, params["ell"], n, b, 1)
     rhs = {m: ZERO for m in range(n + 1)}
-    for m, v in _c_by_size(lam, n // b).items():
-        rhs[b * m] = v.pow_param(b) * UniRat.mono("q", (1 - b) * m)
+    for m, v in enumerate(_c_by_size(lam, n // b)):
+        rhs[b * m] = v.recip_param().pow_param(b) * UniRat.mono("q", (1 - b) * m)
     return [("z-coefficients", lhs, rhs)]
 
 
@@ -433,14 +407,14 @@ def _run_lascoux(params, rng):
     keep = ((0, nx, dx), (nx, nv, dy))  # degree in x at most dx, in y at most dy
     lams = _partitions_upto(dx, nx)
     table, terms = {}, []
-    mirr_lhs, mirr_rhs = {}, {}
+    by_size, mirr_rhs = {}, {}
     for lam in lams:
         table["x", lam] = hl_p(lam, nx).poly.embed(nv, 0)
+        # C_{lam,mu}(1/q) = q^{n(mu)-n(lam)} * qprime_skew(lam, mu), summed by |mu|
+        by_size[lam] = [v.recip_param() for v in _c_by_size(lam)]
         for mu in subpartitions(lam):
             skew = qprime_skew(lam, mu)
-            # C_{lam,mu}(1/q) = q^{n(mu)-n(lam)} * qprime_skew(lam, mu), summed by |mu|
             key = (str(tuple(lam)), mu.size)
-            mirr_lhs[key] = mirr_lhs.get(key, ZERO) + c_coeff(lam, mu).recip_param()
             mirr_rhs[key] = mirr_rhs.get(key, ZERO) + UniRat.mono("q", mu.nstat() - lam.nstat()) * skew
             if len(mu) > ny or mu.size > dy:
                 continue
@@ -462,14 +436,15 @@ def _run_lascoux(params, rng):
     table, terms = {}, []
     for lam in lams:
         table["x", lam] = hl_p(lam, nx).poly.embed(nvz, 0)
-        for mu in subpartitions(lam):
-            table["z", mu.size] = MPoly.mono((0,) * nx + (mu.size,), 1, "q")
-            table["c", lam, mu] = c_coeff(lam, mu).recip_param()
-            terms.append([("x", lam), ("z", mu.size), ("c", lam, mu), ("q", lam.nstat())])
+        for m, v in enumerate(by_size[lam]):
+            table["z", m] = MPoly.mono((0,) * nx + (m,), 1, "q")
+            table["c", lam, m] = v
+            terms.append([("x", lam), ("z", m), ("c", lam, m), ("q", lam.nstat())])
     table.update(_q_powers(terms))
     factors = [MPoly.one(nvz, "q")] + [_geom(_unit(nvz, i, z_slot), dx, 0) for i in range(nx)]
     factors += [_geom(_unit(nvz, i), dx, 0) for i in range(nx)]
     pairs.append(("principal-y", _mpoly_sum(terms, table), _mpoly_product(factors, keepz)))
+    mirr_lhs = {(str(tuple(lam)), m): v for lam, sums in by_size.items() for m, v in enumerate(sums)}
     pairs.append(("mirror-consistency", mirr_lhs, mirr_rhs))
     return pairs
 
@@ -616,14 +591,14 @@ def _run_csq(params, rng):
 
 def _run_mirror_swap(params, rng):
     lam = params["lam"]
-    by_size = _c_by_size(lam)
+    by_size = [v.recip_param() for v in _c_by_size(lam)]
     m = lam.size
-    pal_lhs = {j: by_size.get(j, ZERO) for j in range(m + 1)}
-    pal_rhs = {j: by_size.get(m - j, ZERO) for j in range(m + 1)}
+    pal_lhs = dict(enumerate(by_size))
+    pal_rhs = dict(enumerate(reversed(by_size)))
     pairs = [("palindrome", pal_lhs, pal_rhs)]
 
     def swap(u):
-        return sum((v * UniRat.mono("q", j * u) for j, v in by_size.items()), ZERO)
+        return sum((v * UniRat.mono("q", j * u) for j, v in enumerate(by_size)), ZERO)
 
     # sum_j v_j q^{-ju} against q^{-mu} sum_j v_j q^{ju}, for u = 1, 2
     sw_lhs = {u: swap(-u) for u in (1, 2)}
@@ -816,9 +791,10 @@ _LEAST = {"k": 1, "ell": 1, "samples": MIN_SAMPLES}
 def verify(case, mutate=False):
     """Run one case and report pass/fail with the first mismatching coefficient.
 
-    A missing, malformed or too small param (`_LEAST`, else 0; an int param
-    must be an int and not a bool, and `lam` one that `Partition` takes),
-    a composite `p`, a `seed` that is not an int (a bool included),
+    A param the identity does not read (outside its `params`, `samples` and
+    `seed`), a missing, malformed or too small param (`_LEAST`, else 0; an
+    int param must be an int and not a bool, and `lam` one that `Partition`
+    takes), a composite `p`, a `seed` that is not an int (a bool included),
     `samples` for an identity with no random-point check, or a
     `case.strategy` other than the one the params run (random-point with
     `samples`, else the identity's first), raises UsageError, and a case
@@ -827,6 +803,9 @@ def verify(case, mutate=False):
     identity = REGISTRY.get(case.case_id)
     if identity is None:
         raise UsageError("unknown identity id: %r" % (case.case_id,))
+    unread = [name for name in case.params if name not in identity.params + ("samples", "seed")]
+    if unread:
+        raise UsageError("%s reads no param %s" % (case.case_id, ", ".join(map(str, unread))))
     names = identity.params + (("samples",) if "samples" in case.params else ())
     missing = [name for name in names if name not in case.params]
     if missing:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InvariantError, ModeError, ResourceBoundError, UsageError
 from .groups import _check_prime
-from .partitions import Partition, subpartitions
+from .partitions import Partition
 from .qseries import qbinomial
-from .rbasis import _c_degree, c_coeff
+from .rbasis import _c_degree, mirror_poly
 from .record import Record
 
 ABELIAN = "ABELIAN"
@@ -32,6 +31,8 @@ SELMER = "SELMER"
 # seconds to minutes, and the answer outgrows the 4300-digit limit of
 # int-to-str conversion, so the query exits with a resource bound instead.
 MAX_MOMENT_BITS = 8192
+
+FLOAT_DPS = 30  # the decimal digits of the float moments
 
 
 def _real_u(u):
@@ -81,20 +82,12 @@ class MomentQuery(Record):
             raise UsageError("unknown flavor %r" % (self.flavor,))
 
 
-@lru_cache(maxsize=None)
-def _c_values(lam, p):
-    """All (|mu|, C_{lam,mu} evaluated at p) over subpartitions of lam."""
-    return tuple(
-        (mu.size, c_coeff(lam, mu).eval_at(p)) for mu in subpartitions(lam)
-    )
-
-
 def _moment(lam, p, u, flavor, dps):
     """sum over mu inside lam of C_{lam,mu}(b) p^{-|mu| e}, where (b, e) is
-    (p, u) for the abelian flavor and (p^2, 2u - 1) for type S: exact for
-    dps None, else an mpmath float at dps decimal digits.  Both modes refuse
-    a bad p or u and size-check every query first, since both build each
-    C_{lam,mu}(b) exactly."""
+    (p, u) for the abelian flavor and (p^2, 2u - 1) for type S, read off
+    `mirror_poly` at q = b, T = p^-e: exact for dps None, else an mpmath
+    float at dps decimal digits.  Both modes refuse a bad p or u and
+    size-check every query first, since both build each S_m(b) exactly."""
     _check_prime(p)
     if dps is None:
         u = _check_u(u)
@@ -103,6 +96,7 @@ def _moment(lam, p, u, flavor, dps):
     lam = Partition(lam)
     b, e = (p * p, 2 * u - 1) if flavor == TYPE_S else (p, u)
     _check_size(lam.size, _c_degree(lam), p, e, b)
+    table = mirror_poly(lam)
     if dps is not None:
         import mpmath
 
@@ -110,11 +104,11 @@ def _moment(lam, p, u, flavor, dps):
             uu = mpmath.mpf(str(u)) if isinstance(u, float) else mpmath.mpmathify(u)
             ee = 2 * uu - 1 if flavor == TYPE_S else uu
             total = mpmath.mpf(0)
-            for size, c in _c_values(lam, b):
-                total += mpmath.mpmathify(c) * mpmath.power(p, -size * ee)
+            for size, c in enumerate(table):
+                total += mpmath.mpmathify(c.eval_at(b)) * mpmath.power(p, -size * ee)
             return total
     pf = Fraction(p)
-    val = sum((c * pf ** (-size * e) for size, c in _c_values(lam, b)), Fraction(0))
+    val = sum((c.eval_at(b) * pf ** (-size * e) for size, c in enumerate(table)), Fraction(0))
     # row partitions collapse to a geometric sum
     if lam.length <= 1 and val != sum(pf ** (-e * k) for k in range(lam.size + 1)):
         raise InvariantError("the moment of the row %s is not the geometric sum" % (lam,))
@@ -140,14 +134,14 @@ def m_u_s(query):
     return _exact(query, TYPE_S)
 
 
-def m_u_float(lam, p, u, dps=30):
-    """Arbitrary-precision float m_u for real u >= 0 at dps decimal digits."""
-    return _moment(lam, p, u, ABELIAN, dps)
+def m_u_float(lam, p, u):
+    """Arbitrary-precision float m_u for real u >= 0 at FLOAT_DPS decimal digits."""
+    return _moment(lam, p, u, ABELIAN, FLOAT_DPS)
 
 
-def m_u_s_float(lam, p, u, dps=30):
-    """Arbitrary-precision float m_u_s for real u >= 0 at dps decimal digits."""
-    return _moment(lam, p, u, TYPE_S, dps)
+def m_u_s_float(lam, p, u):
+    """Arbitrary-precision float m_u_s for real u >= 0 at FLOAT_DPS decimal digits."""
+    return _moment(lam, p, u, TYPE_S, FLOAT_DPS)
 
 
 def coherence_check(lam, p):

@@ -67,9 +67,9 @@ def euler_coeff(j, spow, base=1):
     return UniRat.mono("q", e, sign) / qq(j, base)
 
 
-def euler_coeff_recip(j, spow):
-    """z^j coefficient of 1 / (z q^spow; q)_inf: q^{spow*j} / (q; q)_j."""
-    return UniRat.mono("q", spow * j) / qq(j)
+def euler_coeff_recip(j):
+    """z^j coefficient of 1 / (z q; q)_inf: q^j / (q; q)_j."""
+    return UniRat.mono("q", j) / qq(j)
 
 
 # ---------------------------------------------------------------------------

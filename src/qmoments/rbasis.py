@@ -13,13 +13,9 @@ from operator import mul
 
 from .errors import InvariantError, ResourceBoundError
 from .mpoly import MPoly, _unit
-from .partitions import Partition, subpartitions
+from .partitions import Partition, partitions_of, subpartitions
 from .qrat import UniRat, ZERO
 from .qseries import qbinomial
-from .record import Record
-
-R_TO_MONOMIAL = "R_TO_MONOMIAL"
-MONOMIAL_TO_R = "MONOMIAL_TO_R"
 
 # Past this degree bound (_c_degree) a C_{lam,mu} takes seconds to minutes
 # (lam = 1^181, bound 8190, takes about 3 s), and at lam = 1^500 the
@@ -27,26 +23,6 @@ MONOMIAL_TO_R = "MONOMIAL_TO_R"
 # resource bound.  `moments` asks for no larger bound: its MAX_MOMENT_BITS
 # already bounds _c_degree(lam) * log2(b) with b >= 2.
 MAX_C_DEGREE = 8192
-
-
-class RExpansion(Record):
-    """Coefficient table keyed by subpartitions of lam.
-
-    direction R_TO_MONOMIAL: R_lam = sum_mu coeff[mu] * x^mu.
-    direction MONOMIAL_TO_R: x^lam = sum_mu coeff[mu] * R_mu.
-    """
-
-    lam: Partition
-    direction: str
-    coeffs: dict
-
-    def __post_init__(self):
-        for mu in self.coeffs:
-            if not self.lam.contains(mu):
-                raise InvariantError("%s is not contained in %s" % (mu, self.lam))
-
-    def coeff(self, mu):
-        return self.coeffs.get(Partition(mu), ZERO)
 
 
 def rlambda_poly(lam, ell=None):
@@ -85,12 +61,12 @@ def _mu_from_exps(e):
     return Partition([c for c in conj if c]).conjugate()
 
 
-def rlambda_expand(lam, validate=True):
-    """Monomial coefficients of R_lam from the closed form:
+def rlambda_expand(lam):
+    """{mu: coefficient of x^mu in R_lam}, from the closed form
     coeff(x^mu) = (-1)^{|lam|-|mu|} t^{sum C(d_i,2) + sum conj(i+1) d_i}
                   prod_i [m_i(lam) choose d_i]_t with d_i = conj_lam(i)-conj_mu(i).
 
-    With validate, R_lam is multiplied out and collected as a cross-check.
+    R_lam is multiplied out and collected as a cross-check.
     """
     lam = Partition(lam)
     width = lam.part(1)
@@ -109,12 +85,10 @@ def rlambda_expand(lam, validate=True):
         )
         sign = -1 if (lam.size - mu.size) % 2 else 1
         coeffs[mu] = UniRat.mono("t", expo, sign) * prod
-    if validate:
-        direct = rlambda_poly(lam)
-        collected = {_mu_from_exps(e): c for e, c in direct.terms.items()}
-        if collected != coeffs:
-            raise InvariantError("the closed form of R_%s disagrees with its product" % (lam,))
-    return RExpansion(lam, R_TO_MONOMIAL, coeffs)
+    collected = {_mu_from_exps(e): c for e, c in rlambda_poly(lam).terms.items()}
+    if collected != coeffs:
+        raise InvariantError("the closed form of R_%s disagrees with its product" % (lam,))
+    return coeffs
 
 
 def _c_degree(lam):
@@ -152,36 +126,49 @@ def c_coeff(lam, mu):
     return _c_coeff_cached(lam, mu)
 
 
-def monomial_in_R_basis(lam, validate=True):
-    """Expansion x^lam = sum_{mu within lam} C_{lam,mu} R_mu.
+def monomial_in_R_basis(lam):
+    """{mu: C_{lam,mu}} over the mu within lam, so x^lam = sum_mu C_{lam,mu} R_mu.
 
-    With validate, the R_mu are themselves expanded into monomials and the
-    whole sum is required to collapse to the single monomial x^lam.
+    The R_mu are multiplied out into monomials, and the whole sum is
+    required to collapse to the single monomial x^lam.
     """
     lam = Partition(lam)
     coeffs = {mu: c_coeff(lam, mu) for mu in subpartitions(lam)}
-    if validate:
-        total = {}
-        for mu, c in coeffs.items():
-            ct = c.rename("t")
-            for nu, r in rlambda_expand(mu, validate=False).coeffs.items():
-                s = total.get(nu, ZERO) + ct * r
-                if s.is_zero():
-                    total.pop(nu, None)
-                else:
-                    total[nu] = s
-        if total != {lam: UniRat.one()}:
-            raise InvariantError("sum_mu C_{lam,mu} R_mu is not x^%s" % (lam,))
-    return RExpansion(lam, MONOMIAL_TO_R, coeffs)
+    total = {}
+    for mu, c in coeffs.items():
+        ct = c.rename("t")
+        for e, r in rlambda_poly(mu).terms.items():
+            nu = _mu_from_exps(e)
+            s = total.get(nu, ZERO) + ct * r
+            if s.is_zero():
+                total.pop(nu, None)
+            else:
+                total[nu] = s
+    if total != {lam: UniRat.one()}:
+        raise InvariantError("sum_mu C_{lam,mu} R_mu is not x^%s" % (lam,))
+    return coeffs
+
+
+def _c_by_size(lam, most=None):
+    """[S_0, S_1, ...], S_m the sum over the mu inside lam with |mu| = m of
+    C_{lam,mu}(q), for m <= most if given, when only the partitions of
+    m <= most that fit in lam's lam_1 x len box are listed."""
+    lam = Partition(lam)
+    top = lam.size if most is None else min(most, lam.size)
+    mus = subpartitions(lam)
+    if most is not None:
+        box = (partitions_of(m, lam.part(1), len(lam)) for m in range(top + 1))
+        mus = (mu for part in box for mu in part if lam.contains(mu))
+    out = [ZERO] * (top + 1)
+    for mu in mus:
+        out[mu.size] = out[mu.size] + c_coeff(lam, mu)
+    return out
 
 
 def mirror_poly(lam):
-    """Coefficients in T of sum_{mu within lam} C_{lam,mu}(q) T^{|mu|};
-    the sequence is checked to be palindromic (mirror symmetry)."""
-    lam = Partition(lam)
-    out = [ZERO] * (lam.size + 1)
-    for mu in subpartitions(lam):
-        out[mu.size] = out[mu.size] + c_coeff(lam, mu)
+    """Coefficients in T of sum_{mu within lam} C_{lam,mu}(q) T^{|mu|}, the
+    `_c_by_size` table, checked to be palindromic (mirror symmetry)."""
+    out = _c_by_size(lam)
     if out != out[::-1]:
         raise InvariantError("the mirror polynomial of %s is not palindromic" % (lam,))
     return out

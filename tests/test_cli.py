@@ -686,15 +686,18 @@ _MANIFESTS = {
                   ' "params": {"lam": "21"}}]}',
     "wrong-strategy": '{"version": 1, "cases": [{"id": "FINITE_QBINHL", "strategy": "random-point",'
                       ' "params": {"n": 2, "k": 1}}]}',
+    "unread-param": '{"version": 1, "cases": [{"id": "FINITE_QBINHL", "strategy": "symbolic-exact",'
+                    ' "params": {"n": 2, "k": 1, "sample": 20}}]}',
 }
 
 # every usage-error and resource-bound call of this file, and the refusals
 # of k = 0, ell = 0, too few samples, lam_1 > ell, an unreadable manifest, a
 # seed, an int param or a part of lam that is not an int, a lam that is not
-# a list, a case whose strategy is not the one its params run, --all with a
-# single-case option, an out-of-range selmer row, and a negative or
-# non-integral u where the path needs one; and a selmer rectangle, a group
-# order and a u too large to build, each refused before it is built
+# a list, a case whose strategy is not the one its params run, a param the
+# identity does not read, --all with a single-case option, an out-of-range
+# selmer row, and a negative or non-integral u where the path needs one; and
+# a selmer rectangle, a group order and a u too large to build, each refused
+# before it is built
 _REFUSED = [
     (2, ["coeff", "--lambda", "1,2", "--mu", "1"]),
     (2, ["coeff", "--lambda", "1,1", "--mu", "1", "--eval-at", "x"]),
@@ -735,6 +738,8 @@ _REFUSED = [
     (2, ["verify", "--all", "--manifest", "{int-lam}"]),
     (2, ["verify", "--all", "--manifest", "{string-lam}"]),
     (2, ["verify", "--all", "--manifest", "{wrong-strategy}"]),
+    (2, ["verify", "--all", "--manifest", "{unread-param}"]),
+    (2, ["verify", "--id", "QBIN", "--n", "3", "--zmax", "4"]),
     (2, ["verify", "--all", "--id", "QBIN"]),
     (2, ["verify", "--all", "--n", "3"]),
     (2, ["table", "--conjecture", "selmer", "--ell", "0", "--m", "1", "--p", "2"]),

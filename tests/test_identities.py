@@ -30,7 +30,8 @@ from qmoments.identities import (
     verify,
     MAX_VERIFY_WORK,
     REGISTRY,
-    _c_by_size,
+    _compare_pairs,
+    _key_order,
     _finite_qbinhl_cleared,
     _geom,
     _mpoly_product,
@@ -40,7 +41,7 @@ from qmoments.mpoly import MPoly, _unit
 from qmoments.hall_littlewood import _hl_cached, hl_p
 from qmoments.partitions import Partition, partitions_of, subpartitions
 from qmoments.qrat import ONE, UniRat, ZERO, _unpack_signed
-from qmoments.rbasis import c_coeff
+from qmoments.rbasis import _c_by_size, c_coeff
 from test_mpoly import time_limit
 
 FAST_POINTS = {
@@ -164,6 +165,19 @@ def test_random_point_case_needs_an_int_seed(seed):
     params = {"n": 2, "k": 1, "samples": 20, "seed": seed}
     with pytest.raises(UsageError, match="seed"):
         verify(IdentityCase("FINITE_QBINHL", params, "random-point"))
+
+
+@pytest.mark.parametrize("cid, params, unread", [
+    ("FINITE_QBINHL", {"n": 2, "k": 1, "sample": 20}, "sample"),  # samples misspelt
+    ("QBIN", {"n": 3, "zmax": "junk"}, "zmax"),
+    ("MIRROR_SWAP", {"lam": [2, 1], "p": 3, 7: 1}, "p, 7"),
+    ("QBIN", {"n": 10**9, "ell": 1}, "ell"),  # refused before the work estimate
+])
+def test_verify_refuses_a_param_its_identity_does_not_read(cid, params, unread):
+    with pytest.raises(UsageError, match="%s reads no param %s$" % (cid, unread)):
+        verify(IdentityCase(cid, params))
+    # seed is read by every identity, samples by a random-point check
+    assert verify(IdentityCase("QBIN", {"n": 3, "seed": 4})).passed
 
 
 # lams far past the work budget: 30^5 (324,632 subpartitions), the
@@ -556,8 +570,7 @@ def test_c_sums_by_size_up_to_a_bound_are_the_full_sums_cut_there():
         lam = Partition(lam)
         full = _c_by_size(lam)
         for most in range(lam.size + 2):
-            cut = {m: v for m, v in full.items() if m <= most}
-            assert _c_by_size(lam, most) == cut, (lam, most)
+            assert _c_by_size(lam, most) == full[: most + 1], (lam, most)
 
 
 def test_csq_small_case_passes():
@@ -669,6 +682,41 @@ def test_mutated_symbolic_case_reports_the_pinned_mismatch(cid, n, k):
     rep = verify(IdentityCase(cid, {"n": n, "k": k}, "symbolic-exact"), mutate=True)
     compared, mismatch = MUTATED[cid, n, k]
     assert (rep.passed, rep.compared, rep.mismatch) == (False, compared, Mismatch(*mismatch))
+
+
+def flip_first(pairs):
+    """The reference mutation: decode every MPoly pair and negate only the
+    first nonzero rhs coefficient, in key order, then compare the maps."""
+    mutated, flipped = [], False
+    for label, lhs, rhs in pairs:
+        if isinstance(lhs, MPoly):
+            lhs, rhs = lhs.terms, rhs.terms
+        rhs = dict(rhs)
+        for k in [] if flipped else sorted(rhs, key=_key_order):
+            if rhs[k] is not None and rhs[k] != 0:
+                rhs[k], flipped = -rhs[k], True
+                break
+        mutated.append((label, lhs, rhs))
+    return _compare_pairs(mutated)
+
+
+def test_negating_every_rhs_reports_what_flipping_one_coefficient_did():
+    # on every manifest case, --mutate negates each rhs; it must find the
+    # same first mismatch, with the same values and count, as the reference
+    seen = []
+
+    def keep(pairs, mutate=False):
+        seen.append(pairs)
+        return _compare_pairs(pairs, mutate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_compare_pairs", keep)
+        reports = [verify(case) for case in load_manifest()[2]]
+    assert len(seen) == len(reports) == 42 and all(r.passed for r in reports)
+    for rep, pairs in zip(reports, seen):
+        got = _compare_pairs(pairs, mutate=True)
+        assert got == flip_first(pairs), rep.case_id
+        assert not got[0] and got[2] == rep.compared
 
 
 def chain(term, table, keep=None):

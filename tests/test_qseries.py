@@ -75,7 +75,7 @@ def test_euler_coeff_consistency():
         assert s.coeff_at(j) == euler_coeff(j, 2)
     # reciprocal expansion times direct expansion = 1
     direct = qpochhammer((1, 1), inf, trunc=n)
-    recip = ZSeries([euler_coeff_recip(j, 1) for j in range(n + 1)], n, "q")
+    recip = ZSeries([euler_coeff_recip(j) for j in range(n + 1)], n, "q")
     assert (direct * recip).coeffs == ZSeries.one(n, "q").coeffs
 
 
@@ -166,7 +166,7 @@ def test_zseries_subs_and_inverse():
 def test_euler_identity_series_inverse():
     # sum_n z^n q^n/(q)_n == 1/(zq; q)_inf, the latter via series inversion
     n = 10
-    lhs = ZSeries([euler_coeff_recip(j, 1) for j in range(n + 1)], n, "q")
+    lhs = ZSeries([euler_coeff_recip(j) for j in range(n + 1)], n, "q")
     rhs = qpochhammer((1, 1), inf, trunc=n).inverse()
     assert lhs.coeffs == rhs.coeffs
 

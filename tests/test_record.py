@@ -1,4 +1,4 @@
-"""The shared frozen-record base and the nine value classes built on it."""
+"""The shared frozen-record base and the eight value classes built on it."""
 
 from fractions import Fraction
 
@@ -10,11 +10,9 @@ from qmoments.hall_littlewood import HLValue
 from qmoments.identities import IdentityCase, Mismatch, VerificationReport
 from qmoments.moments import ABELIAN, MomentQuery, RankProfile, Residual
 from qmoments.partitions import Partition
-from qmoments.rbasis import RExpansion, rlambda_expand
 from qmoments.record import Record
 
 _HL = hl_p((2, 1), 3)
-_EXP = rlambda_expand((2, 1))
 
 # (class, field values, whether every value is hashable)
 SAMPLES = [
@@ -28,7 +26,6 @@ SAMPLES = [
     (MomentQuery, (Partition((2, 1)), 3, 1, ABELIAN), True),
     (RankProfile, (Partition((1,)), 2, 3, 1, 12), True),
     (Residual, (Fraction(1, 3), Fraction(1, 100), 40), True),
-    (RExpansion, (_EXP.lam, _EXP.direction, dict(_EXP.coeffs)), False),
 ]
 
 

@@ -83,3 +83,51 @@ def test_every_module_level_name_is_used():
                 unused.append("%s:%s" % (path.name, node.name))
     assert len(SOURCES) > 10
     assert unused == []
+
+
+def _literal_repr(node):
+    """repr of a literal argument's value; None for any other argument."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def test_no_parameter_takes_one_value_at_every_call():
+    # a parameter of a module-level src/ function that every direct call in
+    # src/, tests/ or perfbench/ passes as the same literal, or leaves at
+    # its default, is a constant; a non-literal or starred argument varies,
+    # and a function with no direct call is skipped
+    root = Path(__file__).resolve().parents[1]
+    files = SOURCES + sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    signatures = {}
+    for path in SOURCES:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+                fields = list(zip(positional, defaults)) + list(zip(args.kwonlyargs, args.kw_defaults))
+                signatures.setdefault(node.name, []).append(
+                    ("%s:%s" % (path.name, node.name), [(a.arg, d) for a, d in fields], len(positional))
+                )
+    # "file:function(parameter)" -> the literal reprs passed, None if one varies
+    values = {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            for where, fields, npos in signatures.get(name, ()):
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                starred |= any(k.arg is None for k in call.keywords)
+                given = dict(zip([f for f, _ in fields[:npos]], call.args))
+                given.update((k.arg, k.value) for k in call.keywords)
+                for field, default in fields:
+                    node = None if starred else given.get(field, default)
+                    seen = values.setdefault("%s(%s)" % (where, field), set())
+                    seen.add(None if node is None else _literal_repr(node))
+    constant = sorted(key for key, seen in values.items() if len(seen) == 1 and None not in seen)
+    assert len(signatures) > 100
+    assert constant == []
