@@ -32,18 +32,12 @@ from .identities import (
 )
 from .moments import (
     ABELIAN,
-    CLASS_GROUP_IMAGINARY,
-    CLASS_GROUP_REAL,
+    CONJECTURES,
+    FLOAT_DPS,
     MAX_MOMENT_BITS,
-    SELMER,
-    SHA,
     TYPE_S,
-    MomentQuery,
+    _moment,
     conjecture_table,
-    m_u,
-    m_u_float,
-    m_u_s,
-    m_u_s_float,
 )
 from .partitions import parse_partition
 from .rbasis import MAX_C_DEGREE, c_coeff, rlambda_poly
@@ -52,15 +46,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
-
-# --conjecture value -> (moments kind, context label)
-_TABLES = {
-    "class-imaginary": (CLASS_GROUP_IMAGINARY, "conjectural average over class groups of imaginary quadratic fields (odd p)"),
-    "class-real": (CLASS_GROUP_REAL, "conjectural average over class groups of real quadratic fields (odd p)"),
-    "sha": (SHA, "conjectural average over p-parts of Tate-Shafarevich groups (type-S heuristic)"),
-    "selmer": (SELMER, "conjectural p-Selmer moment (type-S heuristic at u=0)"),
-}
-
 
 def _frac(text):
     try:
@@ -177,20 +162,13 @@ def _cmd_moments(args):
         "u": u,
         "flavor": "type-s" if args.type_s else "abelian",
     }
-    if args.as_float and u.denominator != 1:
-        approx = (
-            m_u_s_float(lam, args.p, u) if args.type_s else m_u_float(lam, args.p, u)
-        )
-        row["value"] = None
-        _set_float(row, approx)
-    else:
-        query = MomentQuery(lam, args.p, u, flavor)
-        exact = m_u_s(query) if args.type_s else m_u(query)
-        row["value"] = exact
-        _set_float(row, exact)
+    exact = not (args.as_float and u.denominator != 1)
+    value = _moment(lam, args.p, u, flavor, None if exact else FLOAT_DPS)
+    row["value"] = value if exact else None
+    _set_float(row, value)
     if args.conjecture:
         row["conjecture"] = args.conjecture
-        row["label"] = _TABLES[args.conjecture][1]
+        row["label"] = CONJECTURES[args.conjecture][3]
     lines = [
         "M_%s(%s) at p=%d [%s]: %s%s"
         % (
@@ -319,27 +297,17 @@ def _cmd_verify(args):
 
 
 def _cmd_table(args):
-    kind, label = _TABLES[args.conjecture]
-    wants_partition = args.conjecture in ("class-imaginary", "class-real", "sha")
-    if wants_partition and args.lam is None:
-        raise UsageError("--conjecture %s needs --lambda" % args.conjecture)
-    row = {"conjecture": args.conjecture, "p": args.p, "label": label}
-    if args.conjecture == "sha":
-        if args.u is None:
-            raise UsageError("--conjecture sha needs --u")
-        u = _frac(args.u)
-        lam = parse_partition(args.lam)
-        value = conjecture_table(kind, lam=lam, p=args.p, u=u)
-        row.update({"lambda": str(lam), "u": int(u)})
-    elif args.conjecture == "selmer":
-        if args.ell is None or args.m is None:
-            raise UsageError("--conjecture selmer needs --ell and --m")
-        value = conjecture_table(kind, p=args.p, lm=(args.ell, args.m))
-        row.update({"ell": args.ell, "m": args.m})
-    else:
-        lam = parse_partition(args.lam)
-        value = conjecture_table(kind, lam=lam, p=args.p)
+    lam = None if args.lam is None else parse_partition(args.lam)
+    u = None if args.u is None else _frac(args.u)
+    lm = None if args.ell is None and args.m is None else (args.ell, args.m)
+    value = conjecture_table(args.conjecture, lam=lam, p=args.p, u=u, lm=lm)
+    row = {"conjecture": args.conjecture, "p": args.p, "label": CONJECTURES[args.conjecture][3]}
+    if lam is not None:
         row["lambda"] = str(lam)
+    if u is not None:
+        row["u"] = int(u)
+    if lm is not None:
+        row.update({"ell": args.ell, "m": args.m})
     row["value"] = value
     _set_float(row, value)
     if args.conjecture in ("class-imaginary", "class-real") and args.p == 2:
@@ -392,7 +360,7 @@ def build_parser():
     p_mom.add_argument("--u", required=True, help="nonnegative rational")
     p_mom.add_argument("--type-s", dest="type_s", action="store_true")
     p_mom.add_argument("--float", dest="as_float", action="store_true", help="allow non-integral u via high-precision evaluation")
-    p_mom.add_argument("--conjecture", choices=sorted(_TABLES), default=None, help="attach a conjectural-context label")
+    p_mom.add_argument("--conjecture", choices=sorted(CONJECTURES), default=None, help="attach a conjectural-context label")
     p_mom.set_defaults(func=_cmd_moments)
 
     p_orc = sub.add_parser("oracle", help="brute-force group count vs closed formula", parents=[common])
@@ -419,7 +387,7 @@ def build_parser():
     p_ver.set_defaults(func=_cmd_verify)
 
     p_tab = sub.add_parser("table", help="conjectural averages with context labels", parents=[common])
-    p_tab.add_argument("--conjecture", choices=sorted(_TABLES), required=True)
+    p_tab.add_argument("--conjecture", choices=sorted(CONJECTURES), required=True)
     p_tab.add_argument("--lambda", dest="lam", default=None)
     p_tab.add_argument("--p", type=int, required=True)
     p_tab.add_argument("--u", default=None)

@@ -19,10 +19,23 @@ from .record import Record
 ABELIAN = "ABELIAN"
 TYPE_S = "TYPE_S"
 
-CLASS_GROUP_IMAGINARY = "CLASS_GROUP_IMAGINARY"
-CLASS_GROUP_REAL = "CLASS_GROUP_REAL"
-SHA = "SHA"
-SELMER = "SELMER"
+# flavor -> (k, e): the moment of x^lam is sum_mu C_{lam,mu}(p^k) p^(-|mu| e(u)),
+# and the rank law's factors step by powers of p^k
+_FLAVORS = {ABELIAN: (1, lambda u: u), TYPE_S: (2, lambda u: 2 * u - 1)}
+
+CLASS_GROUP_IMAGINARY = "class-imaginary"
+CLASS_GROUP_REAL = "class-real"
+SHA = "sha"
+SELMER = "selmer"
+
+# conjecture -> (flavor, the u it fixes (None: the caller's), the
+# `conjecture_table` args it reads, label), keyed by the CLI's names
+CONJECTURES = {
+    CLASS_GROUP_IMAGINARY: (ABELIAN, 0, ("lam",), "conjectural average over class groups of imaginary quadratic fields (odd p)"),
+    CLASS_GROUP_REAL: (ABELIAN, 1, ("lam",), "conjectural average over class groups of real quadratic fields (odd p)"),
+    SHA: (TYPE_S, None, ("lam", "u"), "conjectural average over p-parts of Tate-Shafarevich groups (type-S heuristic)"),
+    SELMER: (TYPE_S, 0, ("lm",), "conjectural p-Selmer moment (type-S heuristic at u=0)"),
+}
 
 # An exact moment sum_mu C_{lam,mu}(b) p^(-|mu| e) has about
 # (|lam| * |e| + deg C) * log2(p) bits, where p^-e is the weight of one unit
@@ -55,6 +68,13 @@ def _check_u(u):
     return int(f)
 
 
+def _flavor(flavor):
+    """The (k, e) row of a flavor; UsageError for any other."""
+    if flavor not in _FLAVORS:
+        raise UsageError("unknown flavor %r" % (flavor,))
+    return _FLAVORS[flavor]
+
+
 def _check_size(size, degree, p, e, cbase):
     """Exit with a resource bound before computing a moment of
     C_{lam,mu}(cbase) times powers of p^-e that is too large, for a lam of
@@ -78,23 +98,23 @@ class MomentQuery(Record):
     def __post_init__(self):
         object.__setattr__(self, "lam", Partition(self.lam))
         _check_prime(self.p)
-        if self.flavor not in (ABELIAN, TYPE_S):
-            raise UsageError("unknown flavor %r" % (self.flavor,))
+        _flavor(self.flavor)
 
 
 def _moment(lam, p, u, flavor, dps):
-    """sum over mu inside lam of C_{lam,mu}(b) p^{-|mu| e}, where (b, e) is
-    (p, u) for the abelian flavor and (p^2, 2u - 1) for type S, read off
+    """sum over mu inside lam of C_{lam,mu}(b) p^{-|mu| e}, where b = p^k and
+    e = e(u) for the flavor's (k, e) row of `_FLAVORS`, read off
     `mirror_poly` at q = b, T = p^-e: exact for dps None, else an mpmath
     float at dps decimal digits.  Both modes refuse a bad p or u and
     size-check every query first, since both build each S_m(b) exactly."""
+    k, weight = _flavor(flavor)
     _check_prime(p)
     if dps is None:
         u = _check_u(u)
     elif _real_u(u) < 0:
         raise UsageError("u must be >= 0, got %r" % (u,))
     lam = Partition(lam)
-    b, e = (p * p, 2 * u - 1) if flavor == TYPE_S else (p, u)
+    b, e = p**k, weight(u)
     _check_size(lam.size, _c_degree(lam), p, e, b)
     table = mirror_poly(lam)
     if dps is not None:
@@ -102,7 +122,7 @@ def _moment(lam, p, u, flavor, dps):
 
         with mpmath.workdps(dps):
             uu = mpmath.mpf(str(u)) if isinstance(u, float) else mpmath.mpmathify(u)
-            ee = 2 * uu - 1 if flavor == TYPE_S else uu
+            ee = weight(uu)
             total = mpmath.mpf(0)
             for size, c in enumerate(table):
                 total += mpmath.mpmathify(c.eval_at(b)) * mpmath.power(p, -size * ee)
@@ -206,16 +226,11 @@ def pj_rank_prob(profile, flavor=ABELIAN):
     ResourceBoundError before any of them is built.
     """
     u = _check_u(profile.u)
+    qstep, e = _flavor(flavor)
+    estart = e(u)
     p, trunc = profile.p, profile.trunc
     parts = [profile.mu.part(j) for j in range(1, profile.ell + 1)] + [0]
-    weight = sum(a * a for a in parts)
-    size = sum(parts)
-    if flavor == ABELIAN:
-        expo, qstep, estart = weight + u * size, 1, u
-    elif flavor == TYPE_S:
-        expo, qstep, estart = 2 * weight + (2 * u - 1) * size, 2, 2 * u - 1
-    else:
-        raise UsageError("unknown flavor %r" % (flavor,))
+    expo = qstep * sum(a * a for a in parts) + estart * sum(parts)
     lo = parts[profile.ell - 1] + 1 if profile.ell else 1
     tail_top = estart + qstep * (lo + trunc)
     # every value below is a ratio of products of powers of p; bound the sum
@@ -252,36 +267,36 @@ def pj_rank_prob(profile, flavor=ABELIAN):
 def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
     """Predicted average for one conjectural table row, as an exact rational.
 
-    CLASS_GROUP_IMAGINARY / CLASS_GROUP_REAL take lam and p (u fixed to 0
-    resp. 1); SHA takes lam, p, and u; SELMER takes lm = (ell, m) and p,
-    with lam = the rectangle ell^m, and raises UsageError unless ell >= 1
-    and m >= 0 are ints.  `MomentQuery` and `m_u`/`m_u_s` check lam, p and u.
+    The kind's `CONJECTURES` row names the args it reads: lam for
+    CLASS_GROUP_IMAGINARY / CLASS_GROUP_REAL (u fixed to 0 resp. 1), lam and
+    u for SHA, and lm = (ell, m) for SELMER, with lam = the rectangle ell^m
+    (UsageError unless ell >= 1 and m >= 0 are ints).  An unknown kind, an
+    arg the row reads left out or one it does not read given, raises
+    UsageError; `MomentQuery` and `m_u`/`m_u_s` check lam, p and u.
     """
-    if kind == CLASS_GROUP_IMAGINARY:
-        return m_u(MomentQuery(lam, p, 0))
-    if kind == CLASS_GROUP_REAL:
-        return m_u(MomentQuery(lam, p, 1))
-    if kind == SHA:
-        if u is None:
-            raise UsageError("SHA needs u")
-        return m_u_s(MomentQuery(lam, p, u, TYPE_S))
-    if kind == SELMER:
-        ell, m = lm if lm is not None else (None, None)
+    if kind not in CONJECTURES:
+        raise UsageError("unknown conjecture kind %r" % (kind,))
+    flavor, fixed, reads, _ = CONJECTURES[kind]
+    given = [name for name, value in (("lam", lam), ("u", u), ("lm", lm)) if value is not None]
+    if given != list(reads):
+        raise UsageError("%s reads %s, got %s" % (kind, " and ".join(reads), " and ".join(given) or "none"))
+    if lm is not None:
+        ell, m = lm
         if type(ell) is not int or type(m) is not int or ell < 1 or m < 0:
-            raise UsageError("SELMER needs lm = (ell, m), ints with ell >= 1 and m >= 0, got %r" % (lm,))
+            raise UsageError("%s needs lm = (ell, m), ints with ell >= 1 and m >= 0, got %r" % (kind, lm))
         # size-check ell^m (`_c_degree` ell m^2 / 4) before m = 2^31 parts fill memory
         _check_prime(p)
-        _check_size(ell * m, ell * m * m // 4, p, -1, p * p)
+        k, weight = _FLAVORS[flavor]
+        _check_size(ell * m, ell * m * m // 4, p, weight(fixed), p**k)
         lam = Partition([ell] * m)
-        val = m_u_s(MomentQuery(lam, p, 0, TYPE_S))
-        if ell == 1:
-            prod = Fraction(1)
-            for j in range(1, m + 1):
-                prod *= 1 + Fraction(p) ** j
-            if val != prod:
-                raise InvariantError("the SELMER moment at ell = 1 is not prod_j (1 + p^j)")
-        return val
-    raise UsageError("unknown conjecture kind %r" % (kind,))
+    val = _moment(lam, p, u if fixed is None else fixed, flavor, None)
+    if lm is not None and ell == 1:
+        prod = Fraction(1)
+        for j in range(1, m + 1):
+            prod *= 1 + Fraction(p) ** j
+        if val != prod:
+            raise InvariantError("the %s moment at ell = 1 is not prod_j (1 + p^j)" % kind)
+    return val
 
 
 def fouvry_klueners_numbers(n, p, real=False):

@@ -831,11 +831,11 @@ _COEFF = _argv(["coeff"], _PARTITION_TEXT.map(lambda t: ["--lambda", t]),
 _MOMENTS = _argv(["moments"], _PARTITION_TEXT.map(lambda t: ["--lambda", t]),
                  _INT_TEXT.map(lambda t: ["--p", t]), _RATIONAL_TEXT.map(lambda t: ["--u=" + t]),
                  st.sampled_from([[], ["--type-s"]]), st.sampled_from([[], ["--float"]]),
-                 _maybe("--conjecture", st.sampled_from(sorted(cli._TABLES))))
+                 _maybe("--conjecture", st.sampled_from(sorted(moments.CONJECTURES))))
 _ORACLE = _argv(["oracle"], st.sampled_from(["subgroups", "injections", "aut"]).map(lambda c: ["--check", c]),
                 _PARTITION_TEXT.map(lambda t: ["--lambda", t]), _maybe("--mu", _PARTITION_TEXT),
                 _INT_TEXT.map(lambda t: ["--p", t]))
-_TABLE = _argv(["table"], st.sampled_from(sorted(cli._TABLES)).map(lambda c: ["--conjecture", c]),
+_TABLE = _argv(["table"], st.sampled_from(sorted(moments.CONJECTURES)).map(lambda c: ["--conjecture", c]),
                _INT_TEXT.map(lambda t: ["--p", t]), _maybe("--lambda", _PARTITION_TEXT),
                _maybe("--u", _RATIONAL_TEXT), _maybe("--ell", _INT_TEXT), _maybe("--m", _INT_TEXT))
 
