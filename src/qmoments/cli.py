@@ -36,6 +36,7 @@ from .moments import (
     FLOAT_DPS,
     MAX_MOMENT_BITS,
     TYPE_S,
+    _conjecture_label,
     _moment,
     conjecture_table,
 )
@@ -92,7 +93,8 @@ def _json_safe(value):
 _BOUNDS = (
     ("max_group_order", MAX_GROUP_ORDER, "group order <= %d"),
     ("max_oracle_work", MAX_ORACLE_WORK, "oracle search steps <= %d"),
-    ("max_verify_work", MAX_VERIFY_WORK, "estimated verify work <= %d units (about 1 us each)"),
+    ("max_verify_work", MAX_VERIFY_WORK,
+     "estimated verify work <= %d units (about 1 us each; also an exact moment's C table)"),
     ("max_moment_bits", MAX_MOMENT_BITS, "exact moments <= %d bits"),
     ("max_c_degree", MAX_C_DEGREE, "degree of C(lambda; mu) <= %d"),
     ("max_prime", MAX_PRIME, "p <= %d"),
@@ -162,13 +164,14 @@ def _cmd_moments(args):
         "u": u,
         "flavor": "type-s" if args.type_s else "abelian",
     }
+    label = args.conjecture and _conjecture_label(args.conjecture, lam, u, flavor)
     exact = not (args.as_float and u.denominator != 1)
     value = _moment(lam, args.p, u, flavor, None if exact else FLOAT_DPS)
     row["value"] = value if exact else None
     _set_float(row, value)
-    if args.conjecture:
+    if label:
         row["conjecture"] = args.conjecture
-        row["label"] = CONJECTURES[args.conjecture][3]
+        row["label"] = label
     lines = [
         "M_%s(%s) at p=%d [%s]: %s%s"
         % (
@@ -186,8 +189,8 @@ def _cmd_moments(args):
 def _cmd_oracle(args):
     lam = parse_partition(args.lam)
     p = args.p
-    if args.check != "aut" and args.mu is None:
-        raise UsageError("--check %s needs --mu" % args.check)
+    if (args.mu is None) != (args.check == "aut"):
+        raise UsageError("--check %s %s --mu" % (args.check, "reads no" if args.check == "aut" else "needs"))
     if args.check == "subgroups":
         mu = parse_partition(args.mu)
         group = PGroup(p, lam)

@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import identities
 from .errors import InvariantError, ModeError, ResourceBoundError, UsageError
 from .groups import _check_prime
 from .partitions import Partition
 from .qseries import qbinomial
-from .rbasis import _c_degree, mirror_poly
+from .rbasis import _c_degree, _c_product_steps, mirror_poly
 from .record import Record
 
 ABELIAN = "ABELIAN"
@@ -87,6 +88,25 @@ def _check_size(size, degree, p, e, cbase):
         raise ResourceBoundError("exact moment size (bits)", MAX_MOMENT_BITS, math.ceil(bits))
 
 
+def _check_work(lam):
+    """Exit with a resource bound before building the C table of lam
+    (`mirror_poly`) when its estimated work passes MAX_VERIFY_WORK, the
+    budget `verify` checks too, in units of about 1 us: 40 units per mu
+    inside lam, a tenth per mu and degree of C (`_c_degree`), a twelfth per
+    schoolbook step of the products `c_coeff` forms (`_c_product_steps`),
+    and a hundredth per len(lam)^4 for the q-Pascal table of the
+    q-binomials up to len(lam), each weight read off measured `moments`
+    calls (BENCH_moment_work.json).  The lam_1 * len(lam) + 1 mu inside
+    the hook of lam bound the count from below before it is taken."""
+    budget = identities.MAX_VERIFY_WORK
+    work = 40 * (lam.part(1) * len(lam) + 1)
+    if work <= budget:
+        steps, count = _c_product_steps(lam)
+        work = count * (400 + _c_degree(lam) + 1) // 10 + steps // 12 + len(lam) ** 4 // 100
+    if work > budget:
+        raise ResourceBoundError("exact moment work", budget, work)
+
+
 class MomentQuery(Record):
     """One moment request: the exponent partition, the prime, u, flavor."""
 
@@ -116,6 +136,7 @@ def _moment(lam, p, u, flavor, dps):
     lam = Partition(lam)
     b, e = p**k, weight(u)
     _check_size(lam.size, _c_degree(lam), p, e, b)
+    _check_work(lam)
     table = mirror_poly(lam)
     if dps is not None:
         import mpmath
@@ -297,6 +318,18 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
         if val != prod:
             raise InvariantError("the %s moment at ell = 1 is not prod_j (1 + p^j)" % kind)
     return val
+
+
+def _conjecture_label(kind, lam, u, flavor):
+    """The label of a conjecture's row, for a moment the row describes: of
+    its flavor, at the u it fixes (any u for SHA) and, for SELMER (which
+    reads lm), at a rectangle lam; UsageError for any other moment."""
+    row_flavor, fixed, reads, label = CONJECTURES[kind]
+    if flavor != row_flavor or fixed not in (None, u) or ("lm" in reads and len(set(lam)) > 1):
+        raise UsageError("%s labels the %s moment%s%s only" % (
+            kind, row_flavor, "" if fixed is None else " at u = %d" % fixed,
+            " of a rectangle" if "lm" in reads else ""))
+    return label
 
 
 def fouvry_klueners_numbers(n, p, real=False):

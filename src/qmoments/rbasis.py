@@ -165,6 +165,35 @@ def _c_by_size(lam, most=None):
     return out
 
 
+def _c_product_steps(lam):
+    """(steps, count): the number of mu inside lam, and the sum over them of
+    the schoolbook steps of the products `c_coeff` forms, len(product so
+    far) * len(factor) for each q-binomial factor but 1, counted column by
+    column over all mu at once.  At column i, with a = lam'_i, a mu with
+    h = mu'_i and h' = mu'_{i+1} has the factor [a - h' choose a - h] of
+    degree d = (a - h)(h - h'), which is not 1 exactly when d > 0.  The
+    states are the h of a column, each holding its mu's count, sum of
+    product lengths and sum of steps; as d is linear in h' for a fixed h,
+    the sums over h >= h' give the next column's state h' in one pass down,
+    so the whole count takes about lam_1 * len(lam) steps."""
+    heights = Partition(lam).conjugate() + (0,)
+    count, total, steps = [1] * (heights[0] + 1), [1] * (heights[0] + 1), [0] * (heights[0] + 1)
+    for a, below in zip(heights, heights[1:]):
+        new = ([0] * (below + 1), [0] * (below + 1), [0] * (below + 1))
+        n0 = n1 = n2 = t0 = t1 = t2 = s0 = 0
+        for h in range(a, -1, -1):
+            n0, n1, n2 = n0 + count[h], n1 + count[h] * (a - h) * h, n2 + count[h] * (a - h)
+            t0, t1, t2 = t0 + total[h], t1 + total[h] * (a - h) * h, t2 + total[h] * (a - h)
+            s0 += steps[h]
+            if h <= below:
+                # a factor's steps are len(product) * (d + 1), for the h > h' but a
+                new[0][h] = n0
+                new[1][h] = t0 + n1 - h * n2
+                new[2][h] = s0 + t1 - h * t2 + t0 - total[h] - (total[a] if a > h else 0)
+        count, total, steps = new
+    return steps[0], count[0]
+
+
 def mirror_poly(lam):
     """Coefficients in T of sum_{mu within lam} C_{lam,mu}(q) T^{|mu|}, the
     `_c_by_size` table, checked to be palindromic (mirror symmetry)."""

@@ -5,6 +5,8 @@ import importlib.util
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -447,6 +449,33 @@ def test_pinned_cli_rows_replay_in_process():
     assert mismatched == []
 
 
+def _readme_examples():
+    """(argv, printed lines) of each `$ qmoments ...` example in the README:
+    the lines after it, up to a blank line or the end of its code block."""
+    examples, printed = [], None
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("$ qmoments "):
+            printed = []
+            examples.append((shlex.split(line)[2:], printed))
+        elif printed is not None and line.strip() and not line.startswith("```"):
+            printed.append(line)
+        else:
+            printed = None
+    return examples
+
+
+_TIMING = re.compile(r"\d+\.\d+s\)")
+
+
+def test_readme_examples_print_what_the_readme_shows():
+    examples = _readme_examples()
+    assert len(examples) >= 5
+    for argv, printed in examples:
+        code, out = run(argv)
+        assert code == 0, argv
+        assert _TIMING.sub("<t>s)", out).splitlines() == [_TIMING.sub("<t>s)", x) for x in printed], argv
+
+
 def test_verify_genfun_rejects_composite_p():
     argv = ["verify", "--id", "GENFUN", "--lambda", "1", "--zmax", "4", "--p"]
     for p in ("4", "1000000"):
@@ -695,9 +724,11 @@ _MANIFESTS = {
 # seed, an int param or a part of lam that is not an int, a lam that is not
 # a list, a case whose strategy is not the one its params run, a param the
 # identity does not read, --all with a single-case option, an out-of-range
-# selmer row, and a negative or non-integral u where the path needs one; and
-# a selmer rectangle, a group order and a u too large to build, each refused
-# before it is built
+# selmer row, a negative or non-integral u where the path needs one, a
+# moment of another flavor, u or shape than its --conjecture describes, and
+# a table or oracle option the call does not read; and a selmer rectangle,
+# a group order, a u and a C table too large to build, each refused before
+# it is built; every call here ends within a second
 _REFUSED = [
     (2, ["coeff", "--lambda", "1,2", "--mu", "1"]),
     (2, ["coeff", "--lambda", "1,1", "--mu", "1", "--eval-at", "x"]),
@@ -744,6 +775,15 @@ _REFUSED = [
     (2, ["verify", "--all", "--n", "3"]),
     (2, ["table", "--conjecture", "selmer", "--ell", "0", "--m", "1", "--p", "2"]),
     (2, ["table", "--conjecture", "selmer", "--ell", "1", "--m", "-1", "--p", "2"]),
+    (2, ["moments", "--lambda", "1", "--p", "3", "--u", "2", "--type-s", "--conjecture", "class-imaginary"]),
+    (2, ["moments", "--lambda", "1", "--p", "3", "--u", "0", "--conjecture", "class-real"]),
+    (2, ["moments", "--lambda", "1", "--p", "3", "--u", "1", "--conjecture", "sha"]),
+    (2, ["moments", "--lambda", "2,1", "--p", "3", "--u", "0", "--type-s", "--conjecture", "selmer"]),
+    (2, ["moments", "--lambda", "1", "--p", "3", "--u", "1", "--type-s", "--conjecture", "selmer"]),
+    (2, ["table", "--conjecture", "class-real", "--lambda", "1", "--p", "3", "--u", "5"]),
+    (2, ["table", "--conjecture", "selmer", "--ell", "1", "--m", "3", "--p", "2", "--lambda", "5", "--u", "7"]),
+    (2, ["table", "--conjecture", "sha", "--lambda", "1", "--p", "3", "--u", "1", "--m", "2"]),
+    (2, ["oracle", "--check", "aut", "--lambda", "2,1", "--mu", "7,7", "--p", "2"]),
     (3, ["oracle", "--check", "aut", "--lambda", "13", "--p", "2"]),
     (3, ["oracle", "--check", "aut", "--lambda", "1^10", "--p", "2"]),
     (3, ["oracle", "--check", "subgroups", "--lambda", "1^10", "--mu", "1^5", "--p", "2"]),
@@ -771,6 +811,16 @@ _REFUSED = [
     (3, ["oracle", "--check", "aut", "--lambda", "1000000", "--p", "1000000000000000003"]),
     (3, ["moments", "--lambda", "1", "--p", "3", "--u", "1e5000"]),
     (3, ["moments", "--lambda", "1^300", "--p", "3", "--u", "0", "--type-s"]),
+    (3, ["moments", "--lambda", "1000,1000", "--p", "2", "--u", "1"]),
+    (3, ["moments", "--lambda", "2^90", "--p", "2", "--u", "1"]),
+    (3, ["moments", "--lambda", "5^20", "--p", "2", "--u", "1"]),
+    (3, ["moments", "--lambda", "10^10", "--p", "2", "--u", "1"]),
+    (3, ["moments", "--lambda", "1^175", "--p", "2", "--u", "1"]),
+    (3, ["moments", "--lambda", "5^20", "--p", "2", "--u", "1/2", "--float", "--type-s"]),
+    (3, ["table", "--conjecture", "class-imaginary", "--lambda", "1000,1000", "--p", "2"]),
+    (3, ["table", "--conjecture", "class-imaginary", "--lambda", "2^90", "--p", "2"]),
+    (3, ["table", "--conjecture", "class-imaginary", "--lambda", "5^20", "--p", "2"]),
+    (3, ["table", "--conjecture", "class-imaginary", "--lambda", "10^10", "--p", "2"]),
 ]
 
 
@@ -779,7 +829,10 @@ def test_refused_call_prints_one_line_and_no_rows(code, argv, tmp_path, capsys):
     for name, text in _MANIFESTS.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
-    assert run(argv) == (code, "")
+    start = time.perf_counter()
+    with time_limit(1):
+        assert run(argv) == (code, "")
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
@@ -879,11 +932,17 @@ def test_every_drawn_call_exits_0_2_or_3_without_a_traceback(argv, fmt):
             path = Path(tmp) / "manifest.json"
             path.write_text(argv[2])
             argv = argv[:2] + ["--manifest", str(path)]
-        argv = argv + fmt
         err = io.StringIO()
         start = time.perf_counter()
         with time_limit(2), contextlib.redirect_stderr(err):
-            code = main(argv, out=io.StringIO())
-        assert code in (0, 2, 3), (argv, err.getvalue())
+            code = main(argv + fmt, out=io.StringIO())
+        assert code in (0, 2, 3), (argv + fmt, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        assert time.perf_counter() - start < 2, argv
+        assert time.perf_counter() - start < 2, argv + fmt
+        if code == 0 and argv[0] in ("table", "oracle"):
+            # an answered call read every option it was given: its row names
+            # each one (every option of these two takes one value)
+            out = io.StringIO()
+            assert main(argv + ["--format", "json"], out=out) == 0
+            row, = json.loads(out.getvalue())["rows"]
+            assert [f for f in argv[1::2] if row.get(f[2:]) is None] == [], (argv, row)

@@ -356,6 +356,25 @@ def test_random_point_case_is_seed_deterministic():
     assert all(other[1][i] != first[1][i] for i in range(20))
 
 
+def test_random_point_report_records_the_seed_it_drew_at(monkeypatch):
+    # a case with no seed draws at seed 0 and says so, so replaying from its
+    # report draws the same points; a symbolic case draws none and records none
+    drawn = []
+    sample_points = identities._sample_points
+
+    def recording(*args):
+        drawn.append(sample_points(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(identities, "_sample_points", recording)
+    params = {"n": 2, "k": 1, "samples": 20}
+    report = verify(IdentityCase("FINITE_QBINHL", params))
+    assert report.passed and report.seed == 0 and report.as_json()["seed"] == 0
+    assert verify(IdentityCase("FINITE_QBINHL", dict(params, seed=report.seed))).seed == 0
+    assert len(drawn) == 2 and drawn[0] == drawn[1]
+    assert verify(IdentityCase("FINITE_QBINHL", {"n": 2, "k": 1})).seed is None
+
+
 # -- the uncleared random-point formula, as a reference for the cleared one ------
 
 

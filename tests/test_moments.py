@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qmoments import moments
+from qmoments import moments, rbasis
 from qmoments.errors import ModeError, ResourceBoundError, UsageError
 from qmoments.moments import (
     ABELIAN,
@@ -231,6 +231,30 @@ def test_moment_size_bound_counts_c_degree():
     ) == 25
     with pytest.raises(ResourceBoundError):
         m_u(MomentQuery(Partition([1] * 300), 3, 0))
+
+
+def test_moment_work_estimate_counts_the_c_table():
+    # _c_product_steps gives what a walk over every mu inside lam counts:
+    # the mu, and the schoolbook steps of the q-binomial product of each C
+    for n in range(9):
+        for lam in partitions_of(n):
+            steps = count = 0
+            for mu in subpartitions(lam):
+                count += 1
+                heights, length = mu.conjugate() + (0,), 1
+                for a, h, below in zip(lam.conjugate(), heights, heights[1:]):
+                    d = (a - h) * (h - below)
+                    if d:
+                        steps += length * (d + 1)
+                        length += d
+            assert rbasis._c_product_steps(lam) == (steps, count), lam
+    # lams that ran 10 s to past 150 s are refused before any C is built;
+    # 300,300 and 3^25 (about 3 s) and 1^100 are admitted
+    for lam in ([1000, 1000], [2] * 90, [5] * 20, [10] * 10, [1] * 175, [10**6] * 3):
+        with pytest.raises(ResourceBoundError, match="exact moment work"):
+            moments._check_work(Partition(lam))
+    for lam in ([300, 300], [3] * 25, [1] * 100, []):
+        moments._check_work(Partition(lam))
 
 
 @pytest.mark.parametrize(
