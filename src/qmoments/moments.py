@@ -293,7 +293,7 @@ def conjecture_table(kind, lam=None, p=None, u=None, lm=None):
     u for SHA, and lm = (ell, m) for SELMER, with lam = the rectangle ell^m
     (UsageError unless ell >= 1 and m >= 0 are ints).  An unknown kind, an
     arg the row reads left out or one it does not read given, raises
-    UsageError; `MomentQuery` and `m_u`/`m_u_s` check lam, p and u.
+    UsageError; `_moment` checks lam, p and u.
     """
     if kind not in CONJECTURES:
         raise UsageError("unknown conjecture kind %r" % (kind,))
