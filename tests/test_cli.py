@@ -197,6 +197,26 @@ def test_oracle_work_is_bounded():
     assert data["meta"]["bounds"]["max_oracle_work"] == cli.MAX_ORACLE_WORK
 
 
+def test_cyclic_4096_queries_answer_or_exit_3():
+    # Z/4096 at p = 2, the largest group the oracles take: type (k,) has one
+    # subgroup and 2^(k-1) injections into it, and (12,) none into Z/2^k;
+    # the search refuses k >= 11 (2^(k-1) candidates times 2^k > 2 * 10^6)
+    for k in range(1, 13):
+        fits = k <= 10
+        calls = [
+            (["subgroups", "--lambda", "12", "--mu", str(k)], 1 if fits else None),
+            (["injections", "--lambda", str(k), "--mu", "12"], 2 ** (k - 1) if fits else None),
+            (["injections", "--lambda", "12", "--mu", str(k)], 0 if k < 12 else None),
+        ]
+        for argv, want in calls:
+            code, data = run_json(["oracle", "--check"] + argv + ["--p", "2"])
+            if want is None:
+                assert code == 3, argv
+            else:
+                assert code == 0 and data["rows"][0]["oracle"] == want, argv
+    assert run(["oracle", "--check", "aut", "--lambda", "12", "--p", "2"])[0] == 3
+
+
 def test_verify_single_case():
     code, data = run_json(["verify", "--id", "QBIN", "--n", "6"])
     assert code == 0

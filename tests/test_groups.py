@@ -19,7 +19,7 @@ from qmoments.groups import (
     torsion_order,
 )
 from qmoments.mpoly import MPoly
-from qmoments.partitions import Partition, partitions_of
+from qmoments.partitions import Partition, partitions_of, subpartitions
 from qmoments.qseries import qq
 from qmoments.rbasis import c_coeff, rlambda_poly
 
@@ -190,6 +190,51 @@ def test_row_echelon_count_equals_span_search():
             for k in range(r + 2):
                 mu = Partition((1,) * k)
                 assert count_subgroups_of_type(H, mu) == len(groups._spans(mu, H)), (p, r, k)
+
+
+def _decode(H, code):
+    """The residue tuple of a span-search element: residue i in bits
+    [i*b, (i+1)*b) of its int, b = max(moduli).bit_length() + 1."""
+    b = max(H.moduli, default=1).bit_length() + 1
+    return tuple(code >> (i * b) & ((1 << b) - 1) for i in range(len(H.moduli)))
+
+
+@pytest.mark.parametrize("p, lam, mus", [
+    # the largest moduli under the order bound, each mu the search admits
+    (3, (7,), [(k,) for k in range(7)]),
+    (7, (4,), [(k,) for k in range(4)]),
+    (5, (5,), [(k,) for k in range(5)]),
+    (2, (3, 2, 1), subpartitions(Partition((3, 2, 1)))),
+    (3, (2, 1, 1), subpartitions(Partition((2, 1, 1)))),
+])
+def test_span_search_decodes_to_subgroups_of_type_mu(p, lam, mus):
+    H = PGroup(p, lam)
+    zero = H.zero()
+    for mu in map(Partition, mus):
+        spans = groups._spans(mu, H)
+        assert spans, mu
+        for span, mult in spans.items():
+            sub = {_decode(H, code) for code in span}
+            assert len(sub) == len(span) == p**mu.size
+            assert zero in sub
+            assert all(a < m for g in sub for a, m in zip(g, H.moduli))
+            assert all(H.add(g, h) in sub for g in sub for h in sub)
+            assert _torsion_type(H, frozenset(sub)) == mu
+            # a subgroup of type mu has |Aut(H_mu)| generator tuples
+            assert mult == aut_order(mu, p)
+        assert sum(spans.values()) == count_injective_homs(mu, H)
+
+
+def test_trivial_group_and_empty_type():
+    trivial = PGroup(2, ())
+    assert count_subgroups_of_type(trivial, (2,)) == 0
+    assert count_subgroups_of_type(trivial, ()) == 1
+    assert count_injective_homs((), trivial) == 1
+    assert count_injective_homs((1,), trivial) == 0
+    for p, lam in ((2, ()), (2, (3, 2, 1)), (3, (2, 1, 1)), (5, (1, 1))):
+        H = PGroup(p, lam)
+        assert count_subgroups_of_type(H, ()) == 1
+        assert groups._spans(Partition(()), H) == {frozenset((0,)): 1}
 
 
 def test_row_echelon_bases_span_each_subspace_once():
