@@ -15,10 +15,10 @@ from .errors import ResourceBoundError, UsageError
 from .groups import PGroup, _check_prime, aut_order, torsion_order
 from .hall_littlewood import b_lambda, hl_p, principal_spec
 from .mpoly import MPoly, _unit
-from .partitions import Partition, partitions_of, subpartition_count, subpartitions
+from .partitions import Partition, partitions_of, subpartitions
 from .qrat import ONE, UniRat, ZERO, laurent_sum_of_products
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
-from .rbasis import _c_by_size, _c_degree, dot_product_conjugates, qprime_skew
+from .rbasis import _c_by_size, _c_degree, _c_table_work, dot_product_conjugates, qprime_skew
 from .record import Record
 
 SYMBOLIC_EXACT = "symbolic-exact"
@@ -29,7 +29,8 @@ MIN_SAMPLES = 20
 # The one cost cap of `verify`: `Identity.work(params)` counts the steps of a
 # runner's inner loops in units of about 1 us, each count weighted by the
 # row of BENCH_work_budget.json its comment names, and a case past this many
-# units, about 4 s, is refused before any work.  A binomial C(n + d, d) with
+# units, about 4 s, is refused before any work; a table of C_{lam,mu} counts
+# by `rbasis._c_table_work`, as for the moments.  A binomial C(n + d, d) with
 # min(n, d) > 40, or a power with an exponent past 40, is past any budget,
 # so the estimates take each at 40 and refuse a huge param at no cost.
 MAX_VERIFY_WORK = 4_000_000
@@ -607,29 +608,6 @@ def _run_mirror_swap(params, rng):
     return pairs
 
 
-def _lam_work(lam, pairs=0, most=None):
-    """4 units per subpartition nu of lam per column and degree of C_{lam,nu}
-    (`_c_by_size`; MIRROR_SWAP 2^40 counts 861 * 803 in 3.8 s), and a tenth
-    of a unit per square degree per (m, j) product of COMBINAT's
-    `_euler_convolution` (its 2^30, zmax = 12 row).  With `most`,
-    `_c_by_size` lists the partitions of m <= most in lam's lam_1 x len box,
-    2 units each, and builds the C of those inside lam: both at most the
-    partitions of m <= most with parts <= lam_1, or with parts <= len.  As
-    lam_1 * len + 1 (unless `most`) and len^2 / 4 bound the two factors from
-    below, a long lam stops there."""
-    low = 4 * (len(lam) ** 2 // 4 + lam.part(1) + 1)
-    if most is None:
-        low *= lam.part(1) * len(lam) + 1
-    if low > MAX_VERIFY_WORK:
-        return low
-    deg = _c_degree(lam) + 1
-    per = 4 * (deg + lam.part(1))
-    if most is None:
-        return per * subpartition_count(lam, MAX_VERIFY_WORK // per) + pairs * deg * deg // 10
-    box = min(sum(_partition_counts(most, lam.part(1))), sum(_partition_counts(most, len(lam))))
-    return (per + 2) * box
-
-
 def _partition_counts(top, ell=None):
     """ways[m] counts the partitions of m <= top with parts <= ell, if given."""
     ways = [1] + [0] * top
@@ -654,22 +632,24 @@ def _series_work(n, ell=None, b=1, length=0):
 
 
 def _genfun_work(p):
-    """`_lam_work`, and 20 + 2 len(lam) units per mu of size <= zmax for its
-    group orders, times 1 + bits(p)^2 / 250 for their size: at lam = 2,1
-    GENFUN's mu read about 25 us each at p = 2 and 750 at MAX_PRIME (82
-    bits), and at lam = 1^100 about 115-190 at p = 2; lam = 2,1, p = 2,
-    zmax = 32 counts 1.07M units in 1.33 s.  Past zmax = 60 the mu up to
-    60 alone are past any budget."""
+    """The C table (`_c_table_work`), and 20 + 2 len(lam) units per mu of
+    size <= zmax for its group orders, times 1 + bits(p)^2 / 250 for their
+    size: at lam = 2,1 GENFUN's mu read about 25 us each at p = 2 and 750
+    at MAX_PRIME (82 bits), and at lam = 1^100 about 115-190 at p = 2;
+    lam = 2,1, p = 2, zmax = 32 counts 1.07M units in 1.33 s.  Past zmax =
+    60 the mu up to 60 alone are past any budget."""
     lam, bits = p["lam"], p["p"].bit_length()
     mus = sum(_partition_counts(min(p["zmax"], 60)))
-    return _lam_work(lam) + mus * (20 + 2 * len(lam)) * (250 + bits * bits) // 250
+    return _c_table_work(lam, None, MAX_VERIFY_WORK) + mus * (20 + 2 * len(lam)) * (250 + bits * bits) // 250
 
 
 def _umoy_work(p, b):
-    """The column-bounded lhs, and the C of the nu of size <= zmax / b (past
-    40 the lhs alone is past any budget)."""
+    """The column-bounded lhs, and, unless that alone is past the budget,
+    the C table of the nu of size <= zmax / b (`_c_table_work`; past 40 the
+    lhs alone is past any budget)."""
     n, lam = p["zmax"], p["lam"]
-    return _series_work(n, p["ell"], b, len(lam)) + _lam_work(lam, most=min(n // b, 40))
+    work = _series_work(n, p["ell"], b, len(lam))
+    return work if work > MAX_VERIFY_WORK else work + _c_table_work(lam, min(n // b, 40), MAX_VERIFY_WORK)
 
 
 def _hl_builds(n, d):
@@ -694,11 +674,12 @@ def _qbinhl_work(p):
 def _keys_work(nx, d, factors, ny, dy, lams=False):
     """A quarter of a unit per kept key of a truncated chain (degree <= d in
     nx variables, <= dy in ny more) per factor per q-degree d + dy, the
-    `hl_p` builds (`_hl_builds`) and, with `lams`, 6 `_lam_work` per lam for
-    its C: WARNAAR_A2 4,4,5,5 counts 1.10M in 0.70 s, LASCOUX 1,1,60,60
-    2.48M in 0.73 s.  With `lams` a y enters by a mu inside a lam of the x
-    alphabet, so a kept key's y-degree is at most its x-degree and a mu has
-    at most nx parts."""
+    `hl_p` builds (`_hl_builds`) and, with `lams`, per lam 6 C tables
+    (`_c_table_work`) for its C, skew and lhs terms and 200 units per each of
+    its |lam| + 1 principal-y terms: WARNAAR_A2 4,4,5,5 counts 1.10M in
+    0.70 s, LASCOUX 1,1,60,60 0.89M in 0.69 s.  With `lams` a y enters by a
+    mu inside a lam of the x alphabet, so a kept key's y-degree is at most
+    its x-degree and a mu has at most nx parts."""
     per = factors * (d + dy + 1)
     keys = 0 if lams else math.comb(nx + d, min(nx, d, 40)) * math.comb(ny + dy, min(ny, dy, 40))
     for m in range(d + 1 if nx else 1) if lams else ():
@@ -710,7 +691,7 @@ def _keys_work(nx, d, factors, ny, dy, lams=False):
     if work <= MAX_VERIFY_WORK:
         work += _hl_builds(nx, d)[1] + _hl_builds(min(nx, ny) if lams else ny, dy)[1]
     for lam in _partitions_upto(min(d, 1500), nx) if lams and work <= MAX_VERIFY_WORK else ():
-        work += 6 * _lam_work(lam)
+        work += 6 * _c_table_work(lam, None, MAX_VERIFY_WORK) + 200 * (lam.size + 1)
         if work > MAX_VERIFY_WORK:
             break
     return work
@@ -758,8 +739,10 @@ REGISTRY = {
     # zmax = 20: 21^6 / 200 units in 0.40 s
     "EULER": Identity(_run_euler, _SERIES, ("zmax",), lambda p: (p["zmax"] + 1) ** 6 // 200),
     "GENFUN": Identity(_run_genfun, _SERIES, ("lam", "p", "zmax"), _genfun_work),
-    "COMBINAT": Identity(_run_combinat, _SERIES, ("lam", "zmax"), lambda p: _series_work(p["zmax"])
-                         + _lam_work(p["lam"], (p["zmax"] + 1) * (p["zmax"] + 2) // 2)),
+    # its series, the C table, and a tenth of a unit per square degree of C per
+    # (m, j) product of `_euler_convolution` (its 2^30, zmax = 12 row)
+    "COMBINAT": Identity(_run_combinat, _SERIES, ("lam", "zmax"), lambda p: _series_work(p["zmax"]) + _c_table_work(
+        p["lam"], None, MAX_VERIFY_WORK) + (p["zmax"] + 1) * (p["zmax"] + 2) // 2 * (_c_degree(p["lam"]) + 1) ** 2 // 10),
     "UMOY_ABELIAN": Identity(lambda params, rng: _run_umoy(params, 1), _SERIES, _LAM_ELL_Z,
                              lambda p: _umoy_work(p, 1)),
     "UMOY_TYPE_S": Identity(lambda params, rng: _run_umoy(params, 2), _SERIES, _LAM_ELL_Z,
@@ -778,7 +761,11 @@ REGISTRY = {
     # terms plus n^3 / 2 for the rhs terms' factors: n = 12, k = 3 counts 2.04M in 2.37 s
     "CSQ": Identity(_run_csq, _EXACT, _FINITE, lambda p: (p["n"] * p["k"] + 2 * p["n"] + 2)
                     * (2 * p["n"] + 1) * (math.comb(p["n"] + p["k"], min(p["n"], p["k"], 40)) + p["n"] ** 3 // 2)),
-    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, ("lam",), lambda p: _lam_work(p["lam"])),
+    # the C table and, unless it alone is past the budget, half a unit per table
+    # entry and q-degree |lam| + D of the two swapped sums (2^40, 400, 1000 rows)
+    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, ("lam",), lambda p: w if (
+        w := _c_table_work(p["lam"], None, MAX_VERIFY_WORK)) > MAX_VERIFY_WORK
+        else w + (p["lam"].size + 1) * (p["lam"].size + _c_degree(p["lam"]) + 1) // 2),
 }
 
 IDENTITY_IDS = tuple(sorted(REGISTRY))

@@ -14,7 +14,7 @@ from .errors import InvariantError, ModeError, ResourceBoundError, UsageError
 from .groups import _check_prime
 from .partitions import Partition
 from .qseries import qbinomial
-from .rbasis import _c_degree, _c_product_steps, mirror_poly
+from .rbasis import _c_degree, _c_table_work, mirror_poly
 from .record import Record
 
 ABELIAN = "ABELIAN"
@@ -88,25 +88,6 @@ def _check_size(size, degree, p, e, cbase):
         raise ResourceBoundError("exact moment size (bits)", MAX_MOMENT_BITS, math.ceil(bits))
 
 
-def _check_work(lam):
-    """Exit with a resource bound before building the C table of lam
-    (`mirror_poly`) when its estimated work passes MAX_VERIFY_WORK, the
-    budget `verify` checks too, in units of about 1 us: 40 units per mu
-    inside lam, a tenth per mu and degree of C (`_c_degree`), a twelfth per
-    schoolbook step of the products `c_coeff` forms (`_c_product_steps`),
-    and a hundredth per len(lam)^4 for the q-Pascal table of the
-    q-binomials up to len(lam), each weight read off measured `moments`
-    calls (BENCH_moment_work.json).  The lam_1 * len(lam) + 1 mu inside
-    the hook of lam bound the count from below before it is taken."""
-    budget = identities.MAX_VERIFY_WORK
-    work = 40 * (lam.part(1) * len(lam) + 1)
-    if work <= budget:
-        steps, count = _c_product_steps(lam)
-        work = count * (400 + _c_degree(lam) + 1) // 10 + steps // 12 + len(lam) ** 4 // 100
-    if work > budget:
-        raise ResourceBoundError("exact moment work", budget, work)
-
-
 class MomentQuery(Record):
     """One moment request: the exponent partition, the prime, u, flavor."""
 
@@ -126,7 +107,8 @@ def _moment(lam, p, u, flavor, dps):
     e = e(u) for the flavor's (k, e) row of `_FLAVORS`, read off
     `mirror_poly` at q = b, T = p^-e: exact for dps None, else an mpmath
     float at dps decimal digits.  Both modes refuse a bad p or u and
-    size-check every query first, since both build each S_m(b) exactly."""
+    size-check every query first, since both build each S_m(b) exactly, and
+    then its work (`rbasis._c_table_work`) against `verify`'s budget."""
     k, weight = _flavor(flavor)
     _check_prime(p)
     if dps is None:
@@ -136,7 +118,9 @@ def _moment(lam, p, u, flavor, dps):
     lam = Partition(lam)
     b, e = p**k, weight(u)
     _check_size(lam.size, _c_degree(lam), p, e, b)
-    _check_work(lam)
+    work = _c_table_work(lam, None, identities.MAX_VERIFY_WORK)
+    if work > identities.MAX_VERIFY_WORK:
+        raise ResourceBoundError("exact moment work", identities.MAX_VERIFY_WORK, work)
     table = mirror_poly(lam)
     if dps is not None:
         import mpmath

@@ -1,7 +1,6 @@
 """Integer partitions: parsing, statistics, containment, enumeration."""
 
 from functools import lru_cache
-from itertools import accumulate
 
 from .errors import ParseError
 
@@ -152,36 +151,18 @@ def partitions_of(n, max_part=None, max_length=None):
     yield from rec(n, mp, ml, ())
 
 
-def subpartitions(lam):
-    """Yield every mu with mu_i <= lam_i, each exactly once."""
+def subpartitions(lam, most=None):
+    """Yield every mu with mu_i <= lam_i, each exactly once, of size <= most if given."""
     lam = Partition(lam)
 
-    def rec(i, cap):
+    def rec(i, cap, room):
         if i == len(lam):
             yield ()
             return
-        for a in range(min(cap, lam[i]), 0, -1):
-            for rest in rec(i + 1, a):
+        for a in range(min(cap, lam[i], room), 0, -1):
+            for rest in rec(i + 1, a, room - a):
                 yield (a,) + rest
         yield ()
 
-    for parts in rec(0, lam[0] if lam else 0):
+    for parts in rec(0, lam[0] if lam else 0, lam.size if most is None else most):
         yield Partition(parts)
-
-
-def subpartition_count(lam, limit):
-    """The number of partitions inside lam (`subpartitions`), counted row by
-    row from the last without listing them: ways[v] counts the fillings of
-    the rows below a row of length v.  The count is at least
-    lam_1 * length + 1 (the partitions inside the hook of lam), and that
-    lower bound is returned when it passes `limit`, so the count, about
-    lam_1 * length steps, runs only below `limit`."""
-    lam = Partition(lam)
-    top = lam.part(1)
-    if top * len(lam) + 1 > limit:
-        return top * len(lam) + 1
-    ways = [1] * (top + 1)
-    for part in reversed(lam):
-        prefix = list(accumulate(ways))
-        ways = [prefix[min(v, part)] for v in range(top + 1)]
-    return ways[top]

@@ -431,12 +431,13 @@ class UniRat:
         return UniRat(stretch(self.num), stretch(self.den), self.param)
 
     def eval_at(self, x):
-        """Exact evaluation at a rational point."""
+        """Exact evaluation at a rational point, on ints at an integral one."""
         x = Fraction(x)
+        x = x.numerator if x.denominator == 1 else x
         d = _peval(self.den, x)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at %s" % (x,))
-        return _peval(self.num, x) / d
+        return Fraction(_peval(self.num, x)) / d
 
     # -- rendering -------------------------------------------------------------
 

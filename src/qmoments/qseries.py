@@ -7,6 +7,7 @@ truncations that record their order and never read above it.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import inf
 
 from .qrat import ONE, UniRat, ZERO, _padd, _pshift, _unify
@@ -76,14 +77,25 @@ def euler_coeff_recip(j):
 # q-binomial coefficients
 
 
-@lru_cache(maxsize=None)
+# n -> the coefficient tuples [n 0], [n 1], ... up to the largest min(k, n - k) asked
+_QBIN_ROWS = {}
+
+
 def _qbin_raw(n, k):
+    """Coefficient tuple of [n k], () out of range, from the row product
+    [n j] = [n j-1] (1 - q^(n-j+1)) / (1 - q^j): a row costs about n^3 / 12
+    steps, and no recursion grows with n or k."""
     if k < 0 or k > n:
         return ()
-    if k == 0 or k == n:
-        return (1,)
-    # q-Pascal: [n k] = [n-1 k-1] + q^k [n-1 k]
-    return _padd(_qbin_raw(n - 1, k - 1), _pshift(_qbin_raw(n - 1, k), k))
+    row = _QBIN_ROWS.setdefault(n, [(1,)])
+    while len(row) <= min(k, n - k):
+        j = len(row)
+        num = list(_padd(row[-1], tuple(-c for c in _pshift(row[-1], n - j + 1))))
+        # dividing by 1 - q^j is a running sum along each residue class mod j
+        for r in range(j):
+            num[r::j] = accumulate(num[r::j])
+        row.append(tuple(num[: len(num) - j]))
+    return row[min(k, n - k)]
 
 
 def qbinomial(n, k, param="q"):

@@ -7,21 +7,20 @@ prod_i x_i^{m_i(mu)}, so the exponent of x_i is the number of parts of mu
 equal to i.
 """
 
-from functools import lru_cache
 from math import comb
 from operator import mul
 
 from .errors import InvariantError, ResourceBoundError
 from .mpoly import MPoly, _unit
-from .partitions import Partition, partitions_of, subpartitions
+from .partitions import Partition, subpartitions
 from .qrat import UniRat, ZERO
 from .qseries import qbinomial
 
-# Past this degree bound (_c_degree) a C_{lam,mu} takes seconds to minutes
-# (lam = 1^181, bound 8190, takes about 3 s), and at lam = 1^500 the
-# recursive q-binomial runs out of stack, so such a query exits with a
-# resource bound.  `moments` asks for no larger bound: its MAX_MOMENT_BITS
-# already bounds _c_degree(lam) * log2(b) with b >= 2.
+# Past this degree bound (_c_degree) a C_{lam,mu} takes seconds (1^181, bound
+# 8190, takes about 0.2 s, 1^400 about 1.8 s) and its value at an integer q
+# passes the 4300-digit limit of int-to-str conversion, so such a query
+# exits with a resource bound.  `moments` asks for no larger bound: its
+# MAX_MOMENT_BITS already bounds _c_degree(lam) * log2(b) with b >= 2.
 MAX_C_DEGREE = 8192
 
 
@@ -99,8 +98,12 @@ def _c_degree(lam):
     return sum(map(mul, range(1, 2 * len(lam), 2), lam)) // 4
 
 
-@lru_cache(maxsize=None)
-def _c_coeff_cached(lam, mu):
+def c_coeff(lam, mu):
+    """Inversion coefficient C_{lam,mu}: q^{sum conj_mu(i+1)(conj_lam(i)-conj_mu(i))}
+    prod_i [conj_lam(i)-conj_mu(i+1) choose conj_lam(i)-conj_mu(i)]_q; 0 if mu is
+    not contained in lam."""
+    lam = Partition(lam)
+    mu = Partition(mu)
     if _c_degree(lam) > MAX_C_DEGREE:
         raise ResourceBoundError("C_{lam,mu} degree", MAX_C_DEGREE, _c_degree(lam))
     if not lam.contains(mu):
@@ -115,15 +118,6 @@ def _c_coeff_cached(lam, mu):
         if lc != mc0 and mc0 != mc1:
             prod = prod * qbinomial(lc - mc1, lc - mc0)
     return UniRat.mono("q", expo) * prod
-
-
-def c_coeff(lam, mu):
-    """Inversion coefficient C_{lam,mu}: q^{sum conj_mu(i+1)(conj_lam(i)-conj_mu(i))}
-    prod_i [conj_lam(i)-conj_mu(i+1) choose conj_lam(i)-conj_mu(i)]_q; 0 if mu is
-    not contained in lam."""
-    lam = Partition(lam)
-    mu = Partition(mu)
-    return _c_coeff_cached(lam, mu)
 
 
 def monomial_in_R_basis(lam):
@@ -151,47 +145,74 @@ def monomial_in_R_basis(lam):
 
 def _c_by_size(lam, most=None):
     """[S_0, S_1, ...], S_m the sum over the mu inside lam with |mu| = m of
-    C_{lam,mu}(q), for m <= most if given, when only the partitions of
-    m <= most that fit in lam's lam_1 x len box are listed."""
+    C_{lam,mu}(q), for m <= most if given."""
     lam = Partition(lam)
     top = lam.size if most is None else min(most, lam.size)
-    mus = subpartitions(lam)
-    if most is not None:
-        box = (partitions_of(m, lam.part(1), len(lam)) for m in range(top + 1))
-        mus = (mu for part in box for mu in part if lam.contains(mu))
     out = [ZERO] * (top + 1)
-    for mu in mus:
+    for mu in subpartitions(lam, top):
         out[mu.size] = out[mu.size] + c_coeff(lam, mu)
     return out
 
 
-def _c_product_steps(lam):
-    """(steps, count): the number of mu inside lam, and the sum over them of
-    the schoolbook steps of the products `c_coeff` forms, len(product so
-    far) * len(factor) for each q-binomial factor but 1, counted column by
-    column over all mu at once.  At column i, with a = lam'_i, a mu with
-    h = mu'_i and h' = mu'_{i+1} has the factor [a - h' choose a - h] of
-    degree d = (a - h)(h - h'), which is not 1 exactly when d > 0.  The
-    states are the h of a column, each holding its mu's count, sum of
-    product lengths and sum of steps; as d is linear in h' for a fixed h,
-    the sums over h >= h' give the next column's state h' in one pass down,
-    so the whole count takes about lam_1 * len(lam) steps."""
-    heights = Partition(lam).conjugate() + (0,)
-    count, total, steps = [1] * (heights[0] + 1), [1] * (heights[0] + 1), [0] * (heights[0] + 1)
+def _c_table_counts(lam, most=None):
+    """(count, degrees, steps, columns) over the mu inside lam (of size <= most
+    if given): the number of mu and the sums of the degrees
+    sum_i mu'_i (lam'_i - mu'_i) of their C, of the schoolbook steps
+    len(product so far) * len(factor) of their `c_coeff` products and of
+    their mu_1, the columns a product walks.  One pass down each column
+    counts all mu: at column i, a = lam'_i, a mu with h = mu'_i and
+    h' = mu'_{i+1} has the factor [a - h' choose a - h] of degree
+    d = (a - h)(h - h'), 1 exactly when d = 0; d is linear in h', so sums
+    over the states h >= h' give the next column's state h'.  With `most`
+    there is a layer of states per size so far, and parts past most are cut."""
+    lam = Partition(lam)
+    if most is not None and lam.part(1) > most:
+        lam = Partition([min(a, most) for a in lam])
+    heights = lam.conjugate() + (0,)
+    top = heights[0] if most is None else min(heights[0], most)
+    layers = {}
+    for h in range(top + 1):
+        layer = layers.setdefault(0 if most is None else h, [[0] * (top + 1) for _ in range(5)])
+        layer[0][h] = layer[1][h] = 1
     for a, below in zip(heights, heights[1:]):
-        new = ([0] * (below + 1), [0] * (below + 1), [0] * (below + 1))
-        n0 = n1 = n2 = t0 = t1 = t2 = s0 = 0
-        for h in range(a, -1, -1):
-            n0, n1, n2 = n0 + count[h], n1 + count[h] * (a - h) * h, n2 + count[h] * (a - h)
-            t0, t1, t2 = t0 + total[h], t1 + total[h] * (a - h) * h, t2 + total[h] * (a - h)
-            s0 += steps[h]
-            if h <= below:
-                # a factor's steps are len(product) * (d + 1), for the h > h' but a
-                new[0][h] = n0
-                new[1][h] = t0 + n1 - h * n2
-                new[2][h] = s0 + t1 - h * t2 + t0 - total[h] - (total[a] if a > h else 0)
-        count, total, steps = new
-    return steps[0], count[0]
+        new = {}
+        for t, (count, total, steps, cols, degs) in layers.items():
+            n0 = n1 = n2 = t0 = t1 = t2 = s0 = c0 = g0 = 0
+            hi = min(a, top if most is None else t)
+            for h in range(hi, -1, -1):
+                n0, n1, n2 = n0 + count[h], n1 + count[h] * (a - h) * h, n2 + count[h] * (a - h)
+                t0, t1, t2 = t0 + total[h], t1 + total[h] * (a - h) * h, t2 + total[h] * (a - h)
+                s0, c0, g0 = s0 + steps[h], c0 + cols[h] + (count[h] if h else 0), g0 + degs[h]
+                if h <= below and (most is None or t + h <= most):
+                    state = new.setdefault(0 if most is None else t + h, [[0] * (min(below, top) + 1) for _ in range(5)])
+                    # a factor's steps are len(product) * (d + 1), for the h > h' but a
+                    step = s0 + t1 - h * t2 + t0 - total[h] - (total[a] if hi == a > h else 0)
+                    for k, value in enumerate((n0, t0 + n1 - h * n2, step, c0, g0 + n1)):
+                        state[k][h] += value
+        layers = new
+    return tuple(sum(layer[k][0] for layer in layers.values()) for k in (0, 4, 2, 3))
+
+
+def _c_table_work(lam, most, limit):
+    """The work of `_c_by_size(lam, most)` and of one read of its table, in
+    units of about 1 us (`_c_table_counts`): 30 per mu, a third per
+    coefficient of its C, an eleventh per schoolbook step and per column of
+    its product, and a quarter per coefficient of the table, at most those
+    of the C and (top + 1)(D + 1) for the degree bound D; one fit on
+    BENCH_moment_work.json and BENCH_work_budget.json.  Without `most` the
+    mu inside the hook of lam, lam_1 * len + 1, the columns 1^m of degrees
+    summing to (len + 1) len (len - 1) / 6 and the rows walking
+    lam_1 (lam_1 + 1) / 2 columns, bound it from below, returned past `limit`."""
+    lam = Partition(lam)
+    width, length = lam.part(1), len(lam)
+    if most is None:
+        low = 30 * (width * length + 1) + (length + 1) * length * (length - 1) // 18 + width * (width + 1) // 22
+        if low > limit:
+            return low
+    count, degrees, steps, columns = _c_table_counts(lam, most)
+    top = lam.size if most is None else min(most, lam.size)
+    table = min(degrees + count, (top + 1) * (_c_degree(lam) + 1))
+    return 30 * count + (degrees + count) // 3 + (steps + columns) // 11 + table // 4
 
 
 def mirror_poly(lam):
@@ -205,10 +226,7 @@ def mirror_poly(lam):
 
 def dot_product_conjugates(lam, mu):
     """(conj(lam) | conj(mu)) = sum_i conj_lam(i) * conj_mu(i)."""
-    lam = Partition(lam)
-    mu = Partition(mu)
-    width = min(lam.part(1), mu.part(1))
-    return sum(lam.conj(i) * mu.conj(i) for i in range(1, width + 1))
+    return sum(map(mul, Partition(lam).conjugate(), Partition(mu).conjugate()))
 
 
 def qprime_skew(lam, mu):
@@ -220,15 +238,14 @@ def qprime_skew(lam, mu):
     mu = Partition(mu)
     if not lam.contains(mu):
         return ZERO
-    width = lam.part(1)
     expo = mu.size + lam.nstat() + mu.nstat() - dot_product_conjugates(lam, mu)
     # the exponent is n of the skew diagram, hence nonnegative (a test checks
     # it against sum_i C(conj_lam(i) - conj_mu(i), 2))
     prod = UniRat.one()
-    for i in range(1, width + 1):
-        # the factor is 1 when conj_lam(i) = conj_mu(i) or conj_mu(i) = conj_mu(i+1)
-        if lam.conj(i) != mu.conj(i) and mu.conj(i) != mu.conj(i + 1):
-            prod = prod * qbinomial(
-                lam.conj(i) - mu.conj(i + 1), lam.conj(i) - mu.conj(i)
-            )
+    mc = mu.conjugate() + (0,)
+    for lc, mc0, mc1 in zip(lam.conjugate(), mc, mc[1:]):
+        # the factor is 1 when conj_lam(i) = conj_mu(i) or conj_mu(i) = conj_mu(i+1),
+        # so at every column i > mu_1
+        if lc != mc0 and mc0 != mc1:
+            prod = prod * qbinomial(lc - mc1, lc - mc0)
     return UniRat.mono("q", expo) * prod

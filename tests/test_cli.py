@@ -835,7 +835,7 @@ _REFUSED = [
     (3, ["moments", "--lambda", "2^90", "--p", "2", "--u", "1"]),
     (3, ["moments", "--lambda", "5^20", "--p", "2", "--u", "1"]),
     (3, ["moments", "--lambda", "10^10", "--p", "2", "--u", "1"]),
-    (3, ["moments", "--lambda", "1^175", "--p", "2", "--u", "1"]),
+    (3, ["moments", "--lambda", "2^60", "--p", "2", "--u", "1"]),
     (3, ["moments", "--lambda", "5^20", "--p", "2", "--u", "1/2", "--float", "--type-s"]),
     (3, ["table", "--conjecture", "class-imaginary", "--lambda", "1000,1000", "--p", "2"]),
     (3, ["table", "--conjecture", "class-imaginary", "--lambda", "2^90", "--p", "2"]),

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -39,9 +40,9 @@ from qmoments.identities import (
 )
 from qmoments.mpoly import MPoly, _unit
 from qmoments.hall_littlewood import _hl_cached, hl_p
-from qmoments.partitions import Partition, partitions_of, subpartitions
+from qmoments.partitions import Partition, parse_partition, partitions_of, subpartitions
 from qmoments.qrat import ONE, UniRat, ZERO, _unpack_signed
-from qmoments.rbasis import _c_by_size, c_coeff
+from qmoments.rbasis import _c_by_size, _c_table_work, c_coeff
 from test_mpoly import time_limit
 
 FAST_POINTS = {
@@ -128,6 +129,25 @@ def test_resource_bounds_enforced():
         assert time.perf_counter() - start < 0.1, (cid, params)
 
 
+def test_recorded_work_grids_match_the_code():
+    # every row of the two recorded estimate-against-time grids carries the
+    # estimate the code gives and the verdict the budget draws from it
+    root = Path(__file__).resolve().parents[1]
+    rows = json.loads((root / "BENCH_work_budget.json").read_text())["grid"]
+    assert len(rows) == 323
+    for row in rows:
+        params = dict(row["params"])
+        if "lam" in params:
+            params["lam"] = Partition(params["lam"])
+        work = REGISTRY[row["id"]].work(params)
+        assert (row["estimate"], row["admitted"]) == (work, work <= MAX_VERIFY_WORK), row
+    rows = json.loads((root / "BENCH_moment_work.json").read_text())["grid"]
+    assert len(rows) == 85
+    for row in rows:
+        work = _c_table_work(parse_partition(row["lambda"]), None, MAX_VERIFY_WORK)
+        assert (row["estimate"], row["admitted"]) == (work, work <= MAX_VERIFY_WORK), row
+
+
 def test_qbinhl_estimate_counts_the_hl_p_builds():
     # an estimate that charged every monomial of degree <= d to every P_lam
     # refused these at 100.9M, 7.0M and 4.8M units, though each answers in
@@ -203,7 +223,8 @@ def test_unbounded_params_end_within_seconds():
     # each call answers or is refused within 5 s, never hangs; every id that
     # takes a `lam` (with `ell` raised to lam_1) refuses each of _HUGE_LAMS
     # on its work estimate within 1 s, or, for the UMOY ids, which build
-    # the C of the nu of size <= zmax / b only, passes within 1 s; the
+    # the C of the nu of size <= zmax / b only, passes (or meets the degree
+    # bound of its C, for the long row) within 1 s; the
     # estimate itself takes under 10 ms on each of these inputs
     first = {}
     for case in load_manifest()[2]:
@@ -232,7 +253,12 @@ def test_unbounded_params_end_within_seconds():
                 if _timed_work(cid, params) <= MAX_VERIFY_WORK:
                     assert cid.startswith("UMOY"), (cid, lam[:3])
                     with time_limit(1):
-                        assert verify(IdentityCase(cid, params)).passed
+                        try:
+                            assert verify(IdentityCase(cid, params)).passed
+                        except ResourceBoundError as exc:
+                            # the C of a long row's short nu are all 1 and
+                            # cheap, but c_coeff refuses any lam past MAX_C_DEGREE
+                            assert str(exc).startswith("C_{lam,mu} degree exceeded"), exc
                 else:
                     with time_limit(1), pytest.raises(ResourceBoundError, match="work exceeded"):
                         verify(IdentityCase(cid, params))

@@ -1,11 +1,15 @@
 """Moment formulas: pinned values, coherence, rank laws, prediction tables."""
+import io
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from qmoments import moments, rbasis
+from qmoments import identities, moments, rbasis
+from qmoments.cli import main
 from qmoments.errors import ModeError, ResourceBoundError, UsageError
 from qmoments.moments import (
     ABELIAN,
@@ -233,28 +237,51 @@ def test_moment_size_bound_counts_c_degree():
         m_u(MomentQuery(Partition([1] * 300), 3, 0))
 
 
+def _c_table_walk(lam, most):
+    """What a walk over every mu inside lam (of size <= most, if given)
+    counts: the mu, the degrees of their C, the schoolbook steps of the
+    q-binomial product of each C and the columns mu_1 each product walks."""
+    count = degrees = steps = columns = 0
+    for mu in subpartitions(lam, most):
+        count += 1
+        degrees += len(c_coeff(lam, mu).num) - 1
+        columns += mu.part(1)
+        heights, length = mu.conjugate() + (0,), 1
+        for a, h, below in zip(lam.conjugate(), heights, heights[1:]):
+            d = (a - h) * (h - below)
+            if d:
+                steps += length * (d + 1)
+                length += d
+    return count, degrees, steps, columns
+
+
 def test_moment_work_estimate_counts_the_c_table():
-    # _c_product_steps gives what a walk over every mu inside lam counts:
-    # the mu, and the schoolbook steps of the q-binomial product of each C
     for n in range(9):
         for lam in partitions_of(n):
-            steps = count = 0
-            for mu in subpartitions(lam):
-                count += 1
-                heights, length = mu.conjugate() + (0,), 1
-                for a, h, below in zip(lam.conjugate(), heights, heights[1:]):
-                    d = (a - h) * (h - below)
-                    if d:
-                        steps += length * (d + 1)
-                        length += d
-            assert rbasis._c_product_steps(lam) == (steps, count), lam
+            for most in (None, 0, 2, 5):
+                assert rbasis._c_table_counts(lam, most) == _c_table_walk(lam, most), (lam, most)
     # lams that ran 10 s to past 150 s are refused before any C is built;
-    # 300,300 and 3^25 (about 3 s) and 1^100 are admitted
-    for lam in ([1000, 1000], [2] * 90, [5] * 20, [10] * 10, [1] * 175, [10**6] * 3):
-        with pytest.raises(ResourceBoundError, match="exact moment work"):
-            moments._check_work(Partition(lam))
-    for lam in ([300, 300], [3] * 25, [1] * 100, []):
-        moments._check_work(Partition(lam))
+    # 300,300 and 3^25 (about 3 s), 1^100 and 1^175 (which took 10.5 s with
+    # q-binomials by q-Pascal recursion, and now about 1 s) are admitted
+    budget = identities.MAX_VERIFY_WORK
+    for lam in ([1000, 1000], [2] * 90, [5] * 20, [10] * 10, [10**6] * 3):
+        assert rbasis._c_table_work(Partition(lam), None, budget) > budget, lam[:3]
+    for lam in ([300, 300], [3] * 25, [1] * 100, [1] * 175, []):
+        assert rbasis._c_table_work(Partition(lam), None, budget) <= budget, lam[:3]
+    # a long row's C are all 1, but each walks its mu_1 columns: these ran
+    # 5.2 to 6.1 s when no count had the columns; each exits 3 within 1 s
+    # or answers within the slowest admitted call of BENCH_moment_work.json
+    record = json.loads((Path(__file__).resolve().parents[1] / "BENCH_moment_work.json").read_text())
+    slowest = max(row["seconds"] for row in record["grid"] if row["admitted"])
+    for argv in (
+        ["moments", "--lambda", "9999", "--p", "2", "--u", "0"],
+        ["moments", "--lambda", "11800", "--p", "2", "--u", "0"],
+        ["table", "--conjecture", "class-imaginary", "--lambda", "11800", "--p", "3"],
+    ):
+        start = time.perf_counter()
+        code = main(argv, out=io.StringIO())
+        took = time.perf_counter() - start
+        assert (code, took < 1) == (3, True) or (code, took <= slowest) == (0, True), (argv, code, took)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from qmoments import ParseError, Partition, parse_partition, partitions_of, subpartitions
 from qmoments.groups import PGroup, count_subgroups_of_type
 from qmoments.hall_littlewood import hl_p
-from qmoments.partitions import subpartition_count
+from qmoments.rbasis import _c_table_counts
 
 
 def test_construction_and_normalization():
@@ -187,11 +187,13 @@ def test_mult_form():
     assert parse_partition("2^3 1^2") == Partition([2, 2, 2, 1, 1])
 
 
-def test_subpartition_count_matches_the_listing():
+def test_subpartitions_by_size_match_the_listing():
+    # with `most`, exactly the mu of size <= most, in the same order; the
+    # column walk of the C table counts them without listing them
     for lam in [(), (1,), (2, 1), (3, 3, 1), (4, 2, 2, 1), (5, 5, 5), (6, 4, 3, 1, 1)]:
-        assert subpartition_count(lam, 10**6) == sum(1 for _ in subpartitions(lam)), lam
-    assert subpartition_count([30] * 5, 10**6) == 324_632
-    assert subpartition_count(range(12, 0, -1), 10**6) == 742_900
-    # past the limit the hook's count lam_1 * length + 1 stands for it
-    assert subpartition_count([10**9] * 3, limit=100) == 3 * 10**9 + 1
-    assert subpartition_count([3, 3], limit=100) == 10
+        every = list(subpartitions(lam))
+        for most in (0, 1, 4, 9, 30):
+            assert list(subpartitions(lam, most)) == [mu for mu in every if mu.size <= most], (lam, most)
+    assert _c_table_counts(Partition([30] * 5))[0] == 324_632
+    assert _c_table_counts(Partition(range(12, 0, -1)))[0] == 742_900
+    assert _c_table_counts(Partition([30] * 5), 12)[0] == sum(1 for _ in subpartitions([30] * 5, 12))
