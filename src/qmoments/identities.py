@@ -18,7 +18,7 @@ from .mpoly import MPoly, _unit
 from .partitions import Partition, partitions_of, subpartitions
 from .qrat import ONE, UniRat, ZERO, laurent_sum_of_products
 from .qseries import euler_coeff, euler_coeff_recip, qbinomial, qpochhammer, qq
-from .rbasis import _c_by_size, _c_degree, _c_table_work, dot_product_conjugates, qprime_skew
+from .rbasis import _c_by_size, _c_degree, _c_table_work, _c_tables_work, dot_product_conjugates, qprime_skew
 from .record import Record
 
 SYMBOLIC_EXACT = "symbolic-exact"
@@ -624,11 +624,16 @@ def _series_work(n, ell=None, b=1, length=0):
     1.33 s.  A lam of `length` parts widens the q-degrees by <lam', mu'>,
     at (1 + length / 18)^2 times the units: UMOY_ABELIAN at lam = 1^L,
     ell = 9999 and zmax = 8 or 12 read 0.55-0.7 us per unit at L = 1 and
-    20-35 at L = 90 and 120, where the factor is 36 and 59.  Past n/b = 40
-    the pairs up to 40 alone are past any budget."""
+    20-35 at L = 90 and 120, where the factor is 36 and 59.  Type S (b = 2)
+    pays a fixed cost per pair and a part growing as (n/b + 1)^4 in place
+    of (n + 1)^3: ((n/b + 1)^4 + 3200) / 30 units per pair, read off its
+    3,2 rows at zmax = 8 to 37 and its ell = 1, zmax = 59 call.
+    Past n/b = 40 the pairs up to 40 alone are past any budget."""
     top = min(n // b, 40)
     pairs = sum(w * (top + 1 - m) for m, w in enumerate(_partition_counts(top, ell)))
-    return (n + 1) ** 3 * (18 + length) ** 2 // 1296 * pairs
+    if b == 1:
+        return (n + 1) ** 3 * (18 + length) ** 2 // 1296 * pairs
+    return ((top + 1) ** 4 + 3200) * (18 + length) ** 2 // 9720 * pairs
 
 
 def _genfun_work(p):
@@ -640,7 +645,25 @@ def _genfun_work(p):
     60 the mu up to 60 alone are past any budget."""
     lam, bits = p["lam"], p["p"].bit_length()
     mus = sum(_partition_counts(min(p["zmax"], 60)))
-    return _c_table_work(lam, None, MAX_VERIFY_WORK) + mus * (20 + 2 * len(lam)) * (250 + bits * bits) // 250
+    return _c_table_work(lam, None) + mus * (20 + 2 * len(lam)) * (250 + bits * bits) // 250
+
+
+def _combinat_work(p):
+    """Its series, the C table (`_c_table_work`), and a tenth of a unit per
+    square degree of C per (m, j) product of `_euler_convolution` (its 2^30,
+    zmax = 12 row)."""
+    lam, n = p["lam"], p["zmax"]
+    convolution = (n + 1) * (n + 2) // 2 * (_c_degree(lam) + 1) ** 2 // 10
+    return _series_work(n) + _c_table_work(lam, None) + convolution
+
+
+def _mirror_swap_work(p):
+    """The C table (`_c_table_work`) and, unless it alone is past the budget,
+    half a unit per table entry and q-degree |lam| + D of the two swapped
+    sums (its 2^40, 400 and 1000 rows)."""
+    lam = p["lam"]
+    work = _c_table_work(lam, None)
+    return work if work > MAX_VERIFY_WORK else work + (lam.size + 1) * (lam.size + _c_degree(lam) + 1) // 2
 
 
 def _umoy_work(p, b):
@@ -649,7 +672,7 @@ def _umoy_work(p, b):
     lhs alone is past any budget)."""
     n, lam = p["zmax"], p["lam"]
     work = _series_work(n, p["ell"], b, len(lam))
-    return work if work > MAX_VERIFY_WORK else work + _c_table_work(lam, min(n // b, 40), MAX_VERIFY_WORK)
+    return work if work > MAX_VERIFY_WORK else work + _c_table_work(lam, min(n // b, 40))
 
 
 def _hl_builds(n, d):
@@ -675,7 +698,7 @@ def _keys_work(nx, d, factors, ny, dy, lams=False):
     """A quarter of a unit per kept key of a truncated chain (degree <= d in
     nx variables, <= dy in ny more) per factor per q-degree d + dy, the
     `hl_p` builds (`_hl_builds`) and, with `lams`, per lam 6 C tables
-    (`_c_table_work`) for its C, skew and lhs terms and 200 units per each of
+    (`_c_tables_work`) for its C, skew and lhs terms and 200 units per each of
     its |lam| + 1 principal-y terms: WARNAAR_A2 4,4,5,5 counts 1.10M in
     0.70 s, LASCOUX 1,1,60,60 0.89M in 0.69 s.  With `lams` a y enters by a
     mu inside a lam of the x alphabet, so a kept key's y-degree is at most
@@ -690,8 +713,8 @@ def _keys_work(nx, d, factors, ny, dy, lams=False):
     work = keys * per // 4
     if work <= MAX_VERIFY_WORK:
         work += _hl_builds(nx, d)[1] + _hl_builds(min(nx, ny) if lams else ny, dy)[1]
-    for lam in _partitions_upto(min(d, 1500), nx) if lams and work <= MAX_VERIFY_WORK else ():
-        work += 6 * _c_table_work(lam, None, MAX_VERIFY_WORK) + 200 * (lam.size + 1)
+    for size, table in _c_tables_work(nx, min(d, 1500)) if lams and work <= MAX_VERIFY_WORK else ():
+        work += 6 * table + 200 * (size + 1)
         if work > MAX_VERIFY_WORK:
             break
     return work
@@ -739,10 +762,7 @@ REGISTRY = {
     # zmax = 20: 21^6 / 200 units in 0.40 s
     "EULER": Identity(_run_euler, _SERIES, ("zmax",), lambda p: (p["zmax"] + 1) ** 6 // 200),
     "GENFUN": Identity(_run_genfun, _SERIES, ("lam", "p", "zmax"), _genfun_work),
-    # its series, the C table, and a tenth of a unit per square degree of C per
-    # (m, j) product of `_euler_convolution` (its 2^30, zmax = 12 row)
-    "COMBINAT": Identity(_run_combinat, _SERIES, ("lam", "zmax"), lambda p: _series_work(p["zmax"]) + _c_table_work(
-        p["lam"], None, MAX_VERIFY_WORK) + (p["zmax"] + 1) * (p["zmax"] + 2) // 2 * (_c_degree(p["lam"]) + 1) ** 2 // 10),
+    "COMBINAT": Identity(_run_combinat, _SERIES, ("lam", "zmax"), _combinat_work),
     "UMOY_ABELIAN": Identity(lambda params, rng: _run_umoy(params, 1), _SERIES, _LAM_ELL_Z,
                              lambda p: _umoy_work(p, 1)),
     "UMOY_TYPE_S": Identity(lambda params, rng: _run_umoy(params, 2), _SERIES, _LAM_ELL_Z,
@@ -761,11 +781,7 @@ REGISTRY = {
     # terms plus n^3 / 2 for the rhs terms' factors: n = 12, k = 3 counts 2.04M in 2.37 s
     "CSQ": Identity(_run_csq, _EXACT, _FINITE, lambda p: (p["n"] * p["k"] + 2 * p["n"] + 2)
                     * (2 * p["n"] + 1) * (math.comb(p["n"] + p["k"], min(p["n"], p["k"], 40)) + p["n"] ** 3 // 2)),
-    # the C table and, unless it alone is past the budget, half a unit per table
-    # entry and q-degree |lam| + D of the two swapped sums (2^40, 400, 1000 rows)
-    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, ("lam",), lambda p: w if (
-        w := _c_table_work(p["lam"], None, MAX_VERIFY_WORK)) > MAX_VERIFY_WORK
-        else w + (p["lam"].size + 1) * (p["lam"].size + _c_degree(p["lam"]) + 1) // 2),
+    "MIRROR_SWAP": Identity(_run_mirror_swap, _EXACT, ("lam",), _mirror_swap_work),
 }
 
 IDENTITY_IDS = tuple(sorted(REGISTRY))

@@ -118,7 +118,7 @@ def _moment(lam, p, u, flavor, dps):
     lam = Partition(lam)
     b, e = p**k, weight(u)
     _check_size(lam.size, _c_degree(lam), p, e, b)
-    work = _c_table_work(lam, None, identities.MAX_VERIFY_WORK)
+    work = _c_table_work(lam, None)
     if work > identities.MAX_VERIFY_WORK:
         raise ResourceBoundError("exact moment work", identities.MAX_VERIFY_WORK, work)
     table = mirror_poly(lam)

@@ -154,17 +154,34 @@ def _c_by_size(lam, most=None):
     return out
 
 
+def _c_column(state, a, hi):
+    """One column of height a = lam'_i of the walk of `_c_table_counts`,
+    over the states h <= hi of `state` (five lists by h: the number of mu,
+    the coefficients of their C, their steps, columns and degrees so far):
+    for each h from hi down to 0, (h, the five sums over the states >= h,
+    as the next column's state h' = h).  At column i a mu with h = mu'_i and
+    h' = mu'_{i+1} has the factor [a - h' choose a - h] of degree
+    d = (a - h)(h - h'), 1 exactly when d = 0; d is linear in h', so the
+    running sums over h >= h' give the state h'."""
+    count, total, steps, cols, degs = state
+    n0 = n1 = n2 = t0 = t1 = t2 = s0 = c0 = g0 = 0
+    for h in range(hi, -1, -1):
+        n0, n1, n2 = n0 + count[h], n1 + count[h] * (a - h) * h, n2 + count[h] * (a - h)
+        t0, t1, t2 = t0 + total[h], t1 + total[h] * (a - h) * h, t2 + total[h] * (a - h)
+        s0, c0, g0 = s0 + steps[h], c0 + cols[h] + (count[h] if h else 0), g0 + degs[h]
+        # a factor's steps are len(product) * (d + 1), for the h > h' but a
+        step = s0 + t1 - h * t2 + t0 - total[h] - (total[a] if hi == a > h else 0)
+        yield h, (n0, t0 + n1 - h * n2, step, c0, g0 + n1)
+
+
 def _c_table_counts(lam, most=None):
     """(count, degrees, steps, columns) over the mu inside lam (of size <= most
     if given): the number of mu and the sums of the degrees
     sum_i mu'_i (lam'_i - mu'_i) of their C, of the schoolbook steps
     len(product so far) * len(factor) of their `c_coeff` products and of
     their mu_1, the columns a product walks.  One pass down each column
-    counts all mu: at column i, a = lam'_i, a mu with h = mu'_i and
-    h' = mu'_{i+1} has the factor [a - h' choose a - h] of degree
-    d = (a - h)(h - h'), 1 exactly when d = 0; d is linear in h', so sums
-    over the states h >= h' give the next column's state h'.  With `most`
-    there is a layer of states per size so far, and parts past most are cut."""
+    (`_c_column`) counts all mu.  With `most` there is a layer of states per
+    size so far, and parts past most are cut."""
     lam = Partition(lam)
     if most is not None and lam.part(1) > most:
         lam = Partition([min(a, most) for a in lam])
@@ -176,43 +193,75 @@ def _c_table_counts(lam, most=None):
         layer[0][h] = layer[1][h] = 1
     for a, below in zip(heights, heights[1:]):
         new = {}
-        for t, (count, total, steps, cols, degs) in layers.items():
-            n0 = n1 = n2 = t0 = t1 = t2 = s0 = c0 = g0 = 0
-            hi = min(a, top if most is None else t)
-            for h in range(hi, -1, -1):
-                n0, n1, n2 = n0 + count[h], n1 + count[h] * (a - h) * h, n2 + count[h] * (a - h)
-                t0, t1, t2 = t0 + total[h], t1 + total[h] * (a - h) * h, t2 + total[h] * (a - h)
-                s0, c0, g0 = s0 + steps[h], c0 + cols[h] + (count[h] if h else 0), g0 + degs[h]
+        for t, layer in layers.items():
+            for h, sums in _c_column(layer, a, min(a, top if most is None else t)):
                 if h <= below and (most is None or t + h <= most):
                     state = new.setdefault(0 if most is None else t + h, [[0] * (min(below, top) + 1) for _ in range(5)])
-                    # a factor's steps are len(product) * (d + 1), for the h > h' but a
-                    step = s0 + t1 - h * t2 + t0 - total[h] - (total[a] if hi == a > h else 0)
-                    for k, value in enumerate((n0, t0 + n1 - h * n2, step, c0, g0 + n1)):
+                    for k, value in enumerate(sums):
                         state[k][h] += value
         layers = new
     return tuple(sum(layer[k][0] for layer in layers.values()) for k in (0, 4, 2, 3))
 
 
-def _c_table_work(lam, most, limit):
+def _c_table_units(counts, top, degree):
+    """The units of a C table of `_c_table_counts` counts, of sizes <= top
+    and degree bound `degree`: 30 per mu, a third per coefficient of its C,
+    an eleventh per schoolbook step and per column of its product, and a
+    quarter per coefficient of the table, at most those of the C and
+    (top + 1)(degree + 1); one fit on BENCH_moment_work.json and
+    BENCH_work_budget.json."""
+    count, degrees, steps, columns = counts
+    table = min(degrees + count, (top + 1) * (degree + 1))
+    return 30 * count + (degrees + count) // 3 + (steps + columns) // 11 + table // 4
+
+
+def _c_table_work(lam, most):
     """The work of `_c_by_size(lam, most)` and of one read of its table, in
-    units of about 1 us (`_c_table_counts`): 30 per mu, a third per
-    coefficient of its C, an eleventh per schoolbook step and per column of
-    its product, and a quarter per coefficient of the table, at most those
-    of the C and (top + 1)(D + 1) for the degree bound D; one fit on
-    BENCH_moment_work.json and BENCH_work_budget.json.  Without `most` the
-    mu inside the hook of lam, lam_1 * len + 1, the columns 1^m of degrees
-    summing to (len + 1) len (len - 1) / 6 and the rows walking
-    lam_1 (lam_1 + 1) / 2 columns, bound it from below, returned past `limit`."""
+    units of about 1 us (`_c_table_units`).  The budget is verify's
+    `identities.MAX_VERIFY_WORK`, read at call time: a lam past
+    MAX_C_DEGREE, whose C `c_coeff` refuses, reads one unit past it, and
+    without `most` the mu inside the hook of lam, lam_1 * len + 1, the
+    columns 1^m of degrees summing to (len + 1) len (len - 1) / 6 and the
+    rows walking lam_1 (lam_1 + 1) / 2 columns bound the work from below,
+    returned before any count once past it."""
+    from . import identities
+
+    limit = identities.MAX_VERIFY_WORK
     lam = Partition(lam)
     width, length = lam.part(1), len(lam)
     if most is None:
         low = 30 * (width * length + 1) + (length + 1) * length * (length - 1) // 18 + width * (width + 1) // 22
         if low > limit:
             return low
-    count, degrees, steps, columns = _c_table_counts(lam, most)
+    if _c_degree(lam) > MAX_C_DEGREE:
+        return limit + 1
     top = lam.size if most is None else min(most, lam.size)
-    table = min(degrees + count, (top + 1) * (_c_degree(lam) + 1))
-    return 30 * count + (degrees + count) // 3 + (steps + columns) // 11 + table // 4
+    return _c_table_units(_c_table_counts(lam, most), top, _c_degree(lam))
+
+
+def _c_tables_work(height, size):
+    """(|lam|, the units of `_c_table_work(lam, None)`, or one past the
+    budget for a lam past MAX_C_DEGREE) for every lam of at most `height`
+    parts and size <= `size`, lazily, the empty lam first.  A lam's columns
+    extend those of the lam without its last column, so one walk down that
+    tree of lams (`_c_column`) counts each column once for all the lams
+    that begin with it."""
+    from . import identities
+
+    yield 0, _c_table_units((1, 0, 0, 0), 0, 0)
+    # (lam'_i, |lam|, sum_j lam'_j^2, the state before column i)
+    stack = [(a, a, a * a, [[int(k < 2)] * (a + 1) for k in range(5)]) for a in range(min(height, size), 0, -1)]
+    while stack:
+        a, used, squares, state = stack.pop()
+        after = [[0] * (a + 1) for _ in range(5)]
+        for h, sums in _c_column(state, a, a):
+            for k, value in enumerate(sums):
+                after[k][h] = value
+        if squares // 4 > MAX_C_DEGREE:
+            yield used, identities.MAX_VERIFY_WORK + 1
+        else:
+            yield used, _c_table_units([after[k][0] for k in (0, 4, 2, 3)], used, squares // 4)
+        stack.extend((b, used + b, squares + b * b, after) for b in range(min(a, size - used), 0, -1))
 
 
 def mirror_poly(lam):

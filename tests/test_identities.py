@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmoments import identities
+from qmoments import identities, rbasis
 from qmoments.errors import ModeError, ParseError, ResourceBoundError, UsageError
 from qmoments.groups import MAX_PRIME
 from qmoments.identities import (
@@ -37,12 +37,13 @@ from qmoments.identities import (
     _geom,
     _mpoly_product,
     _mpoly_sum,
+    _partitions_upto,
 )
 from qmoments.mpoly import MPoly, _unit
 from qmoments.hall_littlewood import _hl_cached, hl_p
 from qmoments.partitions import Partition, parse_partition, partitions_of, subpartitions
 from qmoments.qrat import ONE, UniRat, ZERO, _unpack_signed
-from qmoments.rbasis import _c_by_size, _c_table_work, c_coeff
+from qmoments.rbasis import _c_by_size, _c_table_work, _c_tables_work, c_coeff
 from test_mpoly import time_limit
 
 FAST_POINTS = {
@@ -134,7 +135,7 @@ def test_recorded_work_grids_match_the_code():
     # estimate the code gives and the verdict the budget draws from it
     root = Path(__file__).resolve().parents[1]
     rows = json.loads((root / "BENCH_work_budget.json").read_text())["grid"]
-    assert len(rows) == 323
+    assert len(rows) == 334
     for row in rows:
         params = dict(row["params"])
         if "lam" in params:
@@ -144,8 +145,37 @@ def test_recorded_work_grids_match_the_code():
     rows = json.loads((root / "BENCH_moment_work.json").read_text())["grid"]
     assert len(rows) == 85
     for row in rows:
-        work = _c_table_work(parse_partition(row["lambda"]), None, MAX_VERIFY_WORK)
+        work = _c_table_work(parse_partition(row["lambda"]), None)
         assert (row["estimate"], row["admitted"]) == (work, work <= MAX_VERIFY_WORK), row
+
+
+def test_c_table_estimates_refuse_a_lam_past_the_degree_bound(monkeypatch):
+    # c_coeff refuses every C of a lam past MAX_C_DEGREE, so no table of it
+    # can be built: the estimate reads it past the budget, with or without
+    # `most`, and so does the walk over the lams of an alphabet
+    assert _c_table_work(Partition([10**6]), 12) > MAX_VERIFY_WORK
+    assert _c_table_work(Partition([10**6]), None) > MAX_VERIFY_WORK
+    monkeypatch.setattr(rbasis, "MAX_C_DEGREE", 2)
+    for lam in ([2, 2, 1], [3, 3], [1] * 4):
+        assert _c_table_work(Partition(lam), 1) == MAX_VERIFY_WORK + 1, lam
+        assert _c_table_work(Partition(lam), None) == MAX_VERIFY_WORK + 1, lam
+    works = dict(zip(_partitions_upto(8, 4), (_c_table_work(lam, None) for lam in _partitions_upto(8, 4))))
+    assert works[Partition([2, 2])] <= MAX_VERIFY_WORK < works[Partition([2, 2, 1])]
+    assert sorted(_c_tables_work(4, 8)) == sorted((lam.size, work) for lam, work in works.items())
+
+
+def test_lascoux_estimate_walks_each_column_once():
+    # `_c_tables_work` counts the C tables of every lam of the x alphabet in
+    # one walk down the tree of lams, to the same sums as a `_c_table_work`
+    # per lam; the slowest LASCOUX estimates of BENCH_work_budget.json took
+    # 16-32 ms with a walk per lam, and each now takes under 10 ms
+    for nx, d in ((0, 5), (1, 40), (2, 20), (3, 14), (5, 10), (12, 12)):
+        per_lam = sorted((lam.size, _c_table_work(lam, None)) for lam in _partitions_upto(d, nx))
+        assert sorted(_c_tables_work(nx, d)) == per_lam, (nx, d)
+    slowest = [(1, 4, 72, 1), (1, 1, 69, 69), (2, 4, 23, 1), (3, 3, 16, 1), (4, 4, 13, 1)]
+    manifest = [case.params for case in load_manifest()[2] if case.case_id == "LASCOUX"]
+    for params in [dict(zip(("nx", "ny", "dx", "dy"), row)) for row in slowest] + manifest:
+        assert _timed_work("LASCOUX", params) <= MAX_VERIFY_WORK, params
 
 
 def test_qbinhl_estimate_counts_the_hl_p_builds():
@@ -223,8 +253,7 @@ def test_unbounded_params_end_within_seconds():
     # each call answers or is refused within 5 s, never hangs; every id that
     # takes a `lam` (with `ell` raised to lam_1) refuses each of _HUGE_LAMS
     # on its work estimate within 1 s, or, for the UMOY ids, which build
-    # the C of the nu of size <= zmax / b only, passes (or meets the degree
-    # bound of its C, for the long row) within 1 s; the
+    # the C of the nu of size <= zmax / b only, passes within 1 s; the
     # estimate itself takes under 10 ms on each of these inputs
     first = {}
     for case in load_manifest()[2]:
@@ -253,12 +282,7 @@ def test_unbounded_params_end_within_seconds():
                 if _timed_work(cid, params) <= MAX_VERIFY_WORK:
                     assert cid.startswith("UMOY"), (cid, lam[:3])
                     with time_limit(1):
-                        try:
-                            assert verify(IdentityCase(cid, params)).passed
-                        except ResourceBoundError as exc:
-                            # the C of a long row's short nu are all 1 and
-                            # cheap, but c_coeff refuses any lam past MAX_C_DEGREE
-                            assert str(exc).startswith("C_{lam,mu} degree exceeded"), exc
+                        assert verify(IdentityCase(cid, params)).passed
                 else:
                     with time_limit(1), pytest.raises(ResourceBoundError, match="work exceeded"):
                         verify(IdentityCase(cid, params))

@@ -265,9 +265,9 @@ def test_moment_work_estimate_counts_the_c_table():
     # q-binomials by q-Pascal recursion, and now about 1 s) are admitted
     budget = identities.MAX_VERIFY_WORK
     for lam in ([1000, 1000], [2] * 90, [5] * 20, [10] * 10, [10**6] * 3):
-        assert rbasis._c_table_work(Partition(lam), None, budget) > budget, lam[:3]
+        assert rbasis._c_table_work(Partition(lam), None) > budget, lam[:3]
     for lam in ([300, 300], [3] * 25, [1] * 100, [1] * 175, []):
-        assert rbasis._c_table_work(Partition(lam), None, budget) <= budget, lam[:3]
+        assert rbasis._c_table_work(Partition(lam), None) <= budget, lam[:3]
     # a long row's C are all 1, but each walks its mu_1 columns: these ran
     # 5.2 to 6.1 s when no count had the columns; each exits 3 within 1 s
     # or answers within the slowest admitted call of BENCH_moment_work.json
